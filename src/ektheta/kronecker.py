@@ -36,7 +36,7 @@ from .curves import (
     theta_series,
 )
 from .eklerch import ek_number
-from .scalars import BigComplex, ExactScalar
+from .scalars import BigComplex, ExactScalar, _vp_fraction
 from .series import (
     BiSeries,
     ExactRing,
@@ -87,28 +87,14 @@ def _unit_series_list(curve: CurveData, order: int, ring) -> list:
     return [th.coeff(k + 1) for k in range(order + 1)]
 
 
-def _list_inverse(a: list, ring) -> list:
-    n = len(a) - 1
-    inv_lead = ring.one / a[0]
-    b = [inv_lead]
-    for m in range(1, n + 1):
-        s = None
-        for i in range(1, m + 1):
-            if ring.is_zero(a[i]):
-                continue
-            t = a[i] * b[m - i]
-            s = t if s is None else s + t
-        b.append(-(inv_lead * s) if s is not None else ring.zero)
-    return b
-
-
 def kronecker_exact(curve: CurveData, order: int,
                     ring: Optional[ExactRing] = None) -> ThetaExpansion:
     """Exact Theta expansion with regular part to total degree `order`."""
     ring = ring or curve.ring()
     D = order + 1
     U = _unit_series_list(curve, D, ring)
-    Uinv = _list_inverse(U, ring)
+    Uinv_series = UniSeries.from_list(ring, U, D).inverse()
+    Uinv = [Uinv_series.coeff(j) for j in range(D + 1)]
     # A = U(z + w), as {(m, n): coeff}
     amap: Dict[Tuple[int, int], object] = {}
     for k in range(D + 1):
@@ -631,20 +617,6 @@ def _as_fraction(v) -> Fraction:
     if isinstance(v, ExactScalar) and v.is_rational():
         return v.a
     raise TypeError(f"cannot reinterpret {v!r} as a rational")
-
-
-def _vp_fraction(x: Fraction, p: int) -> Optional[int]:
-    if not x:
-        return None
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
 
 
 @dataclass

@@ -20,10 +20,13 @@ Z_p^x x Z_p^x is computed as the four-fold trace combination
 
 on the composed series C(s,t), where Tr_s C = sum over the p-1 nonzero
 p-division points x of the formal group of C(s (+) x, t).  The division
-points live in the algebra Z_p[T]/W1(T): W1 is the even degree-(p-1)
-Weierstrass polynomial of the formal p-torsion, extracted from the
-p-division polynomial by a reversal + polynomial Hensel factorization, and
-s (+) x is assembled from the curve's addition law.  The pole class
+points live in the algebra Z_p[T]/W1(T), W1 the even degree-(p-1)
+Weierstrass polynomial of the formal p-torsion.  It is built in integers:
+the reversed p-division polynomial in u = 1/x has a distinguished Hensel
+factor W_u, and W1(T) is the characteristic polynomial of t^2 = 4x^2/y^2 on
+the integral algebra Z_p[u]/(W_u), evaluated at T^2.  All of this runs on
+the Z/p^k[x]/(W) helpers of ``scalars``.  s (+) x is assembled from the
+curve's addition law.  The pole class
 (s^-1-terms and all their trace shadows) cancels identically in the
 four-fold combination, so only the regular part enters.
 
@@ -41,8 +44,9 @@ from typing import Dict, List, Optional, Tuple
 from .curves import CurveData, formal_log, wp_series
 from .kronecker import ComposedExpansion, ThetaExpansion, compose_formal, \
     kronecker_exact
-from .scalars import ExactScalar, PadicContext, PadicScalar, embed_padic, \
-    _sqrt_minus_d_mod
+from .scalars import ExactScalar, PadicContext, PadicScalar, base_p_digits, \
+    divrem_monic, embed_padic, inverse, mulmod, powmod, trace, _sqrt_minus_d_mod, \
+    _vp_fraction
 from .series import BiSeries, ExactRing, PadicRing, UniSeries
 
 __all__ = [
@@ -73,31 +77,16 @@ class IntegralityError(ArithmeticError):
     """A coefficient asserted integral came out with negative valuation."""
 
 
-def _vp_int(n: int, p: int) -> int:
-    v = 0
-    while n and n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def precision_buffer(a: int, b: int, p: int) -> int:
     """Digits consumed by factorials and Euler denominators in comparisons."""
-    return _vp_int(math.factorial(b - 1), p) + (a + 1) + 2
+    return _vp_fraction(math.factorial(b - 1), p) + (a + 1) + 2
 
 
-def _vp_fraction(x: Fraction, p: int) -> Optional[int]:
-    if not x:
-        return None
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+def _int_mod(x: Fraction, p: int, pk: int) -> int:
+    """x mod pk for a p-integral rational x."""
+    if x.denominator % p == 0:
+        raise IntegralityError(f"{x} is not {p}-integral")
+    return x.numerator * pow(x.denominator, -1, pk) % pk
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +168,9 @@ def _eta_defect(c: PadicScalar, lam: UniSeries, ring: PadicRing,
 
 def _residue_solutions(p: int, f: int, target_vec: tuple) -> list:
     """All c in F_{p^f}^x with c^(p-1) = target (target in F_p^x embedded)."""
-    ctx = PadicContext(p, f)
-    out = []
-    for n in range(1, p ** f):
-        coeffs = []
-        m = n
-        for _ in range(f):
-            coeffs.append(m % p)
-            m //= p
-        x = ctx.from_vector(tuple(coeffs), 1)
-        if x.val != 0:
-            continue
-        if (x ** (p - 1)).eq_mod(ctx.from_vector(target_vec, 1), 1):
-            out.append(tuple(coeffs))
-    return out
+    mod = PadicContext(p, f).modulus
+    return [c for c in (tuple(base_p_digits(n, p, f)) for n in range(1, p ** f))
+            if powmod(c, p - 1, mod, p) == target_vec]
 
 
 def solve_padic_period_for_log(lam: UniSeries, p: int, N: int,
@@ -218,7 +196,7 @@ def solve_padic_period_for_log(lam: UniSeries, p: int, N: int,
     if tv is None or tv != 0:
         raise NoPeriodError(f"a_p = {a_p_fr} is not a p-unit: p supersingular "
                             "for this group")
-    t_mod = target.numerator * pow(target.denominator, -1, p) % p
+    t_mod = _int_mod(target, p, p)
     guard = Dstar // (p - 1) + 6
     for f in range(1, max_f + 1):
         sols = _residue_solutions(p, f, (t_mod,) + (0,) * (f - 1))
@@ -233,11 +211,7 @@ def solve_padic_period_for_log(lam: UniSeries, p: int, N: int,
         for digit_level in range(1, N):
             found = False
             for delta in range(p ** f):
-                dv = []
-                m = delta
-                for _ in range(f):
-                    dv.append(m % p)
-                    m //= p
+                dv = base_p_digits(delta, p, f)
                 cand = [c_vec[i] + dv[i] * p ** digit_level for i in range(f)]
                 c = ctx.from_vector(tuple(cand), N + guard)
                 worst = _eta_defect(c, lam, ring, min(Dstar, p * (digit_level + 2)))
@@ -364,83 +338,6 @@ def division_polynomial_p(curve: CurveData, p: int) -> list:
 # polynomial Hensel factorization over Z/p^M
 # ---------------------------------------------------------------------------
 
-def _fp_poly_inverse_mod_power(e: list, k: int, p: int, pk: int) -> list:
-    """Inverse of the unit polynomial e modulo (u^k, p^pk-modulus) - Newton."""
-    assert e[0] % p != 0
-    inv = [pow(e[0], -1, pk)]
-    length = 1
-    while length < k:
-        length = min(2 * length, k)
-        prod = [0] * length
-        for i, ei in enumerate(e[:length]):
-            if ei:
-                for j, vj in enumerate(inv):
-                    if i + j < length and vj:
-                        prod[i + j] = (prod[i + j] + ei * vj) % pk
-        # inv <- inv (2 - e inv)
-        corr = [(-c) % pk for c in prod]
-        corr[0] = (corr[0] + 2) % pk
-        new = [0] * length
-        for i, vi in enumerate(inv):
-            if vi:
-                for j, cj in enumerate(corr):
-                    if i + j < length and cj:
-                        new[i + j] = (new[i + j] + vi * cj) % pk
-        inv = new
-    return inv[:k]
-
-
-def _divrem_monic(f: list, W: list, pk: int):
-    """Quotient and remainder of f by the monic polynomial W over Z/pk."""
-    deg_w = len(W) - 1
-    rem = list(f)
-    q = [0] * max(len(f) - deg_w, 1)
-    for i in range(len(f) - 1, deg_w - 1, -1):
-        c = rem[i] % pk
-        q[i - deg_w] = c
-        if c:
-            for j in range(deg_w + 1):
-                rem[i - deg_w + j] = (rem[i - deg_w + j] - c * W[j]) % pk
-        rem[i] = 0
-    return q, [x % pk for x in rem[:deg_w]]
-
-
-def _algmul(u: list, v: list, W: list, pk: int) -> list:
-    d = len(W) - 1
-    out = [0] * (2 * d - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                if vj:
-                    out[i + j] = (out[i + j] + ui * vj) % pk
-    for i in range(2 * d - 2, d - 1, -1):
-        c = out[i]
-        if c:
-            for j in range(d + 1):
-                out[i - d + j] = (out[i - d + j] - c * W[j]) % pk
-        out[i] = 0
-    return [x % pk for x in out[:d]]
-
-
-def _alginv(u: list, W: list, p: int, M: int) -> list:
-    """Inverse in (Z/p^M)[x]/(W), W monic = x^deg mod p (local ring): unit
-    iff the constant coordinate is a p-unit; Newton from the mod-p inverse."""
-    pk = p ** M
-    d = len(W) - 1
-    if u[0] % p == 0:
-        raise ZeroDivisionError("non-unit in local quotient ring")
-    inv = _fp_poly_inverse_mod_power([c % p for c in u] + [0] * d, d, p, p)
-    inv = inv[:d] + [0] * (d - len(inv))
-    k = 1
-    while k < M:
-        k *= 2
-        prod = _algmul(u, inv, W, pk)
-        corr = [(-c) % pk for c in prod]
-        corr[0] = (corr[0] + 2) % pk
-        inv = _algmul(inv, corr, W, pk)
-    return inv
-
-
 def hensel_factor_distinguished(poly: list, deg_w: int, p: int, M: int):
     """Factor poly = W * E over Z/p^M with W monic of degree deg_w,
     W = u^deg_w mod p, and the cofactor E coprime to W (E(0) a p-unit).
@@ -455,11 +352,12 @@ def hensel_factor_distinguished(poly: list, deg_w: int, p: int, M: int):
         raise ArithmeticError("polynomial is not distinguished of the stated degree")
     W = [0] * deg_w + [1]
     for _ in range(2 * M.bit_length() + 8):
-        q, r = _divrem_monic(poly, W, pk)
-        if all(x == 0 for x in r):
+        q, r = divrem_monic(poly, W, pk)
+        if not any(r):
             return W, q
-        qbar = _divrem_monic(q, W, pk)[1]
-        step = _algmul(_alginv(qbar, W, p, M), r, W, pk)
+        qbar = divrem_monic(q, W, pk)[1]
+        start = (pow(qbar[0], -1, p),) + (0,) * (deg_w - 1)
+        step = mulmod(inverse(qbar, W, pk, start), r, W, pk)
         W = [(W[i] + (step[i] if i < deg_w else 0)) % pk for i in range(deg_w + 1)]
     raise ArithmeticError("Hensel factor iteration did not converge")
 
@@ -467,133 +365,6 @@ def hensel_factor_distinguished(poly: list, deg_w: int, p: int, M: int):
 # ---------------------------------------------------------------------------
 # formal p-torsion polynomial W1 (even, degree p-1)
 # ---------------------------------------------------------------------------
-
-def _gauss_solve_padic(Amat: list, rhs: list):
-    """Solve A x = b over PadicScalar by elimination on minimal-valuation
-    pivots; entries must keep enough relative precision."""
-    n = len(Amat)
-    A = [row[:] + [rhs[i]] for i, row in enumerate(Amat)]
-    perm = list(range(n))
-    for col in range(n):
-        piv, pv = None, None
-        for r in range(col, n):
-            v = A[r][col]
-            if v.val is None:
-                continue
-            if pv is None or v.val < pv:
-                piv, pv = r, v.val
-        if piv is None:
-            raise ZeroDivisionError("singular p-adic system")
-        A[col], A[piv] = A[piv], A[col]
-        inv = A[col][col].inverse()
-        A[col] = [x * inv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col].val is not None:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [A[i][n] for i in range(n)]
-
-
-class _QuotientAlgebra:
-    """Q_p[x]/(h), h monic with PadicScalar coefficients (degree small)."""
-
-    def __init__(self, ctx: PadicContext, h: list):
-        self.ctx = ctx
-        self.h = h          # monic: list of PadicScalar, length deg+1, h[-1] = 1
-        self.deg = len(h) - 1
-
-    def mul(self, u: list, v: list) -> list:
-        d = self.deg
-        out = [None] * (2 * d - 1)
-        for i, ui in enumerate(u):
-            if ui.val is None:
-                continue
-            for j, vj in enumerate(v):
-                if vj.val is None:
-                    continue
-                t = ui * vj
-                out[i + j] = t if out[i + j] is None else out[i + j] + t
-        out = [c if c is not None else self._zero_like(u, v) for c in out]
-        for i in range(2 * d - 2, d - 1, -1):
-            c = out[i]
-            if c.val is not None:
-                for j in range(d):
-                    out[i - d + j] = out[i - d + j] - c * self.h[j]
-            out[i] = self._zero_like(u, v)
-        return out[:d]
-
-    @staticmethod
-    def _zero_like(u, v):
-        ref = u[0]
-        return ref.ctx.zero(ref.abs_prec)
-
-    def one(self, prec: int) -> list:
-        return [self.ctx.from_int(1 if i == 0 else 0, prec) for i in range(self.deg)]
-
-    def xelt(self, prec: int) -> list:
-        return [self.ctx.from_int(1 if i == 1 else 0, prec) for i in range(self.deg)]
-
-    def mul_matrix(self, u: list) -> list:
-        cols = []
-        for i in range(self.deg):
-            basis = [self.ctx.zero(u[0].abs_prec + 8) for _ in range(self.deg)]
-            basis[i] = self.ctx.from_int(1, u[0].abs_prec + 8)
-            cols.append(self.mul(u, basis))
-        # matrix rows: entry [r][c] = coefficient r of u * x^c
-        return [[cols[c][r] for c in range(self.deg)] for r in range(self.deg)]
-
-    def trace_powers(self, u: list, kmax: int) -> list:
-        """Traces of u^1..u^kmax via the multiplication matrix."""
-        M = self.mul_matrix(u)
-        cur = M
-        out = []
-        for _ in range(kmax):
-            out.append(_mat_trace(cur))
-            cur = _mat_mul(cur, M)
-        return out
-
-    def inverse(self, u: list) -> list:
-        prec = max((x.abs_prec for x in u if x.val is not None), default=8)
-        M = self.mul_matrix(u)
-        e0 = [self.ctx.from_int(1 if i == 0 else 0, prec) for i in range(self.deg)]
-        return _gauss_solve_padic(M, e0)
-
-
-def _mat_mul(A, B):
-    n = len(A)
-    return [[sum((A[i][k] * B[k][j] for k in range(1, n)),
-                 A[i][0] * B[0][j]) for j in range(n)] for i in range(n)]
-
-
-def _mat_trace(A):
-    t = A[0][0]
-    for i in range(1, len(A)):
-        t = t + A[i][i]
-    return t
-
-
-def charpoly_padic(alg: _QuotientAlgebra, u: list, prec: int) -> list:
-    """Characteristic polynomial of multiplication-by-u, monic, via Newton's
-    identities on the power-sum traces (degree < p, so the divisions are
-    p-unit)."""
-    n = alg.deg
-    s = alg.trace_powers(u, n)
-    ctx = alg.ctx
-    e = [ctx.from_int(1, prec)]
-    for k in range(1, n + 1):
-        acc = s[k - 1]
-        for i in range(1, k):
-            term = e[i] * s[k - 1 - i]
-            acc = acc + (term if i % 2 == 0 else -term)
-        acc = acc * Fraction((-1) ** (k - 1), k)
-        e.append(acc)
-    # charpoly = sum_{k} (-1)^k e_k X^(n-k)
-    coeffs = [None] * (n + 1)
-    for k in range(n + 1):
-        c = e[k] if k % 2 == 0 else -e[k]
-        coeffs[n - k] = c
-    return coeffs
-
 
 @dataclass(frozen=True)
 class TorsionAlgebra:
@@ -613,20 +384,7 @@ class TorsionAlgebra:
         return self.p ** self.M
 
     def mul(self, u: tuple, v: tuple) -> tuple:
-        d, pk = self.deg, self.pk
-        out = [0] * (2 * d - 1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    if vj:
-                        out[i + j] = (out[i + j] + ui * vj) % pk
-        for i in range(2 * d - 2, d - 1, -1):
-            c = out[i]
-            if c:
-                for j in range(d + 1):
-                    out[i - d + j] = (out[i - d + j] - c * self.W1[j]) % pk
-            out[i] = 0
-        return tuple(x % pk for x in out[:d])
+        return mulmod(u, v, self.W1, self.pk)
 
     def one(self) -> tuple:
         return (1,) + (0,) * (self.deg - 1)
@@ -641,27 +399,15 @@ class TorsionAlgebra:
         return tuple((x + y) % self.pk for x, y in zip(u, v))
 
     def trace(self, u: tuple) -> int:
-        t = 0
-        for i in range(self.deg):
-            basis = [0] * self.deg
-            basis[i] = 1
-            t = (t + self.mul(u, tuple(basis))[i]) % self.pk
-        return t
+        return trace(u, self.W1, self.pk)
 
     def inverse_unit(self, u: tuple) -> tuple:
         """Inverse of an element that is a unit (constant coordinate a p-unit;
         mod p the algebra is F_p[x]/x^deg)."""
         if u[0] % self.p == 0:
             raise ZeroDivisionError("not a unit in the torsion algebra")
-        inv = (pow(u[0], -1, self.p),) + (0,) * (self.deg - 1)
-        k = 1
-        while k < self.M:
-            k *= 2
-            prod = self.mul(u, inv)
-            corr = tuple((-c) % self.pk for c in prod)
-            corr = ((corr[0] + 2) % self.pk,) + corr[1:]
-            inv = self.mul(inv, corr)
-        return inv
+        start = (pow(u[0], -1, self.p),) + (0,) * (self.deg - 1)
+        return inverse(u, self.W1, self.pk, start)
 
     def p_times_x_inverse(self) -> tuple:
         """p * x^-1 = -(W1[1] + W1[2] x + ... + x^(deg-1)) * (p / W1[0])."""
@@ -684,9 +430,7 @@ class TorsionAlgebra:
             c = coeffs.get(k)
             if c is None or not c:
                 continue
-            cs = c * Fraction(self.p) ** scale
-            assert cs.denominator % self.p != 0, "scale too small for coefficient"
-            ci = cs.numerator * pow(cs.denominator, -1, self.pk) % self.pk
+            ci = _int_mod(c * Fraction(self.p) ** scale, self.p, self.pk)
             for i in range(self.deg):
                 acc[i] = (acc[i] + ci * xp[i]) % self.pk
         return tuple(acc)
@@ -696,47 +440,40 @@ def formal_torsion_algebra(curve: CurveData, p: int, M: int) -> TorsionAlgebra:
     """Build Z/p^M[T]/W1(T), W1 the even monic degree-(p-1) polynomial whose
     roots are the t-coordinates of the nonzero formal p-torsion points.
 
-    Pipeline: p-division polynomial -> reversal + Hensel factor (the degree-
-    (p-1)/2 slope-1/6 part) -> x-coordinate algebra B -> characteristic
-    polynomial of tau(x) = 4x^2/(4x^3 - g2 x - g3) over B -> W1(T) =
-    charpoly_tau(T^2).
+    Pipeline, in integers mod p^(M + 8):
+    - the reversed p-division polynomial u^deg psi_p(1/u), u = 1/x, has the
+      distinguished Hensel factor W_u of degree d = (p-1)/2, whose roots are
+      the values of u at the pairs +-P of nonzero formal p-torsion points;
+    - in the integral algebra A = Z_p[u]/(W_u) the element
+      tau = t^2 = 4x^2/y^2 = 4u (4 - g2 u^2 - g3 u^3)^-1 is integral, since
+      the inverted factor is a unit;
+    - W1(T) = charpoly_A(tau)(T^2), by Newton's identities on the traces of
+      tau^1..tau^d; the divisions by k <= d < p are by p-units.
     """
     guard = 8
-    psi = division_polynomial_p(curve, p)
-    deg = len(psi) - 1
     pk = p ** (M + guard)
-    rev = []
-    for c in reversed(psi):
-        assert c.denominator % p != 0
-        rev.append(c.numerator * pow(c.denominator, -1, pk) % pk)
-    dformal = (p - 1) // 2
-    Wu, _E = hensel_factor_distinguished(rev, dformal, p, M + guard)
-    # x-coordinate polynomial h(x) = x^d Wu(1/x) / Wu(0): h[i] = Wu[d-i]/Wu(0)
-    ctx = PadicContext(p)
-    w0 = ctx.from_int(Wu[0], M + guard)
-    h = [ctx.from_int(Wu[dformal - i], M + guard) / w0 for i in range(dformal)]
-    h.append(ctx.from_int(1, M + guard))
-    B = _QuotientAlgebra(ctx, h)
-    prec = M + guard
-    xb = B.xelt(prec)
-    # y^2(x) = 4x^3 - g2 x - g3 reduced into B
-    g2 = ctx.from_fraction(curve.g2.a, prec)
-    g3 = ctx.from_fraction(curve.g3.a, prec)
-    x2 = B.mul(xb, xb)
-    x3 = B.mul(x2, xb)
-    y2 = [x3[i] * 4 - xb[i] * g2 for i in range(B.deg)]
-    y2[0] = y2[0] - g3
-    tau = B.mul(x2, [c * 4 for c in B.inverse(y2)])
-    cp = charpoly_padic(B, tau, prec)
-    # W1(T) = charpoly(T^2): even polynomial of degree p-1
+    psi = division_polynomial_p(curve, p)
+    d = (p - 1) // 2
+    Wu, _E = hensel_factor_distinguished(
+        [_int_mod(c, p, pk) for c in reversed(psi)], d, p, M + guard)
+    g2, g3 = (_int_mod(g.a, p, pk) for g in (curve.g2, curve.g3))
+    den = divrem_monic([4, 0, -g2, -g3], Wu, pk)[1]
+    den_inv = inverse(den, Wu, pk, (pow(4, -1, p),) + (0,) * (d - 1))
+    tau = mulmod(divrem_monic([0, 4], Wu, pk)[1], den_inv, Wu, pk)
+    # power sums s_k = Tr tau^k, then e_k = (1/k) sum_i (-1)^(i-1) e_(k-i) s_i
+    s, tk = [], tau
+    for _ in range(d):
+        s.append(trace(tk, Wu, pk))
+        tk = mulmod(tk, tau, Wu, pk)
+    e = [1]
+    for k in range(1, d + 1):
+        acc = sum((-1) ** (i - 1) * e[k - i] * s[i - 1] for i in range(1, k + 1))
+        e.append(acc * pow(k, -1, pk) % pk)
+    # charpoly(X) = sum_k (-1)^k e_k X^(d-k); W1(T) = charpoly(T^2)
     W1 = [0] * p
-    pkM = p ** M
-    for k, c in enumerate(cp):
-        vec = c.with_abs_prec(M)
-        if vec.val is not None and vec.val < 0:
-            raise IntegralityError("torsion polynomial coefficient not integral")
-        W1[2 * k] = vec.vector()[0] % pkM if vec.val is not None else 0
-    return TorsionAlgebra(p, M, tuple(W1[i] for i in range(p - 1)) + (1,), curve)
+    for k in range(d + 1):
+        W1[2 * (d - k)] = (-1) ** k * e[k] % p ** M
+    return TorsionAlgebra(p, M, tuple(W1), curve)
 
 
 # ---------------------------------------------------------------------------
@@ -968,9 +705,7 @@ def formal_group_translate(alg: TorsionAlgebra, keep: int,
     def embed_series(coeffs, shift):
         out = []
         for fr in coeffs[: keep + 8 - shift]:
-            fr = Fraction(fr)
-            assert fr.denominator % p != 0
-            c = fr.numerator * pow(fr.denominator, -1, pk) % pk
+            c = _int_mod(Fraction(fr), p, pk)
             out.append((((c,) + (0,) * (alg.deg - 1)), 0, alg.M))
         return _ScaledLaurent(alg, shift, out)
 
@@ -1456,8 +1191,7 @@ class KummerReport:
 def hasse_unit_mod_p(curve: CurveData, p: int) -> int:
     """a_p mod p: p times the t^p coefficient of the formal logarithm."""
     lam = formal_log(curve, p + 1, ExactRing(0)).series
-    ap = Fraction(p) * lam.coeff(p)
-    return ap.numerator * pow(ap.denominator, -1, p) % p
+    return _int_mod(Fraction(p) * lam.coeff(p), p, p)
 
 
 def kummer_congruences(curve: CurveData, p: int, max_exp: int = 20) -> KummerReport:

@@ -333,22 +333,102 @@ class ValuationAtLeast:
         return f">= {self.bound}"
 
 
-def _poly_mulmod(u, v, modulus, pk):
-    """Multiply coefficient tuples mod (modulus(x), p^k); modulus monic."""
-    f = len(modulus) - 1
-    out = [0] * (2 * f - 1)
+# integer arithmetic in Z/p^k[x]/(W), W monic; elements are coefficient tuples
+
+def _vp_fraction(x, p: int) -> Optional[int]:
+    """v_p of a nonzero int or Fraction; None for zero."""
+    if not x:
+        return None
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def base_p_digits(n: int, p: int, k: int) -> list:
+    """The k lowest base-p digits of n, least significant first."""
+    out = []
+    for _ in range(k):
+        out.append(n % p)
+        n //= p
+    return out
+
+
+def mulmod(u, v, W, pk) -> tuple:
+    """u * v mod (W(x), pk); u, v of length at most deg W."""
+    d = len(W) - 1
+    out = [0] * (2 * d - 1)
     for i, ui in enumerate(u):
         if ui:
             for j, vj in enumerate(v):
                 if vj:
                     out[i + j] = (out[i + j] + ui * vj) % pk
-    for i in range(2 * f - 2, f - 1, -1):
+    for i in range(2 * d - 2, d - 1, -1):
         c = out[i]
         if c:
-            for j in range(f + 1):
-                out[i - f + j] = (out[i - f + j] - c * modulus[j]) % pk
-        out[i] = 0
-    return tuple(x % pk for x in out[:f])
+            for j in range(d + 1):
+                out[i - d + j] = (out[i - d + j] - c * W[j]) % pk
+    return tuple(x % pk for x in out[:d])
+
+
+def divrem_monic(f, W, pk):
+    """Quotient and remainder (lists) of the polynomial f by W over Z/pk."""
+    d = len(W) - 1
+    rem = list(f)
+    q = [0] * max(len(f) - d, 1)
+    for i in range(len(f) - 1, d - 1, -1):
+        c = rem[i] % pk
+        q[i - d] = c
+        if c:
+            for j in range(d + 1):
+                rem[i - d + j] = (rem[i - d + j] - c * W[j]) % pk
+    return q, [x % pk for x in rem[:d]]
+
+
+def powmod(u, e: int, W, pk) -> tuple:
+    """u^e mod (W(x), pk), e >= 0."""
+    out = (1,) + (0,) * (len(W) - 2)
+    while e:
+        if e & 1:
+            out = mulmod(out, u, W, pk)
+        u = mulmod(u, u, W, pk)
+        e >>= 1
+    return out
+
+
+def trace(u, W, pk) -> int:
+    """Trace of multiplication by u on Z/pk[x]/(W): sum of u_i times the
+    power sums s_i of the roots of W (Newton's identities)."""
+    d = len(W) - 1
+    s = [d]
+    for k in range(1, d):
+        s.append(-(k * W[d - k] + sum(W[d - i] * s[k - i] for i in range(1, k))) % pk)
+    return sum(ui * si for ui, si in zip(u, s)) % pk
+
+
+def inverse(u, W, pk, start) -> tuple:
+    """Inverse of u mod (W(x), pk) by Newton's iteration inv <- inv (2 - u inv)
+    from `start`, an inverse of u modulo the maximal ideal.
+
+    Each step doubles the valuation of 1 - u inv.  When W = x^deg mod p, that
+    ideal is (p, x) and its deg-th power lies in (p), so k*deg doublings reach
+    p^k; k <= log2(pk) bounds the steps allowed before giving up.
+    """
+    d = len(W) - 1
+    one = (1,) + (0,) * (d - 1)
+    inv = tuple(start)
+    for _ in range((pk.bit_length() * d).bit_length() + 2):
+        prod = mulmod(u, inv, W, pk)
+        if prod == one:
+            return inv
+        inv = mulmod(inv, ((2 - prod[0]) % pk,) + tuple(-c % pk for c in prod[1:]), W, pk)
+    raise ArithmeticError("Newton inverse did not converge: start is not an "
+                          "inverse modulo the maximal ideal")
 
 
 @lru_cache(maxsize=None)
@@ -357,16 +437,6 @@ def _lex_min_irreducible(p: int, f: int) -> tuple:
     (c_0, ..., c_{f-1}); coefficients lifted to {0..p-1}."""
     if f == 1:
         return (0, 1)  # x itself; W_1 = Z_p needs no modulus but keep shape
-
-    def polmod_pow(base, e, modulus):
-        # base, result as tuples of length f over F_p
-        result = tuple([1] + [0] * (f - 1))
-        while e:
-            if e & 1:
-                result = _poly_mulmod(result, base, modulus, p)
-            base = _poly_mulmod(base, base, modulus, p)
-            e >>= 1
-        return result
 
     def gcd_deg_positive(a_pol, modulus):
         # gcd(a(x), modulus(x)) over F_p nontrivial?
@@ -395,18 +465,13 @@ def _lex_min_irreducible(p: int, f: int) -> tuple:
     xpoly = tuple([0, 1] + [0] * (f - 2))
     primes = {q for q in range(2, f + 1) if f % q == 0 and all(q % r for r in range(2, q))}
     for n in range(p ** f):
-        coeffs = []
-        m = n
-        for _ in range(f):
-            coeffs.append(m % p)
-            m //= p
-        modulus = tuple(coeffs + [1])
+        modulus = tuple(base_p_digits(n, p, f) + [1])
         # irreducible iff x^(p^f) = x mod modulus and gcd(x^(p^(f/q)) - x, modulus) = 1
-        if polmod_pow(xpoly, p ** f, modulus) != xpoly:
+        if powmod(xpoly, p ** f, modulus, p) != xpoly:
             continue
         ok = True
         for q in primes:
-            xp = polmod_pow(xpoly, p ** (f // q), modulus)
+            xp = powmod(xpoly, p ** (f // q), modulus, p)
             diff = tuple((xp[i] - xpoly[i]) % p for i in range(f))
             if any(diff) and gcd_deg_positive(diff, modulus):
                 ok = False
@@ -457,87 +522,24 @@ class PadicContext:
         return PadicScalar(self, val, unit, abs_prec)
 
     def from_fraction(self, x: Fraction, abs_prec: int) -> "PadicScalar":
+        val = _vp_fraction(x, self.p)
+        if val is None or val >= abs_prec:
+            return self.zero(abs_prec)
         num, den = x.numerator, x.denominator
-        if num == 0:
-            return self.zero(abs_prec)
-        vn = 0
-        while num % self.p == 0:
-            num //= self.p
-            vn += 1
-        vd = 0
-        while den % self.p == 0:
-            den //= self.p
-            vd += 1
-        val = vn - vd
-        rel = abs_prec - val
-        if rel <= 0:
-            return self.zero(abs_prec)
-        pk = self.p ** rel
+        if val >= 0:
+            num //= self.p ** val
+        else:
+            den //= self.p ** -val
+        pk = self.p ** (abs_prec - val)
         unit = (num * pow(den, -1, pk)) % pk
         return PadicScalar(self, val, (unit,) + (0,) * (self.f - 1), abs_prec)
 
     def teichmueller_unit_inverse(self, unit: tuple, rel: int) -> tuple:
-        """Inverse of a unit vector mod p^rel (Hensel from the residue field)."""
-        p, f = self.p, self.f
-        mod = self.modulus
-        # residue inverse over F_{p^f}: extended Euclid, or brute force for tiny f
-        res = tuple(c % p for c in unit)
-        inv0 = self._residue_inverse(res)
-        pk = p
-        inv = inv0
-        while pk < p ** rel:
-            pk = min(pk * pk, p ** rel)
-            prod = _poly_mulmod(unit, inv, mod, pk)
-            corr = tuple((-c) % pk for c in prod)
-            corr = (corr[0] + 2) % pk, *corr[1:]
-            inv = _poly_mulmod(inv, corr, mod, pk)
-        return inv
-
-    def _residue_inverse(self, res: tuple) -> tuple:
-        p, f = self.p, self.f
-        if f == 1:
-            return (pow(res[0], -1, p),)
-        # extended Euclid over F_p[x] between res-poly and modulus
-        mod = [c % p for c in self.modulus]
-        a = list(res)
-        r0, r1 = mod[:], a + [0]
-        s0, s1 = [0], [1]
-
-        def trim(u):
-            while u and u[-1] % p == 0:
-                u.pop()
-            return u
-
-        r0, r1 = trim(r0), trim(r1)
-        while len(r1) > 1:
-            # divide r0 by r1
-            q = [0] * (len(r0) - len(r1) + 1)
-            rr = r0[:]
-            inv_lead = pow(r1[-1], -1, p)
-            for i in range(len(rr) - 1, len(r1) - 2, -1):
-                c = rr[i] * inv_lead % p
-                q[i - len(r1) + 1] = c
-                if c:
-                    for j, bj in enumerate(r1):
-                        rr[i - len(r1) + 1 + j] = (rr[i - len(r1) + 1 + j] - c * bj) % p
-            rr = trim(rr)
-            # s update: s0 - q*s1
-            qs = [0] * (len(q) + len(s1) - 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs[i + j] = (qs[i + j] + qi * sj) % p
-            news = [(s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)
-                    for i in range(max(len(s0), len(qs)))]
-            news = [c % p for c in news]
-            r0, r1 = r1, rr
-            s0, s1 = s1, trim(news) or [0]
-        if not r1 or r1 == [0]:
-            raise ZeroDivisionError("residue not invertible")
-        c = pow(r1[0], -1, p)
-        out = [x * c % p for x in s1]
-        out += [0] * (f - len(out))
-        return tuple(out[:f])
+        """Inverse of a unit vector mod p^rel: Newton from the residue-field
+        inverse res^(p^f - 2)."""
+        p, mod = self.p, self.modulus
+        res = powmod(tuple(c % p for c in unit), p ** self.f - 2, mod, p)
+        return inverse(unit, mod, p ** rel, res)
 
     def __repr__(self):
         return f"PadicContext(p={self.p}, f={self.f})"
@@ -635,14 +637,13 @@ class PadicScalar:
         if o is NotImplemented:
             return NotImplemented
         if self.val is None or o.val is None:
-            # p^val-shifted zero: absolute precision of the product
+            # O(p^a) * p^v (unit or O(1)) is O(p^(a + v))
             va = self.val if self.val is not None else self.abs_prec
             vb = o.val if o.val is not None else o.abs_prec
-            rel = min(self.rel_prec or self.abs_prec, o.rel_prec or o.abs_prec)
-            return self.ctx.zero(va + vb + max(rel, 0))
+            return self.ctx.zero(va + vb)
         rel = min(self.rel_prec, o.rel_prec)
         pk = self.ctx.p ** rel
-        unit = _poly_mulmod(self.unit, o.unit, self.ctx.modulus, pk)
+        unit = mulmod(self.unit, o.unit, self.ctx.modulus, pk)
         val = self.val + o.val
         # unit*unit stays a unit; no re-extraction needed
         return PadicScalar(self.ctx, val, unit, val + rel)
@@ -728,14 +729,7 @@ class PadicScalar:
         """Base-p digit lists of the unit part, one per basis coordinate."""
         if self.val is None:
             return []
-        out = []
-        for u in self.unit:
-            ds = []
-            m = u % self.ctx.p ** self.rel_prec
-            for _ in range(self.rel_prec):
-                ds.append(m % self.ctx.p)
-                m //= self.ctx.p
-            out.append(ds)
+        out = [base_p_digits(u, self.ctx.p, self.rel_prec) for u in self.unit]
         return out if self.ctx.f > 1 else out[0]
 
     def to_json(self):
@@ -770,51 +764,26 @@ def _sqrt_minus_d_mod(p: int, d: int, abs_prec: int, f: int) -> tuple:
     """
     if p == 2 or d % p == 0:
         raise RamifiedPrimeError(f"p={p} ramifies in Q(sqrt(-{d}))")
-    pk = p ** abs_prec
-    # split case: root mod p by deterministic search (smallest representative)
-    r0 = None
-    for r in range(p):
-        if (r * r + d) % p == 0:
-            r0 = r
-            break
-    if r0 is not None:
-        r = r0
-        prec = 1
-        while prec < abs_prec:
-            prec = min(2 * prec, abs_prec)
-            q = p ** prec
-            r = (r - (r * r + d) * pow(2 * r, -1, q)) % q
-        return (r,) + (0,) * (f - 1)
-    # inert: need even f; search the residue field in lex order
-    if f % 2 != 0:
-        raise ValueError(f"-{d} is not a square mod {p} and f={f} is odd")
+    # residue root: smallest in the lex order of the digit vectors, so the
+    # smallest representative in F_p when p splits
     ctx = PadicContext(p, f)
     mod = ctx.modulus
-    target = (-d) % p
-    found = None
+    target = ((-d) % p,) + (0,) * (f - 1)
     for n in range(p ** f):
-        coeffs = []
-        m = n
-        for _ in range(f):
-            coeffs.append(m % p)
-            m //= p
-        sq = _poly_mulmod(tuple(coeffs), tuple(coeffs), mod, p)
-        if sq == ((target,) + (0,) * (f - 1)):
-            found = tuple(coeffs)
+        r = tuple(base_p_digits(n, p, f))
+        if mulmod(r, r, mod, p) == target:
             break
-    if found is None:
-        raise ValueError("no square root in the residue field")  # pragma: no cover
-    # Hensel in W_f
-    r = found
-    prec = 1
-    while prec < abs_prec:
-        prec = min(2 * prec, abs_prec)
-        q = p ** prec
-        val = _poly_mulmod(r, r, mod, q)
-        val = tuple((v + (d if i == 0 else 0)) % q for i, v in enumerate(val))
-        two_r = tuple(2 * c % q for c in r)
-        inv = ctx.teichmueller_unit_inverse(two_r, prec)
-        corr = _poly_mulmod(val, inv, mod, q)
+    else:
+        raise ValueError(f"-{d} is not a square mod {p} and f={f} is odd")
+    # Hensel in W_f: r <- r - (r^2 + d) / (2 r)
+    k = 1
+    while k < abs_prec:
+        k = min(2 * k, abs_prec)
+        q = p ** k
+        val = mulmod(r, r, mod, q)
+        val = ((val[0] + d) % q,) + val[1:]
+        inv = ctx.teichmueller_unit_inverse(tuple(2 * c for c in r), k)
+        corr = mulmod(val, inv, mod, q)
         r = tuple((a - b) % q for a, b in zip(r, corr))
     return r
 

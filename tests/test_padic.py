@@ -110,15 +110,32 @@ class TestDivisionPolynomial:
 
 
 class TestTorsionAlgebra:
-    def test_w1_eisenstein_and_log_kills_torsion(self):
-        curve = zi_curve()
-        alg = formal_torsion_algebra(curve, 13, 12)
-        assert all(w % 13 == 0 for w in alg.W1[:-1])
-        assert alg.W1[0] % 13 ** 2 != 0
+    @pytest.mark.parametrize("label,u,p", [
+        ("Z[sqrt(-1)]", 4, 13),
+        ("Z[sqrt(-2)]", 1, 11),
+        ("Z[(1+sqrt(-7))/2]", 1, 23),
+    ], ids=["zi_u4_p13", "zsqrt2_p11", "zomega7_p23"])
+    def test_w1_eisenstein_and_log_kills_torsion(self, label, u, p):
+        curve = catalog_row(label).curve(u)
+        M = 12
+        alg = formal_torsion_algebra(curve, p, M)
+        assert len(alg.W1) == p and alg.W1[-1] == 1
+        assert all(w % p == 0 for w in alg.W1[:-1])
+        assert alg.W1[0] % p ** 2 != 0
         # the formal log vanishes on torsion
-        lam = formal_log(curve, 12 * 14 + 8, QQ).series
+        lam = formal_log(curve, M * (p + 1) + 8, QQ).series
         lx = alg.eval_series_at_x(dict(lam.coeffs), 2)
-        assert all(c % 13 ** 12 == 0 for c in lx)
+        assert all(c % p ** M == 0 for c in lx)
+
+    @pytest.mark.parametrize("v", [
+        (1, 1) + (0,) * 10,
+        (3, 0, 0, 0, 5, 0, 0, 0, 7, 0, 0, 0),
+    ], ids=["1+x", "3+5x4+7x8"])
+    def test_inverse_unit_full_precision(self, v):
+        # the algebra is ramified (x^12 ~ 13), so Newton needs about
+        # log2(M * deg) steps from the residue inverse, not log2(M)
+        alg = formal_torsion_algebra(zi_curve(), 13, 32)
+        assert alg.mul(v, alg.inverse_unit(v)) == alg.one()
 
     def test_even_polynomial(self):
         alg = formal_torsion_algebra(zi_curve(), 13, 10)

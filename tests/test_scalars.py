@@ -11,6 +11,9 @@ from ektheta.scalars import (
     RamifiedPrimeError,
     ValuationAtLeast,
     embed_padic,
+    inverse,
+    mulmod,
+    trace,
 )
 
 
@@ -104,6 +107,11 @@ class TestPadicScalar:
         y = ctx.from_int(3, 7)
         assert (x * y).abs_prec == 4
 
+    def test_zero_product_precision(self):
+        ctx = PadicContext(13)
+        assert (ctx.zero(5) * ctx.from_int(1, 10)).abs_prec == 5
+        assert (ctx.zero(5) * ctx.zero(3)).abs_prec == 8
+
     def test_division_shifts_precision(self):
         ctx = PadicContext(5)
         x = ctx.from_int(1, 6)
@@ -127,6 +135,24 @@ class TestPadicScalar:
         ctx = PadicContext(13)
         obj = ctx.from_fraction(Fraction(5, 13), 4).to_json()
         assert obj["p"] == 13 and obj["val"] == -1 and obj["prec"] == 4
+
+
+class TestPolyModHelpers:
+    @given(st.lists(st.integers(0, 13 ** 4 - 1), min_size=6, max_size=6),
+           st.lists(st.integers(0, 13 ** 4 - 1), min_size=6, max_size=6))
+    @settings(max_examples=30, deadline=None)
+    def test_trace_is_multiplication_matrix_trace(self, u, w):
+        pk = 13 ** 4
+        W = tuple(w) + (1,)
+        basis = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+        want = sum(mulmod(u, basis[i], W, pk)[i] for i in range(6)) % pk
+        assert trace(u, W, pk) == want
+
+    def test_newton_inverse_rejects_non_unit(self):
+        # Z/5^6[x]/(x^2 - 5): x is not a unit, so Newton from 1 cannot converge
+        pk = 5 ** 6
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            inverse((0, 1), (pk - 5, 0, 1), pk, (1, 0))
 
 
 def extended_euclid_inverse(a: int, m: int) -> int:
