@@ -22,13 +22,14 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import __version__
-from .curves import CurveData, catalog, catalog_row, compute_periods, formal_log
+from .curves import CurveData, PeriodPrecisionError, catalog, catalog_row, \
+    compute_periods, formal_log
 from .eklerch import HeckeCharacter, direct_hecke_sum, ek_number, \
     hecke_L_partial
 from .kronecker import compose_formal, kronecker_exact, valuation_heatmap, \
     verify_distribution, verify_generating_function
-from .padic import kummer_congruences, measure_from_theta, moment_table, \
-    restrict_to_units, verify_interpolation_origin
+from .padic import IntegralityError, kummer_congruences, measure_from_theta, \
+    moment_table, restrict_to_units, verify_interpolation_origin
 from .scalars import ExactScalar
 
 
@@ -56,8 +57,8 @@ def _emit(args, payload, exit_code=0):
 def _curve_from(args) -> CurveData:
     if getattr(args, "catalog", None):
         return catalog_row(args.catalog).curve(Fraction(args.u))
-    if getattr(args, "g2", None) is None:
-        raise SystemExit(2)
+    if getattr(args, "g2", None) is None or getattr(args, "g3", None) is None:
+        raise ValueError("give --catalog or --g2/--g3")
     e2 = None if getattr(args, "e2star", None) is None else \
         ExactScalar(Fraction(args.e2star))
     return CurveData(g2=ExactScalar(Fraction(args.g2)),
@@ -185,7 +186,7 @@ def _zi_conductor_character() -> HeckeCharacter:
 
 def cmd_hecke_l(args):
     if args.character != "zi-conductor-2-2i":
-        raise SystemExit(2)
+        raise ValueError(f"unknown --character {args.character!r}")
     char = _zi_conductor_character()
     with mp.workprec(args.prec_bits):
         assembled = hecke_L_partial(char, args.s, target_error=args.err,
@@ -428,6 +429,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (IntegralityError, PeriodPrecisionError) as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, ArithmeticError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

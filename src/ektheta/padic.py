@@ -36,12 +36,13 @@ buffer(a, b) = v_p((b-1)!) + (a+1) + 2.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .curves import CurveData, formal_log, wp_series
+from .curves import CurveData, formal_log
 from .kronecker import ComposedExpansion, ThetaExpansion, compose_formal, \
     kronecker_exact
 from .scalars import ExactScalar, PadicContext, PadicScalar, base_p_digits, \
@@ -648,23 +649,30 @@ class _ScaledLaurent:
 
 @lru_cache(maxsize=8)
 def _xy_parameter_series(curve: CurveData, order: int):
-    """Exact x(t) t^2 and y(t) t^3 coefficient tuples for t = -2x/y."""
+    """Exact x(t) t^2 and y(t) t^3 coefficient tuples for t = -2x/y.
+
+    With s = t^2, x t^2 = 1/U(s), where U is the Weierstrass w-series
+    recursion U = 1 - (g2/4) s^2 U^2 - (g3/4) s^3 U^3 (Silverman, AEC IV.1),
+    whose coefficients lie in Z[g2/4, g3/4].  y = -2x/t gives y t^3 = -2 x t^2.
+    """
     ring = ExactRing(0)
-    wp = wp_series(curve, order + 6, ring)
-    lam = formal_log(curve, order + 4, ring).series
-    lam_over = UniSeries(ring, {k - 1: v for k, v in lam.coeffs.items()}, order + 2)
-    inv1 = lam_over.inverse()
-    inv2 = (inv1 * inv1).truncate(order)
-    reg = UniSeries(ring, {k: v for k, v in wp.coeffs.items() if k >= 0}, order)
-    xt2 = inv2 + reg.compose(lam.truncate(order)).shift(2).truncate(order)
-    # y = wp'(lambda(t)): polar part -2 z^-3, so y t^3 = -2 (lam/t)^-3 + ...
-    wpd = wp.derivative()
-    reg_d = UniSeries(ring, {k: v for k, v in wpd.coeffs.items() if k >= 0}, order)
-    inv3 = (inv2 * inv1).truncate(order)
-    yt3 = inv3.scale(Fraction(-2)) \
-        + reg_d.compose(lam.truncate(order)).shift(3).truncate(order)
-    xl = tuple(xt2.coeff(k) for k in range(order + 1))
-    yl = tuple(yt3.coeff(k) for k in range(order + 1))
+    q2 = ring.coerce(curve.g2) / 4
+    q3 = ring.coerce(curve.g3) / 4
+    n = order // 2
+    U, U2, U3 = [], [], []          # s-coefficients of U, U^2, U^3
+    for k in range(n + 1):
+        c = Fraction(k == 0)
+        if k >= 2:
+            c -= q2 * U2[k - 2]
+        if k >= 3:
+            c -= q3 * U3[k - 3]
+        U.append(c)
+        U2.append(sum((U[i] * U[k - i] for i in range(k + 1) if U[i]), Fraction(0)))
+        U3.append(sum((U[i] * U2[k - i] for i in range(k + 1) if U[i]), Fraction(0)))
+    X = UniSeries(ring, dict(enumerate(U)), n).inverse()
+    xl = tuple(X.coeff(k // 2) if k % 2 == 0 else Fraction(0)
+               for k in range(order + 1))
+    yl = tuple(-2 * c for c in xl)
     return xl, yl
 
 
@@ -983,9 +991,7 @@ def restrict_biseries_to_units(series: BiSeries, p: int) -> BiSeries:
     def one_axis(coeffs, axis):
         # b_j = sum_k (-1)^(k-j) C(k, j) a_k  (upper-triangular inverse)
         out = {}
-        maxi = order
         # group by the other index
-        from collections import defaultdict
         rows = defaultdict(dict)
         for (i, j), v in coeffs.items():
             k, other = (i, j) if axis == 0 else (j, i)
@@ -1043,7 +1049,7 @@ def restrict_to_units(mu: MeasureSeries, out_order: Optional[int] = None) -> Mea
     if mu.mult_series is not None:
         mult = restrict_biseries_to_units(mu.mult_series, p)
     return MeasureSeries(series=series, p=p, f=mu.f,
-                         abs_prec=min(mu.abs_prec, mu.abs_prec),
+                         abs_prec=mu.abs_prec,
                          provenance=mu.provenance + " | unit-restricted (trace)",
                          restricted=True, mult_series=mult, period=mu.period,
                          period_note=mu.period_note, curve=mu.curve)
@@ -1209,13 +1215,16 @@ def kummer_congruences(curve: CurveData, p: int, max_exp: int = 20) -> KummerRep
     d = curve.d or 1
     pi = split_prime_generator(p, d)
     ap = hasse_unit_mod_p(curve, p)
+    # unit count of the CM order, from g2, g3 rather than d: Z[sqrt(-3)]
+    # and Z[2 sqrt(-1)] share d with orders that have more units
+    w = 6 if not curve.g2 else 4 if not curve.g3 else 2
     order = 2 * max_exp + 2
     base = kronecker_exact(curve, order, ExactRing(d))
     vals = {}
     for x in range(0, max_exp + 1):       # x = b - 1
         for y in range(0, max_exp + 1):   # y = a
             a, b = y, x + 1
-            if a + b > order or (a + b) % 4 != 0:
+            if a + b > order or (a + b) % w != 0:
                 continue
             vals[(a, b)] = euler_factor_moment(curve, pi, p, a, b, base)
     rows = []

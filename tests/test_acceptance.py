@@ -263,9 +263,14 @@ def test_09_measure_interpolation_origin(zi4):
 
 def test_10_kummer_congruences(zi4):
     rep = kummer_congruences(zi4, 13, max_exp=20)
-    report(10, "Kummer congruences (exponents <= 20, mod 13)",
-           rep.passed and len(rep.rows) >= 8,
-           f"{len(rep.rows)} congruent pairs, a_p = {rep.a_p_mod_p} twist")
+    # Z[sqrt(-2)] has two units, so pairs with a+b = 2 mod 4 count too
+    rep2 = kummer_congruences(catalog_row("Z[sqrt(-2)]").curve(1), 11,
+                              max_exp=20)
+    twos = sum(1 for r in rep2.rows if sum(r.pair_lo) % 4 == 2)
+    report(10, "Kummer congruences (exponents <= 20, mod 13 and mod 11)",
+           rep.passed and len(rep.rows) >= 8 and rep2.passed and twos >= 1,
+           f"{len(rep.rows)} congruent pairs on Z[i], a_p = {rep.a_p_mod_p} "
+           f"twist; {len(rep2.rows)} on Z[sqrt(-2)], {twos} with a+b = 2 mod 4")
 
 
 # -- 11 -----------------------------------------------------------------------

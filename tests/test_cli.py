@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*argv, check=True):
     cp = subprocess.run([sys.executable, "-m", "ektheta.cli", *argv],
@@ -98,6 +100,24 @@ class TestVerifyCommands:
     def test_usage_error_exit_two(self):
         cp = run_cli("expand", "nonsense", check=False)
         assert cp.returncode == 2
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["measure", "--prime", "13", "--prec", "4", "--order", "8"],
+         "--catalog"),
+        (["hecke-l", "--character", "nonsense"], "--character"),
+    ], ids=["missing-curve", "unknown-character"])
+    def test_usage_error_says_why(self, argv, reason):
+        cp = run_cli(*argv, check=False)
+        assert cp.returncode == 2
+        assert reason in cp.stderr
+
+    def test_integrality_failure_exit_one(self):
+        # u = 1/13 puts 13 in the denominators of the composed expansion
+        cp = run_cli("measure", "--catalog", "Z[sqrt(-1)]", "--u", "1/13",
+                     "--prime", "13", "--prec", "4", "--order", "8",
+                     check=False)
+        assert cp.returncode == 1
+        assert "v_p" in cp.stderr
 
     def test_distribution_cli(self):
         cp = run_cli("verify", "distribution", "--catalog", "Z[sqrt(-1)]",

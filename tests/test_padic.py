@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from ektheta.curves import catalog_row, formal_log
+from ektheta.curves import catalog_row, formal_log, wp_series
 from ektheta.padic import (
     NoPeriodError,
+    _xy_parameter_series,
     division_polynomial_p,
     euler_factor_moment,
     formal_group_translate,
@@ -107,6 +108,41 @@ class TestDivisionPolynomial:
             val = mp.fsum(mp.mpf(c.numerator) / c.denominator * xv ** k
                           for k, c in enumerate(f))
             assert abs(val) / (1 + abs(xv)) ** 12 < 1e-25
+
+
+XY_CURVES = [("Z[sqrt(-1)]", Fraction(4))] + [
+    (label, u)
+    for label in ("Z[sqrt(-1)]", "Z[2*sqrt(-1)]", "Z[sqrt(-2)]",
+                  "Z[(1+sqrt(-3))/2]", "Z[(1+sqrt(-7))/2]")
+    for u in (Fraction(1), Fraction(1, 3))]
+
+
+class TestXYParameterSeries:
+    @pytest.mark.parametrize("label,u", XY_CURVES,
+                             ids=[f"{lab}-u{u}" for lab, u in XY_CURVES])
+    def test_w_series_matches_wp_of_formal_log(self, label, u):
+        curve = catalog_row(label).curve(u)
+        # reference: x = wp(lambda(t)), y = wp'(lambda(t))
+        order = 60
+        lam = formal_log(curve, order + 8, QQ).series
+        wp = wp_series(curve, order + 8, QQ)
+        xt2 = wp.compose(lam).shift(2)
+        yt3 = wp.derivative().compose(lam).shift(3)
+        xl, yl = _xy_parameter_series(curve, order)
+        assert list(xl) == [xt2.coeff(k) for k in range(order + 1)]
+        assert list(yl) == [yt3.coeff(k) for k in range(order + 1)]
+        assert yl == tuple(-2 * c for c in xl)
+
+        # (y t^3)^2 = 4 (x t^2)^3 - g2 t^4 (x t^2) - g3 t^6 to high order
+        order = 200
+        xl, yl = _xy_parameter_series(curve, order)
+        X = UniSeries(QQ, dict(enumerate(xl)), order)
+        Y = UniSeries(QQ, dict(enumerate(yl)), order)
+        g2, g3 = QQ.coerce(curve.g2), QQ.coerce(curve.g3)
+        lhs = Y * Y
+        rhs = (X * X * X).scale(Fraction(4)) - X.shift(4).scale(g2) \
+            - UniSeries(QQ, {6: g3}, order)
+        assert all(lhs.coeff(k) == rhs.coeff(k) for k in range(order + 1))
 
 
 class TestTorsionAlgebra:
@@ -302,6 +338,19 @@ class TestInterpolationSmall:
         assert rep.a_p_mod_p == 6
         assert rep.rows, "no congruent exponent pairs found"
         assert rep.passed
+
+    @pytest.mark.parametrize("label,p,w", [
+        ("Z[sqrt(-2)]", 11, 2),
+        ("Z[(1+sqrt(-3))/2]", 7, 6),
+        ("Z[2*sqrt(-1)]", 13, 2),
+        ("Z[sqrt(-1)]", 13, 4),
+    ])
+    def test_kummer_filters_on_unit_count(self, label, p, w):
+        rep = kummer_congruences(catalog_row(label).curve(1), p, max_exp=12)
+        sums = {sum(pair) % 12 for r in rep.rows
+                for pair in (r.pair_lo, r.pair_hi)}
+        assert rep.passed
+        assert sums == set(range(0, 12, w))
 
 
 class TestPrecisionContract:
