@@ -15,7 +15,9 @@ sum is truncated at a radius R with the Gaussian tail bound
 
 with the covolume constant C computed crudely and doubled.  Shells are
 enumerated in a fixed order (growing max(|m|, |n|), then lexicographic), so
-results are bit-reproducible at fixed precision.
+results are bit-reproducible at fixed precision.  Sums over several powers a
+at one s share a single shell pass (ek_table); each power still adds exactly
+the terms, in exactly the order, of its own pass.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ __all__ = [
     "TailBoundError",
     "eisenstein_kronecker_lerch",
     "ek_number",
+    "ek_table",
     "check_functional_equation",
     "e2star_numeric",
     "is_lattice_point",
@@ -69,11 +72,9 @@ def is_lattice_point(z, lattice: LatticeData, prec: Optional[int] = None) -> boo
         w1, w2 = lattice.pair_mpc()
         z = mp.mpc(z)
         det = mp.im(mp.conj(w1) * w2)
-        a = mp.im(mp.conj(w1) * z) / det
-        b = -mp.im(mp.conj(w2) * z) / det
-        # z = b*w1 ... solve z = x w1 + y w2 with real x, y
-        y = a
-        x = b
+        # z = x w1 + y w2 with real x, y
+        x = -mp.im(mp.conj(w2) * z) / det
+        y = mp.im(mp.conj(w1) * z) / det
         dist = abs(z - (mp.nint(x) * w1 + mp.nint(y) * w2))
         return dist < mp.mpf(2) ** (-(prec // 4))
 
@@ -98,29 +99,77 @@ def _radius_for(a: int, smax, A, target, covol):
     return R
 
 
-def _I_a(a: int, z0, w0, s, lattice: LatticeData, target, skip_minus_z0: bool):
+def _I_a(targets: Dict[int, object], z0, w0, s, lattice: LatticeData,
+         skip_minus_z0: bool) -> Dict[int, mp.mpc]:
+    """I_a(z0, w0, s) for every power a in targets (a -> tail target), summed
+    in one shell pass.  Each power keeps its own radius and cut-off; the
+    incomplete gamma, |z0+gamma|^(2s) and pairing of a point are computed only
+    when some power keeps it."""
     w1, w2 = lattice.pair_mpc()
     A = lattice.A()
     covol = mp.pi * A
-    R = _radius_for(a, s, A, target, covol)
     short = min(abs(w1), abs(w2), abs(w1 + w2), abs(w1 - w2))
-    mmax = int(mp.ceil((R + abs(z0)) / short * 2)) + 2
-    tot = mp.mpc(0)
-    R2 = R * R
-    for (m, n) in _shells(mmax):
+    az0 = abs(z0)
+    # per power: [a, 4 R^2, 2 (R + |z0|), last shell, running sum]
+    sums = []
+    for a, target in targets.items():
+        R = _radius_for(a, s, A, target, covol)
+        mmax = int(mp.ceil((R + az0) / short * 2)) + 2
+        sums.append([a, R * R * 4, 2 * (R + az0), mmax, mp.mpc(0)])
+    tiny = mp.mpf(2) ** (-lattice.prec_bits // 2)
+    for (m, n) in _shells(max(acc[3] for acc in sums)):
+        M = max(abs(m), abs(n))
         g = m * w1 + n * w2
         zz = z0 + g
         az2 = abs(zz) ** 2
-        if az2 > R2 * 4 and max(abs(m), abs(n)) * short > 2 * (R + abs(z0)):
-            continue
-        if skip_minus_z0 and az2 < mp.mpf(2) ** (-lattice.prec_bits // 2):
+        if skip_minus_z0 and az2 < tiny:
             continue
         if az2 == 0:
             continue
-        term = mp.gammainc(s, az2 / A) * mp.conj(zz) ** a / az2 ** s \
-            * lattice_pair_mpc(g, w0, A)
-        tot += term
-    return tot
+        keep = [acc for acc in sums if M <= acc[3]
+                and not (az2 > acc[1] and M * short > acc[2])]
+        if not keep:
+            continue
+        gam = mp.gammainc(s, az2 / A)
+        den = az2 ** s
+        pair = lattice_pair_mpc(g, w0, A)
+        czz = mp.conj(zz)
+        for acc in keep:
+            acc[4] += gam * czz ** acc[0] / den * pair
+    return {acc[0]: acc[4] for acc in sums}
+
+
+def _kstar_values(entries, z0, w0, lattice: LatticeData, target_error,
+                  z0_in_lattice: Optional[bool], w0_in_lattice: Optional[bool]):
+    """K*_a(z0, w0, s) for each (a, s) in entries.  The I_a(z0, w0, s) sums
+    that share s run in one lattice pass, and so do the I_a(w0, z0, a+1-s)
+    sums that share a+1-s."""
+    prec = _work_prec(lattice, target_error)
+    with mp.workprec(prec):
+        z0 = mp.mpc(z0)
+        w0 = mp.mpc(w0)
+        entries = [(a, mp.mpc(s)) for a, s in entries]
+        dz = is_lattice_point(z0, lattice, prec) if z0_in_lattice is None else z0_in_lattice
+        dw = is_lattice_point(w0, lattice, prec) if w0_in_lattice is None else w0_in_lattice
+        for a, s in entries:
+            if a == 0 and dz and abs(s) < mp.mpf(2) ** (-prec // 4):
+                raise PoleError("K*_0 has a pole at s = 0 when z0 is a lattice point")
+            if a == 0 and dw and abs(s - 1) < mp.mpf(2) ** (-prec // 4):
+                raise PoleError("K*_0 has a pole at s = 1 when w0 is a lattice point")
+        A = lattice.A()
+        at_z0, at_w0 = {}, {}  # s -> {a: tail target}
+        for a, s in entries:
+            sub_target = mp.mpf(target_error) / (4 * (1 + A ** (a + 1)))
+            at_z0.setdefault(s, {})[a] = sub_target
+            at_w0.setdefault(a + 1 - s, {})[a] = sub_target
+        I1 = {s: _I_a(t, z0, w0, s, lattice, dz) for s, t in at_z0.items()}
+        I2 = {s: _I_a(t, w0, z0, s, lattice, dw) for s, t in at_w0.items()}
+        out = []
+        for a, s in entries:
+            val = (I1[s][a] + A ** (a + 1 - 2 * s) * I2[a + 1 - s][a]
+                   * lattice_pair_mpc(w0, z0, A)) / mp.gamma(s)
+            out.append(BigComplex(val.real, val.imag, prec))
+        return out
 
 
 def eisenstein_kronecker_lerch(a: int, z0, w0, s, lattice: LatticeData,
@@ -135,23 +184,8 @@ def eisenstein_kronecker_lerch(a: int, z0, w0, s, lattice: LatticeData,
     """
     if a < 0:
         raise ValueError("a must be a nonnegative integer")
-    prec = _work_prec(lattice, target_error)
-    with mp.workprec(prec):
-        z0 = mp.mpc(z0)
-        w0 = mp.mpc(w0)
-        s = mp.mpc(s)
-        dz = is_lattice_point(z0, lattice, prec) if z0_in_lattice is None else z0_in_lattice
-        dw = is_lattice_point(w0, lattice, prec) if w0_in_lattice is None else w0_in_lattice
-        if a == 0 and dz and abs(s) < mp.mpf(2) ** (-prec // 4):
-            raise PoleError("K*_0 has a pole at s = 0 when z0 is a lattice point")
-        if a == 0 and dw and abs(s - 1) < mp.mpf(2) ** (-prec // 4):
-            raise PoleError("K*_0 has a pole at s = 1 when w0 is a lattice point")
-        A = lattice.A()
-        sub_target = mp.mpf(target_error) / (4 * (1 + A ** (a + 1)))
-        I1 = _I_a(a, z0, w0, s, lattice, sub_target, skip_minus_z0=dz)
-        I2 = _I_a(a, w0, z0, a + 1 - s, lattice, sub_target, skip_minus_z0=dw)
-        val = (I1 + A ** (a + 1 - 2 * s) * I2 * lattice_pair_mpc(w0, z0, A)) / mp.gamma(s)
-        return BigComplex(val.real, val.imag, prec)
+    return _kstar_values([(a, s)], z0, w0, lattice, target_error,
+                         z0_in_lattice, w0_in_lattice)[0]
 
 
 def ek_number(a: int, b: int, z0, w0, lattice: LatticeData,
@@ -160,6 +194,20 @@ def ek_number(a: int, b: int, z0, w0, lattice: LatticeData,
     if a < 0 or b <= 0:
         raise ValueError("need a >= 0 and b > 0")
     return eisenstein_kronecker_lerch(a + b, z0, w0, b, lattice, target_error, **flags)
+
+
+def ek_table(a_max: int, b_max: int, z0, w0, lattice: LatticeData,
+             target_error=1e-20, z0_in_lattice: Optional[bool] = None,
+             w0_in_lattice: Optional[bool] = None
+             ) -> Dict[Tuple[int, int], BigComplex]:
+    """{(a, b): e*_{a,b}(z0, w0)} for 0 <= a <= a_max, 1 <= b <= b_max, each
+    equal to ek_number(a, b, ...), in b_max + a_max + 1 lattice passes."""
+    if a_max < 0 or b_max <= 0:
+        raise ValueError("need a_max >= 0 and b_max > 0")
+    cells = [(a, b) for b in range(1, b_max + 1) for a in range(a_max + 1)]
+    vals = _kstar_values([(a + b, b) for a, b in cells], z0, w0, lattice,
+                         target_error, z0_in_lattice, w0_in_lattice)
+    return dict(zip(cells, vals))
 
 
 def check_functional_equation(a: int, z0, w0, s, lattice: LatticeData,
@@ -179,15 +227,11 @@ def check_functional_equation(a: int, z0, w0, s, lattice: LatticeData,
         dz = is_lattice_point(z0, lattice, prec)
         dw = is_lattice_point(w0, lattice, prec)
         sub = mp.mpf(target_error) / (4 * (1 + A ** (a + 1)))
-        lhs = _I_a(a, z0, w0, s, lattice, sub, skip_minus_z0=dz) \
-            + A ** (a + 1 - 2 * s) * _I_a(a, w0, z0, a + 1 - s, lattice, sub,
-                                          skip_minus_z0=dw) \
-            * lattice_pair_mpc(w0, z0, A)
+        I1 = _I_a({a: sub}, z0, w0, s, lattice, skip_minus_z0=dz)[a]
+        I2 = _I_a({a: sub}, w0, z0, a + 1 - s, lattice, skip_minus_z0=dw)[a]
+        lhs = I1 + A ** (a + 1 - 2 * s) * I2 * lattice_pair_mpc(w0, z0, A)
         rhs = A ** (a + 1 - 2 * s) * (
-            _I_a(a, w0, z0, a + 1 - s, lattice, sub, skip_minus_z0=dw)
-            + A ** (2 * s - a - 1)
-            * _I_a(a, z0, w0, s, lattice, sub, skip_minus_z0=dz)
-            * lattice_pair_mpc(z0, w0, A)
+            I2 + A ** (2 * s - a - 1) * I1 * lattice_pair_mpc(z0, w0, A)
         ) * lattice_pair_mpc(w0, z0, A)
         return abs(lhs - rhs)
 

@@ -35,7 +35,7 @@ from .curves import (
     lattice_pair_mpc,
     theta_series,
 )
-from .eklerch import ek_number
+from .eklerch import ek_table
 from .scalars import BigComplex, ExactScalar, _vp_fraction
 from .series import (
     BiSeries,
@@ -275,35 +275,29 @@ def _radial_coefficients(samples_by_radius, radii, kmin: int, kmax: int, M: int)
     return out
 
 
-def taylor_coefficients_2d(fn, scale, a_max: int, b_max: int, prec: int,
+def taylor_coefficients_2d(grid_fn, scale, a_max: int, b_max: int, prec: int,
                            radii_frac=(Fraction(5, 100), Fraction(7, 100),
                                        Fraction(9, 100)),
                            with_polar: bool = True):
     """Laurent coefficients c[(m, n)], -1 <= m <= b_max-1, -1 <= n <= a_max,
-    of fn(z, w), sampled at |z| in radii_frac * scale."""
+    of f(z, w), sampled at |z|, |w| in radii_frac * scale.
+
+    grid_fn(axis) receives the 3M axis samples r zeta^j (radius-major, the
+    same for z and w) and yields one row per w sample: row i holds
+    f(axis[k], axis[i]) for every k.  Rows are consumed at precision prec."""
     with mp.workprec(prec):
         radii = [mp.mpf(f.numerator) / f.denominator * scale for f in radii_frac]
         kmin = -1 if with_polar else 0
         M = 2 * (max(a_max, b_max) + 4)
         zeta = mp.exp(2j * mp.pi / M)
-        zs = [[r * zeta ** j for j in range(M)] for r in radii]
-        # inner variable first: for each w sample, z-coefficients
-        inner: Dict[int, list] = {k: [] for k in range(kmin, b_max)}
-        wsamples = []
-        for ri in range(3):
-            for j in range(M):
-                wsamples.append((ri, j, zs[ri][j]))
-        # evaluate on the product grid, z-extract per w, then w-extract
-        per_w = []
-        for (ri_w, j_w, wv) in wsamples:
-            samples = [[fn(zv, wv) for zv in zs[ri]] for ri in range(3)]
-            cz = _radial_coefficients(samples, radii, kmin, b_max - 1, M)
-            per_w.append((ri_w, j_w, cz))
+        axis = [r * zeta ** j for r in radii for j in range(M)]
+        # z-extract per w sample, then w-extract
+        per_w = [_radial_coefficients([row[ri * M:(ri + 1) * M] for ri in range(3)],
+                                      radii, kmin, b_max - 1, M)
+                 for row in grid_fn(axis)]
         out = {}
         for m in range(kmin, b_max):
-            by_radius = [[None] * M for _ in range(3)]
-            for (ri_w, j_w, cz) in per_w:
-                by_radius[ri_w][j_w] = cz[m]
+            by_radius = [[per_w[ri * M + j][m] for j in range(M)] for ri in range(3)]
             cw = _radial_coefficients(by_radius, radii, kmin, a_max, M)
             for n in range(kmin, a_max + 1):
                 out[(m, n)] = cw[n]
@@ -347,27 +341,46 @@ def verify_generating_function(z0_coords: Tuple[Fraction, Fraction],
         polar_z_pred = pair_wz if dz else mp.mpc(0)
         polar_w_pred = mp.mpc(1) if dw else mp.mpc(0)
 
-        def f(z, w):
-            val = ev.kronecker_translated(z0, w0, z, w)
-            if dz:
-                val -= pair_wz / z
-            if dw:
-                val -= 1 / w
-            return val
-
-        coeffs = taylor_coefficients_2d(f, abs(w1), a_max, b_max, prec + 24)
         A = ev.A
+        cw0, cz0 = mp.conj(w0), mp.conj(z0)
+        pref0 = mp.exp(-z0 * cw0 / A)
+
+        def grid(axis):
+            # U_{(z0,w0)} Theta on the product grid, the theta values of the
+            # two translated axes computed once each
+            def guarded_theta(v):
+                ev._pole_guard(v)
+                return ev.theta(v)
+
+            zz = [z + z0 for z in axis]
+            ww = [w + w0 for w in axis]
+            th_z = [guarded_theta(v) for v in zz]
+            th_w = [guarded_theta(v) for v in ww]
+            for i, w in enumerate(axis):
+                row = []
+                for k, z in enumerate(axis):
+                    pref = pref0 * mp.exp(-(z * cw0 + w * cz0) / A)
+                    val = pref * (ev.theta(zz[k] + ww[i]) / (th_z[k] * th_w[i]))
+                    if dz:
+                        val -= pair_wz / z
+                    if dw:
+                        val -= 1 / w
+                    row.append(val)
+                yield row
+
+        coeffs = taylor_coefficients_2d(grid, abs(w1), a_max, b_max, prec + 24)
+        table = ek_table(a_max, b_max, z0, w0, lattice, target_error,
+                         z0_in_lattice=dz, w0_in_lattice=dw)
         entries = {}
         maxdev = mp.mpf(0)
         for b in range(1, b_max + 1):
             for a in range(0, a_max + 1):
                 got = coeffs[(b - 1, a)]
-                ek = ek_number(a, b, z0, w0, lattice, target_error,
-                               z0_in_lattice=dz, w0_in_lattice=dw).to_mpc()
+                ek = table[(a, b)].to_mpc()
                 want = (-1) ** (a + b - 1) * ek / (mp.factorial(a) * A ** a)
                 entries[(a, b)] = (got, want)
                 maxdev = max(maxdev, abs(got - want))
-        # the predicted deltas were subtracted inside f, so the leftover polar
+        # the predicted deltas were subtracted inside grid, so the leftover polar
         # coefficients must vanish; report full coefficient vs prediction
         maxdev = max(maxdev, abs(coeffs[(-1, 0)]), abs(coeffs[(0, -1)]))
         from .eklerch import rational_reconstruct

@@ -1,14 +1,17 @@
 """CLI surface: artifacts, determinism, exit codes."""
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 
-def run_cli(*argv, check=True):
+def run_cli(*argv, check=True, env=None):
     cp = subprocess.run([sys.executable, "-m", "ektheta.cli", *argv],
-                        capture_output=True, text=True)
+                        capture_output=True, text=True,
+                        env=None if env is None else {**os.environ, **env})
     if check and cp.returncode != 0:
         raise AssertionError(f"exit {cp.returncode}: {cp.stderr        }")
     return cp
@@ -118,6 +121,19 @@ class TestVerifyCommands:
                      check=False)
         assert cp.returncode == 1
         assert "v_p" in cp.stderr
+
+    def test_generating_function_artifact_pinned(self):
+        # sha256 of the payload (meta dropped) before theta values and
+        # lattice sums were shared across the grid: sharing moves no bit
+        cp = run_cli("verify", "generating-function", "--catalog",
+                     "Z[sqrt(-1)]", "--u", "4", "--z0", "1/2,0", "--w0", "0,1/2",
+                     "--amax", "2", "--bmax", "2", "--tol", "1e-12",
+                     env={"EKTHETA_PREC_BITS": "256", "PYTHONHASHSEED": "0"})
+        doc = json.loads(cp.stdout)
+        del doc["meta"]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == \
+            "4efe9a039a40ce421534382e9e47dc31c0312d3fb794b313100e78df5a7f78fa"
 
     def test_distribution_cli(self):
         cp = run_cli("verify", "distribution", "--catalog", "Z[sqrt(-1)]",

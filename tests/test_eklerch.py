@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from ektheta import eklerch
 from ektheta.curves import catalog_row, compute_periods
 from ektheta.eklerch import (
     HeckeCharacter,
@@ -13,6 +14,7 @@ from ektheta.eklerch import (
     e2star_numeric,
     eisenstein_kronecker_lerch,
     ek_number,
+    ek_table,
     hecke_L_partial,
     rational_reconstruct,
 )
@@ -107,6 +109,57 @@ class TestFunctionalEquation:
                 res = check_functional_equation(a, w1 / 3, (w1 + w2) / 3,
                                                 sval, zi_lattice, 1e-18)
                 assert res < 1e-15, (a, s)
+
+    def test_each_lattice_sum_computed_once(self, zi_lattice, monkeypatch):
+        calls = []
+        orig = eklerch._I_a
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(eklerch, "_I_a", counted)
+        w1, w2 = zi_lattice.pair_mpc()
+        check_functional_equation(2, w1 / 3, (w1 + w2) / 3, 2, zi_lattice, 1e-18)
+        assert len(calls) == 2
+
+
+def _torsion(lattice, coords):
+    """x w1 + y w2 for rational period-basis coordinates (x, y)."""
+    w1, w2 = lattice.pair_mpc()
+    x, y = (Fraction(c) for c in coords)
+    return mp.mpf(x.numerator) / x.denominator * w1 \
+        + mp.mpf(y.numerator) / y.denominator * w2
+
+
+class TestBatchedTable:
+    @pytest.mark.parametrize("z0c,w0c,flags", [
+        ((0, 0), (0, 0), {"z0_in_lattice": True, "w0_in_lattice": True}),
+        ((Fraction(1, 3), 0), (0, Fraction(1, 2)), {}),
+    ], ids=["origin", "third-half"])
+    def test_table_equals_per_cell_ek_number(self, zi_lattice, z0c, w0c, flags):
+        with mp.workprec(280):
+            z0, w0 = _torsion(zi_lattice, z0c), _torsion(zi_lattice, w0c)
+        table = ek_table(2, 2, z0, w0, zi_lattice, 1e-18, **flags)
+        assert sorted(table) == [(a, b) for a in range(3) for b in (1, 2)]
+        for (a, b), val in table.items():
+            one = ek_number(a, b, z0, w0, zi_lattice, 1e-18, **flags)
+            assert (val.re, val.im, val.prec_bits) == (one.re, one.im, one.prec_bits)
+
+    def test_one_lattice_pass_per_s(self, zi_lattice, monkeypatch):
+        passes = []
+        orig = eklerch._I_a
+
+        def counted(targets, z0, w0, s, *rest, **kwargs):
+            passes.append((sorted(targets), s))
+            return orig(targets, z0, w0, s, *rest, **kwargs)
+
+        monkeypatch.setattr(eklerch, "_I_a", counted)
+        w1, w2 = zi_lattice.pair_mpc()
+        ek_table(2, 2, w1 / 3, w2 / 2, zi_lattice, 1e-18)
+        # b_max passes for I(z0, w0, b), a_max + 1 for I(w0, z0, a + 1)
+        assert passes == [([1, 2, 3], 1), ([2, 3, 4], 2),
+                          ([1, 2], 1), ([2, 3], 2), ([3, 4], 3)]
 
 
 class TestDifferentialEquation:

@@ -226,6 +226,32 @@ class TestGeneratingFunction:
         assert abs(rep.polar_z[0]) < 1e-12          # delta(z0) = 0
         assert abs(rep.polar_w[0] - 1) < 1e-12      # delta(w0) = 1
 
+    @pytest.mark.parametrize("z0c,w0c", [
+        ((Fraction(-1, 20), Fraction(0)), (Fraction(0), Fraction(1, 2))),
+        ((Fraction(1, 2), Fraction(0)), (Fraction(-1, 20), Fraction(0))),
+    ], ids=["z-axis", "w-axis"])
+    def test_pole_guard_fires_on_a_grid_sample(self, zi_lattice, z0c, w0c):
+        # the first sample of each axis is |w1|/20 = w1/20 (w1 > 0 on this
+        # lattice): a translate by -w1/20 moves it onto the lattice
+        with pytest.raises(PoleProximityError):
+            verify_generating_function(z0c, w0c, 2, 2, zi_lattice, tol=1e-12)
+
+    def test_theta_once_per_axis_sample(self, zi_lattice, monkeypatch):
+        calls = [0]
+        orig = ThetaEvaluator.theta
+
+        def counted(self, z):
+            calls[0] += 1
+            return orig(self, z)
+
+        monkeypatch.setattr(ThetaEvaluator, "theta", counted)
+        rep = verify_generating_function((Fraction(1, 2), Fraction(0)),
+                                         (Fraction(0), Fraction(1, 2)),
+                                         2, 2, zi_lattice, tol=1e-12)
+        assert rep.passed
+        n = 3 * 12  # 3 radii, M = 2 (max(a_max, b_max) + 4) angles
+        assert calls[0] == n * n + 2 * n == 1368
+
 
 class TestDistribution:
     def test_trivial_ideals(self, zi_lattice):
