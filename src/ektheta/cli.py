@@ -25,9 +25,9 @@ from . import __version__
 from .curves import CurveData, PeriodPrecisionError, catalog, catalog_row, \
     compute_periods, formal_log
 from .eklerch import HeckeCharacter, direct_hecke_sum, ek_number, \
-    hecke_L_partial
-from .kronecker import compose_formal, kronecker_exact, valuation_heatmap, \
-    verify_distribution, verify_generating_function
+    hecke_L_partial, truncation_radius
+from .kronecker import compose_formal, kronecker_exact, torsion_point, \
+    valuation_heatmap, verify_distribution, verify_generating_function
 from .padic import IntegralityError, kummer_congruences, measure_from_theta, \
     moment_table, restrict_to_units, verify_interpolation_origin
 from .scalars import ExactScalar
@@ -151,25 +151,11 @@ def cmd_ek(args):
     lat = compute_periods(curve, args.prec_bits)
     with mp.workprec(args.prec_bits + 24):
         w1, w2 = lat.pair_mpc()
-
-        def point(text):
-            if text is None:
-                return mp.mpc(0), True
-            c1, c2 = _parse_coords(text)
-            integral = c1.denominator == 1 and c2.denominator == 1
-            val = (mp.mpf(c1.numerator) / c1.denominator) * w1 \
-                + (mp.mpf(c2.numerator) / c2.denominator) * w2
-            return val, integral
-
-        z0, dz = point(args.z0)
-        w0, dw = point(args.w0)
+        z0, dz = torsion_point(_parse_coords(args.z0 or "0,0"), w1, w2)
+        w0, dw = torsion_point(_parse_coords(args.w0 or "0,0"), w1, w2)
         val = ek_number(args.a, args.b, z0, w0, lat, args.err,
                         z0_in_lattice=dz, w0_in_lattice=dw)
-        from .eklerch import _radius_for
-        A = lat.A()
-        radius = _radius_for(args.a + args.b, args.b, A,
-                             mp.mpf(args.err) / (4 * (1 + A ** (args.a + args.b + 1))),
-                             mp.pi * A)
+        radius = truncation_radius(args.a + args.b, args.b, lat, args.err)
     return _emit(args, {"kind": "eisenstein-kronecker-number",
                         "a": args.a, "b": args.b,
                         "value": val.to_json(), "error_bound": args.err,

@@ -21,7 +21,6 @@ the terms, in exactly the order, of its own pass.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
@@ -29,7 +28,8 @@ from typing import Dict, Optional, Tuple
 import mpmath as mp
 
 from .curves import LatticeData, lattice_pair_mpc
-from .scalars import BigComplex, ExactScalar
+from .scalars import BigComplex, CLASS_NUMBER_ONE, ExactScalar, ideal_generators, \
+    in_ok, ok_omega, ok_units, residue_classes, residue_key
 
 __all__ = [
     "PoleError",
@@ -37,6 +37,7 @@ __all__ = [
     "eisenstein_kronecker_lerch",
     "ek_number",
     "ek_table",
+    "truncation_radius",
     "check_functional_equation",
     "e2star_numeric",
     "is_lattice_point",
@@ -99,6 +100,19 @@ def _radius_for(a: int, smax, A, target, covol):
     return R
 
 
+def _tail_target(target_error, A, a: int):
+    """Tail target of each lattice sum of K*_a: a quarter of the error,
+    shared with the A^(a+1)-weighted second sum."""
+    return mp.mpf(target_error) / (4 * (1 + A ** (a + 1)))
+
+
+def truncation_radius(a: int, s, lattice: LatticeData, target_error):
+    """Radius at which the I_a(z0, w0, s) sum of K*_a(z0, w0, s) is cut
+    for target_error, at the caller's working precision."""
+    A = lattice.A()
+    return _radius_for(a, s, A, _tail_target(target_error, A, a), mp.pi * A)
+
+
 def _I_a(targets: Dict[int, object], z0, w0, s, lattice: LatticeData,
          skip_minus_z0: bool) -> Dict[int, mp.mpc]:
     """I_a(z0, w0, s) for every power a in targets (a -> tail target), summed
@@ -159,7 +173,7 @@ def _kstar_values(entries, z0, w0, lattice: LatticeData, target_error,
         A = lattice.A()
         at_z0, at_w0 = {}, {}  # s -> {a: tail target}
         for a, s in entries:
-            sub_target = mp.mpf(target_error) / (4 * (1 + A ** (a + 1)))
+            sub_target = _tail_target(target_error, A, a)
             at_z0.setdefault(s, {})[a] = sub_target
             at_w0.setdefault(a + 1 - s, {})[a] = sub_target
         I1 = {s: _I_a(t, z0, w0, s, lattice, dz) for s, t in at_z0.items()}
@@ -226,7 +240,7 @@ def check_functional_equation(a: int, z0, w0, s, lattice: LatticeData,
         A = lattice.A()
         dz = is_lattice_point(z0, lattice, prec)
         dw = is_lattice_point(w0, lattice, prec)
-        sub = mp.mpf(target_error) / (4 * (1 + A ** (a + 1)))
+        sub = _tail_target(target_error, A, a)
         I1 = _I_a({a: sub}, z0, w0, s, lattice, skip_minus_z0=dz)[a]
         I2 = _I_a({a: sub}, w0, z0, a + 1 - s, lattice, skip_minus_z0=dw)[a]
         lhs = I1 + A ** (a + 1 - 2 * s) * I2 * lattice_pair_mpc(w0, z0, A)
@@ -268,44 +282,14 @@ def rational_reconstruct(x, max_den: int = 10 ** 6, tol=None) -> Optional[Fracti
 # Hecke L partial sums (class number 1)
 # ---------------------------------------------------------------------------
 
-_CLASS_NUMBER_ONE = {1, 2, 3, 7, 11, 19, 43, 67, 163}
-
-
-def _ring_basis_omega(d: int) -> ExactScalar:
-    """Second basis element of O_K over Z: sqrt(-d), or (1+sqrt(-d))/2."""
-    if d % 4 == 3:
-        return ExactScalar(Fraction(1, 2), Fraction(1, 2), d)
-    return ExactScalar(0, 1, d)
-
-
-def _in_ring(x: ExactScalar, d: int) -> bool:
-    if d % 4 == 3:
-        return (2 * x.a).denominator == 1 and (2 * x.b).denominator == 1 \
-            and (2 * x.a - 2 * x.b).numerator % 2 == 0
-    return x.a.denominator == 1 and x.b.denominator == 1
-
-
-def _units(d: int):
-    one = ExactScalar(1)
-    if d == 1:
-        i = ExactScalar(0, 1, 1)
-        return [one, i, -one, -i]
-    if d == 3:
-        w = ExactScalar(Fraction(1, 2), Fraction(1, 2), 3)  # primitive 6th root
-        us = [one]
-        for _ in range(5):
-            us.append(us[-1] * w)
-        return us
-    return [one, -one]
-
-
 @dataclass
 class HeckeCharacter:
     """Finite part of an algebraic Hecke character on a class-number-1 field.
 
-    table maps canonical residue representatives mod the conductor (as
-    ExactScalar ring elements) to exact root-of-unity values; infinity_type
-    (m, n) gives phi((alpha)) = eps(alpha) alpha^m conj(alpha)^n.
+    table maps one representative of each class of (O/f)^x, f the
+    conductor, to an exact root-of-unity value (a table missing a class or
+    holding two keys of one class is rejected); infinity_type (m, n) gives
+    phi((alpha)) = eps(alpha) alpha^m conj(alpha)^n.
     """
 
     d: int
@@ -314,8 +298,9 @@ class HeckeCharacter:
     table: Dict[ExactScalar, ExactScalar]
 
     def __post_init__(self):
-        if self.d not in _CLASS_NUMBER_ONE:
+        if self.d not in CLASS_NUMBER_ONE:
             raise ValueError(f"class number of Q(sqrt(-{self.d})) is not 1")
+        self._index_classes()
         self._check_table()
         # w_f sanity for type (1,0)-style characters
         m, n = self.infinity_type
@@ -325,11 +310,10 @@ class HeckeCharacter:
 
     # -- residue bookkeeping -------------------------------------------------
     def reduce(self, x: ExactScalar) -> ExactScalar:
-        for r in self.table:
-            q = (x - r) / self.conductor
-            if _in_ring(q, self.d):
-                return r
-        raise KeyError(f"{x} is not coprime to the conductor (or table incomplete)")
+        rep = self._class_rep.get(residue_key(x, self.conductor, self.d))
+        if rep is None:
+            raise KeyError(f"{x} is not coprime to the conductor")
+        return rep
 
     def eps(self, x: ExactScalar) -> ExactScalar:
         return self.table[self.reduce(x)]
@@ -347,10 +331,23 @@ class HeckeCharacter:
 
     def count_units_cong_one(self) -> int:
         count = 0
-        for u in _units(self.d):
-            if _in_ring((u - 1) / self.conductor, self.d):
+        for u in ok_units(self.d):
+            if in_ok((u - 1) / self.conductor, self.d):
                 count += 1
         return count
+
+    def _index_classes(self):
+        """Map each class of (O/f)^x to its table key; the table must hold
+        exactly one key per class."""
+        f, d = self.conductor, self.d
+        classes = residue_classes(f, d)
+        unit_classes = {residue_key(x, f, d) for x in classes
+                        if any(in_ok((x * y - 1) / f, d) for y in classes)}
+        self._class_rep = {residue_key(r, f, d): r for r in self.table}
+        if len(self._class_rep) != len(self.table) \
+                or self._class_rep.keys() != unit_classes:
+            raise ValueError("character table needs exactly one key per "
+                             "class of (O/f)^x")
 
     def _check_table(self):
         reps = list(self.table)
@@ -365,43 +362,12 @@ class HeckeCharacter:
     def well_defined_on_ideals(self) -> bool:
         """phi((alpha)) independent of the generator: phi(u alpha) = phi(alpha)."""
         m, n = self.infinity_type
-        for u in _units(self.d):
+        for u in ok_units(self.d):
             if not self.is_coprime(u):
                 return False
             if self.eps(u) * u ** m * u.conjugate() ** n != ExactScalar(1):
                 return False
         return True
-
-
-def canonical_quadrant_generators(d: int, norm_bound: int):
-    """One generator per nonzero ideal of O_K with norm <= norm_bound.
-
-    For Z[i], the representative with re > 0, im >= 0; for unit group {+-1},
-    the representative with im > 0 or (im = 0, re > 0); for Z[zeta_6] the
-    sector 0 <= arg < pi/3 picked exactly via coordinates.
-    """
-    out = []
-    w = _ring_basis_omega(d)
-    bmax = int(math.isqrt(norm_bound)) + 2
-    amax = int(math.isqrt(norm_bound)) + 2
-    seen = set()
-    for aa in range(-amax - bmax, amax + bmax + 1):
-        for bb in range(-bmax, bmax + 1):
-            x = ExactScalar(aa) + ExactScalar(bb) * w
-            nx = x.norm()
-            if nx == 0 or nx > norm_bound:
-                continue
-            # canonical associate: lexicographically largest (re, im)-key among
-            # unit multiples, a deterministic fundamental-sector choice
-            assoc = [x * u for u in _units(d)]
-            key = max((ux.a, ux.b) for ux in assoc)
-            if key in seen:
-                continue
-            seen.add(key)
-            pick = next(ux for ux in assoc if (ux.a, ux.b) == key)
-            out.append(pick)
-    out.sort(key=lambda x: (x.norm(), x.a, x.b))
-    return out
 
 
 def direct_hecke_sum(char: HeckeCharacter, s, norm_bound: int,
@@ -413,7 +379,7 @@ def direct_hecke_sum(char: HeckeCharacter, s, norm_bound: int,
     """
     with mp.workprec(prec_bits):
         tot = mp.mpc(0)
-        for g in canonical_quadrant_generators(char.d, norm_bound):
+        for g in ideal_generators(norm_bound, char.d):
             if not char.is_coprime(g):
                 continue
             val = char.value_on_generator(g)
@@ -441,12 +407,12 @@ def hecke_L_partial(char: HeckeCharacter, s, target_error=1e-14,
         raise ValueError("character not trivial on units: not an ideal character")
     # trivial ray class group <=> #(O/f)^x == #units-image
     wf = char.count_units_cong_one()
-    nclasses = len(char.table) * wf // len(_units(char.d))
+    nclasses = len(char.table) * wf // len(ok_units(char.d))
     if nclasses != 1:
         raise NotImplementedError(
             "only conductors with trivial ray class group are assembled here")
     with mp.workprec(prec_bits + 32):
-        w = _ring_basis_omega(char.d)
+        w = ok_omega(char.d)
         f = char.conductor
         om = mp.mpc(omega)
         w1 = f.to_mpc(prec_bits + 32) * om

@@ -36,7 +36,8 @@ from .curves import (
     theta_series,
 )
 from .eklerch import ek_table
-from .scalars import BigComplex, ExactScalar, _vp_fraction
+from .scalars import BigComplex, ExactScalar, _vp_fraction, in_ok, ok_elements, \
+    residue_classes
 from .series import (
     BiSeries,
     ExactRing,
@@ -57,6 +58,7 @@ __all__ = [
     "taylor_coefficients_2d",
     "verify_generating_function",
     "GenFunReport",
+    "torsion_point",
     "verify_distribution",
     "DistributionReport",
     "compose_formal",
@@ -333,10 +335,8 @@ def verify_generating_function(z0_coords: Tuple[Fraction, Fraction],
     prec = ev.prec
     with mp.workprec(prec + 24):
         w1, w2 = ev.w1, ev.w2
-        z0 = _coord_point(z0_coords, w1, w2)
-        w0 = _coord_point(w0_coords, w1, w2)
-        dz = z0_coords[0].denominator == 1 and z0_coords[1].denominator == 1
-        dw = w0_coords[0].denominator == 1 and w0_coords[1].denominator == 1
+        z0, dz = torsion_point(z0_coords, w1, w2)
+        w0, dw = torsion_point(w0_coords, w1, w2)
         pair_wz = ev.pair(w0, z0)
         polar_z_pred = pair_wz if dz else mp.mpc(0)
         polar_w_pred = mp.mpc(1) if dw else mp.mpc(0)
@@ -403,10 +403,13 @@ def verify_generating_function(z0_coords: Tuple[Fraction, Fraction],
         )
 
 
-def _coord_point(coords, w1, w2):
+def torsion_point(coords, w1, w2):
+    """(c1 w1 + c2 w2, whether it is a lattice point) for rational
+    period-basis coordinates (c1, c2)."""
     c1, c2 = (Fraction(c) for c in coords)
-    return (mp.mpf(c1.numerator) / c1.denominator) * w1 \
+    z = (mp.mpf(c1.numerator) / c1.denominator) * w1 \
         + (mp.mpf(c2.numerator) / c2.denominator) * w2
+    return z, c1.denominator == 1 and c2.denominator == 1
 
 
 # ---------------------------------------------------------------------------
@@ -426,60 +429,16 @@ class DistributionReport:
         return bool(self.max_residual <= self.tolerance)
 
 
-def _ok_elements_up_to(norm_bound: int, d: int):
-    out = []
-    from .eklerch import _ring_basis_omega
-    w = _ring_basis_omega(d)
-    r = int(math.isqrt(norm_bound)) + 2
-    for a in range(-2 * r, 2 * r + 1):
-        for b in range(-2 * r, 2 * r + 1):
-            x = ExactScalar(a) + ExactScalar(b) * w
-            if x.norm() <= norm_bound:
-                out.append(x)
-    out.sort(key=lambda x: (x.norm(), x.a, x.b))
-    return out
-
-
-def _in_ok(x: ExactScalar, d: int) -> bool:
-    from .eklerch import _in_ring
-    return _in_ring(x, d)
-
-
 def find_epsilon(a_gen: ExactScalar, b_gen: ExactScalar, d: int) -> ExactScalar:
     """Smallest-norm eps with eps = 1 mod (a b), eps = 0 mod conj(b)."""
     ab = a_gen * b_gen
     bbar = b_gen.conjugate()
     bound = 4 * int(ab.norm() * bbar.norm()) + 16
-    for t in _ok_elements_up_to(bound, d):
+    for t in ok_elements(bound, d):
         eps = bbar * t
-        if _in_ok((eps - 1) / ab, d):
+        if in_ok((eps - 1) / ab, d):
             return eps
     raise ValueError("no epsilon found: hypothesis (ab, conj(b)) = 1 violated?")
-
-
-def _residue_classes(g: ExactScalar, d: int):
-    """Representatives of (1/g) O_K / O_K as exact field elements, for the CM
-    identification Gamma = O_K * w1."""
-    n = int(g.norm())
-    om = _omega_of(d)
-    reps_ring = []
-    for j in range(n + 1):
-        for k in range(n + 1):
-            x = ExactScalar(j) + ExactScalar(k) * om
-            if all(not _in_ok((x - y) / g, d) for y in reps_ring):
-                reps_ring.append(x)
-            if len(reps_ring) == n:
-                break
-        if len(reps_ring) == n:
-            break
-    if len(reps_ring) != n:
-        raise ValueError("could not enumerate residue classes")
-    return [x / g for x in reps_ring]
-
-
-def _omega_of(d: int) -> ExactScalar:
-    from .eklerch import _ring_basis_omega
-    return _ring_basis_omega(d)
 
 
 def verify_distribution(a_gen: ExactScalar, b_gen: ExactScalar,
@@ -514,7 +473,7 @@ def verify_distribution(a_gen: ExactScalar, b_gen: ExactScalar,
                 relaxed = True
         else:
             # caller-supplied: check the congruences when the hypothesis holds
-            ok = _in_ok((epsilon - 1) / ab, d) and _in_ok(epsilon / bbar, d)
+            ok = in_ok((epsilon - 1) / ab, d) and in_ok(epsilon / bbar, d)
             if not ok:
                 try:
                     find_epsilon(a_gen, b_gen, d)
@@ -522,9 +481,9 @@ def verify_distribution(a_gen: ExactScalar, b_gen: ExactScalar,
                     relaxed = True  # hypothesis (ab, conj b) = 1 fails: origin case
                 else:
                     raise ValueError("epsilon violates its congruences")
-        # residue classes
-        alphas = _residue_classes(a_gen, d)
-        betas = _residue_classes(b_gen, d)
+        # (1/g) O_K / O_K for the CM identification Gamma = O_K * w1
+        alphas = [x / a_gen for x in residue_classes(a_gen, d)]
+        betas = [x / b_gen for x in residue_classes(b_gen, d)]
         sqd = mp.sqrt(mp.mpf(d)) * 1j
 
         def embed(x: ExactScalar):

@@ -43,11 +43,11 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .curves import CurveData, formal_log
-from .kronecker import ComposedExpansion, ThetaExpansion, compose_formal, \
-    kronecker_exact
+from .kronecker import ComposedExpansion, ThetaExpansion, _as_fraction, \
+    compose_formal, kronecker_exact
 from .scalars import ExactScalar, PadicContext, PadicScalar, base_p_digits, \
-    divrem_monic, embed_padic, inverse, mulmod, powmod, trace, _sqrt_minus_d_mod, \
-    _vp_fraction
+    divrem_monic, embed_padic, ideal_generators, inverse, mulmod, powmod, trace, \
+    _sqrt_minus_d_mod, _vp_fraction
 from .series import BiSeries, ExactRing, PadicRing, UniSeries
 
 __all__ = [
@@ -102,31 +102,15 @@ def is_split(p: int, d: int) -> bool:
 
 
 def split_prime_generator(p: int, d: int) -> ExactScalar:
-    """Generator pi of the prime above p with i_p(pi) = 0 mod p, where i_p
-    sends sqrt(-d) to its deterministic smallest root.  Class number 1 only.
-
-    The representative is the smallest-coefficient generator in the scan
-    order, fixed for reproducibility.
-    """
-    from .eklerch import _ring_basis_omega, _units
+    """The canonical generator (scalars.canonical_associate) of the prime
+    above p with i_p(pi) = 0 mod p, where i_p sends sqrt(-d) to its
+    deterministic smallest root.  Class number 1 only."""
     if not is_split(p, d):
         raise NoPeriodError(f"p = {p} is not split in Q(sqrt(-{d}))")
     root = _sqrt_minus_d_mod(p, d, 1, 1)[0]
-    w = _ring_basis_omega(d)
-    lim = int(math.isqrt(4 * p)) + 2
-    for aa in range(-lim, lim + 1):
-        for bb in range(-lim, lim + 1):
-            x = ExactScalar(aa) + ExactScalar(bb) * w
-            if x.norm() != p:
-                continue
-            img = (Fraction(x.a) + Fraction(x.b) * root)
-            num = img.numerator * pow(img.denominator, -1, p) % p if \
-                img.denominator % p else None
-            if num == 0:
-                # normalize the associate deterministically: largest (a, b)
-                assoc = [x * u for u in _units(d)]
-                key = max((ux.a, ux.b) for ux in assoc)
-                return next(ux for ux in assoc if (ux.a, ux.b) == key)
+    for x in ideal_generators(p, d):
+        if x.norm() == p and (x.a + x.b * root).numerator % p == 0:
+            return x
     raise NoPeriodError(f"p = {p} has no degree-one prime element in "
                         f"Q(sqrt(-{d})) (class number > 1 or inert)")
 
@@ -186,8 +170,8 @@ def solve_padic_period_for_log(lam: UniSeries, p: int, N: int,
         raise NoPeriodError("solver needs p >= 5")
     lam1 = lam.coeff(1)
     lam_p = lam.coeff(p)
-    a_p_fr = Fraction(p) * (lam_p if isinstance(lam_p, Fraction) else lam_p.a)
-    lam1_fr = lam1 if isinstance(lam1, Fraction) else lam1.a
+    a_p_fr = Fraction(p) * _as_fraction(lam_p)
+    lam1_fr = _as_fraction(lam1)
     if _vp_fraction(lam1_fr, p):
         raise NoPeriodError("lambda'(0) must be a p-adic unit")
     Dstar = p ** max(2, math.ceil(math.log(N * p, p)))
@@ -795,13 +779,8 @@ def restricted_formal_series(curve: CurveData, p: int, N: int,
     ctx = PadicContext(p)
     pko = p ** digits
     chat = {}
-    for (i, j), v in hat.expansion.regular.coeffs.items():
-        fr = v if isinstance(v, Fraction) else v.a
-        if fr.denominator % p == 0:
-            raise IntegralityError(
-                f"composed expansion not p-integral at ({i},{j}): ordinary "
-                "integrality violated")
-        chat[(i, j)] = fr.numerator * pow(fr.denominator, -1, pko) % pko
+    for key, v in hat.expansion.regular.coeffs.items():
+        chat[key] = _int_mod(_as_fraction(v), p, pko)
     imax = max((i for i, _ in chat), default=0)
     alg = formal_torsion_algebra(curve, p, digits + TRANSLATE_EROSION + 4)
     T = _trace_coefficient_table(alg, imax, DS, digits)
@@ -944,7 +923,7 @@ def measure_from_theta(curve: CurveData, p: int, N: int, order: int,
     ring = PadicRing(ctx, N)
     out = {}
     for key, v in hat.expansion.regular.coeffs.items():
-        fr = v if isinstance(v, Fraction) else v.a
+        fr = _as_fraction(v)
         vp = _vp_fraction(fr, p)
         if vp is not None and vp < 0:
             raise IntegralityError(f"coefficient at {key} has v_p = {vp} < 0")

@@ -22,9 +22,14 @@ The p-adic embedding of exact scalars (``embed_padic``) fixes the split-prime
 square root of -d deterministically: the root r of x^2 + d = 0 (mod p) with
 the smallest nonnegative representative, Hensel-lifted, recorded on the
 context so runs are reproducible.
+
+The ring of integers O_K = Z + Z omega of a class-number-one field has one
+set of helpers here: membership, units, elements by norm, the canonical
+associate of an ideal's generator, ideal generators and residue classes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,6 +46,15 @@ __all__ = [
     "embed_padic",
     "FieldMismatchError",
     "RamifiedPrimeError",
+    "CLASS_NUMBER_ONE",
+    "ok_omega",
+    "in_ok",
+    "ok_units",
+    "ok_elements",
+    "canonical_associate",
+    "ideal_generators",
+    "residue_key",
+    "residue_classes",
 ]
 
 RationalLike = Union[int, Fraction, "ExactScalar"]
@@ -229,6 +243,94 @@ class ExactScalar:
         if isinstance(obj, str):
             return ExactScalar(Fraction(obj))
         return ExactScalar(Fraction(obj["a"]), Fraction(obj["b"]), obj["d"])
+
+
+# ---------------------------------------------------------------------------
+# the ring of integers O_K = Z + Z omega of a class-number-one K = Q(sqrt(-d))
+# ---------------------------------------------------------------------------
+
+CLASS_NUMBER_ONE = (1, 2, 3, 7, 11, 19, 43, 67, 163)
+
+
+def ok_omega(d: int) -> ExactScalar:
+    """Second basis element of O_K over Z: sqrt(-d), or (1+sqrt(-d))/2."""
+    if d % 4 == 3:
+        return ExactScalar(Fraction(1, 2), Fraction(1, 2), d)
+    return ExactScalar(0, 1, d)
+
+
+def _ok_coords(x: ExactScalar, d: int) -> tuple:
+    """(c1, c2) with x = c1 + c2 * ok_omega(d)."""
+    if d % 4 == 3:
+        return x.a - x.b, 2 * x.b
+    return x.a, x.b
+
+
+def in_ok(x: ExactScalar, d: int) -> bool:
+    return all(c.denominator == 1 for c in _ok_coords(x, d))
+
+
+def ok_units(d: int) -> list:
+    """The roots of unity of K: fourth roots for d = 1, sixth for d = 3."""
+    one = ExactScalar(1)
+    if d == 1:
+        i = ExactScalar(0, 1, 1)
+        return [one, i, -one, -i]
+    if d == 3:
+        w = ExactScalar(Fraction(1, 2), Fraction(1, 2), 3)  # primitive 6th root
+        return [w ** k for k in range(6)]
+    return [one, -one]
+
+
+def ok_elements(norm_bound: int, d: int) -> list:
+    """Every x = a + b sqrt(-d) in O_K with N(x) <= norm_bound, 0 included,
+    in (norm, a, b) order.  Only the lattice points inside the norm ellipse
+    are visited: with den = 2 when d = 3 mod 4 (else 1), u = den*a and
+    v = den*b are integers, u = v mod den, and den^2 N(x) = u^2 + d v^2."""
+    den = 2 if d % 4 == 3 else 1
+    bound = den * den * norm_bound
+    vmax = math.isqrt(bound // d)
+    points = []
+    for v in range(-vmax, vmax + 1):
+        r = math.isqrt(bound - d * v * v)
+        for u in range(-r + (r + v) % den, r + 1, den):
+            points.append((u * u + d * v * v, u, v))
+    points.sort()
+    return [ExactScalar(Fraction(u, den), Fraction(v, den), d) for _, u, v in points]
+
+
+def canonical_associate(x: ExactScalar, d: int) -> ExactScalar:
+    """The associate of x with the lexicographically largest (a, b): the
+    one generator of the ideal (x) used throughout."""
+    return max((x * u for u in ok_units(d)), key=lambda y: (y.a, y.b))
+
+
+def ideal_generators(norm_bound: int, d: int) -> list:
+    """The canonical generator of each nonzero ideal of O_K with norm
+    <= norm_bound, in (norm, a, b) order (class number one)."""
+    return [x for x in ok_elements(norm_bound, d)
+            if x and canonical_associate(x, d) == x]
+
+
+def residue_key(x: ExactScalar, g: ExactScalar, d: int) -> tuple:
+    """A key of the class of x in O_K / (g): x = y mod g iff the keys agree."""
+    return tuple(c % 1 for c in _ok_coords(x / g, d))
+
+
+def residue_classes(g: ExactScalar, d: int) -> list:
+    """One representative j + k omega of each class of O_K / (g), the first
+    met in the scan j = 0..N(g) (outer), k = 0..N(g), listed in scan order:
+    numeric sums over the classes add their terms in this order."""
+    n = int(g.norm())
+    om = ok_omega(d)
+    reps = {}
+    for j in range(n + 1):
+        for k in range(n + 1):
+            x = ExactScalar(j) + ExactScalar(k) * om
+            reps.setdefault(residue_key(x, g, d), x)
+            if len(reps) == n:
+                return list(reps.values())
+    raise ValueError(f"{g} is not in O_K")
 
 
 def _dps_for(prec_bits: int) -> int:

@@ -135,6 +135,22 @@ class TestVerifyCommands:
         assert digest == \
             "4efe9a039a40ce421534382e9e47dc31c0312d3fb794b313100e78df5a7f78fa"
 
+    @pytest.mark.parametrize("argv,want", [
+        (["hecke-l", "--s", "6", "--norm-bound", "300", "--tol", "1e-10"],
+         "3d61576f82bb1d3cefa83ba72f4a8834178e1efbe7ad3e14d6545ce49539f5b2"),
+        (["verify", "distribution", "--catalog", "Z[sqrt(-1)]", "--u", "4",
+          "--ideal-a", "2", "--ideal-b", "1", "--points", "2", "--tol", "1e-12"],
+         "8830a1d1cac9d508bf5e1e7c0a24fd0247fa19697836504fcb03e2cb43748c72"),
+    ], ids=["hecke-l", "distribution"])
+    def test_ideal_sum_artifacts_pinned(self, argv, want):
+        # sha256 of the payload (meta dropped): sums over ideals and residue
+        # classes keep their terms, their order and so every bit
+        cp = run_cli(*argv, env={"EKTHETA_PREC_BITS": "256", "PYTHONHASHSEED": "0"})
+        doc = json.loads(cp.stdout)
+        del doc["meta"]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == want
+
     def test_distribution_cli(self):
         cp = run_cli("verify", "distribution", "--catalog", "Z[sqrt(-1)]",
                      "--u", "4", "--ideal-a", "1", "--ideal-b", "1+i",

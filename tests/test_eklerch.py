@@ -228,6 +228,19 @@ class TestHeckeL:
         with pytest.raises(ValueError):
             HeckeCharacter(1, ExactScalar(2, 2, 1), (1, 0), bad)
 
+    @pytest.mark.parametrize("table", [
+        {(1, 0): (1, 0)},
+        {(1, 0): (1, 0), (0, 1): (0, -1), (-1, 0): (-1, 0), (-3, 2): (0, 1)},
+        {(1, 0): (1, 0), (0, 1): (0, -1), (-1, 0): (-1, 0), (0, -1): (0, 1),
+         (1, 1): (1, 0)},
+    ], ids=["one-of-four-classes", "two-keys-in-one-class", "non-unit-key"])
+    def test_table_needs_one_key_per_unit_class(self, table):
+        # (Z[i]/(2+2i))^x has the four classes of 1, i, -1, -i
+        table = {ExactScalar(a, b, 1): ExactScalar(c, e, 1)
+                 for (a, b), (c, e) in table.items()}
+        with pytest.raises(ValueError, match="one key per class"):
+            HeckeCharacter(1, ExactScalar(2, 2, 1), (1, 0), table)
+
     def test_trivial_conductor_rejected_for_type_1_0(self):
         one = ExactScalar(1)
         with pytest.raises(ValueError):

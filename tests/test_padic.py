@@ -58,6 +58,14 @@ class TestPeriodSolver:
         ratio = per.omega / PadicContext(7).from_int(3, 8)
         assert ratio.valuation() == 0
 
+    def test_irrational_log_coefficient_rejected(self):
+        # the sqrt(-d) part of a coefficient is never dropped silently
+        lam = gm_log(80)
+        coeffs = {k: lam.coeff(k) for k in range(1, 81)}
+        coeffs[7] = ExactScalar(Fraction(1, 7), 1, 1)
+        with pytest.raises(TypeError, match="as a rational"):
+            solve_padic_period_for_log(UniSeries(QQ, coeffs, 80), 7, 5)
+
     def test_flagship_curve_has_no_small_residue_degree(self):
         # a_p = -20 = 6 mod 13 has multiplicative order 12, so c^12 = 6 has
         # no solution in F_13^f for f <= 4; the solver reports that honestly.

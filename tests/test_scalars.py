@@ -4,15 +4,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ektheta.padic import is_split, split_prime_generator
 from ektheta.scalars import (
+    CLASS_NUMBER_ONE,
     ExactScalar,
     FieldMismatchError,
     PadicContext,
     RamifiedPrimeError,
     ValuationAtLeast,
     embed_padic,
+    ideal_generators,
     inverse,
     mulmod,
+    ok_elements,
+    residue_classes,
     trace,
 )
 
@@ -84,6 +89,58 @@ class TestFieldAxioms:
         if x:
             assert x * (ExactScalar(1) / x) == ExactScalar(1)
         assert x + (-x) == ExactScalar(0)
+
+
+def _brute_ok(d, norm_bound):
+    """O_K elements of norm <= norm_bound from a wide box of m + n omega,
+    sorted by (norm, a, b), and an integrality test written from scratch."""
+    half = d % 4 == 3
+    om = ExactScalar(Fraction(1, 2), Fraction(1, 2), d) if half else ExactScalar(0, 1, d)
+    wide = 2 * int(norm_bound ** 0.5) + 6
+    elems = [ExactScalar(m) + ExactScalar(n) * om
+             for m in range(-wide, wide + 1) for n in range(-wide, wide + 1)]
+    elems = sorted((x for x in elems if x.norm() <= norm_bound),
+                   key=lambda x: (x.norm(), x.a, x.b))
+
+    def integral(x):
+        n = x.b / om.b
+        return n.denominator == 1 and (x.a - n * om.a).denominator == 1
+    return elems, integral
+
+
+class TestRingOfIntegers:
+    @pytest.mark.parametrize("d", CLASS_NUMBER_ONE)
+    def test_helpers_match_brute_force(self, d):
+        bound = 60
+        elems, integral = _brute_ok(d, bound)
+        assert ok_elements(bound, d) == elems
+        by_norm = {}
+        for x in elems:
+            by_norm.setdefault(x.norm(), []).append(x)
+
+        def associates(x):
+            return [y for y in by_norm[x.norm()] if integral(y / x)]
+
+        gens = ideal_generators(bound, d)
+        assert gens == sorted(gens, key=lambda x: (x.norm(), x.a, x.b))
+        # one generator per ideal, and it is the associate with largest (a, b)
+        for g in gens:
+            assert max((y.a, y.b) for y in associates(g)) == (g.a, g.b)
+        for x in elems[1:]:
+            assert sum(integral(x / g) for g in gens if g.norm() == x.norm()) == 1
+        for g in gens[:12]:
+            reps = residue_classes(g, d)
+            assert len(reps) == g.norm()
+            assert all(not integral((x - y) / g)
+                       for i, x in enumerate(reps) for y in reps[:i])
+        for p in range(3, 60):
+            if any(p % q == 0 for q in range(2, p)) or not is_split(p, d):
+                continue
+            pi = split_prime_generator(p, d)
+            assert pi.norm() == p
+            root = min(r for r in range(p) if (r * r + d) % p == 0)
+            assert (pi.a + pi.b * root).numerator % p == 0
+            assert max((y.a, y.b) for y in associates(pi)) == (pi.a, pi.b)
 
 
 class TestPadicScalar:
