@@ -8,15 +8,15 @@ Three arithmetic engines over one set of curve data:
 * analytic -- arbitrary-precision complex evaluation of the
   Eisenstein-Kronecker-Lerch sums, theta functions, translations, and the
   identity/distribution verification suites;
-* p-adic -- fixed-precision unramified arithmetic, the ordinary-prime
-  measure machinery, unit restriction by formal-torsion traces, and the
+* p-adic -- fixed-precision Z_p arithmetic, the ordinary-prime measure
+  machinery, unit restriction by formal-torsion traces, and the
   interpolation/congruence checks.
 """
 
 __version__ = "0.1.0"
 
 from .scalars import BigComplex, ExactScalar, PadicContext, PadicScalar, \
-    embed_padic, padic_valuation
+    embed_padic
 from .series import BiSeries, ExactRing, KroneckerExpansion, PadicRing, UniSeries
 from .curves import CurveData, FormalLog, LatticeData, catalog, catalog_row, \
     compute_periods, formal_log, pairing, sigma_series, theta_series, wp_series
@@ -24,11 +24,9 @@ from .eklerch import check_functional_equation, direct_hecke_sum, \
     e2star_numeric, eisenstein_kronecker_lerch, ek_number, hecke_L_partial, \
     HeckeCharacter
 from .kronecker import ComposedExpansion, ThetaExpansion, compose_formal, \
-    ek_from_expansion, kronecker_exact, kronecker_numeric, \
-    kronecker_translated_numeric, valuation_heatmap, verify_distribution, \
+    ek_from_expansion, kronecker_exact, valuation_heatmap, verify_distribution, \
     verify_generating_function
-from .padic import MeasureSeries, PadicPeriod, kummer_congruences, \
-    measure_from_theta, moment_table, restrict_to_units, solve_padic_period, \
-    verify_interpolation_origin
+from .padic import MeasureSeries, kummer_congruences, measure_from_theta, \
+    moment_table, period_note, restrict_to_units, verify_interpolation_origin
 
 __all__ = [name for name in dir() if not name.startswith("_")]

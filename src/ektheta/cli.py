@@ -263,8 +263,8 @@ def cmd_measure(args):
     curve = _curve_from(args)
     mu = measure_from_theta(curve, args.prime, args.prec, args.order)
     payload = {"kind": "measure-series", "prime": args.prime, "prec": args.prec,
-               "coords": mu.coords, "provenance": mu.provenance,
-               "multiplicative_available": mu.mult_series is not None,
+               "coords": "formal", "provenance": mu.provenance,
+               "multiplicative_available": False,
                "period_note": mu.period_note,
                "series": mu.series.to_json()}
     if args.restrict:

@@ -33,6 +33,8 @@ __all__ = [
     "FormalLog",
     "catalog",
     "catalog_row",
+    "catalog_row_of",
+    "j_invariant",
     "wp_series",
     "sigma_series",
     "theta_series",
@@ -107,6 +109,7 @@ class CatalogRow:
     g3_coeff: int      # g3 = g3_coeff * u^3
     g3_upow: int
     e2_coeff: Fraction  # e2* = e2_coeff * u
+    conductor: int = 1  # the CM order is Z + conductor * O_K
 
     def curve(self, u=1) -> CurveData:
         uu = u if isinstance(u, ExactScalar) else ExactScalar(Fraction(u))
@@ -133,12 +136,13 @@ class CatalogRow:
 
 _CATALOG: List[CatalogRow] = [
     CatalogRow("Z[(1+sqrt(-3))/2]", 3, 0, 2, 1, 3, Fraction(0)),
-    CatalogRow("Z[sqrt(-3)]", 3, 15, 2, 11, 3, Fraction(1, 2)),
-    CatalogRow("Z[(1+3*sqrt(-3))/2]", 3, 120, 2, 253, 3, Fraction(2)),
+    CatalogRow("Z[sqrt(-3)]", 3, 15, 2, 11, 3, Fraction(1, 2), 2),
+    CatalogRow("Z[(1+3*sqrt(-3))/2]", 3, 120, 2, 253, 3, Fraction(2), 3),
     CatalogRow("Z[sqrt(-1)]", 1, 1, 1, 0, 3, Fraction(0)),
-    CatalogRow("Z[2*sqrt(-1)]", 1, 44, 2, 56, 3, Fraction(1)),
+    CatalogRow("Z[2*sqrt(-1)]", 1, 44, 2, 56, 3, Fraction(1), 2),
     CatalogRow("Z[(1+sqrt(-7))/2]", 7, 35, 2, 49, 3, Fraction(1, 2)),
-    CatalogRow("Z[sqrt(-7)]", 7, 5 * 7 * 17, 2, 3 * 7**2 * 19, 3, Fraction(9, 2)),
+    CatalogRow("Z[sqrt(-7)]", 7, 5 * 7 * 17, 2, 3 * 7**2 * 19, 3, Fraction(9, 2),
+               2),
     CatalogRow("Z[sqrt(-2)]", 2, 30, 2, 28, 3, Fraction(1, 2)),
     CatalogRow("Z[(1+sqrt(-11))/2]", 11, 8 * 3 * 11, 2, 7 * 11**2, 3, Fraction(2)),
     CatalogRow("Z[(1+sqrt(-19))/2]", 19, 8 * 19, 2, 19**2, 3, Fraction(2)),
@@ -167,6 +171,21 @@ def catalog_row(label: str) -> CatalogRow:
         if row.label.replace(" ", "") == want:
             return row
     raise KeyError(f"no catalog row labelled {label!r}")
+
+
+def j_invariant(curve: CurveData) -> ExactScalar:
+    """j = 1728 g2^3 / (g2^3 - 27 g3^2), the same for every scaling u."""
+    return ExactScalar(1728) * curve.g2 ** 3 / curve.discriminant()
+
+
+def catalog_row_of(curve: CurveData) -> CatalogRow:
+    """The catalog row whose curves share curve's j-invariant, so its CM
+    order; raises ValueError when no row does."""
+    j = j_invariant(curve)
+    for row in _CATALOG:
+        if j_invariant(row.curve()) == j:
+            return row
+    raise ValueError(f"j = {j} is not the j-invariant of a catalog curve")
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .curves import (
     theta_series,
 )
 from .eklerch import ek_table
-from .scalars import BigComplex, ExactScalar, _vp_fraction, in_ok, ok_elements, \
+from .scalars import ExactScalar, _vp_fraction, in_ok, ok_elements, \
     residue_classes
 from .series import (
     BiSeries,
@@ -53,8 +53,6 @@ __all__ = [
     "ek_from_expansion",
     "ThetaEvaluator",
     "PoleProximityError",
-    "kronecker_numeric",
-    "kronecker_translated_numeric",
     "taylor_coefficients_2d",
     "verify_generating_function",
     "GenFunReport",
@@ -233,22 +231,6 @@ class ThetaEvaluator:
 
     def pair(self, x, y):
         return lattice_pair_mpc(mp.mpc(x), mp.mpc(y), self.A)
-
-
-def kronecker_numeric(z, w, lattice: LatticeData,
-                      prec_bits: Optional[int] = None) -> BigComplex:
-    ev = ThetaEvaluator(lattice, prec_bits)
-    with mp.workprec(ev.prec + 24):
-        val = ev.kronecker(z, w)
-        return BigComplex(val.real, val.imag, ev.prec)
-
-
-def kronecker_translated_numeric(z0, w0, z, w, lattice: LatticeData,
-                                 prec_bits: Optional[int] = None) -> BigComplex:
-    ev = ThetaEvaluator(lattice, prec_bits)
-    with mp.workprec(ev.prec + 24):
-        val = ev.kronecker_translated(z0, w0, z, w)
-        return BigComplex(val.real, val.imag, ev.prec)
 
 
 # ---------------------------------------------------------------------------

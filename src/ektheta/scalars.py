@@ -12,16 +12,15 @@ Three scalar kinds live here:
   working mantissa precision in bits.  Arithmetic is performed at the larger
   of the two operand precisions and never silently narrows.
 
-* :class:`PadicScalar` -- an element of the unramified extension W_f of Z_p
-  of residue degree f, stored as p^val * unit with the unit known modulo
-  p^(abs_prec - val).  Arithmetic tracks absolute precision: sums keep the
-  minimum absolute precision, products the minimum relative precision, and
-  division shifts valuations.
+* :class:`PadicScalar` -- an element of Q_p, stored as p^val * unit with
+  the int unit known modulo p^(abs_prec - val).  Arithmetic tracks absolute
+  precision: sums keep the minimum absolute precision, products the minimum
+  relative precision, and division shifts valuations.
 
 The p-adic embedding of exact scalars (``embed_padic``) fixes the split-prime
 square root of -d deterministically: the root r of x^2 + d = 0 (mod p) with
-the smallest nonnegative representative, Hensel-lifted, recorded on the
-context so runs are reproducible.
+the smallest nonnegative representative, Hensel-lifted, so runs are
+reproducible.
 
 The ring of integers O_K = Z + Z omega of a class-number-one field has one
 set of helpers here: membership, units, elements by norm, the canonical
@@ -33,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import mpmath as mp
 
@@ -282,11 +281,11 @@ def ok_units(d: int) -> list:
     return [one, -one]
 
 
-def ok_elements(norm_bound: int, d: int) -> list:
-    """Every x = a + b sqrt(-d) in O_K with N(x) <= norm_bound, 0 included,
-    in (norm, a, b) order.  Only the lattice points inside the norm ellipse
-    are visited: with den = 2 when d = 3 mod 4 (else 1), u = den*a and
-    v = den*b are integers, u = v mod den, and den^2 N(x) = u^2 + d v^2."""
+def _ok_points(norm_bound: int, d: int) -> tuple:
+    """(den, sorted [(den^2 N(x), u, v)]) for every x = (u + v sqrt(-d))/den
+    in O_K with N(x) <= norm_bound, 0 included.  Only the lattice points
+    inside the norm ellipse are visited: den = 2 when d = 3 mod 4 (else 1),
+    and u = v mod den."""
     den = 2 if d % 4 == 3 else 1
     bound = den * den * norm_bound
     vmax = math.isqrt(bound // d)
@@ -296,20 +295,47 @@ def ok_elements(norm_bound: int, d: int) -> list:
         for u in range(-r + (r + v) % den, r + 1, den):
             points.append((u * u + d * v * v, u, v))
     points.sort()
+    return den, points
+
+
+def ok_elements(norm_bound: int, d: int) -> list:
+    """Every x = a + b sqrt(-d) in O_K with N(x) <= norm_bound, 0 included,
+    in (norm, a, b) order."""
+    den, points = _ok_points(norm_bound, d)
     return [ExactScalar(Fraction(u, den), Fraction(v, den), d) for _, u, v in points]
 
 
+def _associate_keys(u: int, v: int, d: int) -> list:
+    """The integer coordinates (den*a, den*b) of the associates of
+    (u + v sqrt(-d))/den: its products with ok_units(d), in that order."""
+    if d == 1:
+        return [(u, v), (-v, u), (-u, -v), (v, -u)]
+    if d == 3:
+        keys = [(u, v)]
+        for _ in range(5):      # times (1 + sqrt(-3))/2
+            u, v = (u - 3 * v) // 2, (u + v) // 2
+            keys.append((u, v))
+        return keys
+    return [(u, v), (-u, -v)]
+
+
 def canonical_associate(x: ExactScalar, d: int) -> ExactScalar:
-    """The associate of x with the lexicographically largest (a, b): the
-    one generator of the ideal (x) used throughout."""
-    return max((x * u for u in ok_units(d)), key=lambda y: (y.a, y.b))
+    """The associate of x in O_K with the lexicographically largest (a, b):
+    the one generator of the ideal (x) used throughout."""
+    den = 2 if d % 4 == 3 else 1
+    u, v = den * x.a, den * x.b
+    if u.denominator != 1 or v.denominator != 1:
+        raise ValueError(f"{x} is not in O_K")
+    u, v = max(_associate_keys(int(u), int(v), d))
+    return ExactScalar(Fraction(u, den), Fraction(v, den), d)
 
 
 def ideal_generators(norm_bound: int, d: int) -> list:
     """The canonical generator of each nonzero ideal of O_K with norm
     <= norm_bound, in (norm, a, b) order (class number one)."""
-    return [x for x in ok_elements(norm_bound, d)
-            if x and canonical_associate(x, d) == x]
+    den, points = _ok_points(norm_bound, d)
+    return [ExactScalar(Fraction(u, den), Fraction(v, den), d)
+            for n, u, v in points if n and max(_associate_keys(u, v, d)) == (u, v)]
 
 
 def residue_key(x: ExactScalar, g: ExactScalar, d: int) -> tuple:
@@ -492,17 +518,6 @@ def divrem_monic(f, W, pk):
     return q, [x % pk for x in rem[:d]]
 
 
-def powmod(u, e: int, W, pk) -> tuple:
-    """u^e mod (W(x), pk), e >= 0."""
-    out = (1,) + (0,) * (len(W) - 2)
-    while e:
-        if e & 1:
-            out = mulmod(out, u, W, pk)
-        u = mulmod(u, u, W, pk)
-        e >>= 1
-    return out
-
-
 def trace(u, W, pk) -> int:
     """Trace of multiplication by u on Z/pk[x]/(W): sum of u_i times the
     power sums s_i of the roots of W (Newton's identities)."""
@@ -533,95 +548,22 @@ def inverse(u, W, pk, start) -> tuple:
                           "inverse modulo the maximal ideal")
 
 
-@lru_cache(maxsize=None)
-def _lex_min_irreducible(p: int, f: int) -> tuple:
-    """Smallest monic irreducible of degree f over F_p, lex order on
-    (c_0, ..., c_{f-1}); coefficients lifted to {0..p-1}."""
-    if f == 1:
-        return (0, 1)  # x itself; W_1 = Z_p needs no modulus but keep shape
-
-    def gcd_deg_positive(a_pol, modulus):
-        # gcd(a(x), modulus(x)) over F_p nontrivial?
-        a_list = [c % p for c in a_pol]
-        b_list = [c % p for c in modulus]
-        while any(a_list):
-            while a_list and a_list[-1] == 0:
-                a_list.pop()
-            if not a_list:
-                break
-            while b_list and b_list[-1] == 0:
-                b_list.pop()
-            if len(b_list) < len(a_list):
-                a_list, b_list = b_list, a_list
-                continue
-            # b -= lc(b)/lc(a) x^(db-da) a
-            shift = len(b_list) - len(a_list)
-            c = b_list[-1] * pow(a_list[-1], -1, p) % p
-            for i, ai in enumerate(a_list):
-                b_list[i + shift] = (b_list[i + shift] - c * ai) % p
-            a_list, b_list = b_list, a_list
-        while b_list and b_list[-1] == 0:
-            b_list.pop()
-        return len(b_list) > 1
-
-    xpoly = tuple([0, 1] + [0] * (f - 2))
-    primes = {q for q in range(2, f + 1) if f % q == 0 and all(q % r for r in range(2, q))}
-    for n in range(p ** f):
-        modulus = tuple(base_p_digits(n, p, f) + [1])
-        # irreducible iff x^(p^f) = x mod modulus and gcd(x^(p^(f/q)) - x, modulus) = 1
-        if powmod(xpoly, p ** f, modulus, p) != xpoly:
-            continue
-        ok = True
-        for q in primes:
-            xp = powmod(xpoly, p ** (f // q), modulus, p)
-            diff = tuple((xp[i] - xpoly[i]) % p for i in range(f))
-            if any(diff) and gcd_deg_positive(diff, modulus):
-                ok = False
-                break
-            if not any(diff):
-                ok = False
-                break
-        if ok:
-            return modulus
-    raise RuntimeError("no irreducible found")  # pragma: no cover
-
-
 @dataclass(frozen=True)
 class PadicContext:
-    """Unramified extension W_f of Z_p with a fixed lifted modulus."""
+    """Z_p for a fixed prime p: the constructors of its elements."""
 
     p: int
-    f: int = 1
 
     def __post_init__(self):
         if self.p < 2:
             raise ValueError("p must be prime")
-        object.__setattr__(self, "_modulus", _lex_min_irreducible(self.p, self.f))
-
-    @property
-    def modulus(self) -> tuple:
-        return self._modulus  # type: ignore[attr-defined]
 
     # -- element constructors -------------------------------------------------
     def zero(self, abs_prec: int) -> "PadicScalar":
-        return PadicScalar(self, None, (), abs_prec)
+        return PadicScalar(self, None, 0, abs_prec)
 
     def from_int(self, n: int, abs_prec: int) -> "PadicScalar":
-        return self.from_vector((n,) + (0,) * (self.f - 1), abs_prec)
-
-    def from_vector(self, vec: Sequence[int], abs_prec: int) -> "PadicScalar":
-        """Element sum vec[i] x^i known mod p^abs_prec."""
-        vec = list(vec) + [0] * (self.f - len(vec))
-        pk = self.p ** abs_prec
-        vec = [v % pk for v in vec]
-        val = 0
-        while val < abs_prec and all(v % self.p ** (val + 1) == 0 for v in vec):
-            val += 1
-        if val >= abs_prec:
-            return self.zero(abs_prec)
-        q = self.p ** val
-        unit = tuple((v // q) % self.p ** (abs_prec - val) for v in vec)
-        return PadicScalar(self, val, unit, abs_prec)
+        return self.from_fraction(n, abs_prec)
 
     def from_fraction(self, x: Fraction, abs_prec: int) -> "PadicScalar":
         val = _vp_fraction(x, self.p)
@@ -633,26 +575,19 @@ class PadicContext:
         else:
             den //= self.p ** -val
         pk = self.p ** (abs_prec - val)
-        unit = (num * pow(den, -1, pk)) % pk
-        return PadicScalar(self, val, (unit,) + (0,) * (self.f - 1), abs_prec)
-
-    def teichmueller_unit_inverse(self, unit: tuple, rel: int) -> tuple:
-        """Inverse of a unit vector mod p^rel: Newton from the residue-field
-        inverse res^(p^f - 2)."""
-        p, mod = self.p, self.modulus
-        res = powmod(tuple(c % p for c in unit), p ** self.f - 2, mod, p)
-        return inverse(unit, mod, p ** rel, res)
+        return PadicScalar(self, val, num * pow(den, -1, pk) % pk, abs_prec)
 
     def __repr__(self):
-        return f"PadicContext(p={self.p}, f={self.f})"
+        return f"PadicContext(p={self.p})"
 
 
 class PadicScalar:
-    """p^val * unit in W_f, unit known mod p^(abs_prec - val); val None = zero."""
+    """p^val * unit in Q_p, the int unit known mod p^(abs_prec - val);
+    val None = zero."""
 
     __slots__ = ("ctx", "val", "unit", "abs_prec")
 
-    def __init__(self, ctx: PadicContext, val: Optional[int], unit: tuple, abs_prec: int):
+    def __init__(self, ctx: PadicContext, val: Optional[int], unit: int, abs_prec: int):
         self.ctx = ctx
         self.val = val
         self.unit = unit
@@ -671,28 +606,24 @@ class PadicScalar:
 
     def _coerce(self, other) -> "PadicScalar":
         if isinstance(other, PadicScalar):
-            if other.ctx.p != self.ctx.p or other.ctx.f != self.ctx.f:
+            if other.ctx.p != self.ctx.p:
                 raise FieldMismatchError("mixed p-adic contexts")
             return other
-        if isinstance(other, int):
-            return self.ctx.from_int(other, self.abs_prec)
-        if isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
             return self.ctx.from_fraction(other, self.abs_prec)
         return NotImplemented  # type: ignore[return-value]
 
-    def vector(self, digits: Optional[int] = None) -> tuple:
-        """Coefficient vector of the value mod p^min(digits, abs_prec).
+    def to_int(self, digits: Optional[int] = None) -> int:
+        """The value mod p^min(digits, abs_prec), in [0, p^k).
 
         Only valid for p-integral elements (val >= 0 or zero).
         """
         k = self.abs_prec if digits is None else min(digits, self.abs_prec)
         if self.val is None or self.val >= k:
-            return (0,) * self.ctx.f
+            return 0
         if self.val < 0:
-            raise ValueError("vector() needs a p-integral element; shift first")
-        pk = self.ctx.p ** k
-        q = self.ctx.p ** self.val
-        return tuple((u % (pk // q)) * q % pk for u in self.unit)
+            raise ValueError("to_int() needs a p-integral element; shift first")
+        return self.unit * self.ctx.p ** self.val % self.ctx.p ** k
 
     # -- arithmetic --------------------------------------------------------------
     def __add__(self, other):
@@ -706,24 +637,17 @@ class PadicScalar:
         rel = N - v
         if rel <= 0:
             return self.ctx.zero(N)
-        pk = self.ctx.p ** rel
-        vec = [0] * self.ctx.f
-        for x in (self, o):
-            if x.val is None:
-                continue
-            q = self.ctx.p ** (x.val - v)
-            for i, u in enumerate(x.unit):
-                vec[i] = (vec[i] + u * q) % pk
-        return self.ctx.from_vector(vec, rel).shift(v).with_abs_prec(N)
+        p = self.ctx.p
+        total = sum(x.unit * p ** (x.val - v) for x in (self, o) if x.val is not None)
+        return self.ctx.from_int(total % p ** rel, rel).shift(v).with_abs_prec(N)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.val is None:
             return self
-        pk = self.ctx.p ** self.rel_prec
-        return PadicScalar(self.ctx, self.val, tuple((-u) % pk for u in self.unit),
-                          self.abs_prec)
+        return PadicScalar(self.ctx, self.val, -self.unit % self.ctx.p ** self.rel_prec,
+                           self.abs_prec)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -744,11 +668,10 @@ class PadicScalar:
             vb = o.val if o.val is not None else o.abs_prec
             return self.ctx.zero(va + vb)
         rel = min(self.rel_prec, o.rel_prec)
-        pk = self.ctx.p ** rel
-        unit = mulmod(self.unit, o.unit, self.ctx.modulus, pk)
         val = self.val + o.val
         # unit*unit stays a unit; no re-extraction needed
-        return PadicScalar(self.ctx, val, unit, val + rel)
+        return PadicScalar(self.ctx, val, self.unit * o.unit % self.ctx.p ** rel,
+                           val + rel)
 
     __rmul__ = __mul__
 
@@ -766,14 +689,14 @@ class PadicScalar:
         if self.val is None:
             raise ZeroDivisionError("division by (indistinguishable-from-)zero p-adic")
         rel = self.rel_prec
-        inv = self.ctx.teichmueller_unit_inverse(self.unit, rel)
-        return PadicScalar(self.ctx, -self.val, inv, -self.val + rel)
+        return PadicScalar(self.ctx, -self.val, pow(self.unit, -1, self.ctx.p ** rel),
+                           -self.val + rel)
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
         if k == 0:
-            return PadicScalar(self.ctx, 0, (1,) + (0,) * (self.ctx.f - 1), self.abs_prec)
+            return PadicScalar(self.ctx, 0, 1, self.abs_prec)
         base = self
         result = None
         while k:
@@ -805,8 +728,7 @@ class PadicScalar:
         rel = N - self.val
         if rel <= 0:
             return self.ctx.zero(N)
-        pk = self.ctx.p ** rel
-        return PadicScalar(self.ctx, self.val, tuple(u % pk for u in self.unit), N)
+        return PadicScalar(self.ctx, self.val, self.unit % self.ctx.p ** rel, N)
 
     def eq_mod(self, other, k: int) -> bool:
         o = self._coerce(other)
@@ -828,16 +750,16 @@ class PadicScalar:
         return self.val is not None
 
     def digits(self) -> list:
-        """Base-p digit lists of the unit part, one per basis coordinate."""
+        """Base-p digits of the unit part, least significant first."""
         if self.val is None:
             return []
-        out = [base_p_digits(u, self.ctx.p, self.rel_prec) for u in self.unit]
-        return out if self.ctx.f > 1 else out[0]
+        return base_p_digits(self.unit, self.ctx.p, self.rel_prec)
 
     def to_json(self):
+        # "f": the residue degree of the scalar's field, always 1 (Z_p)
         return {
             "p": self.ctx.p,
-            "f": self.ctx.f,
+            "f": 1,
             "val": self.val,
             "digits": self.digits(),
             "prec": self.abs_prec,
@@ -846,68 +768,47 @@ class PadicScalar:
     def __repr__(self):
         if self.val is None:
             return f"PadicScalar(O({self.ctx.p}^{self.abs_prec}))"
-        if self.ctx.f == 1:
-            return (f"PadicScalar({self.ctx.p}^{self.val}*{self.unit[0]}"
-                    f" + O({self.ctx.p}^{self.abs_prec}))")
-        return (f"PadicScalar({self.ctx.p}^{self.val}*{list(self.unit)}"
+        return (f"PadicScalar({self.ctx.p}^{self.val}*{self.unit}"
                 f" + O({self.ctx.p}^{self.abs_prec}))")
 
 
 # ---------------------------------------------------------------------------
-# embedding Q(sqrt(-d)) -> W_f
+# embedding Q(sqrt(-d)) -> Q_p
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _sqrt_minus_d_mod(p: int, d: int, abs_prec: int, f: int) -> tuple:
-    """Root of x^2 + d = 0 in W_f mod p^abs_prec; smallest residue, Hensel lifted.
+def _sqrt_minus_d_mod(p: int, d: int, abs_prec: int) -> int:
+    """Root of x^2 + d = 0 in Z_p mod p^abs_prec; smallest residue, Hensel lifted.
 
-    Returns a coefficient vector.  Raises RamifiedPrimeError when p | 4d and
-    ValueError when no root exists in the requested extension.
+    Raises RamifiedPrimeError when p | 4d and ValueError when -d is not a
+    square mod p.
     """
     if p == 2 or d % p == 0:
         raise RamifiedPrimeError(f"p={p} ramifies in Q(sqrt(-{d}))")
-    # residue root: smallest in the lex order of the digit vectors, so the
-    # smallest representative in F_p when p splits
-    ctx = PadicContext(p, f)
-    mod = ctx.modulus
-    target = ((-d) % p,) + (0,) * (f - 1)
-    for n in range(p ** f):
-        r = tuple(base_p_digits(n, p, f))
-        if mulmod(r, r, mod, p) == target:
-            break
-    else:
-        raise ValueError(f"-{d} is not a square mod {p} and f={f} is odd")
-    # Hensel in W_f: r <- r - (r^2 + d) / (2 r)
+    r = next((r for r in range(p) if (r * r + d) % p == 0), None)
+    if r is None:
+        raise ValueError(f"-{d} is not a square mod {p}")
+    # Hensel: r <- r - (r^2 + d) / (2 r)
     k = 1
     while k < abs_prec:
         k = min(2 * k, abs_prec)
         q = p ** k
-        val = mulmod(r, r, mod, q)
-        val = ((val[0] + d) % q,) + val[1:]
-        inv = ctx.teichmueller_unit_inverse(tuple(2 * c for c in r), k)
-        corr = mulmod(val, inv, mod, q)
-        r = tuple((a - b) % q for a, b in zip(r, corr))
+        r = (r - (r * r + d) * pow(2 * r, -1, q)) % q
     return r
 
 
-def embed_padic(x: ExactScalar, p: int, abs_prec: int, f: int = 1) -> PadicScalar:
-    """Image of x under the fixed embedding i_p into W_f mod p^abs_prec.
+def embed_padic(x: ExactScalar, p: int, abs_prec: int) -> PadicScalar:
+    """Image of x under the fixed embedding i_p into Q_p mod p^abs_prec.
 
     The embedding sends sqrt(-d) to the deterministic root of x^2 + d chosen
     by :func:`_sqrt_minus_d_mod`.  Denominator valuations shift abs_prec as
     usual for p-adic division.
     """
-    ctx = PadicContext(p, f)
+    ctx = PadicContext(p)
     guard = 4
     a_part = ctx.from_fraction(x.a, abs_prec + guard)
     if x.b == 0:
         return a_part.with_abs_prec(abs_prec)
-    root = _sqrt_minus_d_mod(p, x.d, abs_prec + guard, f)
-    rt = ctx.from_vector(root, abs_prec + guard)
+    rt = ctx.from_int(_sqrt_minus_d_mod(p, x.d, abs_prec + guard), abs_prec + guard)
     b_part = ctx.from_fraction(x.b, abs_prec + guard)
     return (a_part + b_part * rt).with_abs_prec(abs_prec)
-
-
-def padic_valuation(x: PadicScalar):
-    """Largest v with p^v | x, or a ValuationAtLeast(abs_prec) marker."""
-    return x.valuation()

@@ -78,7 +78,7 @@ class ExactRing:
 
 
 class PadicRing:
-    """W_f scalars at a default construction precision."""
+    """Z_p scalars at a default construction precision."""
 
     def __init__(self, ctx: PadicContext, prec: int):
         self.ctx = ctx
@@ -103,7 +103,7 @@ class PadicRing:
         return isinstance(x, PadicScalar) and x.val is None or not x
 
     def __repr__(self):
-        return f"PadicRing(p={self.ctx.p}, f={self.ctx.f}, prec={self.prec})"
+        return f"PadicRing(p={self.ctx.p}, prec={self.prec})"
 
 
 _BIG = 1 << 60
@@ -298,32 +298,6 @@ class UniSeries:
                 reg = reg + cur.scale(c)
         return out + reg
 
-    def reversion(self) -> "UniSeries":
-        """g with g(self(t)) = t; needs zero constant term, invertible t-coefficient."""
-        if not self.ring.is_zero(self.coeff(0)):
-            raise SeriesError("reversion needs zero constant term")
-        c1 = self.coeff(1)
-        if self.ring.is_zero(c1):
-            raise SeriesError("reversion needs invertible linear coefficient")
-        n = self.order
-        g = {1: self.ring.one / c1}
-        # incrementally maintain powers of self
-        pw = self.truncate(n)
-        powers = {1: pw}
-        for j in range(2, n + 1):
-            powers[j] = (powers[j - 1] * self).truncate(n)
-        for m in range(2, n + 1):
-            s = None
-            for j in range(1, m):
-                c = powers[j].coeff(m)
-                if self.ring.is_zero(c) or j not in g:
-                    continue
-                t = g[j] * c
-                s = t if s is None else s + t
-            lead = powers[m].coeff(m)  # = c1^m
-            g[m] = (-(s / lead)) if s is not None else self.ring.zero
-        return UniSeries(self.ring, g, n)
-
     def __call__(self, x):
         """Horner evaluation at a scalar (regular part only)."""
         if any(k < 0 for k in self.coeffs):
@@ -482,30 +456,6 @@ class BiSeries:
                 p = c * u
                 out[key] = out[key] + p if key in out else p
         return BiSeries(self.ring, out, order)
-
-    def log_derivative_moment(self, m: int, n: int):
-        """Value of ((1+S) d/dS)^m ((1+T) d/dT)^n self at the origin."""
-        if m + n > self.order:
-            raise SeriesError("order insufficient for requested moment")
-        cur = self
-        for _ in range(m):
-            cur = cur._log_d(0)
-        for _ in range(n):
-            cur = cur._log_d(1)
-        return cur.coeff(0, 0)
-
-    def _log_d(self, axis: int) -> "BiSeries":
-        # (1+X) d/dX: the X^(k-1) and X^k images of each X^k term
-        out: Dict[Tuple[int, int], object] = {}
-        for (i, j), v in self.coeffs.items():
-            k = (i, j)[axis]
-            if k == 0:
-                continue
-            t = v * k
-            d_key = (i - 1, j) if axis == 0 else (i, j - 1)
-            out[d_key] = out[d_key] + t if d_key in out else t
-            out[(i, j)] = out[(i, j)] + t if (i, j) in out else t
-        return BiSeries(self.ring, out, self.order - 1)
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):

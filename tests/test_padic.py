@@ -1,13 +1,15 @@
-"""p-adic period solver, measures, unit restriction, interpolation."""
+"""p-adic period note, measures, unit restriction, interpolation."""
 import math
 from fractions import Fraction
 
 import pytest
 
-from ektheta.curves import catalog_row, formal_log, wp_series
+from ektheta.curves import catalog, catalog_row, formal_log, wp_series
+from ektheta.kronecker import ComposedExpansion, valuation_heatmap
 from ektheta.padic import (
     NoPeriodError,
     _xy_parameter_series,
+    cm_prime_generator,
     division_polynomial_p,
     euler_factor_moment,
     formal_group_translate,
@@ -15,20 +17,19 @@ from ektheta.padic import (
     formal_torsion_algebra,
     four_term_moment,
     hasse_unit_mod_p,
+    is_split,
     kummer_congruences,
     measure_from_theta,
     moment_table,
+    period_note,
     precision_buffer,
-    restrict_biseries_to_units,
     restrict_to_units,
     restricted_formal_series,
-    solve_padic_period,
-    solve_padic_period_for_log,
     split_prime_generator,
     verify_interpolation_origin,
 )
-from ektheta.scalars import ExactScalar, PadicContext, embed_padic
-from ektheta.series import BiSeries, ExactRing, PadicRing, UniSeries
+from ektheta.scalars import ExactScalar, PadicContext, embed_padic, ok_omega
+from ektheta.series import BiSeries, ExactRing, KroneckerExpansion, UniSeries
 
 QQ = ExactRing(0)
 
@@ -37,47 +38,61 @@ def zi_curve():
     return catalog_row("Z[sqrt(-1)]").curve(4)
 
 
-def gm_log(order, c=Fraction(1)):
-    """lambda = c * log(1+t)."""
-    coeffs = {k: c * Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)}
-    return UniSeries(QQ, coeffs, order)
+SPLIT_PRIMES = [p for p in range(3, 62) if all(p % q for q in range(2, p))]
 
 
 class TestPeriodSolver:
-    def test_gm_self_test(self):
-        per = solve_padic_period_for_log(gm_log(80), 7, 5)
-        assert per.f == 1 and per.certificate_ok
-        assert per.omega.eq_mod(PadicContext(7).from_int(1, 5), 5)
-
-    def test_gm_rescaled(self):
-        c = Fraction(3)
-        per = solve_padic_period_for_log(gm_log(80, c), 7, 4)
-        assert per.certificate_ok
-        # Omega is determined up to Z_p^x: Omega/c must be a unit and the
-        # certificate must accept exp(Omega^-1 lambda)
-        ratio = per.omega / PadicContext(7).from_int(3, 8)
-        assert ratio.valuation() == 0
+    """The period question, answered in closed form by period_note."""
 
     def test_irrational_log_coefficient_rejected(self):
         # the sqrt(-d) part of a coefficient is never dropped silently
-        lam = gm_log(80)
-        coeffs = {k: lam.coeff(k) for k in range(1, 81)}
-        coeffs[7] = ExactScalar(Fraction(1, 7), 1, 1)
+        curve = zi_curve()
+        regular = BiSeries(ExactRing(1), {(1, 2): ExactScalar(Fraction(1, 7), 1, 1)}, 4)
+        zero = ExactScalar(0)
+        hat = ComposedExpansion(KroneckerExpansion(zero, zero, regular), curve, True)
         with pytest.raises(TypeError, match="as a rational"):
-            solve_padic_period_for_log(UniSeries(QQ, coeffs, 80), 7, 5)
+            valuation_heatmap(hat, 7)
 
     def test_flagship_curve_has_no_small_residue_degree(self):
         # a_p = -20 = 6 mod 13 has multiplicative order 12, so c^12 = 6 has
-        # no solution in F_13^f for f <= 4; the solver reports that honestly.
-        with pytest.raises(NoPeriodError, match="no f <= 4"):
-            solve_padic_period(zi_curve(), 13, 8)
+        # no solution in F_13^f for f <= 4; the note says so.
+        assert period_note(zi_curve(), 13).startswith(
+            "no f <= 4 admits a solution: residue equation c^12 = 6 has no root")
 
     def test_non_split_prime_rejected(self):
         with pytest.raises(NoPeriodError, match="not split"):
-            solve_padic_period(zi_curve(), 7, 4)
+            measure_from_theta(zi_curve(), 7, 4, 8)
 
     def test_hasse_unit(self):
         assert hasse_unit_mod_p(zi_curve(), 13) == 6
+
+    def test_note_reason_follows_the_order_of_a_p(self):
+        # c^(p-1) = t has a root in F_{p^f} iff t^f = 1 (mod p): the residue
+        # reason holds exactly when ord(t) > 4; otherwise the residue
+        # equation is solvable and the unit root is the obstruction
+        good, small = 0, []
+        for row in catalog():
+            curve = row.curve(1)
+            for p in SPLIT_PRIMES:
+                if not is_split(p, row.d):
+                    continue
+                if curve.discriminant().a.numerator % p == 0:
+                    assert period_note(curve, p) == f"curve not good at {p}"
+                    continue
+                good += 1
+                t = hasse_unit_mod_p(curve, p)
+                order = next(k for k in range(1, p) if pow(t, k, p) == 1)
+                note = period_note(curve, p)
+                if order > 4:
+                    assert note.startswith("no f <= 4 admits a solution"), (row.label, p)
+                    assert f"c^{p - 1} = {t} has no root" in note
+                else:
+                    small.append((row.label, p))
+                    assert note.startswith(f"residue equation c^{p - 1} = {t} has a "
+                                           f"root in F_p^f for f = {order}"), (row.label, p)
+                    assert "not a root of unity" in note
+        assert good == 91 and len(small) == 23
+        assert ("Z[(1+sqrt(-3))/2]", 7) in small
 
 
 class TestSplitPrime:
@@ -94,6 +109,37 @@ class TestSplitPrime:
     def test_inert_raises(self):
         with pytest.raises(NoPeriodError):
             split_prime_generator(7, 1)
+
+    def test_pi_lies_in_the_cm_order(self):
+        # x = c1 + c2 omega lies in Z + f O_K iff f | c2
+        for row in catalog():
+            curve = row.curve(1)
+            for p in SPLIT_PRIMES:
+                if p > 13 or not is_split(p, row.d):
+                    continue
+                pi = cm_prime_generator(curve, p)
+                c2 = pi.b / ok_omega(row.d).b
+                assert pi.norm() == p, (row.label, p)
+                assert c2.denominator == 1 and c2 % row.conductor == 0, (row.label, p)
+                assert (pi.a + pi.b * min(r for r in range(p) if (r * r + row.d) % p == 0)
+                        ).numerator % p == 0
+
+    def test_non_maximal_orders_pick_an_associate_in_the_order(self):
+        assert cm_prime_generator(catalog_row("Z[sqrt(-3)]").curve(1), 7) == \
+            ExactScalar(2, -1, 3)
+        assert cm_prime_generator(catalog_row("Z[2*sqrt(-1)]").curve(1), 5) == \
+            ExactScalar(1, 2, 1)
+        assert cm_prime_generator(catalog_row("Z[(1+3*sqrt(-3))/2]").curve(1), 7) == \
+            ExactScalar(Fraction(1, 2), Fraction(3, 2), 3)
+        # the scaling u does not change the order
+        assert cm_prime_generator(catalog_row("Z[sqrt(-3)]").curve(5), 7) == \
+            ExactScalar(2, -1, 3)
+
+    def test_curve_outside_the_catalog_refused(self):
+        from ektheta.curves import CurveData
+        curve = CurveData(g2=ExactScalar(2), g3=ExactScalar(1))
+        with pytest.raises(ValueError, match="not the j-invariant of a catalog curve"):
+            cm_prime_generator(curve, 13)
 
 
 class TestDivisionPolynomial:
@@ -242,54 +288,10 @@ class TestFourTermExact:
             assert not four_term_moment(curve, pi, 13, a, b, exps)
 
 
-class TestPsiRestriction:
-    def setup_method(self):
-        self.ring = QQ
-
-    def _dirac(self, c, e, order=12):
-        # (1+S)^c (1+T)^e
-        out = {}
-        for i in range(min(c, order) + 1):
-            for j in range(min(e, order - i) + 1):
-                out[(i, j)] = Fraction(math.comb(c, i) * math.comb(e, j))
-        return BiSeries(self.ring, out, order)
-
-    def test_unit_dirac_fixed(self):
-        f = self._dirac(3, 2)
-        assert restrict_biseries_to_units(f, 5) == f
-
-    def test_p_divisible_dirac_killed(self):
-        f = self._dirac(5, 2)
-        out = restrict_biseries_to_units(f, 5)
-        assert not out.coeffs
-
-    def test_idempotent_on_random_series(self):
-        import random
-        rng = random.Random(3)
-        ctx = PadicContext(5)
-        ring = PadicRing(ctx, 8)
-        coeffs = {(i, j): ctx.from_int(rng.randrange(1, 5 ** 6), 8)
-                  for i in range(6) for j in range(6)}
-        f = BiSeries(ring, coeffs, 10)
-        once = restrict_biseries_to_units(f, 5)
-        twice = restrict_biseries_to_units(once, 5)
-        for key in set(once.coeffs) | set(twice.coeffs):
-            x = once.coeff(*key)
-            y = twice.coeff(*key)
-            assert (x - y).eq_mod(ctx.zero(6), 6), key
-
-    def test_mixed_dirac_kills_one_axis(self):
-        f = self._dirac(5, 3)
-        out = restrict_biseries_to_units(f, 5)
-        assert not out.coeffs  # S-factor at 5 kills everything
-        g = self._dirac(2, 3)
-        assert restrict_biseries_to_units(g, 5) == g
-
-
 class TestMeasure:
     def test_measure_embeds_and_notes_period_obstruction(self):
         mu = measure_from_theta(zi_curve(), 13, 6, 12)
-        assert mu.mult_series is None
+        assert mu.period_note == period_note(zi_curve(), 13)
         assert "no f <= 4" in mu.period_note
         assert mu.series.order == 12
         for v in mu.series.coeffs.values():
@@ -320,17 +322,6 @@ class TestMeasure:
         want = embed_padic(euler_factor_moment(zi_curve(), pi, 13, 0, 4), 13, 8)
         assert got.eq_mod(want, 6 - precision_buffer(0, 4, 13) + 2)
 
-    def test_dirac_moment_extractor(self):
-        # feeding (1+S)(1+T) into the moment machinery returns 1 everywhere
-        ctx = PadicContext(13)
-        ring = PadicRing(ctx, 8)
-        f = BiSeries(ring, {(0, 0): ctx.from_int(1, 8), (1, 0): ctx.from_int(1, 8),
-                            (0, 1): ctx.from_int(1, 8), (1, 1): ctx.from_int(1, 8)},
-                     12)
-        for m in range(5):
-            for n in range(5):
-                assert f.log_derivative_moment(m, n).eq_mod(ctx.from_int(1, 8), 8)
-
 
 class TestInterpolationSmall:
     def test_origin_interpolation_n6(self):
@@ -340,6 +331,27 @@ class TestInterpolationSmall:
         # the buffer (a+3 digits here) eats the comparison window at large a
         assert fours and all(r.padic_digits_checked > 0 for r in fours
                              if r.a + r.b == 4 and r.a <= 2)
+
+    def test_run_checking_no_digit_does_not_pass(self):
+        # at N = 3 every comparison window is eaten by the buffer: each row
+        # agrees vacuously, and the run shows nothing about the measure
+        rep = verify_interpolation_origin(zi_curve(), 13, 3, 4, 4)
+        assert all(r.exact_equal and r.padic_equal for r in rep.rows)
+        assert not any(r.padic_digits_checked for r in rep.rows)
+        assert not rep.passed
+
+    @pytest.mark.parametrize("label,p", [
+        ("Z[sqrt(-3)]", 7),
+        ("Z[2*sqrt(-1)]", 5),
+        ("Z[(1+3*sqrt(-3))/2]", 7),
+    ])
+    def test_non_maximal_orders_use_pi_in_the_order(self, label, p):
+        # the O_K generator of the prime lies outside these orders, and the
+        # interpolation and Kummer checks fail with it
+        curve = catalog_row(label).curve(1)
+        assert verify_interpolation_origin(curve, p, 6, 4, 4).passed
+        rep = kummer_congruences(curve, p, 12)
+        assert rep.rows and rep.passed
 
     def test_kummer_small(self):
         rep = kummer_congruences(zi_curve(), 13, max_exp=16)

@@ -88,28 +88,6 @@ class TestComposeReversion:
                 assert got.coeff(k) == c
         assert got.coeff(3) == Fraction(2, 5)
 
-    def test_reversion_linear(self):
-        assert U([0, 2], 4).reversion() == U([0, Fraction(1, 2)], 4)
-
-    def test_reversion_t_plus_t2_by_backsubstitution(self):
-        f = U([0, 1, 1], 3)
-        g = f.reversion()
-        # back-substitution oracle
-        assert g.compose(f) == UniSeries.identity(QQ, 3)
-        assert g == U([0, 1, -1, 2], 3)
-
-    def test_reversion_identity(self):
-        t = UniSeries.identity(QQ, 5)
-        assert t.reversion() == t
-
-    @given(st.lists(st.integers(-5, 5), min_size=3, max_size=6))
-    @settings(max_examples=30, deadline=None)
-    def test_reversion_round_trip(self, tail):
-        f = UniSeries.from_list(QQ, [0, 1] + tail, len(tail) + 2)
-        g = f.reversion()
-        assert g.compose(f) == UniSeries.identity(QQ, f.order)
-        assert f.compose(g) == UniSeries.identity(QQ, f.order)
-
 
 class TestRingLaws:
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6),
@@ -153,28 +131,6 @@ class TestBiSeries:
         f = B({(2, 1): 3, (1, 2): 3, (0, 0): 1}, 4)
         assert f.is_symmetric()
         assert not B({(2, 1): 3}, 4).is_symmetric()
-
-
-class TestLogDerivativeMoments:
-    def test_dirac_at_one_one(self):
-        # (1+S)(1+T): all moments are 1
-        f = B({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}, 8)
-        assert f.log_derivative_moment(3, 2) == 1
-        assert all(f.log_derivative_moment(m, n) == 1
-                   for m in range(4) for n in range(4))
-
-    def test_S_moment(self):
-        f = B({(1, 0): 1}, 4)
-        assert f.log_derivative_moment(1, 0) == 1
-
-    def test_S_squared_moment(self):
-        # oracle: (1+S) d_S S^2 = 2S + 2S^2, vanishes at 0
-        f = B({(2, 0): 1}, 4)
-        assert f.log_derivative_moment(1, 0) == 0
-
-    def test_order_guard(self):
-        with pytest.raises(Exception):
-            B({(0, 0): 1}, 2).log_derivative_moment(2, 1)
 
 
 class TestJson:
