@@ -50,6 +50,7 @@ __all__ = [
     "ThetaExpansion",
     "ComposedExpansion",
     "kronecker_exact",
+    "kronecker_regular",
     "ek_from_expansion",
     "ThetaEvaluator",
     "PoleProximityError",
@@ -60,6 +61,8 @@ __all__ = [
     "verify_distribution",
     "DistributionReport",
     "compose_formal",
+    "log_and_tail_inverse",
+    "compose_regular",
     "valuation_heatmap",
     "HeatmapReport",
 ]
@@ -93,35 +96,48 @@ def kronecker_exact(curve: CurveData, order: int,
     ring = ring or curve.ring()
     D = order + 1
     U = _unit_series_list(curve, D, ring)
-    Uinv_series = UniSeries.from_list(ring, U, D).inverse()
-    Uinv = [Uinv_series.coeff(j) for j in range(D + 1)]
+    Uinv = UniSeries.from_list(ring, U, D).inverse()
+    regular = kronecker_regular(U, [Uinv.coeff(j) for j in range(D + 1)],
+                                order, ring)
+    return ThetaExpansion(KroneckerExpansion(ring.one, ring.one, regular),
+                          curve, order)
+
+
+def kronecker_regular(U: list, Uinv: list, order: int, ring) -> BiSeries:
+    """(z + w)(V - 1)/(z w), V = U(z + w) U(z)^-1 U(w)^-1, to total degree
+    `order`, from the coefficient lists of U and U^-1 (degrees 0..order+1).
+
+    ring.reduce is applied after each stage, so the same loop runs on exact
+    scalars and on ints mod m (IntModRing).  V - 1 must vanish on both axes
+    and the result must be symmetric; either failure is a bug, not a data
+    condition."""
+    D = order + 1
+    reduce = ring.reduce
+    uinv = [(j, c) for j, c in enumerate(Uinv) if not ring.is_zero(c)]
     # A = U(z + w), as {(m, n): coeff}
     amap: Dict[Tuple[int, int], object] = {}
     for k in range(D + 1):
         if ring.is_zero(U[k]):
             continue
         for j in range(k + 1):
-            c = U[k] * math.comb(k, j)
-            key = (j, k - j)
-            amap[key] = amap[key] + c if key in amap else c
+            amap[(j, k - j)] = reduce(U[k] * math.comb(k, j))
     # multiply by U(z)^-1 then U(w)^-1 (univariate convolutions)
     bmap: Dict[Tuple[int, int], object] = {}
     for (m, n), v in amap.items():
         lim = D - m - n
-        for j in range(lim + 1):
-            c = Uinv[j]
-            if ring.is_zero(c):
-                continue
+        for j, c in uinv:
+            if j > lim:
+                break
             key = (m + j, n)
             t = v * c
             bmap[key] = bmap[key] + t if key in bmap else t
     vmap: Dict[Tuple[int, int], object] = {}
     for (m, n), v in bmap.items():
+        v = reduce(v)
         lim = D - m - n
-        for j in range(lim + 1):
-            c = Uinv[j]
-            if ring.is_zero(c):
-                continue
+        for j, c in uinv:
+            if j > lim:
+                break
             key = (m, n + j)
             t = v * c
             vmap[key] = vmap[key] + t if key in vmap else t
@@ -129,6 +145,7 @@ def kronecker_exact(curve: CurveData, order: int,
     vmap[(0, 0)] = vmap.get((0, 0), ring.zero) - ring.one
     reg: Dict[Tuple[int, int], object] = {}
     for (m, n), v in vmap.items():
+        v = reduce(v)
         if ring.is_zero(v):
             continue
         if m == 0 or n == 0:
@@ -139,12 +156,10 @@ def kronecker_exact(curve: CurveData, order: int,
         for key in ((m, n - 1), (m - 1, n)):
             if key[0] + key[1] <= order:
                 reg[key] = reg[key] + v if key in reg else v
-    regular = BiSeries(ring, reg, order)
-    exp = KroneckerExpansion(ring.one, ring.one, regular)
-    out = ThetaExpansion(exp, curve, order)
+    regular = BiSeries(ring, {k: reduce(v) for k, v in reg.items()}, order)
     if not regular.is_symmetric():
         raise AssertionError("Theta expansion lost z<->w symmetry")
-    return out
+    return regular
 
 
 def ek_from_expansion(exp: ThetaExpansion, a: int, b: int):
@@ -522,7 +537,7 @@ class ComposedExpansion:
 
 
 def compose_formal(exp: ThetaExpansion, curve: CurveData, order: int,
-                   starred: bool = True, ring=None,
+                   starred: bool = True,
                    prime_context: Optional[int] = None) -> ComposedExpansion:
     """Substitute z = lambda(s), w = lambda(t) into the Theta expansion.
 
@@ -533,36 +548,37 @@ def compose_formal(exp: ThetaExpansion, curve: CurveData, order: int,
     if order > exp.order:
         raise ValueError(f"composition order {order} exceeds expansion order "
                          f"{exp.order}")
-    ring = ring or exp.expansion.regular.ring
-    lam = formal_log(curve, order + 2, ring if isinstance(ring, ExactRing) else None)
-    lam_series = lam.series
-    if not isinstance(ring, ExactRing):
-        lam_series = UniSeries(ring, {k: ring.coerce(_as_fraction(v))
-                                      for k, v in lam_series.coeffs.items()},
-                               lam_series.order)
-        regular = BiSeries(ring, {k: ring.coerce(_as_fraction(v))
-                                  for k, v in exp.expansion.regular.coeffs.items()
-                                  if k[0] + k[1] <= order}, order)
-    else:
-        regular = exp.expansion.regular.truncate(order)
-    composed = regular.compose(lam_series.truncate(order),
-                               lam_series.truncate(order))
-    # polar tails: 1/lambda(u) - 1/u = (Q(u) - 1)/u, Q = (lambda/u)^(-1)
-    lam_over = UniSeries(ring, {k - 1: v for k, v in lam_series.coeffs.items()},
-                         lam_series.order - 1)
-    Q = lam_over.inverse()
-    tail = {}
-    for k, v in Q.coeffs.items():
-        if k >= 1 and k - 1 <= order:
-            tail[k - 1] = v
-    add = {}
-    for k, v in tail.items():
-        for key in ((k, 0), (0, k)):
-            add[key] = add[key] + v if key in add else v
-    composed = composed + BiSeries(ring, add, order)
+    ring = exp.expansion.regular.ring
+    lam, Q = log_and_tail_inverse(curve, order, ring)
+    composed = compose_regular(exp.expansion.regular.truncate(order), lam, Q, order)
     pol = ring.zero if starred else ring.one
     out = KroneckerExpansion(pol, pol, composed)
     return ComposedExpansion(out, curve, starred, prime_context)
+
+
+def log_and_tail_inverse(curve: CurveData, order: int, ring: ExactRing):
+    """lambda to degree `order` and Q = (lambda/s)^(-1) to degree order + 1,
+    the univariate inputs of compose_regular."""
+    lam = formal_log(curve, order + 2, ring).series
+    lam_over = UniSeries(ring, {k - 1: v for k, v in lam.coeffs.items()},
+                         lam.order - 1)
+    return lam.truncate(order), lam_over.inverse()
+
+
+def compose_regular(regular: BiSeries, lam: UniSeries, Q: UniSeries,
+                    order: int) -> BiSeries:
+    """regular(lam(s), lam(t)) plus the polar tails 1/lam(u) - 1/u =
+    (Q(u) - 1)/u on both axes, to total degree `order`; exact or on ints
+    mod m (IntModRing), as the inputs are."""
+    ring = regular.ring
+    composed = regular.compose(lam, lam)
+    add = {}
+    for k, v in Q.coeffs.items():
+        if k >= 1 and k - 1 <= order:
+            for key in ((k - 1, 0), (0, k - 1)):
+                add[key] = add[key] + v if key in add else v
+    return composed + BiSeries(ring, {k: ring.reduce(v) for k, v in add.items()},
+                               order)
 
 
 def _as_fraction(v) -> Fraction:

@@ -32,6 +32,13 @@ curve's addition law.  The pole class
 (s^-1-terms and all their trace shadows) cancels identically in the
 four-fold combination, so only the regular part enters.
 
+Composed expansion.  Theta-hat(s, t) = Theta(lambda(s), lambda(t)) is
+p-integral at ordinary p, though lambda is not.  ``_exact_composed`` computes
+p Theta-hat(p s, p t) on ints mod p^K from p-integral scaled inputs and reads
+Theta-hat mod p^digits off it; the exact Fraction route
+(kronecker_exact + compose_formal) shares its bivariate loops and is its
+test oracle.
+
 Interpolation.  The Euler factors use pi, the generator of the prime above
 p in the curve's CM order Z + f O_K (``cm_prime_generator``).  All
 comparisons are made modulo p^(N - buffer) with
@@ -46,12 +53,12 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .curves import CurveData, catalog_row_of, formal_log
-from .kronecker import ComposedExpansion, ThetaExpansion, _as_fraction, \
-    compose_formal, kronecker_exact
+from .kronecker import ThetaExpansion, _as_fraction, _unit_series_list, \
+    compose_regular, kronecker_exact, kronecker_regular, log_and_tail_inverse
 from .scalars import ExactScalar, PadicContext, PadicScalar, divrem_monic, \
     embed_padic, ideal_generators, inverse, mulmod, ok_omega, ok_units, trace, \
     _sqrt_minus_d_mod, _vp_fraction
-from .series import BiSeries, ExactRing, PadicRing, UniSeries
+from .series import BiSeries, ExactRing, IntModRing, PadicRing, UniSeries
 
 __all__ = [
     "NoPeriodError",
@@ -100,6 +107,14 @@ def is_split(p: int, d: int) -> bool:
     if p == 2 or d % p == 0:
         return False
     return pow(-d % p, (p - 1) // 2, p) == 1
+
+
+def _require_split(curve: CurveData, p: int) -> None:
+    """NoPeriodError unless p splits in the CM field of the curve, read from
+    its j-invariant (curves.catalog_row_of)."""
+    d = catalog_row_of(curve).d
+    if not is_split(p, d):
+        raise NoPeriodError(f"p = {p} is not split in Q(sqrt(-{d}))")
 
 
 def split_prime_generator(p: int, d: int) -> ExactScalar:
@@ -658,9 +673,62 @@ def formal_group_translate(alg: TorsionAlgebra, keep: int,
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=4)
-def _exact_composed(curve: CurveData, order: int) -> ComposedExpansion:
-    exp = kronecker_exact(curve, order)
-    return compose_formal(exp, curve, order, starred=True)
+def _exact_composed(curve: CurveData, p: int, order: int,
+                    digits: int) -> Dict[Tuple[int, int], int]:
+    """The starred composed expansion, {(i, j): Theta-hat_ij mod p^digits}
+    for i + j <= order (zeros mod p^digits omitted), computed on ints.
+
+    Substituting s -> p s, t -> p t scales the exact route's univariate
+    inputs: U(p z) and U(p z)^-1 have coefficients p^k U_k, lambda(p s)/p has
+    p^(k-1) lambda_k and Q(p s) = (lambda/s)^-1(p s) has p^k Q_k.  The same
+    two bivariate stages (kronecker_regular, compose_regular) applied to
+    them give p Theta-hat(p s, p t), whose (i, j) coefficient is
+    p^(i+j+1) Theta-hat_ij.  Only ring operations and monomial shifts occur,
+    so on ints mod p^K, K = digits + order + 2, every coefficient is exact
+    mod p^K, which leaves at least digits + 1 digits after the shift.
+
+    Both ends are checked: a scaled input that is not p-integral, or an
+    output coefficient not divisible by p^(i+j+1) (Theta-hat not
+    p-integral), raises IntegralityError naming v_p."""
+    K = digits + order + 2
+    ring = IntModRing(p ** K)
+    qq = ExactRing(0)
+    D = order + 1
+    U = _unit_series_list(curve, D, qq)
+    Uinv = UniSeries.from_list(qq, U, D).inverse()
+    lam, Q = log_and_tail_inverse(curve, order, qq)
+
+    def scaled(name, coeffs, shift):
+        """{k: p^(k + shift) c_k mod p^K}, each checked p-integral."""
+        out = {}
+        for k, c in coeffs.items():
+            c = _as_fraction(c)
+            v = _vp_fraction(c, p)
+            if v is not None and v + k + shift < 0:
+                raise IntegralityError(f"{name} coefficient of degree {k} has "
+                                       f"v_p = {v + k + shift} < 0 after s -> {p} s")
+            out[k] = _int_mod(c * Fraction(p) ** (k + shift), p, ring.modulus)
+        return out
+
+    Us = scaled("theta unit", dict(enumerate(U)), 0)
+    Uis = scaled("inverse theta unit", Uinv.coeffs, 0)
+    regular = kronecker_regular([Us.get(k, 0) for k in range(D + 1)],
+                                [Uis.get(k, 0) for k in range(D + 1)], order, ring)
+    composed = compose_regular(
+        regular, UniSeries(ring, scaled("formal log", lam.coeffs, -1), order),
+        UniSeries(ring, scaled("tail inverse", Q.coeffs, 0), Q.order), order)
+    pkd = p ** digits
+    hat = {}
+    for (i, j), c in composed.coeffs.items():
+        e = i + j + 1
+        q, r = divmod(c % ring.modulus, p ** e)
+        if r:
+            raise IntegralityError(
+                f"composed coefficient at {(i, j)} has v_p = "
+                f"{_vp_fraction(r, p) - e} < 0")
+        if q % pkd:
+            hat[(i, j)] = q % pkd
+    return hat
 
 
 def _trace_coefficient_table(alg: TorsionAlgebra, imax: int, keep: int,
@@ -703,18 +771,13 @@ def restricted_formal_series(curve: CurveData, p: int, N: int,
     The pole class cancels identically, so only the regular part enters.
     Coefficients are asserted integral (the measure property).
     """
-    d = curve.d or 1
-    if not is_split(p, d):
-        raise NoPeriodError(f"p = {p} is not split in Q(sqrt(-{d}))")
+    _require_split(curve, p)
     DS = out_order
     digits = N + 6
     DBIG = DS + (p - 1) * (N + 5)
-    hat = _exact_composed(curve, DBIG)
+    chat = _exact_composed(curve, p, DBIG, digits)
     ctx = PadicContext(p)
     pko = p ** digits
-    chat = {}
-    for key, v in hat.expansion.regular.coeffs.items():
-        chat[key] = _int_mod(_as_fraction(v), p, pko)
     imax = max((i for i, _ in chat), default=0)
     alg = formal_torsion_algebra(curve, p, digits + TRANSLATE_EROSION + 4)
     T = _trace_coefficient_table(alg, imax, DS, digits)
@@ -836,19 +899,11 @@ class MeasureSeries:
 
 def measure_from_theta(curve: CurveData, p: int, N: int, order: int) -> MeasureSeries:
     """Embed the starred composed expansion mod p^N; assert integrality."""
-    d = curve.d or 1
-    if not is_split(p, d):
-        raise NoPeriodError(f"p = {p} is not split in Q(sqrt(-{d}))")
-    hat = _exact_composed(curve, order)
+    _require_split(curve, p)
     ctx = PadicContext(p)
     ring = PadicRing(ctx, N)
-    out = {}
-    for key, v in hat.expansion.regular.coeffs.items():
-        fr = _as_fraction(v)
-        vp = _vp_fraction(fr, p)
-        if vp is not None and vp < 0:
-            raise IntegralityError(f"coefficient at {key} has v_p = {vp} < 0")
-        out[key] = ctx.from_fraction(fr, N)
+    out = {key: ctx.from_int(c, N)
+           for key, c in _exact_composed(curve, p, order, N).items()}
     return MeasureSeries(series=BiSeries(ring, out, order), p=p, abs_prec=N,
                          provenance=f"starred composed expansion, order {order}",
                          period_note=period_note(curve, p), curve=curve)
@@ -993,7 +1048,8 @@ class KummerReport:
 
     @property
     def passed(self) -> bool:
-        return all(r.congruent for r in self.rows)
+        """Every pair is congruent, and at least one pair was compared."""
+        return bool(self.rows) and all(r.congruent for r in self.rows)
 
 
 def kummer_congruences(curve: CurveData, p: int, max_exp: int = 20) -> KummerReport:

@@ -4,9 +4,11 @@ A :class:`UniSeries` is known modulo t^(order+1) and may carry finitely many
 negative-index (polar) coefficients.  A :class:`BiSeries` is truncated by
 total degree.  Coefficient scalars only need ``+ - * /`` among themselves and
 with ints; a small ring adapter supplies zero/one, Fraction coercion (for
-exp, log and integration denominators) and a zero test.  Plain ``Fraction``
-objects serve as the scalars of the rational exact ring, ``ExactScalar`` for
-quadratic fields, ``PadicScalar`` for the p-adic engine.
+exp, log and integration denominators), a zero test and ``reduce``, which
+series products apply where their sums would otherwise grow without bound.
+Plain ``Fraction`` objects serve as the scalars of the rational exact ring,
+``ExactScalar`` for quadratic fields, ``PadicScalar`` for the p-adic engine
+and plain ints for :class:`IntModRing`.
 
 Multiplication of truncated series keeps the usual Laurent bookkeeping:
 the product of series known mod t^(Na+1), t^(Nb+1) with valuations va, vb is
@@ -24,6 +26,7 @@ from .scalars import ExactScalar, PadicContext, PadicScalar
 __all__ = [
     "ExactRing",
     "PadicRing",
+    "IntModRing",
     "UniSeries",
     "BiSeries",
     "KroneckerExpansion",
@@ -70,6 +73,10 @@ class ExactRing:
     def is_zero(x) -> bool:
         return not x
 
+    @staticmethod
+    def reduce(x):
+        return x
+
     def __eq__(self, other):
         return isinstance(other, ExactRing) and other.d == self.d
 
@@ -102,8 +109,37 @@ class PadicRing:
     def is_zero(x) -> bool:
         return isinstance(x, PadicScalar) and x.val is None or not x
 
+    @staticmethod
+    def reduce(x):
+        return x
+
     def __repr__(self):
         return f"PadicRing(p={self.ctx.p}, prec={self.prec})"
+
+
+class IntModRing:
+    """Z/m: plain ints, brought into [0, m) by ``reduce``."""
+
+    zero = 0
+    one = 1
+
+    def __init__(self, modulus: int):
+        self.modulus = modulus
+
+    def coerce(self, x):
+        if not isinstance(x, int):
+            raise SeriesError(f"cannot coerce {type(x)} into {self!r}")
+        return x % self.modulus
+
+    def reduce(self, x: int) -> int:
+        return x % self.modulus
+
+    @staticmethod
+    def is_zero(x) -> bool:
+        return not x
+
+    def __repr__(self):
+        return f"IntModRing({self.modulus})"
 
 
 _BIG = 1 << 60
@@ -434,28 +470,33 @@ class BiSeries:
             if not self.ring.is_zero(inner.coeff(0)):
                 raise SeriesError("inner constant term must vanish")
         order = min(self.order, inner_s.order, inner_t.order)
+        reduce = self.ring.reduce
         max_m = max((m for m, _ in self.coeffs), default=0)
         max_n = max((n for _, n in self.coeffs), default=0)
-        pows_s = _power_table(inner_s, max_m, order)
-        pows_t = _power_table(inner_t, max_n, order)
+        if inner_t is inner_s:      # one table serves both axes
+            pows_s = pows_t = _power_table(inner_s, max(max_m, max_n), order)
+        else:
+            pows_s = _power_table(inner_s, max_m, order)
+            pows_t = _power_table(inner_t, max_n, order)
         # stage 1: contract over m:  T1[i][n] = sum_m c_{mn} (inner_s^m)_i
         t1: Dict[Tuple[int, int], object] = {}
         for (m, n), c in self.coeffs.items():
-            for i, u in pows_s[m].coeffs.items():
+            for i, u in pows_s[m]:
                 if i + n > order:
-                    continue
+                    break
                 key = (i, n)
                 p = c * u
                 t1[key] = t1[key] + p if key in t1 else p
         out: Dict[Tuple[int, int], object] = {}
         for (i, n), c in t1.items():
-            for j, u in pows_t[n].coeffs.items():
+            c = reduce(c)
+            for j, u in pows_t[n]:
                 if i + j > order:
-                    continue
+                    break
                 key = (i, j)
                 p = c * u
                 out[key] = out[key] + p if key in out else p
-        return BiSeries(self.ring, out, order)
+        return BiSeries(self.ring, {k: reduce(v) for k, v in out.items()}, order)
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
@@ -475,10 +516,15 @@ class BiSeries:
 
 
 def _power_table(s: UniSeries, kmax: int, order: int):
+    """[s^0 .. s^kmax] to degree `order`, each as (degree, coeff) pairs in
+    increasing degree."""
+    reduce = s.ring.reduce
     pows = [UniSeries.constant(s.ring, s.ring.one, order), s.truncate(order)]
     for _ in range(2, kmax + 1):
-        pows.append((pows[-1] * s).truncate(order))
-    return pows
+        prod = (pows[-1] * s).truncate(order)
+        pows.append(UniSeries(s.ring, {k: reduce(v) for k, v in prod.coeffs.items()},
+                              order))
+    return [sorted(p.coeffs.items()) for p in pows]
 
 
 @dataclass

@@ -1,9 +1,13 @@
 """CLI surface: artifacts, determinism, exit codes."""
 import hashlib
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,11 +114,40 @@ class TestVerifyCommands:
         (["hecke-l", "--character", "nonsense"], "--character"),
         (["verify-interpolation", "--g2", "2", "--g3", "1", "--prime", "13"],
          "not the j-invariant of a catalog curve"),
-    ], ids=["missing-curve", "unknown-character", "j-outside-catalog"])
+        (["measure", "--g2", "2", "--g3", "1", "--e2star", "1/2", "--prime", "13",
+          "--prec", "4", "--order", "8"],
+         "not the j-invariant of a catalog curve"),
+    ], ids=["missing-curve", "unknown-character", "j-outside-catalog",
+            "measure-j-outside-catalog"])
     def test_usage_error_says_why(self, argv, reason):
         cp = run_cli(*argv, check=False)
         assert cp.returncode == 2
         assert reason in cp.stderr
+
+    def test_interpolation_artifact_pinned(self):
+        # sha256 of the payload (meta dropped) from when the composed
+        # expansion was built in exact Fractions: the integral route moves
+        # no bit of the rows or the Kummer block
+        cp = run_cli("verify-interpolation", "--catalog", "Z[sqrt(-1)]", "--u", "4",
+                     "--prime", "13", "--prec", "4", "--amax", "4", "--bmax", "4",
+                     "--kummer-max", "20",
+                     env={"EKTHETA_PREC_BITS": "256", "PYTHONHASHSEED": "0"})
+        doc = json.loads(cp.stdout)
+        del doc["meta"]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == \
+            "b8bd3d537048ef365b602e1266eb22c6f5c76015e51f712ee523f475858c3efc"
+
+    def test_kummer_block_without_pairs_fails(self):
+        # exponents <= 5 pair nothing mod 12: a block that compared no pair
+        # has shown nothing, so the run fails
+        cp = run_cli("verify-interpolation", "--catalog", "Z[sqrt(-1)]", "--u", "4",
+                     "--prime", "13", "--prec", "6", "--kummer-max", "5",
+                     check=False)
+        assert cp.returncode == 1
+        doc = json.loads(cp.stdout)
+        assert doc["kummer"]["pairs_checked"] == 0
+        assert doc["kummer"]["passed"] is False
 
     def test_integrality_failure_exit_one(self):
         # u = 1/13 puts 13 in the denominators of the composed expansion
@@ -177,6 +210,18 @@ class TestMeasureCommands:
         assert digest == \
             "77f08e44f21db664e5d187ff557baa1d95435cb836dc7457279ab1c033fe48f6"
 
+    def test_measure_raw_curve_takes_its_field_from_j(self):
+        # g2 = 30, g3 = 28 is the Z[sqrt(-2)] curve at u = 1; 11 splits in
+        # Q(sqrt(-2)) though not in Q(i)
+        raw, cat = (json.loads(run_cli("measure", *curve, "--prime", "11",
+                                       "--prec", "4", "--order", "8", "--restrict",
+                                       "--moments", "2,2").stdout)
+                    for curve in (["--g2", "30", "--g3", "28", "--e2star", "1/2"],
+                                  ["--catalog", "Z[sqrt(-2)]", "--u", "1"]))
+        del raw["meta"], cat["meta"]
+        assert raw["series"]["terms"] and raw["moments_period_normalized"]
+        assert raw == cat
+
     def test_measure_json(self):
         doc = json.loads(run_cli("measure", "--catalog", "Z[sqrt(-1)]",
                                  "--u", "4", "--prime", "13", "--prec", "5",
@@ -190,16 +235,19 @@ class TestMeasureCommands:
         assert doc["passed"] is True
 
 
+def _tracer():
+    """perfbench/tracer.py, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 class TestBenchmarkHooks:
     def test_every_hooked_name_is_defined_where_the_tracer_looks(self):
         # perfbench/tracer.py replaces these names in place, by vars(owner)
-        import importlib
-        import importlib.util
-        from pathlib import Path
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
+        tracer = _tracer()
         for table in (tracer.SPANNED, tracer.COUNTED):
             for mod_name, attrs in table.items():
                 owner_mod = importlib.import_module(f"ektheta.{mod_name}")
@@ -209,3 +257,14 @@ class TestBenchmarkHooks:
                     for c in cls:
                         owner = getattr(owner, c)
                     assert callable(vars(owner).get(attr)), f"{mod_name}.{dotted}"
+
+    def test_every_order_noted_span_takes_an_order_argument(self):
+        # the tracer binds each call's arguments and reads "order" from them
+        tracer = _tracer()
+        assert tracer.ORDER_ARG
+        for name in tracer.ORDER_ARG:
+            mod_name, *dotted = name.split(".")
+            owner = importlib.import_module(f"ektheta.{mod_name}")
+            for attr in dotted:
+                owner = getattr(owner, attr)
+            assert "order" in inspect.signature(owner).parameters, name

@@ -5,9 +5,13 @@ from fractions import Fraction
 import pytest
 
 from ektheta.curves import catalog, catalog_row, formal_log, wp_series
-from ektheta.kronecker import ComposedExpansion, valuation_heatmap
+from ektheta.kronecker import ComposedExpansion, _as_fraction, compose_formal, \
+    kronecker_exact, valuation_heatmap
 from ektheta.padic import (
+    IntegralityError,
     NoPeriodError,
+    _exact_composed,
+    _int_mod,
     _xy_parameter_series,
     cm_prime_generator,
     division_polynomial_p,
@@ -28,7 +32,8 @@ from ektheta.padic import (
     split_prime_generator,
     verify_interpolation_origin,
 )
-from ektheta.scalars import ExactScalar, PadicContext, embed_padic, ok_omega
+from ektheta.scalars import ExactScalar, PadicContext, _vp_fraction, embed_padic, \
+    ok_omega
 from ektheta.series import BiSeries, ExactRing, KroneckerExpansion, UniSeries
 
 QQ = ExactRing(0)
@@ -288,6 +293,52 @@ class TestFourTermExact:
             assert not four_term_moment(curve, pi, 13, a, b, exps)
 
 
+def _good_split_pairs():
+    """(label, u, p) for every catalog row at u = 1 and Z[i] at u = 4, at
+    each split prime p <= 13 where the curve has good reduction."""
+    out = []
+    for row, u in [(row, 1) for row in catalog()] + [(catalog_row("Z[sqrt(-1)]"), 4)]:
+        disc = row.curve(u).discriminant().a
+        out += [(row.label, u, p) for p in SPLIT_PRIMES
+                if p <= 13 and is_split(p, row.d) and not _vp_fraction(disc, p)]
+    return out
+
+
+class TestIntegralComposedRoute:
+    """_exact_composed runs on ints mod p^K; the Fraction route
+    compose_formal(kronecker_exact(...)) is its oracle."""
+
+    @pytest.mark.parametrize("label,u,p", _good_split_pairs())
+    def test_matches_fraction_route(self, label, u, p):
+        curve = catalog_row(label).curve(u)
+        order, digits = 16, 5
+        pk = p ** digits
+        try:
+            hat = compose_formal(kronecker_exact(curve, order), curve, order)
+            want = {k: _int_mod(_as_fraction(v), p, pk)
+                    for k, v in hat.expansion.regular.coeffs.items()}
+        except IntegralityError:
+            with pytest.raises(IntegralityError):
+                _exact_composed(curve, p, order, digits)
+            return
+        # a pair the Fraction route accepts must not be refused here
+        got = _exact_composed(curve, p, order, digits)
+        assert got == {k: v for k, v in want.items() if v}
+
+    def test_sweep_covers_every_row_with_a_small_split_prime(self):
+        # in Q(sqrt(-67)) and Q(sqrt(-163)) every prime below 17 is inert
+        pairs = _good_split_pairs()
+        assert {label for label, _, _ in pairs} == \
+            {row.label for row in catalog() if row.d not in (67, 163)}
+        assert len(pairs) == 21
+
+    def test_non_integral_curve_is_refused_naming_v_p(self):
+        # u = 1/13 puts 13 in the denominators of the composed expansion
+        curve = catalog_row("Z[sqrt(-1)]").curve(Fraction(1, 13))
+        with pytest.raises(IntegralityError, match=r"v_p = -\d+ < 0"):
+            _exact_composed(curve, 13, 8, 4)
+
+
 class TestMeasure:
     def test_measure_embeds_and_notes_period_obstruction(self):
         mu = measure_from_theta(zi_curve(), 13, 6, 12)
@@ -352,6 +403,11 @@ class TestInterpolationSmall:
         assert verify_interpolation_origin(curve, p, 6, 4, 4).passed
         rep = kummer_congruences(curve, p, 12)
         assert rep.rows and rep.passed
+
+    def test_kummer_with_no_pair_does_not_pass(self):
+        # exponents <= 5 give no two pairs congruent mod p - 1 = 12
+        rep = kummer_congruences(zi_curve(), 13, 5)
+        assert rep.rows == [] and not rep.passed
 
     def test_kummer_small(self):
         rep = kummer_congruences(zi_curve(), 13, max_exp=16)
