@@ -125,8 +125,7 @@ def cmd_compose(args):
 def cmd_valuations(args):
     curve = _curve_from(args)
     exp = kronecker_exact(curve, args.order)
-    hat = compose_formal(exp, curve, args.order, starred=True,
-                         prime_context=args.prime)
+    hat = compose_formal(exp, curve, args.order, starred=True)
     hm = valuation_heatmap(hat, args.prime, fit_window=(10, args.order))
     buf = io.StringIO()
     writer = csv.writer(buf)

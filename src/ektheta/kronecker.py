@@ -252,24 +252,37 @@ class ThetaEvaluator:
 # numeric Taylor extraction (multi-radius Vandermonde)
 # ---------------------------------------------------------------------------
 
-def _radial_coefficients(samples_by_radius, radii, kmin: int, kmax: int, M: int):
+def _vandermonde_lu(radii, kmin: int, kmax: int, M: int):
+    """{k: LU factors of the 3x3 matrix r_i^(k + c M)}, one per harmonic,
+    factored as mp.lu_solve factors it (10 extra bits)."""
+    out = {}
+    for k in range(kmin, kmax + 1):
+        Amat = mp.matrix(3, 3)
+        for i, r in enumerate(radii):
+            for c in range(3):
+                Amat[i, c] = mp.mpc(r) ** (k + c * M)
+        with mp.workprec(mp.mp.prec + 10):
+            out[k] = mp.mp.LU_decomp(Amat)
+    return out
+
+
+def _radial_coefficients(samples_by_radius, lu, kmin: int, kmax: int, M: int):
     """Angular DFT per radius, then a 3x3 Vandermonde solve per harmonic to
-    strip the O(r^M) aliasing.  samples_by_radius[r][j] = f(r zeta^j)."""
+    strip the O(r^M) aliasing.  samples_by_radius[r][j] = f(r zeta^j); lu
+    from _vandermonde_lu."""
     out = {}
     zeta = mp.exp(2j * mp.pi / M)
     zpow = [zeta ** j for j in range(M)]
     for k in range(kmin, kmax + 1):
         ys = []
-        for ri, r in enumerate(radii):
+        for ri in range(3):
             y = mp.fsum(samples_by_radius[ri][j] * zpow[(-k * j) % M]
                         for j in range(M)) / M
             ys.append(y)
         # y_i = c_k r_i^k + c_{k+M} r_i^{k+M} + c_{k+2M} r_i^{k+2M}
-        Amat = mp.matrix(3, 3)
-        for i, r in enumerate(radii):
-            for c in range(3):
-                Amat[i, c] = mp.mpc(r) ** (k + c * M)
-        sol = mp.lu_solve(Amat, mp.matrix(ys))
+        A, piv = lu[k]
+        with mp.workprec(mp.mp.prec + 10):
+            sol = mp.mp.U_solve(A, mp.mp.L_solve(A, mp.matrix(ys), piv))
         out[k] = sol[0]
     return out
 
@@ -290,14 +303,15 @@ def taylor_coefficients_2d(grid_fn, scale, a_max: int, b_max: int, prec: int,
         M = 2 * (max(a_max, b_max) + 4)
         zeta = mp.exp(2j * mp.pi / M)
         axis = [r * zeta ** j for r in radii for j in range(M)]
+        lu = _vandermonde_lu(radii, kmin, max(a_max, b_max - 1), M)
         # z-extract per w sample, then w-extract
         per_w = [_radial_coefficients([row[ri * M:(ri + 1) * M] for ri in range(3)],
-                                      radii, kmin, b_max - 1, M)
+                                      lu, kmin, b_max - 1, M)
                  for row in grid_fn(axis)]
         out = {}
         for m in range(kmin, b_max):
             by_radius = [[per_w[ri * M + j][m] for j in range(M)] for ri in range(3)]
-            cw = _radial_coefficients(by_radius, radii, kmin, a_max, M)
+            cw = _radial_coefficients(by_radius, lu, kmin, a_max, M)
             for n in range(kmin, a_max + 1):
                 out[(m, n)] = cw[n]
         return out
@@ -526,7 +540,6 @@ class ComposedExpansion:
     expansion: KroneckerExpansion
     curve: CurveData
     starred: bool
-    prime_context: Optional[int] = None
 
     @property
     def order(self) -> int:
@@ -537,8 +550,7 @@ class ComposedExpansion:
 
 
 def compose_formal(exp: ThetaExpansion, curve: CurveData, order: int,
-                   starred: bool = True,
-                   prime_context: Optional[int] = None) -> ComposedExpansion:
+                   starred: bool = True) -> ComposedExpansion:
     """Substitute z = lambda(s), w = lambda(t) into the Theta expansion.
 
     The polar parts transform through 1/lambda(s) = (1/s) (lambda/s)^(-1);
@@ -553,7 +565,7 @@ def compose_formal(exp: ThetaExpansion, curve: CurveData, order: int,
     composed = compose_regular(exp.expansion.regular.truncate(order), lam, Q, order)
     pol = ring.zero if starred else ring.one
     out = KroneckerExpansion(pol, pol, composed)
-    return ComposedExpansion(out, curve, starred, prime_context)
+    return ComposedExpansion(out, curve, starred)
 
 
 def log_and_tail_inverse(curve: CurveData, order: int, ring: ExactRing):

@@ -28,9 +28,13 @@ the reversed p-division polynomial in u = 1/x has a distinguished Hensel
 factor W_u, and W1(T) is the characteristic polynomial of t^2 = 4x^2/y^2 on
 the integral algebra Z_p[u]/(W_u), evaluated at T^2.  All of this runs on
 the Z/p^k[x]/(W) helpers of ``scalars``.  s (+) x is assembled from the
-curve's addition law.  The pole class
-(s^-1-terms and all their trace shadows) cancels identically in the
-four-fold combination, so only the regular part enters.
+chord law in the formal coordinates z = t, w = -2/y (Silverman, AEC IV.1):
+the slope and intercept of the line through the two points are power
+series with coefficients in Z[g2/4, g3/4] evaluated at x, so every quantity
+is integral, and the only division is by a unit series.  The translate is
+therefore exact in Z/p^M[x]/(W1) and needs no guard digits beyond the
+output's.  The pole class (s^-1-terms and all their trace shadows) cancels
+identically in the four-fold combination, so only the regular part enters.
 
 Composed expansion.  Theta-hat(s, t) = Theta(lambda(s), lambda(t)) is
 p-integral at ordinary p, though lambda is not.  ``_exact_composed`` computes
@@ -320,8 +324,11 @@ class TorsionAlgebra:
     def mul(self, u: tuple, v: tuple) -> tuple:
         return mulmod(u, v, self.W1, self.pk)
 
+    def const(self, c: int) -> tuple:
+        return (c % self.pk,) + (0,) * (self.deg - 1)
+
     def one(self) -> tuple:
-        return (1,) + (0,) * (self.deg - 1)
+        return self.const(1)
 
     def x(self) -> tuple:
         return (0, 1) + (0,) * (self.deg - 2)
@@ -343,31 +350,18 @@ class TorsionAlgebra:
         start = (pow(u[0], -1, self.p),) + (0,) * (self.deg - 1)
         return inverse(u, self.W1, self.pk, start)
 
-    def p_times_x_inverse(self) -> tuple:
-        """p * x^-1 = -(W1[1] + W1[2] x + ... + x^(deg-1)) * (p / W1[0])."""
-        w0 = self.W1[0]
-        assert w0 % self.p == 0 and (w0 // self.p) % self.p != 0
-        unit_inv = pow(w0 // self.p, -1, self.pk)
-        vec = tuple((-self.W1[i + 1]) % self.pk for i in range(self.deg))
-        return self.scal(vec, unit_inv)
-
     def eval_series_at_x(self, coeffs: Dict[int, Fraction], scale: int) -> tuple:
-        """sum p^scale * coeffs[k] * x^k; each scaled coefficient must be
-        p-integral.  Convergence: x^k gains floor(k/deg) powers of p."""
-        acc = [0] * self.deg
-        xp = self.one()
-        xx = self.x()
-        kmax = max(coeffs) if coeffs else 0
-        for k in range(0, kmax + 1):
-            if k:
-                xp = self.mul(xp, xx)
+        """sum p^scale * coeffs[k] * x^k by Horner's rule; each scaled
+        coefficient must be p-integral.  Convergence: x^k gains floor(k/deg)
+        powers of p."""
+        acc = self.const(0)
+        for k in range(max(coeffs, default=0), -1, -1):
+            acc = self.mul(acc, self.x())
             c = coeffs.get(k)
-            if c is None or not c:
-                continue
-            ci = _int_mod(c * Fraction(self.p) ** scale, self.p, self.pk)
-            for i in range(self.deg):
-                acc[i] = (acc[i] + ci * xp[i]) % self.pk
-        return tuple(acc)
+            if c:
+                acc = self.add(acc, self.const(
+                    _int_mod(c * Fraction(self.p) ** scale, self.p, self.pk)))
+        return acc
 
 
 def formal_torsion_algebra(curve: CurveData, p: int, M: int) -> TorsionAlgebra:
@@ -411,261 +405,120 @@ def formal_torsion_algebra(curve: CurveData, p: int, M: int) -> TorsionAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# the formal translate F(s, xbar) via the curve addition law
+# the formal translate F(s, xbar) via the integral (z, w) chord law
 # ---------------------------------------------------------------------------
 
-def _sv_norm(alg, vec, e, kn):
-    """Normalize (vec, e, kn): value = vec / p^e with vec valid mod p^kn.
-    Each stripped p-power trades one exponent for one known digit."""
-    if all(c == 0 for c in vec):
-        return vec, 0, kn
-    p = alg.p
-    while e > 0 and all(c % p == 0 for c in vec):
-        vec = tuple(c // p for c in vec)
-        e -= 1
-        kn -= 1
-    return vec, e, kn
+def _series_mul(alg: TorsionAlgebra, u: list, v: list, keep: int) -> list:
+    """u v mod s^(keep+1) in A[[s]], A = alg, series as lists of A vectors.
+
+    Each output coefficient sums the raw polynomial products u_a v_b,
+    a + b = k, and is reduced mod (W1, p^M) once.  The sums come from one
+    integer product (Kronecker substitution): coefficient i of u_a fills
+    slot a (2 deg - 1) + i of a packed integer, each slot nb bytes wide, so
+    that no slot of the product overflows into the next."""
+    d, pk = alg.deg, alg.pk
+    slots = 2 * d - 1
+    nb = (2 * pk.bit_length() + (d * (keep + 1)).bit_length()) // 8 + 1
+    pad = bytes(nb * (d - 1))
+
+    def pack(series):
+        return int.from_bytes(b"".join(
+            b"".join(c.to_bytes(nb, "little") for c in vec) + pad
+            for vec in series[:keep + 1]), "little")
+
+    size = nb * slots * (keep + 1)
+    raw = (pack(u) * pack(v) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    out = []
+    for k in range(keep + 1):
+        base = k * slots * nb
+        poly = [int.from_bytes(raw[base + i * nb:base + (i + 1) * nb], "little")
+                for i in range(slots)]
+        out.append(tuple(divrem_monic(poly, alg.W1, pk)[1]))
+    return out
 
 
-def _sv_add(alg, a, b):
-    (u, e1, k1), (v, e2, k2) = a, b
-    e = max(e1, e2)
-    pk = alg.pk
-    if e1 < e:
-        u = tuple(c * alg.p ** (e - e1) % pk for c in u)
-        k1 = min(k1 + (e - e1), alg.M)
-    if e2 < e:
-        v = tuple(c * alg.p ** (e - e2) % pk for c in v)
-        k2 = min(k2 + (e - e2), alg.M)
-    return _sv_norm(alg, alg.add(u, v), e, min(k1, k2))
-
-
-def _sv_mul(alg, a, b):
-    (u, e1, k1), (v, e2, k2) = a, b
-    return _sv_norm(alg, alg.mul(u, v), e1 + e2, min(k1, k2))
-
-
-def _sv_neg(alg, a):
-    (u, e, kn) = a
-    pk = alg.pk
-    return tuple((-c) % pk for c in u), e, kn
-
-
-def _sv_inv(alg, a):
-    """Inverse of a nonzero scaled vector in the ramified fraction field:
-    u xbar^k = p^j * (algebra unit) for some 0 <= k < deg, so
-    u^-1 = xbar^k unit^-1 / p^j (times the incoming scale)."""
-    (u, e, kn) = a
-    p = alg.p
-
-    def strip(vec):
-        j = 0
-        while any(vec) and all(c % p == 0 for c in vec):
-            vec = tuple(c // p for c in vec)
-            j += 1
-        return vec, j
-
-    xk = alg.one()
-    w = u
-    for k in range(alg.deg):
-        w_str, j = strip(w)
-        if not any(w_str):
-            raise ZeroDivisionError("inverse of (indistinguishable from) zero")
-        if w_str[0] % p != 0:
-            inv = alg.mul(xk, alg.inverse_unit(w_str))
-            return _sv_norm(alg, inv, j - e, kn - j)
-        xk = alg.mul(xk, alg.x())
-        w = alg.mul(u, xk)
-    raise ZeroDivisionError("element not invertible at this precision")
-
-
-def _sv_zero(alg):
-    return ((0,) * alg.deg, 0, alg.M)
-
-
-class _ScaledLaurent:
-    """Laurent series over the torsion algebra: coefficients are scaled
-    vectors (vec, e, kn), value vec / p^e with vec valid mod p^kn."""
-
-    __slots__ = ("alg", "shift", "coeffs")
-
-    def __init__(self, alg: TorsionAlgebra, shift: int, coeffs: list):
-        while coeffs and all(c == 0 for c in coeffs[0][0]):
-            coeffs = coeffs[1:]
-            shift += 1
-        self.alg = alg
-        self.shift = shift
-        self.coeffs = coeffs
-
-    def add(self, other: "_ScaledLaurent") -> "_ScaledLaurent":
-        alg = self.alg
-        if not self.coeffs:
-            return other
-        if not other.coeffs:
-            return self
-        sh = min(self.shift, other.shift)
-        n = max(self.shift + len(self.coeffs), other.shift + len(other.coeffs)) - sh
-        out = [_sv_zero(alg)] * n
-        for src in (self, other):
-            for i, sv in enumerate(src.coeffs):
-                j = i + src.shift - sh
-                out[j] = _sv_add(alg, out[j], sv)
-        return _ScaledLaurent(alg, sh, out)
-
-    def neg(self) -> "_ScaledLaurent":
-        return _ScaledLaurent(self.alg, self.shift,
-                              [_sv_neg(self.alg, sv) for sv in self.coeffs])
-
-    def mul(self, other: "_ScaledLaurent", keep: int) -> "_ScaledLaurent":
-        alg = self.alg
-        sh = self.shift + other.shift
-        n = min(len(self.coeffs) + len(other.coeffs) - 1, keep - sh + 1)
-        if n <= 0 or not self.coeffs or not other.coeffs:
-            return _ScaledLaurent(alg, 0, [])
-        out = [_sv_zero(alg)] * n
-        for i, u in enumerate(self.coeffs):
-            if i >= n:
-                break
-            if all(c == 0 for c in u[0]):
-                continue
-            for j, v in enumerate(other.coeffs):
-                if i + j >= n:
-                    break
-                if all(c == 0 for c in v[0]):
-                    continue
-                out[i + j] = _sv_add(alg, out[i + j], _sv_mul(alg, u, v))
-        return _ScaledLaurent(alg, sh, out)
-
-    def inverse(self, keep: int) -> "_ScaledLaurent":
-        alg = self.alg
-        if not self.coeffs:
-            raise ZeroDivisionError("inverse of zero series")
-        lead_inv = _sv_inv(alg, self.coeffs[0])
-        n = max(keep + self.shift + 1, 1)
-        out = [lead_inv]
-        for m in range(1, n):
-            s = _sv_zero(alg)
-            for i in range(1, min(m, len(self.coeffs) - 1) + 1):
-                s = _sv_add(alg, s, _sv_mul(alg, self.coeffs[i], out[m - i]))
-            out.append(_sv_neg(alg, _sv_mul(alg, lead_inv, s)))
-        return _ScaledLaurent(alg, -self.shift, out)
-
-    def scale_int(self, c: int) -> "_ScaledLaurent":
-        pk = self.alg.pk
-        return _ScaledLaurent(
-            self.alg, self.shift,
-            [_sv_norm(self.alg, tuple(x * c % pk for x in vec), e, kn)
-             for (vec, e, kn) in self.coeffs])
-
-    def as_integral_regular(self, keep: int, out_digits: int) -> list:
-        """[s^0 .. s^keep] as plain vectors mod p^out_digits; the object must
-        be regular and p-integral to that depth."""
-        alg = self.alg
-        pko = alg.p ** out_digits
-        out = [(0,) * alg.deg] * (keep + 1)
-        for i, (vec, e, kn) in enumerate(self.coeffs):
-            k = i + self.shift
-            if kn < out_digits + max(e, 0) and any(vec):
-                raise IntegralityError(
-                    f"insufficient working precision at s^{k}: "
-                    f"{kn} known digits, need {out_digits + max(e, 0)}")
-            if k < 0 or e > 0:
-                # polar or fractional entries must vanish to the target depth
-                if any(c % alg.p ** (out_digits + max(e, 0)) for c in vec):
-                    raise IntegralityError(
-                        f"formal translate not integral/regular at s^{k}")
-                continue
-            out[k] = tuple(c * alg.p ** (-e) % pko for c in vec) if e < 0 \
-                else tuple(c % pko for c in vec)
-        return out
+def _series_inverse(alg: TorsionAlgebra, u: list, keep: int) -> list:
+    """u^-1 mod s^(keep+1) for u in A[[s]] whose constant term is a unit of
+    A: Newton's g <- g (2 - u g) from g = u_0^-1, each step doubling the
+    number of correct s-coefficients."""
+    g, n = [alg.inverse_unit(u[0])], 1
+    while n <= keep:
+        n = min(2 * n, keep + 1)
+        e = [alg.scal(c, -1) for c in _series_mul(alg, u, g, n - 1)]
+        e[0] = alg.add(e[0], alg.const(2))
+        g = _series_mul(alg, g, e, n - 1)
+    return g
 
 
 @lru_cache(maxsize=8)
 def _xy_parameter_series(curve: CurveData, order: int):
-    """Exact x(t) t^2 and y(t) t^3 coefficient tuples for t = -2x/y.
+    """Exact coefficients w_0 .. w_order of the Weierstrass w-series w(t).
 
-    With s = t^2, x t^2 = 1/U(s), where U is the Weierstrass w-series
-    recursion U = 1 - (g2/4) s^2 U^2 - (g3/4) s^3 U^3 (Silverman, AEC IV.1),
-    whose coefficients lie in Z[g2/4, g3/4].  y = -2x/t gives y t^3 = -2 x t^2.
+    On Y^2 = x^3 + a4 x + a6 (Y = y/2, a4 = -g2/4, a6 = -g3/4) the formal
+    coordinates are z = -x/Y = t = -2x/y and w = -1/Y (Silverman, AEC IV.1).
+    Then w = t^3 U(t^2), with U = 1 + a4 s^2 U^2 + a6 s^3 U^3, whose
+    coefficients lie in Z[a4, a6]; x = t/w and y = -2/w.
     """
     ring = ExactRing(0)
-    q2 = ring.coerce(curve.g2) / 4
-    q3 = ring.coerce(curve.g3) / 4
-    n = order // 2
+    a4 = -ring.coerce(curve.g2) / 4
+    a6 = -ring.coerce(curve.g3) / 4
     U, U2, U3 = [], [], []          # s-coefficients of U, U^2, U^3
-    for k in range(n + 1):
+    for k in range((order - 3) // 2 + 1):
         c = Fraction(k == 0)
         if k >= 2:
-            c -= q2 * U2[k - 2]
+            c += a4 * U2[k - 2]
         if k >= 3:
-            c -= q3 * U3[k - 3]
+            c += a6 * U3[k - 3]
         U.append(c)
         U2.append(sum((U[i] * U[k - i] for i in range(k + 1) if U[i]), Fraction(0)))
         U3.append(sum((U[i] * U2[k - i] for i in range(k + 1) if U[i]), Fraction(0)))
-    X = UniSeries(ring, dict(enumerate(U)), n).inverse()
-    xl = tuple(X.coeff(k // 2) if k % 2 == 0 else Fraction(0)
-               for k in range(order + 1))
-    yl = tuple(-2 * c for c in xl)
-    return xl, yl
+    w = [Fraction(0)] * (order + 1)
+    for k, c in enumerate(U):
+        w[2 * k + 3] = c
+    return tuple(w)
 
 
-TRANSLATE_EROSION = 18  # scaled-vector strips consumed by the chord law
+def formal_group_translate(alg: TorsionAlgebra, keep: int) -> list:
+    """F(s, xbar): the t-coordinate of P(s) + Q, s^0..s^keep, as vectors of
+    A = Z/p^M[xbar]/(W1), Q the generic nonzero formal p-torsion point.
 
+    Chord law in the formal coordinates z = t, w(z) = sum A_n z^n (Silverman,
+    AEC IV.1), where every quantity is integral.  The line through (s, w(s))
+    and (xbar, w(xbar)) has slope l = sum_n A_n (s^n - xbar^n)/(s - xbar),
+    whose s^j coefficient is l_j = sum_m A_(m+j+1) xbar^m, and intercept
+    nu = w(s) - l s; the third intersection is -F, so
 
-def formal_group_translate(alg: TorsionAlgebra, keep: int,
-                           out_digits: Optional[int] = None) -> list:
-    """F(s, xbar): the t-coordinate of P(s) + Q as an integral A1[[s]]
-    series (list of A1 vectors, s^0..s^keep, reduced mod p^out_digits), Q the
-    generic nonzero formal p-torsion point of the algebra.
+        F = s + xbar + (2 a4 l nu + 3 a6 l^2 nu) (1 + a4 l^2 + a6 l^3)^-1.
 
-    Assembled from the chord law on y^2 = 4x^3 - g2 x - g3:
-        m = (Y(s) - y_Q)/(X(s) - x_Q),
-        x3 = -X - x_Q + m^2/4,   y3 = -y_Q - m (x3 - x_Q),
-        F = -2 x3 / y3.
-
-    The algebra must carry TRANSLATE_EROSION guard digits beyond out_digits;
-    the constant term is checked to equal xbar at the output modulus.
+    Only ring operations and the inverse of a unit series occur, so F is
+    exact mod p^M.  W1 is Eisenstein, so xbar^deg lies in pA and l_keep
+    needs A_n only for n <= deg M + keep + 1; l_j = A_(j+1) + xbar l_(j+1)
+    gives the others.  The constant term is checked to equal xbar.
     """
-    curve = alg.curve
     p, pk = alg.p, alg.pk
-    if out_digits is None:
-        out_digits = alg.M - TRANSLATE_EROSION
-    if out_digits <= 0 or out_digits > alg.M - 4:
-        raise ValueError("torsion algebra lacks guard digits for the translate")
-    DX = alg.deg * (alg.M + 2) + 8
-    xt2, yt3 = _xy_parameter_series(curve, max(DX, keep + 8))
-    # torsion point coordinates: x_Q = xbar^-2 S2, y_Q = xbar^-3 S3, carried
-    # as scaled vectors (p xbar^-1 is integral; the p-powers go to the scale)
-    S2 = alg.eval_series_at_x({k: v for k, v in enumerate(xt2) if v}, 0)
-    S3 = alg.eval_series_at_x({k: v for k, v in enumerate(yt3) if v}, 0)
-    pxi = alg.p_times_x_inverse()
-    pxi2 = alg.mul(pxi, pxi)
-    xQ_sv = _sv_norm(alg, alg.mul(pxi2, S2), 2, alg.M)             # x_Q
-    yQ_sv = _sv_norm(alg, alg.mul(alg.mul(pxi2, pxi), S3), 3, alg.M)
-
-    def embed_series(coeffs, shift):
-        out = []
-        for fr in coeffs[: keep + 8 - shift]:
-            c = _int_mod(Fraction(fr), p, pk)
-            out.append((((c,) + (0,) * (alg.deg - 1)), 0, alg.M))
-        return _ScaledLaurent(alg, shift, out)
-
-    X = embed_series(xt2, -2)
-    Y = embed_series(yt3, -3)
-    const = lambda sv: _ScaledLaurent(alg, 0, [sv])
-    slack = 8
-    num = Y.add(const(_sv_neg(alg, yQ_sv)))
-    den = X.add(const(_sv_neg(alg, xQ_sv)))
-    m = num.mul(den.inverse(keep + slack), keep + slack)
-    x3 = X.neg().add(const(_sv_neg(alg, xQ_sv))) \
-        .add(m.mul(m, keep + slack).scale_int(pow(4, -1, pk)))
-    y3 = const(_sv_neg(alg, yQ_sv)) \
-        .add(m.mul(x3.add(const(_sv_neg(alg, xQ_sv))), keep + slack).neg())
-    t3 = x3.mul(y3.inverse(keep + slack), keep).scale_int(pk - 2)
-    out = t3.as_integral_regular(keep, out_digits)
-    if out[0] != tuple(c % p ** out_digits for c in alg.x()):
+    n = alg.deg * alg.M + keep + 1
+    w = _xy_parameter_series(alg.curve, n)
+    A = [alg.const(_int_mod(c, p, pk)) for c in w[:keep + 1]]
+    a4, a6 = (_int_mod(-g.a / 4, p, pk) for g in (alg.curve.g2, alg.curve.g3))
+    ell = [None] * keep + [
+        alg.eval_series_at_x({m: w[m + keep + 1] for m in range(n - keep)}, 0)]
+    for j in range(keep - 1, -1, -1):
+        ell[j] = alg.add(A[j + 1], alg.mul(alg.x(), ell[j + 1]))
+    nu = [A[0]] + [alg.add(A[k], alg.scal(ell[k - 1], -1)) for k in range(1, keep + 1)]
+    l2 = _series_mul(alg, ell, ell, keep)
+    l3 = _series_mul(alg, l2, ell, keep)
+    den = [alg.add(alg.scal(b, a4), alg.scal(c, a6)) for b, c in zip(l2, l3)]
+    den[0] = alg.add(den[0], alg.one())
+    fac = [alg.scal(c, 3 * a6) for c in ell]
+    fac[0] = alg.add(fac[0], alg.const(2 * a4))
+    num = _series_mul(alg, _series_mul(alg, ell, nu, keep), fac, keep)
+    F = _series_mul(alg, num, _series_inverse(alg, den, keep), keep)
+    F[0] = alg.add(F[0], alg.x())
+    if keep:
+        F[1] = alg.add(F[1], alg.one())
+    if F[0] != alg.x():
         raise IntegralityError("formal translate has wrong constant term")
-    return out
+    return F
 
 
 # ---------------------------------------------------------------------------
@@ -731,33 +584,15 @@ def _exact_composed(curve: CurveData, p: int, order: int,
     return hat
 
 
-def _trace_coefficient_table(alg: TorsionAlgebra, imax: int, keep: int,
-                             out_digits: int):
+def _trace_coefficient_table(alg: TorsionAlgebra, imax: int, keep: int):
     """T[i][k] = trace over the nonzero formal p-torsion of F(s, x)^i,
-    coefficient of s^k, as ints mod p^out_digits."""
-    F = formal_group_translate(alg, keep, out_digits)
-    pko = alg.p ** out_digits
-    # work in the reduced modulus from here on: products of valid digits
-    red = TorsionAlgebra(alg.p, out_digits, tuple(c % pko for c in alg.W1),
-                         alg.curve)
-    rows = [[red.trace(red.one()) if k == 0 else 0 for k in range(keep + 1)]]
-    cur = [red.one()] + [(0,) * red.deg] * keep
-    Fv = [tuple(c % pko for c in vec) for vec in F]
-    for i in range(1, imax + 1):
-        new = [(0,) * red.deg] * (keep + 1)
-        for a in range(keep + 1):
-            va = cur[a]
-            if not any(va):
-                continue
-            for b in range(keep + 1 - a):
-                vb = Fv[b]
-                if not any(vb):
-                    continue
-                prod = red.mul(va, vb)
-                tgt = new[a + b]
-                new[a + b] = red.add(tgt, prod)
-        cur = new
-        rows.append([red.trace(v) for v in cur])
+    coefficient of s^k, as ints mod p^M."""
+    F = formal_group_translate(alg, keep)
+    cur = [alg.one()] + [alg.const(0)] * keep
+    rows = [[alg.trace(v) for v in cur]]
+    for _ in range(imax):
+        cur = _series_mul(alg, cur, F, keep)
+        rows.append([alg.trace(v) for v in cur])
     return rows
 
 
@@ -779,8 +614,8 @@ def restricted_formal_series(curve: CurveData, p: int, N: int,
     ctx = PadicContext(p)
     pko = p ** digits
     imax = max((i for i, _ in chat), default=0)
-    alg = formal_torsion_algebra(curve, p, digits + TRANSLATE_EROSION + 4)
-    T = _trace_coefficient_table(alg, imax, DS, digits)
+    alg = formal_torsion_algebra(curve, p, digits)
+    T = _trace_coefficient_table(alg, imax, DS)
     # scale by p^2: R2 = (p-1)^2 C - (p-1)(TrS + TrT) + TrS TrT
     R2: Dict[Tuple[int, int], int] = {}
 

@@ -1,5 +1,6 @@
 """p-adic period note, measures, unit restriction, interpolation."""
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from ektheta.padic import (
     NoPeriodError,
     _exact_composed,
     _int_mod,
+    _series_mul,
     _xy_parameter_series,
     cm_prime_generator,
     division_polynomial_p,
@@ -181,27 +183,23 @@ class TestXYParameterSeries:
                              ids=[f"{lab}-u{u}" for lab, u in XY_CURVES])
     def test_w_series_matches_wp_of_formal_log(self, label, u):
         curve = catalog_row(label).curve(u)
-        # reference: x = wp(lambda(t)), y = wp'(lambda(t))
+        # reference: x = wp(lambda(t)), and x = t/w gives w (x t^2) = t^3
         order = 60
         lam = formal_log(curve, order + 8, QQ).series
-        wp = wp_series(curve, order + 8, QQ)
-        xt2 = wp.compose(lam).shift(2)
-        yt3 = wp.derivative().compose(lam).shift(3)
-        xl, yl = _xy_parameter_series(curve, order)
-        assert list(xl) == [xt2.coeff(k) for k in range(order + 1)]
-        assert list(yl) == [yt3.coeff(k) for k in range(order + 1)]
-        assert yl == tuple(-2 * c for c in xl)
+        xt2 = wp_series(curve, order + 8, QQ).compose(lam).shift(2).truncate(order)
+        W = UniSeries(QQ, dict(enumerate(_xy_parameter_series(curve, order))), order)
+        prod = W * xt2
+        assert [prod.coeff(k) for k in range(order + 1)] == \
+            [Fraction(k == 3) for k in range(order + 1)]
 
-        # (y t^3)^2 = 4 (x t^2)^3 - g2 t^4 (x t^2) - g3 t^6 to high order
+        # w = t^3 + a4 t w^2 + a6 w^3 to high order
         order = 200
-        xl, yl = _xy_parameter_series(curve, order)
-        X = UniSeries(QQ, dict(enumerate(xl)), order)
-        Y = UniSeries(QQ, dict(enumerate(yl)), order)
-        g2, g3 = QQ.coerce(curve.g2), QQ.coerce(curve.g3)
-        lhs = Y * Y
-        rhs = (X * X * X).scale(Fraction(4)) - X.shift(4).scale(g2) \
-            - UniSeries(QQ, {6: g3}, order)
-        assert all(lhs.coeff(k) == rhs.coeff(k) for k in range(order + 1))
+        wl = _xy_parameter_series(curve, order)
+        W = UniSeries(QQ, dict(enumerate(wl)), order)
+        a4, a6 = -QQ.coerce(curve.g2) / 4, -QQ.coerce(curve.g3) / 4
+        rhs = UniSeries(QQ, {3: Fraction(1)}, order) + (W * W).shift(1).scale(a4) \
+            + (W * W * W).scale(a6)
+        assert list(wl) == [rhs.coeff(k) for k in range(order + 1)]
 
 
 class TestTorsionAlgebra:
@@ -236,10 +234,81 @@ class TestTorsionAlgebra:
         alg = formal_torsion_algebra(zi_curve(), 13, 10)
         assert all(alg.W1[i] == 0 for i in range(1, 12, 2))
 
+    def test_series_mul_matches_termwise_products(self):
+        # the packed-integer product against sums of alg.mul, coefficient by
+        # coefficient, with full-size entries so that every slot is stressed
+        alg = formal_torsion_algebra(zi_curve(), 13, 9)
+        rng = random.Random(0)
+        u, v = ([tuple(rng.randrange(alg.pk) for _ in range(alg.deg))
+                 for _ in range(n)] for n in (7, 5))
+        keep = 8
+        want = []
+        for k in range(keep + 1):
+            acc = alg.const(0)
+            for a in range(max(0, k - len(v) + 1), min(k, len(u) - 1) + 1):
+                acc = alg.add(acc, alg.mul(u[a], v[k - a]))
+            want.append(acc)
+        assert _series_mul(alg, u, v, keep) == want
+        assert _series_mul(alg, u, v, 3) == want[:4]
+
     def test_translate_constant_term(self):
-        alg = formal_torsion_algebra(zi_curve(), 13, 26)
-        F = formal_group_translate(alg, 6, 6)
-        assert F[0] == tuple(c % 13 ** 6 for c in alg.x())
+        alg = formal_torsion_algebra(zi_curve(), 13, 6)
+        F = formal_group_translate(alg, 6)
+        assert F[0] == alg.x()
+
+
+def _p2_log_of(alg, F, keep):
+    """p^2 lambda(F(s)) mod s^(keep+1) over the torsion algebra, F in A[[s]].
+    The coefficient of s^j in p^2 lambda_k F^k has v_p at least
+    2 - v_p(k) + (k - j)/deg (F_0 = xbar has valuation 1/deg), so the terms
+    k <= deg (M + 3) + keep are all that survive mod p^M."""
+    p, M = alg.p, alg.M
+    kmax = alg.deg * (M + 3) + keep
+    lam = formal_log(alg.curve, kmax, QQ).series
+    out = [alg.const(0)] * (keep + 1)
+    power = [alg.one()] + [alg.const(0)] * keep
+    for k in range(1, kmax + 1):
+        power = _series_mul(alg, power, F, keep)
+        c = _int_mod(p * p * lam.coeff(k), p, alg.pk)
+        out = [alg.add(a, alg.scal(b, c)) for a, b in zip(out, power)]
+    return out
+
+
+TRANSLATE_ORACLE = [pytest.param("Z[sqrt(-1)]", 4, 5, 6, id="zi_u4_p5"),
+                    pytest.param("Z[(1+sqrt(-7))/2]", 1, 11, 4, id="zomega7_p11")]
+
+
+class TestTranslateLogOracle:
+    """lambda(xbar) = 0 at a torsion point, so lambda(F(s, xbar)) = lambda(s):
+    a check of the translate that does not use the chord law."""
+
+    KEEP = 6
+
+    @staticmethod
+    def _setup(label, u, p, M):
+        alg = formal_torsion_algebra(catalog_row(label).curve(u), p, M)
+        return alg, formal_group_translate(alg, TestTranslateLogOracle.KEEP)
+
+    @staticmethod
+    def _want(alg, keep):
+        lam = formal_log(alg.curve, keep, QQ).series
+        return [alg.const(_int_mod(alg.p ** 2 * lam.coeff(j), alg.p, alg.pk))
+                for j in range(keep + 1)]
+
+    @pytest.mark.parametrize("label,u,p,M", TRANSLATE_ORACLE)
+    def test_log_of_translate_is_log(self, label, u, p, M):
+        alg, F = self._setup(label, u, p, M)
+        assert _p2_log_of(alg, F, self.KEEP) == self._want(alg, self.KEEP)
+
+    @pytest.mark.parametrize("label,u,p,M", TRANSLATE_ORACLE)
+    def test_perturbed_translate_fails(self, label, u, p, M):
+        # an error of p^(M-3) in any coefficient shows up as p^(M-1) in p^2 lambda
+        alg, F = self._setup(label, u, p, M)
+        want = self._want(alg, self.KEEP)
+        for j in range(self.KEEP + 1):
+            bad = list(F)
+            bad[j] = alg.add(bad[j], alg.const(p ** (M - 3)))
+            assert _p2_log_of(alg, bad, self.KEEP) != want, j
 
 
 @pytest.fixture(scope="module")
@@ -372,6 +441,29 @@ class TestMeasure:
         got = table[(0, 4)]
         want = embed_padic(euler_factor_moment(zi_curve(), pi, 13, 0, 4), 13, 8)
         assert got.eq_mod(want, 6 - precision_buffer(0, 4, 13) + 2)
+
+
+def _least_good_split_prime(row):
+    """The least prime p >= 5 that splits in the row's field and where the
+    row's curve at u = 1 has good reduction."""
+    disc = row.curve(1).discriminant().a
+    return next(p for p in SPLIT_PRIMES if p >= 5 and is_split(p, row.d)
+                and disc.numerator % p and disc.denominator % p)
+
+
+# Z[(1+sqrt(-163))/2] is left out: its least such prime is 41, where the run
+# takes minutes (the composed expansion to order 445 and the degree-840
+# division polynomial in Fractions).
+GATE_ROWS = [(row.label, _least_good_split_prime(row))
+             for row in catalog() if row.d != 163]
+
+
+class TestInterpolationSweep:
+    @pytest.mark.parametrize("label,p", GATE_ROWS,
+                             ids=[f"{lab}-p{p}" for lab, p in GATE_ROWS])
+    def test_every_catalog_row_interpolates(self, label, p):
+        rep = verify_interpolation_origin(catalog_row(label).curve(1), p, 6, 4, 4)
+        assert rep.passed
 
 
 class TestInterpolationSmall:
