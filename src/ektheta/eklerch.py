@@ -8,16 +8,28 @@ The working representation is
     I_a(z0, w0, s) = sum*_gamma Gamma(s, |z0+gamma|^2/A)
                      (conj(z0) + conj(gamma))^a <gamma, w0> / |z0+gamma|^(2s),
 
-where sum* omits gamma = -z0 whenever z0 lies in the lattice.  Each lattice
-sum is truncated at a radius R with the Gaussian tail bound
+where sum* omits gamma = -z0 whenever z0 lies in the lattice.  For each
+lattice sum a radius R is chosen with the Gaussian tail bound
 
     sum_{|z0+gamma| > R} ... <= C * R^(a+1) exp(-R^2/A),
 
-with the covolume constant C computed crudely and doubled.  Shells are
-enumerated in a fixed order (growing max(|m|, |n|), then lexicographic), so
-results are bit-reproducible at fixed precision.  Sums over several powers a
-at one s share a single shell pass (ek_table); each power still adds exactly
-the terms, in exactly the order, of its own pass.
+with the covolume constant C computed crudely and doubled.  The sum keeps
+more than the disc |z0+gamma| <= R: every point of the shells
+max(|m|, |n|) <= 2(R + |z0|)/short (short the shortest lattice vector) and
+every point within 2R.  Shells are enumerated in a fixed order (growing
+max(|m|, |n|), then lexicographic), so results are bit-reproducible at fixed
+precision.  Sums over several powers a at one s share a single shell pass
+(ek_table); each power still adds exactly the terms, in exactly the order, of
+its own pass.
+
+The sums are homogeneous in the lattice,
+
+    K*_a(c z0, c w0, s; c Gamma) = conj(c)^a |c|^(-2s) K*_a(z0, w0, s; Gamma),
+
+so every sum runs on the lattice 2^k Gamma with 4^k A in [1, 4) and is
+scaled back by 2^(2ks - ka); a power of two scales exactly, and the cost of
+a sum does not depend on the scale of the curve.  Radii, tail targets and
+working precisions are chosen in these normalised units.
 """
 from __future__ import annotations
 
@@ -89,6 +101,29 @@ def _shells(mmax: int):
                     yield (m, n)
 
 
+def _normalised(lattice: LatticeData) -> Tuple[int, LatticeData]:
+    """(k, 2^k Gamma) with k the integer that puts 4^k A in [1, 4)."""
+    _, e = mp.frexp(lattice.A())  # A in [2^(e-1), 2^e)
+    k = -((e - 1) // 2)
+    if k == 0:
+        return 0, lattice
+    prec = lattice.prec_bits
+    om1, om2, area = (BigComplex(mp.ldexp(z.re, j), mp.ldexp(z.im, j), prec)
+                      for z, j in ((lattice.omega1, k), (lattice.omega2, k),
+                                   (lattice.area, 2 * k)))
+    return k, LatticeData(om1, om2, area)
+
+
+def _scaled(z, k: int) -> mp.mpc:
+    """2^k z, exactly."""
+    return mp.mpc(mp.ldexp(z.real, k), mp.ldexp(z.imag, k))
+
+
+def _homogeneity_factor(k: int, a: int, s):
+    """2^(2ks - ka): K*_a(z0, w0, s; Gamma) over K*_a on 2^k Gamma."""
+    return mp.mpf(2) ** (k * (2 * s - a))
+
+
 def _radius_for(a: int, smax, A, target, covol):
     """Smallest R with 2 * (2 pi A / covol) R^(a+1) exp(-R^2/A) < target."""
     C = 4 * mp.pi * A / covol
@@ -109,8 +144,10 @@ def _tail_target(target_error, A, a: int):
 def truncation_radius(a: int, s, lattice: LatticeData, target_error):
     """Radius at which the I_a(z0, w0, s) sum of K*_a(z0, w0, s) is cut
     for target_error, at the caller's working precision."""
+    k, lattice = _normalised(lattice)
     A = lattice.A()
-    return _radius_for(a, s, A, _tail_target(target_error, A, a), mp.pi * A)
+    target = target_error / abs(_homogeneity_factor(k, a, s))
+    return mp.ldexp(_radius_for(a, s, A, _tail_target(target, A, a), mp.pi * A), -k)
 
 
 def _I_a(targets: Dict[int, object], z0, w0, s, lattice: LatticeData,
@@ -157,12 +194,16 @@ def _kstar_values(entries, z0, w0, lattice: LatticeData, target_error,
                   z0_in_lattice: Optional[bool], w0_in_lattice: Optional[bool]):
     """K*_a(z0, w0, s) for each (a, s) in entries.  The I_a(z0, w0, s) sums
     that share s run in one lattice pass, and so do the I_a(w0, z0, a+1-s)
-    sums that share a+1-s."""
-    prec = _work_prec(lattice, target_error)
+    sums that share a+1-s.  Every sum runs on the normalised lattice, each
+    (a, s) to the target error divided by its homogeneity factor."""
+    k, lattice = _normalised(lattice)
+    prec = _work_prec(lattice, min(
+        target_error / abs(_homogeneity_factor(k, a, mp.mpc(s))) for a, s in entries))
     with mp.workprec(prec):
-        z0 = mp.mpc(z0)
-        w0 = mp.mpc(w0)
+        z0 = _scaled(mp.mpc(z0), k)
+        w0 = _scaled(mp.mpc(w0), k)
         entries = [(a, mp.mpc(s)) for a, s in entries]
+        factors = [_homogeneity_factor(k, a, s) for a, s in entries]
         dz = is_lattice_point(z0, lattice, prec) if z0_in_lattice is None else z0_in_lattice
         dw = is_lattice_point(w0, lattice, prec) if w0_in_lattice is None else w0_in_lattice
         for a, s in entries:
@@ -172,16 +213,16 @@ def _kstar_values(entries, z0, w0, lattice: LatticeData, target_error,
                 raise PoleError("K*_0 has a pole at s = 1 when w0 is a lattice point")
         A = lattice.A()
         at_z0, at_w0 = {}, {}  # s -> {a: tail target}
-        for a, s in entries:
-            sub_target = _tail_target(target_error, A, a)
+        for (a, s), f in zip(entries, factors):
+            sub_target = _tail_target(target_error / abs(f), A, a)
             at_z0.setdefault(s, {})[a] = sub_target
             at_w0.setdefault(a + 1 - s, {})[a] = sub_target
         I1 = {s: _I_a(t, z0, w0, s, lattice, dz) for s, t in at_z0.items()}
         I2 = {s: _I_a(t, w0, z0, s, lattice, dw) for s, t in at_w0.items()}
         out = []
-        for a, s in entries:
-            val = (I1[s][a] + A ** (a + 1 - 2 * s) * I2[a + 1 - s][a]
-                   * lattice_pair_mpc(w0, z0, A)) / mp.gamma(s)
+        for (a, s), f in zip(entries, factors):
+            val = f * (I1[s][a] + A ** (a + 1 - 2 * s) * I2[a + 1 - s][a]
+                       * lattice_pair_mpc(w0, z0, A)) / mp.gamma(s)
             out.append(BigComplex(val.real, val.imag, prec))
         return out
 
@@ -230,24 +271,28 @@ def check_functional_equation(a: int, z0, w0, s, lattice: LatticeData,
 
     Both completed sides are assembled from the incomplete-gamma lattice sums
     directly, so values where Gamma(a+1-s) has a pole (compensated by a zero
-    of K*) stay finite.
+    of K*) stay finite.  Both sides scale by the same homogeneity factor, so
+    the residual is taken on the normalised lattice and scaled back.
     """
-    prec = _work_prec(lattice, target_error)
+    k, lattice = _normalised(lattice)
+    prec = _work_prec(lattice,
+                      target_error / abs(_homogeneity_factor(k, a, mp.mpc(s))))
     with mp.workprec(prec):
         s = mp.mpc(s)
-        z0 = mp.mpc(z0)
-        w0 = mp.mpc(w0)
+        z0 = _scaled(mp.mpc(z0), k)
+        w0 = _scaled(mp.mpc(w0), k)
+        f = abs(_homogeneity_factor(k, a, s))
         A = lattice.A()
         dz = is_lattice_point(z0, lattice, prec)
         dw = is_lattice_point(w0, lattice, prec)
-        sub = _tail_target(target_error, A, a)
+        sub = _tail_target(target_error / f, A, a)
         I1 = _I_a({a: sub}, z0, w0, s, lattice, skip_minus_z0=dz)[a]
         I2 = _I_a({a: sub}, w0, z0, a + 1 - s, lattice, skip_minus_z0=dw)[a]
         lhs = I1 + A ** (a + 1 - 2 * s) * I2 * lattice_pair_mpc(w0, z0, A)
         rhs = A ** (a + 1 - 2 * s) * (
             I2 + A ** (2 * s - a - 1) * I1 * lattice_pair_mpc(z0, w0, A)
         ) * lattice_pair_mpc(w0, z0, A)
-        return abs(lhs - rhs)
+        return f * abs(lhs - rhs)
 
 
 def e2star_numeric(lattice: LatticeData, target_error=1e-20) -> BigComplex:

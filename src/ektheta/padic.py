@@ -53,15 +53,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .curves import CurveData, catalog_row_of, formal_log
 from .kronecker import ThetaExpansion, _as_fraction, _unit_series_list, \
     compose_regular, kronecker_exact, kronecker_regular, log_and_tail_inverse
 from .scalars import ExactScalar, PadicContext, PadicScalar, divrem_monic, \
-    embed_padic, ideal_generators, inverse, mulmod, ok_omega, ok_units, trace, \
-    _sqrt_minus_d_mod, _vp_fraction
+    embed_padic, ideal_generators, inverse, mulmod, ok_omega, ok_units, \
+    power_sums, trace, _sqrt_minus_d_mod, _vp_fraction
 from .series import BiSeries, ExactRing, IntModRing, PadicRing, UniSeries
 
 __all__ = [
@@ -339,8 +339,13 @@ class TorsionAlgebra:
     def add(self, u: tuple, v: tuple) -> tuple:
         return tuple((x + y) % self.pk for x, y in zip(u, v))
 
+    @cached_property
+    def root_power_sums(self) -> tuple:
+        """Power sums of the roots of W1, shared by every trace."""
+        return power_sums(self.W1, self.pk)
+
     def trace(self, u: tuple) -> int:
-        return trace(u, self.W1, self.pk)
+        return trace(u, self.W1, self.pk, self.root_power_sums)
 
     def inverse_unit(self, u: tuple) -> tuple:
         """Inverse of an element that is a unit (constant coordinate a p-unit;
@@ -389,9 +394,9 @@ def formal_torsion_algebra(curve: CurveData, p: int, M: int) -> TorsionAlgebra:
     den_inv = inverse(den, Wu, pk, (pow(4, -1, p),) + (0,) * (d - 1))
     tau = mulmod(divrem_monic([0, 4], Wu, pk)[1], den_inv, Wu, pk)
     # power sums s_k = Tr tau^k, then e_k = (1/k) sum_i (-1)^(i-1) e_(k-i) s_i
-    s, tk = [], tau
+    s, tk, sums = [], tau, power_sums(Wu, pk)
     for _ in range(d):
-        s.append(trace(tk, Wu, pk))
+        s.append(trace(tk, Wu, pk, sums))
         tk = mulmod(tk, tau, Wu, pk)
     e = [1]
     for k in range(1, d + 1):

@@ -518,14 +518,23 @@ def divrem_monic(f, W, pk):
     return q, [x % pk for x in rem[:d]]
 
 
-def trace(u, W, pk) -> int:
-    """Trace of multiplication by u on Z/pk[x]/(W): sum of u_i times the
-    power sums s_i of the roots of W (Newton's identities)."""
+def power_sums(W, pk) -> tuple:
+    """Power sums s_0..s_(deg-1) of the roots of monic W, mod pk, by Newton's
+    identities."""
     d = len(W) - 1
     s = [d]
     for k in range(1, d):
         s.append(-(k * W[d - k] + sum(W[d - i] * s[k - i] for i in range(1, k))) % pk)
-    return sum(ui * si for ui, si in zip(u, s)) % pk
+    return tuple(s)
+
+
+def trace(u, W, pk, sums: Optional[tuple] = None) -> int:
+    """Trace of multiplication by u on Z/pk[x]/(W): sum of u_i times the
+    power sums s_i of the roots of W; `sums` passes power_sums(W, pk) in when
+    the caller already holds them."""
+    if sums is None:
+        sums = power_sums(W, pk)
+    return sum(ui * si for ui, si in zip(u, sums)) % pk
 
 
 def inverse(u, W, pk, start) -> tuple:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,38 @@ class TestVerifyCommands:
                                  "--a", "0", "--b", "4", "--err", "1e-18",
                                  "--prec-bits", "128").stdout)
         assert doc["value"]["re"].startswith("0.0666666666666666")
+
+    @pytest.mark.parametrize("argv,want", [
+        (["--a", "0", "--b", "4", "--err", "1e-20"],
+         "cf9eaeabb6aa23bf75f879abb9af4b5af3730bfbda09694b850757766641ef92"),
+        (["--a", "1", "--b", "3", "--z0", "1/3,0", "--err", "1e-18"],
+         "9d0667aa26861b86795b6b5a1a05542dd589f1b4bd46ec1e788d1a148ad775cb"),
+    ], ids=["a0-b4", "a1-b3-z0-third"])
+    def test_readme_ek_artifacts_pinned(self, argv, want):
+        # sha256 of the payload (meta dropped) from before lattice sums ran
+        # on the lattice scaled to 4^k A in [1, 4): this one (A = 2.19) has
+        # k = 0, so no bit of the value or the radius moves
+        cp = run_cli("ek", "--catalog", "Z[sqrt(-1)]", "--u", "4", *argv,
+                     env={"EKTHETA_PREC_BITS": "256", "PYTHONHASHSEED": "0"})
+        doc = json.loads(cp.stdout)
+        del doc["meta"]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == want
+
+    def test_ek_at_small_scale(self):
+        # e*_{0,2} = e2* = u on this row; at u = 10^-6 the lattice has
+        # A = 1.1e6, where a radius search in absolute units passed its cap
+        cp = run_cli("ek", "--catalog", "Z[2*sqrt(-1)]", "--u", "1/1000000",
+                     "--a", "0", "--b", "2", "--err", "1e-20")
+        value = json.loads(cp.stdout)["value"]
+        assert abs(Fraction(value["re"]) - Fraction(1, 10 ** 6)) < Fraction(1e-20)
+        assert abs(Fraction(value["im"])) < Fraction(1e-20)
+
+    @pytest.mark.parametrize("u", ["1/1000000", "1000000"])
+    def test_functional_equation_at_extreme_scales(self, u):
+        cp = run_cli("verify", "functional-equation", "--catalog",
+                     "Z[2*sqrt(-1)]", "--u", u, "--amax", "1", "--tol", "1e-15")
+        assert json.loads(cp.stdout)["passed"] is True
 
     def test_verify_kronecker_exit_zero(self):
         cp = run_cli("verify", "kronecker", "--catalog", "Z[sqrt(-1)]",

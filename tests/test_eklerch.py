@@ -1,5 +1,6 @@
 """Eisenstein-Kronecker-Lerch numerics."""
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import pytest
@@ -180,6 +181,61 @@ class TestDifferentialEquation:
             rhs = -s * eisenstein_kronecker_lerch(a + 1, z, w, s + 1, zi_lattice,
                                                   1e-40).to_mpc()
             assert abs(dz - rhs) / abs(rhs) < 1e-8
+
+
+def _ek02_and_gammainc_calls(u: Fraction):
+    """e*_{0,2} on the Z[2*sqrt(-1)] row at scale u, and the number of
+    incomplete gamma values it took."""
+    lat = compute_periods(catalog_row("Z[2*sqrt(-1)]").curve(u), 256)
+    with mock.patch.object(mp, "gammainc", wraps=mp.gammainc) as gammainc:
+        val = ek_number(0, 2, 0, 0, lat, 1e-20,
+                        z0_in_lattice=True, w0_in_lattice=True)
+    return val, gammainc.call_count
+
+
+@pytest.fixture(scope="module")
+def gammainc_calls_at_u1():
+    return _ek02_and_gammainc_calls(Fraction(1))[1]
+
+
+class TestScaleFree:
+    """K*_a(c z0, c w0, s; c Gamma) = conj(c)^a |c|^(-2s) K*_a(z0, w0, s; Gamma):
+    the sums run on a normalised lattice, so neither their accuracy nor
+    their cost depends on the scale u of the curve."""
+
+    @pytest.mark.parametrize("e", range(-12, 13, 3))
+    def test_e02_is_u_at_every_scale_for_bounded_cost(self, e, gammainc_calls_at_u1):
+        # on the Z[2*sqrt(-1)] row e*_{0,2} = e2* = u exactly
+        u = Fraction(10) ** e
+        val, calls = _ek02_and_gammainc_calls(u)
+        with mp.workprec(400):
+            assert abs(val.to_mpc() - mp.mpf(u.numerator) / u.denominator) < 1e-20
+        assert calls <= 2 * gammainc_calls_at_u1, (calls, gammainc_calls_at_u1)
+
+    @pytest.mark.parametrize("u", [Fraction(1, 1000), Fraction(1000)])
+    def test_homogeneity_across_catalog_scales(self, u):
+        # the row at scale u has periods c = u^(-1/2) times those at u = 1,
+        # so K*_a at matching torsion points differs by c^(a - 2s)
+        row = catalog_row("Z[2*sqrt(-1)]")
+        one, lat = (compute_periods(row.curve(v), 256) for v in (1, u))
+        a, s = 3, mp.mpc(2, 0.5)
+        with mp.workprec(256):
+            vals = []
+            for L in (one, lat):
+                w1, w2 = L.pair_mpc()
+                vals.append(eisenstein_kronecker_lerch(
+                    a, w1 / 3, (w1 + w2) / 3, s, L, 1e-16).to_mpc())
+            f = mp.sqrt(mp.mpf(u.denominator) / u.numerator) ** (a - 2 * s)
+            assert abs(vals[1] - f * vals[0]) < 1e-16 * (1 + abs(f))
+
+    def test_normalised_lattice_is_an_exact_power_of_two(self):
+        for u in (Fraction(1, 10 ** 6), Fraction(1), Fraction(10 ** 6)):
+            lat = compute_periods(catalog_row("Z[2*sqrt(-1)]").curve(u), 256)
+            k, norm = eklerch._normalised(lat)
+            assert 1 <= norm.A() < 4
+            assert norm.A() == mp.ldexp(lat.A(), 2 * k)
+            assert norm.omega1.re == mp.ldexp(lat.omega1.re, k)
+            assert norm.omega2.im == mp.ldexp(lat.omega2.im, k)
 
 
 class TestE2StarCatalog:

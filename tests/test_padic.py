@@ -310,6 +310,17 @@ class TestTranslateLogOracle:
             bad[j] = alg.add(bad[j], alg.const(p ** (M - 3)))
             assert _p2_log_of(alg, bad, self.KEEP) != want, j
 
+    @pytest.mark.parametrize("label,u,p,M", TRANSLATE_ORACLE)
+    def test_lift_certifies_all_digits(self, label, u, p, M):
+        # the oracle loses the two digits of its p^2 factor, so it certifies
+        # the translate at M + 2 to M digits; the translate at M must agree
+        # with it mod p^M, which certifies every one of its M digits
+        alg, F = self._setup(label, u, p, M)
+        lift, G = self._setup(label, u, p, M + 2)
+        assert _p2_log_of(lift, G, self.KEEP) == self._want(lift, self.KEEP)
+        assert tuple(c % alg.pk for c in lift.W1) == alg.W1
+        assert [tuple(c % alg.pk for c in g) for g in G] == F
+
 
 @pytest.fixture(scope="module")
 def restricted_n6():
