@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 from typing import List, Optional, Tuple
 
@@ -317,15 +318,24 @@ def _agm(a, b, prec):
     return (a + b) / 2
 
 
+def _q_terms(w1, w2, prec_bits: int):
+    """[q^n] and [1 - q^n] for n = 1 .. nmax - 1, q = exp(2 pi i w2/w1): the
+    terms of every q-expansion below, with nmax set so |q|^nmax < 2^-prec_bits.
+    Call inside workprec(prec_bits)."""
+    tau = w2 / w1
+    q = mp.exp(2j * mp.pi * tau)
+    nmax = max(8, int(prec_bits / max(1e-9, -mp.log(abs(q), 2))) + 4)
+    qn = [q ** n for n in range(1, nmax)]
+    return qn, [1 - x for x in qn]
+
+
 def eisenstein_backcheck(w1, w2, prec_bits: int):
     """(g2, g3) of Z w1 + Z w2 via exponentially convergent q-expansions:
     g2 = (2 pi / w1)^4 E4/12, g3 = (2 pi / w1)^6 E6/216."""
     with mp.workprec(prec_bits):
-        tau = w2 / w1
-        q = mp.exp(2j * mp.pi * tau)
-        nmax = max(8, int(prec_bits / max(1e-9, -mp.log(abs(q), 2))) + 4)
-        E4 = 1 + 240 * mp.fsum(n ** 3 * q ** n / (1 - q ** n) for n in range(1, nmax))
-        E6 = 1 - 504 * mp.fsum(n ** 5 * q ** n / (1 - q ** n) for n in range(1, nmax))
+        qn, den = _q_terms(w1, w2, prec_bits)
+        E4 = 1 + 240 * mp.fsum(n ** 3 * x / y for n, (x, y) in enumerate(zip(qn, den), 1))
+        E6 = 1 - 504 * mp.fsum(n ** 5 * x / y for n, (x, y) in enumerate(zip(qn, den), 1))
         g2 = (2 * mp.pi / w1) ** 4 * E4 / 12
         g3 = (2 * mp.pi / w1) ** 6 * E6 / 216
     return g2, g3
@@ -334,20 +344,29 @@ def eisenstein_backcheck(w1, w2, prec_bits: int):
 def eta1_quasi_period(w1, w2, prec_bits: int):
     """Quasi-period eta1 (sigma(z + w1) factor) = (pi^2/(3 w1)) E2(tau)."""
     with mp.workprec(prec_bits):
-        tau = w2 / w1
-        q = mp.exp(2j * mp.pi * tau)
-        nmax = max(8, int(prec_bits / max(1e-9, -mp.log(abs(q), 2))) + 4)
-        E2 = 1 - 24 * mp.fsum(n * q ** n / (1 - q ** n) for n in range(1, nmax))
+        qn, den = _q_terms(w1, w2, prec_bits)
+        E2 = 1 - 24 * mp.fsum(n * x / y for n, (x, y) in enumerate(zip(qn, den), 1))
         return mp.pi ** 2 / (3 * w1) * E2
+
+
+def _raw(x):
+    """Exact identity of an mpf or mpc value: its raw mpmath tuple (an mpf
+    and an mpc of the same value give different keys, as they may round
+    differently in later arithmetic)."""
+    return x._mpc_ if isinstance(x, mp.mpc) else x._mpf_
 
 
 def compute_periods(curve: CurveData, prec_bits: int = 256) -> LatticeData:
     """Period lattice of the curve with Im(w2/w1) > 0, validated by the
     Eisenstein back-check to 2^(-prec_bits/2).
 
-    Roots of 4x^3 - g2 x - g3 are combined through the optimal AGM; the basis
-    is then normalized (swap / negate / shear) to the tau fundamental domain
-    and checked against the curve invariants.
+    Roots of 4x^3 - g2 x - g3 are combined through the optimal AGM for each
+    of the 6 root orderings; each basis (w1, w2), (w1, -w2), (w1, w2 +- w1)
+    with Im(w2/w1) > 0 is back-checked against (g2, g3), and the first one
+    with the least residual is kept.  No reduction of tau to a fundamental
+    domain is made: the residuals of the candidates differ by rounding, so
+    the kept tau may lie anywhere in the upper half plane.  Orderings that
+    give a bit-identical basis are back-checked once.
     """
     work = prec_bits + 48
     with mp.workprec(work):
@@ -355,9 +374,8 @@ def compute_periods(curve: CurveData, prec_bits: int = 256) -> LatticeData:
         g3 = curve.g3.to_mpc(work)
         roots = mp.polyroots([4, 0, -g2, -g3], maxsteps=200, extraprec=60)
         best = None
-        # try all orderings; keep the basis whose back-check residual is least
-        import itertools
-        for e1, e2, e3 in itertools.permutations(roots):
+        seen = set()
+        for e1, e2, e3 in permutations(roots):
             try:
                 a = mp.sqrt(e1 - e3)
                 b = mp.sqrt(e1 - e2)
@@ -366,6 +384,10 @@ def compute_periods(curve: CurveData, prec_bits: int = 256) -> LatticeData:
             except (mp.libmp.libhyper.NoConvergence, ZeroDivisionError):
                 continue
             for cand2 in (w2, -w2, w2 + w1, w2 - w1):
+                key = (_raw(w1), _raw(cand2))
+                if key in seen:
+                    continue
+                seen.add(key)
                 tau = cand2 / w1
                 if mp.im(tau) <= 0:
                     continue

@@ -1,16 +1,21 @@
 """Catalog, exact expansions, periods, pairing."""
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from ektheta import curves
 from ektheta.curves import (
     CurveData,
+    PeriodPrecisionError,
     catalog,
     catalog_row,
     compute_periods,
     eisenstein_backcheck,
+    eta1_quasi_period,
     formal_log,
     pairing,
     sigma_series,
@@ -216,6 +221,79 @@ class TestPeriods:
         for label in ("Z[sqrt(-1)]", "Z[sqrt(-3)]", "Z[(1+sqrt(-19))/2]"):
             lat = compute_periods(catalog_row(label).curve(1), 96)
             assert lat.A() > 0
+
+
+# sha256 of json.dumps(LatticeData.to_json(), sort_keys=True) at 256 bits,
+# taken before each back-check shared one q-power table and duplicate bases
+# were skipped: neither may move a bit of any period
+PINNED_PERIODS = {
+    ("Z[sqrt(-1)]", "1"): "3ceb5296e089894a46ec9a14c3bb0d0c8c5e43e2426980ebbee44d2d1d08c041",
+    ("Z[sqrt(-2)]", "1"): "517c6677a1f375ba21de3ba20ef83253a0ae363f35922203be1620403e33af9b",
+    ("Z[2*sqrt(-1)]", "1"): "62c7ace5e7d4fd7b33578f2736e9ae93a0fb560bee770ccf88767505df2ae415",
+    ("Z[(1+sqrt(-3))/2]", "1"): "6f533ca4d753e5aecce49d083741bfa990495c5100bc7b7d076f55730feb1f45",
+    ("Z[sqrt(-3)]", "1"): "79f3c87e4d59fa57ae55d511f709f82e424fbc6066e8a5408a52179ad85992bd",
+    ("Z[(1+3*sqrt(-3))/2]", "1"): "efb3b00763c1b61fef67dd7a345ddd9040ec8aed4fee419fa376abdd97d645ff",
+    ("Z[(1+sqrt(-7))/2]", "1"): "cd4393ea128884a33a50223a1f720f77008530bc65eb238b5e1cc6ce21be4db6",
+    ("Z[sqrt(-7)]", "1"): "b0c757f445eebe51a424580f40f2c9985de30825fa98015588ec23627f78612d",
+    ("Z[(1+sqrt(-11))/2]", "1"): "17332ffaf41964ce9c53da3958ae0ccee80aa8031460907cf957c63d83b75a05",
+    ("Z[(1+sqrt(-19))/2]", "1"): "065a4a31eb9690f9298c31e2c9765d6b37b49c37c4d4208634acc0e02eae265a",
+    ("Z[(1+sqrt(-43))/2]", "1"): "baebee0b0221d22880e6a6a725f5c371893f7a18ca6e2a1681f286dba17cf776",
+    ("Z[(1+sqrt(-67))/2]", "1"): "02024143da36b4a0d924f48efda3f291b1c6e1570446b559f8d08f7853f648c0",
+    ("Z[(1+sqrt(-163))/2]", "1"): "196917061b95f4e0d350c156c1e3cc2b9c8aaf17aa001fb07ddf19a19c6aeec1",
+    ("Z[sqrt(-1)]", "4"): "f780a89154280063f08bf4c97710f6377c7aeb448ac35ab74294e2dd4dd6a960",
+    ("Z[2*sqrt(-1)]", "1/1000"): "4044234ea83003c125144ebf9261e61f84e76e8b71f31ac31a8eefbb7e2456b6",
+    ("Z[2*sqrt(-1)]", "1000"): "24f1b0f4eeec70e030f01ddfd8a2780b5cfb223161ec242de18d4b6448e170b5",
+}
+
+
+class TestPeriodsPinned:
+    def test_every_catalog_row_is_pinned(self):
+        assert {label for label, u in PINNED_PERIODS if u == "1"} == \
+            {row.label for row in catalog()}
+
+    @pytest.mark.parametrize("label,u", sorted(PINNED_PERIODS))
+    def test_periods_pinned(self, label, u):
+        lat = compute_periods(catalog_row(label).curve(Fraction(u)), 256)
+        text = json.dumps(lat.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_PERIODS[label, u]
+
+
+class TestBackcheck:
+    def test_perturbed_agm_is_refused(self, monkeypatch):
+        # a relative error of 2^-100 in every period moves g2 by about
+        # 4 * 4 * 2^-100, far above the tolerance 2^-128 * (1 + |g2| + |g3|)
+        agm = curves._agm
+        monkeypatch.setattr(curves, "_agm",
+                            lambda a, b, prec: agm(a, b, prec) * (1 + mp.mpf(2) ** -100))
+        with pytest.raises(PeriodPrecisionError):
+            compute_periods(zi_curve(), 256)
+
+    def test_one_backcheck_per_distinct_basis(self, monkeypatch):
+        # Z[i] at u = 4: the 6 root orderings x 4 shears give 18 admissible
+        # bases, of which 12 are distinct; each is back-checked once
+        seen = []
+        check = curves.eisenstein_backcheck
+
+        def counting(w1, w2, prec):
+            with mp.workprec(prec):
+                seen.append((mp.mpc(w1)._mpc_, mp.mpc(w2)._mpc_))
+            return check(w1, w2, prec)
+
+        monkeypatch.setattr(curves, "eisenstein_backcheck", counting)
+        compute_periods(zi_curve(), 256)
+        assert len(seen) == 12
+        assert len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize("label,u", [("Z[sqrt(-1)]", "4"), ("Z[(1+sqrt(-7))/2]", "1"),
+                                         ("Z[2*sqrt(-1)]", "1/1000")])
+    def test_legendre_relation(self, label, u):
+        # eta1 w2 - eta2 w1 = 2 pi i, with eta2 the quasi-period of w2 read
+        # from the basis (w2, -w1): E2 at tau and at -1/tau share the q-terms
+        w1, w2 = compute_periods(catalog_row(label).curve(Fraction(u)), 256).pair_mpc()
+        with mp.workprec(256):
+            eta1 = eta1_quasi_period(w1, w2, 256)
+            eta2 = eta1_quasi_period(w2, -w1, 256)
+            assert abs(eta1 * w2 - eta2 * w1 - 2j * mp.pi) < mp.mpf(2) ** -200
 
 
 class TestPairing:
