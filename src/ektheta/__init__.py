@@ -8,16 +8,15 @@ Three arithmetic engines over one set of curve data:
 * analytic -- arbitrary-precision complex evaluation of the
   Eisenstein-Kronecker-Lerch sums, theta functions, translations, and the
   identity/distribution verification suites;
-* p-adic -- fixed-precision Z_p arithmetic, the ordinary-prime measure
-  machinery, unit restriction by formal-torsion traces, and the
-  interpolation/congruence checks.
+* p-adic -- the ordinary-prime measure machinery on ints mod p^k (one
+  absolute precision per series), unit restriction by formal-torsion
+  traces, and the interpolation/congruence checks.
 """
 
 __version__ = "0.1.0"
 
-from .scalars import BigComplex, ExactScalar, PadicContext, PadicScalar, \
-    embed_padic
-from .series import BiSeries, ExactRing, KroneckerExpansion, PadicRing, UniSeries
+from .scalars import BigComplex, ExactScalar, PadicScalar, embed_padic
+from .series import BiSeries, ExactRing, KroneckerExpansion, UniSeries
 from .curves import CurveData, FormalLog, LatticeData, catalog, catalog_row, \
     compute_periods, formal_log, pairing, sigma_series, theta_series, wp_series
 from .eklerch import check_functional_equation, direct_hecke_sum, \

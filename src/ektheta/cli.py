@@ -30,7 +30,7 @@ from .kronecker import compose_formal, kronecker_exact, torsion_point, \
     valuation_heatmap, verify_distribution, verify_generating_function
 from .padic import IntegralityError, kummer_congruences, measure_from_theta, \
     moment_table, restrict_to_units, verify_interpolation_origin
-from .scalars import ExactScalar
+from .scalars import ExactScalar, PadicScalar
 
 
 def _meta(args, seed=None):
@@ -261,17 +261,23 @@ def cmd_verify(args):
 def cmd_measure(args):
     curve = _curve_from(args)
     mu = measure_from_theta(curve, args.prime, args.prec, args.order)
+
+    def series_json(mu):
+        # ints mod p^abs_prec, written as p-adic values (val, digits, prec)
+        return mu.series.to_json(
+            lambda c: PadicScalar.from_int(c, mu.p, mu.abs_prec).to_json())
+
     payload = {"kind": "measure-series", "prime": args.prime, "prec": args.prec,
                "coords": "formal", "provenance": mu.provenance,
                "multiplicative_available": False,
                "period_note": mu.period_note,
-               "series": mu.series.to_json()}
+               "series": series_json(mu)}
     if args.restrict:
         mom_order = 8
         if args.moments:
             mom_order = sum(int(x) for x in args.moments.split(","))
         mu = restrict_to_units(mu, out_order=min(args.order, mom_order + 2))
-        payload["restricted_series"] = mu.series.to_json()
+        payload["restricted_series"] = series_json(mu)
         payload["provenance"] = mu.provenance
     if args.moments:
         amax, bmax = (int(x) for x in args.moments.split(","))

@@ -59,10 +59,10 @@ from typing import Dict, List, Optional, Tuple
 from .curves import CurveData, catalog_row_of, formal_log
 from .kronecker import ThetaExpansion, _as_fraction, _unit_series_list, \
     compose_regular, kronecker_exact, kronecker_regular, log_and_tail_inverse
-from .scalars import ExactScalar, PadicContext, PadicScalar, divrem_monic, \
-    embed_padic, ideal_generators, inverse, mulmod, ok_omega, ok_units, \
-    power_sums, trace, _sqrt_minus_d_mod, _vp_fraction
-from .series import BiSeries, ExactRing, IntModRing, PadicRing, UniSeries
+from .scalars import ExactScalar, PadicScalar, divrem_monic, embed_padic, \
+    ideal_generators, inverse, mulmod, ok_omega, ok_units, power_sums, trace, \
+    _sqrt_minus_d_mod, _vp_fraction
+from .series import BiSeries, ExactRing, IntModRing, UniSeries
 
 __all__ = [
     "NoPeriodError",
@@ -100,6 +100,11 @@ def _int_mod(x: Fraction, p: int, pk: int) -> int:
     if x.denominator % p == 0:
         raise IntegralityError(f"{x} is not {p}-integral")
     return x.numerator * pow(x.denominator, -1, pk) % pk
+
+
+def _series_prec(series: BiSeries, p: int) -> int:
+    """k for a series over IntModRing(p^k): its absolute precision."""
+    return round(math.log(series.ring.modulus, p))
 
 
 # ---------------------------------------------------------------------------
@@ -607,16 +612,17 @@ def restricted_formal_series(curve: CurveData, p: int, N: int,
 
         (1-1/p)^2 C - (1/p)(1-1/p)(Tr_s C + Tr_t C) + (1/p^2) Tr_s Tr_t C
 
-    over PadicScalar coefficients, from the composed integral expansion C.
+    on ints mod p^(N+4), from the composed integral expansion C mod p^(N+6).
     The pole class cancels identically, so only the regular part enters.
-    Coefficients are asserted integral (the measure property).
+    The combination is formed times p^2 and divided back exactly: a
+    coefficient not divisible by p^2 (the restriction not integral, against
+    the measure property) raises IntegralityError naming v_p.
     """
     _require_split(curve, p)
     DS = out_order
     digits = N + 6
     DBIG = DS + (p - 1) * (N + 5)
     chat = _exact_composed(curve, p, DBIG, digits)
-    ctx = PadicContext(p)
     pko = p ** digits
     imax = max((i for i, _ in chat), default=0)
     alg = formal_torsion_algebra(curve, p, digits)
@@ -651,15 +657,14 @@ def restricted_formal_series(curve: CurveData, p: int, N: int,
             for l in range(0, DS + 1 - k):
                 if rowj[l]:
                     bump((k, l), ck * rowj[l])
-    ring = PadicRing(ctx, digits - 2)
     out = {}
     for key, val in R2.items():
-        sc = ctx.from_int(val, digits).shift(-2)
-        if sc.val is not None and sc.val < 0:
-            raise IntegralityError(
-                f"restricted series coefficient at {key} has v_p = {sc.val}")
-        out[key] = sc
-    return BiSeries(ring, out, DS)
+        q, r = divmod(val, p * p)
+        if r:
+            raise IntegralityError(f"restricted series coefficient at {key} has "
+                                   f"v_p = {_vp_fraction(r, p) - 2}")
+        out[key] = q
+    return BiSeries(IntModRing(p ** (digits - 2)), out, DS)
 
 
 def formal_moments(series: BiSeries, curve: CurveData, p: int,
@@ -669,36 +674,35 @@ def formal_moments(series: BiSeries, curve: CurveData, p: int,
         M(a, b) = d_z^(b-1) d_w^a (series as a function of z, w) at 0,
 
     which equals Omega_p^-(a+b-1) times the multiplicative log-derivative
-    moment.  Computed with d_z = (1/lambda'(s)) d_s."""
+    moment.  Computed with d_z = (1/lambda'(s)) d_s on the series' ints mod
+    p^k; 1/lambda'(s) has integral coefficients (Silverman, AEC IV.1), and
+    _int_mod raises if one is not.  Each moment comes back as a PadicScalar
+    with abs_prec k."""
     ring = series.ring
+    m = ring.modulus
     order = series.order
     lam = formal_log(curve, order + 2, ExactRing(0)).series
-    lamp = lam.derivative().truncate(order)
-    lamp_inv_fr = lamp.inverse()
-    lamp_inv = UniSeries(ring, {k: ring.coerce(v)
-                                for k, v in lamp_inv_fr.coeffs.items()}, order)
+    lamp_inv = [(k, _int_mod(v, p, m)) for k, v in
+                lam.derivative().truncate(order).inverse().coeffs.items()]
 
     def dz(f: BiSeries, axis: int) -> BiSeries:
-        dd = {}
+        dd: Dict[Tuple[int, int], int] = {}
         for (i, j), v in f.coeffs.items():
             k = (i, j)[axis]
             if k == 0:
                 continue
             key = (i - 1, j) if axis == 0 else (i, j - 1)
-            t = v * k
-            dd[key] = dd[key] + t if key in dd else t
-        deriv = BiSeries(ring, dd, f.order - 1)
+            dd[key] = dd.get(key, 0) + v * k
         # multiply by lambda'(s or t)^-1 along the axis
-        out = {}
-        for (i, j), v in deriv.coeffs.items():
-            for k, u in lamp_inv.coeffs.items():
+        out: Dict[Tuple[int, int], int] = {}
+        for (i, j), v in dd.items():
+            for k, u in lamp_inv:
                 key = (i + k, j) if axis == 0 else (i, j + k)
-                if key[0] + key[1] > deriv.order:
-                    continue
-                t = v * u
-                out[key] = out[key] + t if key in out else t
-        return BiSeries(ring, out, deriv.order)
+                if key[0] + key[1] < f.order:
+                    out[key] = out.get(key, 0) + v * u
+        return BiSeries(ring, {key: v % m for key, v in out.items()}, f.order - 1)
 
+    prec = _series_prec(series, p)
     out: Dict[Tuple[int, int], PadicScalar] = {}
     cur_b = series
     for b in range(1, b_max + 1):
@@ -709,7 +713,7 @@ def formal_moments(series: BiSeries, curve: CurveData, p: int,
             if a > 0:
                 cur = dz(cur, 1)
             if a + b - 1 <= cur.order:
-                out[(a, b)] = cur.coeff(0, 0)
+                out[(a, b)] = PadicScalar.from_int(cur.coeff(0, 0), p, prec)
     return out
 
 
@@ -722,10 +726,12 @@ class MeasureSeries:
     """Power-series avatar of the measure attached to the starred composed
     expansion, in the formal coordinates (s, t).
 
-    `series` holds the integral expansion mod p^abs_prec (after
-    restrict_to_units, its restriction to Z_p^x x Z_p^x).  `period_note`
-    says why the multiplicative (S, T) coordinates are unavailable.  Moment
-    statements carry the grading Omega_p^(a+b-1) symbolically.
+    `series` holds the integral expansion on ints mod p^abs_prec
+    (IntModRing): abs_prec is N from measure_from_theta, and N + 4 after
+    restrict_to_units, whose series is the restriction to Z_p^x x Z_p^x.
+    `period_note` says why the multiplicative (S, T) coordinates are
+    unavailable.  Moment statements carry the grading Omega_p^(a+b-1)
+    symbolically.
     """
 
     series: BiSeries
@@ -738,13 +744,11 @@ class MeasureSeries:
 
 
 def measure_from_theta(curve: CurveData, p: int, N: int, order: int) -> MeasureSeries:
-    """Embed the starred composed expansion mod p^N; assert integrality."""
+    """The starred composed expansion on ints mod p^N; _exact_composed
+    asserts its integrality."""
     _require_split(curve, p)
-    ctx = PadicContext(p)
-    ring = PadicRing(ctx, N)
-    out = {key: ctx.from_int(c, N)
-           for key, c in _exact_composed(curve, p, order, N).items()}
-    return MeasureSeries(series=BiSeries(ring, out, order), p=p, abs_prec=N,
+    series = BiSeries(IntModRing(p ** N), _exact_composed(curve, p, order, N), order)
+    return MeasureSeries(series=series, p=p, abs_prec=N,
                          provenance=f"starred composed expansion, order {order}",
                          period_note=period_note(curve, p), curve=curve)
 
@@ -756,7 +760,7 @@ def restrict_to_units(mu: MeasureSeries, out_order: Optional[int] = None) -> Mea
     p = mu.p
     series = restricted_formal_series(mu.curve, p, mu.abs_prec,
                                       out_order or mu.series.order)
-    return MeasureSeries(series=series, p=p, abs_prec=mu.abs_prec,
+    return MeasureSeries(series=series, p=p, abs_prec=_series_prec(series, p),
                          provenance=mu.provenance + " | unit-restricted (trace)",
                          period_note=mu.period_note, curve=mu.curve,
                          restricted=True)
@@ -892,6 +896,41 @@ class KummerReport:
         return bool(self.rows) and all(r.congruent for r in self.rows)
 
 
+KUMMER_DIGITS = 4     # p-adic digits of each moment the Kummer block forms
+
+
+def _euler_moments_mod(curve: CurveData, p: int,
+                       max_exp: int) -> Dict[Tuple[int, int], PadicScalar]:
+    """The Euler-factor moments M(a, b) (euler_factor_moment) known mod at
+    least p^KUMMER_DIGITS, for a, b - 1 <= max_exp with a + b divisible by
+    the unit count w of the CM order (6 when g2 = 0, 4 when g3 = 0, else 2).
+
+    i_p(pi) has v_p exactly 1, so u = i_p(pi)/p is a p-unit and the Euler
+    factors are the ints 1 - p^(b-1) u^(a+b) and 1 - p^a u^(a+b).  The factor
+    (b-1)! a! c~(b-1, a), from the expansion over curve.ring(), may have a p
+    in its denominator that the Euler factors cancel; with g the largest
+    such power, the factors are formed mod p^(KUMMER_DIGITS + g), enough to
+    give the product abs_prec >= KUMMER_DIGITS."""
+    pi = cm_prime_generator(curve, p)
+    # unit count of the CM order, from g2, g3 rather than d: Z[sqrt(-3)]
+    # and Z[2 sqrt(-1)] share d with orders that have more units
+    w = 6 if not curve.g2 else 4 if not curve.g3 else 2
+    base = kronecker_exact(curve, 2 * max_exp + 2)     # over curve.ring()
+    ctil = {(a, b): embed_padic(ExactScalar(base.coeff(b - 1, a) * math.factorial(b - 1)
+                                            * math.factorial(a)), p, KUMMER_DIGITS)
+            for b in range(1, max_exp + 2) for a in range(max_exp + 1)
+            if (a + b) % w == 0}
+    k = KUMMER_DIGITS + max([0] + [-c.val for c in ctil.values() if c.val is not None])
+    pk = p ** k
+    u = embed_padic(pi, p, k + 1).unit
+    out = {}
+    for (a, b), c in ctil.items():
+        un = pow(u, a + b, pk)
+        euler = (1 - p ** (b - 1) * un) * (1 - p ** a * un)
+        out[(a, b)] = c * PadicScalar.from_int(euler, p, k)
+    return out
+
+
 def kummer_congruences(curve: CurveData, p: int, max_exp: int = 20) -> KummerReport:
     """Congruences between unit-restricted moments whose exponent pairs agree
     mod p-1.
@@ -902,22 +941,11 @@ def kummer_congruences(curve: CurveData, p: int, max_exp: int = 20) -> KummerRep
 
         M(a, b) = a_p^((a+b)-(a'+b'))/(p-1) M(a', b')  mod (the prime over p),
 
-    M the period-normalized Euler-factor moments.
+    M the period-normalized Euler-factor moments, formed on ints
+    (_euler_moments_mod).
     """
-    pi = cm_prime_generator(curve, p)
     ap = hasse_unit_mod_p(curve, p)
-    # unit count of the CM order, from g2, g3 rather than d: Z[sqrt(-3)]
-    # and Z[2 sqrt(-1)] share d with orders that have more units
-    w = 6 if not curve.g2 else 4 if not curve.g3 else 2
-    order = 2 * max_exp + 2
-    base = kronecker_exact(curve, order, ExactRing(pi.d))
-    vals = {}
-    for x in range(0, max_exp + 1):       # x = b - 1
-        for y in range(0, max_exp + 1):   # y = a
-            a, b = y, x + 1
-            if a + b > order or (a + b) % w != 0:
-                continue
-            vals[(a, b)] = euler_factor_moment(curve, pi, p, a, b, base)
+    vals = _euler_moments_mod(curve, p, max_exp)
     rows = []
     for (a, b), m1 in sorted(vals.items()):
         for (a2, b2), m2 in sorted(vals.items()):
@@ -925,12 +953,8 @@ def kummer_congruences(curve: CurveData, p: int, max_exp: int = 20) -> KummerRep
                 continue
             if (b2 - b) % (p - 1) or (a2 - a) % (p - 1):
                 continue
-            delta = (a2 + b2) - (a + b)
-            tw = delta // (p - 1)
-            # m2 = a_p^(-tw)-twisted... compare m1 * ap^tw = m2 mod prime
-            lhs = embed_padic(m1 * ExactScalar(pow(ap, tw, p ** 4)), p, 4)
-            rhs = embed_padic(m2, p, 4)
-            cong = (lhs - rhs).valuation()
-            ok = not isinstance(cong, int) or cong >= 1
-            rows.append(KummerRow((a, b), (a2, b2), tw, ok))
+            tw = ((a2 + b2) - (a + b)) // (p - 1)
+            twist = PadicScalar.from_int(pow(ap, tw, p ** KUMMER_DIGITS), p,
+                                         KUMMER_DIGITS)
+            rows.append(KummerRow((a, b), (a2, b2), tw, (m1 * twist).eq_mod(m2, 1)))
     return KummerReport(p, ap, rows)

@@ -13,9 +13,10 @@ Three scalar kinds live here:
   of the two operand precisions and never silently narrows.
 
 * :class:`PadicScalar` -- an element of Q_p, stored as p^val * unit with
-  the int unit known modulo p^(abs_prec - val).  Arithmetic tracks absolute
-  precision: sums keep the minimum absolute precision, products the minimum
-  relative precision, and division shifts valuations.
+  the int unit known modulo p^(abs_prec - val).  It is a value for output
+  and comparison: the p-adic engine computes on plain ints mod p^k (one
+  absolute precision per series) and builds these at the end.  Its one
+  operation is the product, which keeps the smaller relative precision.
 
 The p-adic embedding of exact scalars (``embed_padic``) fixes the split-prime
 square root of -d deterministically: the root r of x^2 + d = 0 (mod p) with
@@ -39,9 +40,7 @@ import mpmath as mp
 __all__ = [
     "ExactScalar",
     "BigComplex",
-    "PadicContext",
     "PadicScalar",
-    "ValuationAtLeast",
     "embed_padic",
     "FieldMismatchError",
     "RamifiedPrimeError",
@@ -443,24 +442,6 @@ class BigComplex:
 # p-adic scalars
 # ---------------------------------------------------------------------------
 
-class ValuationAtLeast:
-    """Marker for 'valuation >= bound' (value indistinguishable from zero)."""
-
-    __slots__ = ("bound",)
-
-    def __init__(self, bound: int):
-        self.bound = bound
-
-    def __eq__(self, other):
-        return isinstance(other, ValuationAtLeast) and other.bound == self.bound
-
-    def __repr__(self):
-        return f"ValuationAtLeast({self.bound})"
-
-    def __str__(self):
-        return f">= {self.bound}"
-
-
 # integer arithmetic in Z/p^k[x]/(W), W monic; elements are coefficient tuples
 
 def _vp_fraction(x, p: int) -> Optional[int]:
@@ -557,52 +538,31 @@ def inverse(u, W, pk, start) -> tuple:
                           "inverse modulo the maximal ideal")
 
 
-@dataclass(frozen=True)
-class PadicContext:
-    """Z_p for a fixed prime p: the constructors of its elements."""
-
-    p: int
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("p must be prime")
-
-    # -- element constructors -------------------------------------------------
-    def zero(self, abs_prec: int) -> "PadicScalar":
-        return PadicScalar(self, None, 0, abs_prec)
-
-    def from_int(self, n: int, abs_prec: int) -> "PadicScalar":
-        return self.from_fraction(n, abs_prec)
-
-    def from_fraction(self, x: Fraction, abs_prec: int) -> "PadicScalar":
-        val = _vp_fraction(x, self.p)
-        if val is None or val >= abs_prec:
-            return self.zero(abs_prec)
-        num, den = x.numerator, x.denominator
-        if val >= 0:
-            num //= self.p ** val
-        else:
-            den //= self.p ** -val
-        pk = self.p ** (abs_prec - val)
-        return PadicScalar(self, val, num * pow(den, -1, pk) % pk, abs_prec)
-
-    def __repr__(self):
-        return f"PadicContext(p={self.p})"
-
-
 class PadicScalar:
     """p^val * unit in Q_p, the int unit known mod p^(abs_prec - val);
-    val None = zero."""
+    val None = zero at this precision.  A value for comparison and output,
+    not a ring element: its one operation is the product."""
 
-    __slots__ = ("ctx", "val", "unit", "abs_prec")
+    __slots__ = ("p", "val", "unit", "abs_prec")
 
-    def __init__(self, ctx: PadicContext, val: Optional[int], unit: int, abs_prec: int):
-        self.ctx = ctx
+    def __init__(self, p: int, val: Optional[int], unit: int, abs_prec: int):
+        self.p = p
         self.val = val
         self.unit = unit
         self.abs_prec = abs_prec
 
-    # -- helpers ---------------------------------------------------------------
+    @staticmethod
+    def from_int(n: int, p: int, abs_prec: int, shift: int = 0) -> "PadicScalar":
+        """n / p^shift, for an int n known mod p^(abs_prec + shift)."""
+        n %= p ** (abs_prec + shift)
+        if not n:
+            return PadicScalar(p, None, 0, abs_prec)
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        return PadicScalar(p, v - shift, n, abs_prec)
+
     @property
     def rel_prec(self) -> int:
         if self.val is None:
@@ -613,15 +573,6 @@ class PadicScalar:
         """True when indistinguishable from zero at this precision."""
         return self.val is None
 
-    def _coerce(self, other) -> "PadicScalar":
-        if isinstance(other, PadicScalar):
-            if other.ctx.p != self.ctx.p:
-                raise FieldMismatchError("mixed p-adic contexts")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ctx.from_fraction(other, self.abs_prec)
-        return NotImplemented  # type: ignore[return-value]
-
     def to_int(self, digits: Optional[int] = None) -> int:
         """The value mod p^min(digits, abs_prec), in [0, p^k).
 
@@ -631,143 +582,47 @@ class PadicScalar:
         if self.val is None or self.val >= k:
             return 0
         if self.val < 0:
-            raise ValueError("to_int() needs a p-integral element; shift first")
-        return self.unit * self.ctx.p ** self.val % self.ctx.p ** k
-
-    # -- arithmetic --------------------------------------------------------------
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        N = min(self.abs_prec, o.abs_prec)
-        if self.val is None and o.val is None:
-            return self.ctx.zero(N)
-        v = min(x.val for x in (self, o) if x.val is not None)
-        rel = N - v
-        if rel <= 0:
-            return self.ctx.zero(N)
-        p = self.ctx.p
-        total = sum(x.unit * p ** (x.val - v) for x in (self, o) if x.val is not None)
-        return self.ctx.from_int(total % p ** rel, rel).shift(v).with_abs_prec(N)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self.val is None:
-            return self
-        return PadicScalar(self.ctx, self.val, -self.unit % self.ctx.p ** self.rel_prec,
-                           self.abs_prec)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+            raise ValueError("to_int() needs a p-integral element")
+        return self.unit * self.p ** self.val % self.p ** k
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, PadicScalar):
             return NotImplemented
-        if self.val is None or o.val is None:
+        if other.p != self.p:
+            raise FieldMismatchError("mixed p-adic primes")
+        if self.val is None or other.val is None:
             # O(p^a) * p^v (unit or O(1)) is O(p^(a + v))
             va = self.val if self.val is not None else self.abs_prec
-            vb = o.val if o.val is not None else o.abs_prec
-            return self.ctx.zero(va + vb)
-        rel = min(self.rel_prec, o.rel_prec)
-        val = self.val + o.val
+            vb = other.val if other.val is not None else other.abs_prec
+            return PadicScalar(self.p, None, 0, va + vb)
+        rel = min(self.rel_prec, other.rel_prec)
+        val = self.val + other.val
         # unit*unit stays a unit; no re-extraction needed
-        return PadicScalar(self.ctx, val, self.unit * o.unit % self.ctx.p ** rel,
+        return PadicScalar(self.p, val, self.unit * other.unit % self.p ** rel,
                            val + rel)
 
-    __rmul__ = __mul__
+    def eq_mod(self, other: "PadicScalar", k: int) -> bool:
+        """self = other mod p^k, with both known to at least p^k."""
+        if k > min(self.abs_prec, other.abs_prec):
+            return False
+        # p^e x is an int for both, e clearing the lower valuation
+        e = max([0] + [-x.val for x in (self, other) if x.val is not None])
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
+        def scaled(x: "PadicScalar") -> int:
+            return 0 if x.val is None else x.unit * self.p ** (x.val + e)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o * self.inverse()
-
-    def inverse(self) -> "PadicScalar":
-        if self.val is None:
-            raise ZeroDivisionError("division by (indistinguishable-from-)zero p-adic")
-        rel = self.rel_prec
-        return PadicScalar(self.ctx, -self.val, pow(self.unit, -1, self.ctx.p ** rel),
-                           -self.val + rel)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        if k == 0:
-            return PadicScalar(self.ctx, 0, 1, self.abs_prec)
-        base = self
-        result = None
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    # -- inspection ---------------------------------------------------------------
-    def valuation(self):
-        """v_p, or a ValuationAtLeast marker when the value could be 0."""
-        if self.val is None:
-            return ValuationAtLeast(self.abs_prec)
-        return self.val
-
-    def shift(self, k: int) -> "PadicScalar":
-        """Multiply by p^k (exact)."""
-        if self.val is None:
-            return self.ctx.zero(self.abs_prec + k)
-        return PadicScalar(self.ctx, self.val + k, self.unit, self.abs_prec + k)
-
-    def with_abs_prec(self, N: int) -> "PadicScalar":
-        """Truncate to absolute precision N (never increases knowledge)."""
-        if N >= self.abs_prec:
-            return self
-        if self.val is None:
-            return self.ctx.zero(N)
-        rel = N - self.val
-        if rel <= 0:
-            return self.ctx.zero(N)
-        return PadicScalar(self.ctx, self.val, self.unit % self.ctx.p ** rel, N)
-
-    def eq_mod(self, other, k: int) -> bool:
-        o = self._coerce(other)
-        diff = self - o
-        return diff.val is None and diff.abs_prec >= k or \
-            (diff.val is not None and diff.val >= k)
-
-    def __eq__(self, other):
-        """Equality at the shared precision."""
-        try:
-            o = self._coerce(other)
-        except (FieldMismatchError, TypeError):
-            return NotImplemented
-        if o is NotImplemented:
-            return NotImplemented
-        return self.eq_mod(o, min(self.abs_prec, o.abs_prec))
-
-    def __bool__(self):
-        return self.val is not None
+        return (scaled(self) - scaled(other)) % self.p ** (k + e) == 0
 
     def digits(self) -> list:
         """Base-p digits of the unit part, least significant first."""
         if self.val is None:
             return []
-        return base_p_digits(self.unit, self.ctx.p, self.rel_prec)
+        return base_p_digits(self.unit, self.p, self.rel_prec)
 
     def to_json(self):
         # "f": the residue degree of the scalar's field, always 1 (Z_p)
         return {
-            "p": self.ctx.p,
+            "p": self.p,
             "f": 1,
             "val": self.val,
             "digits": self.digits(),
@@ -776,9 +631,9 @@ class PadicScalar:
 
     def __repr__(self):
         if self.val is None:
-            return f"PadicScalar(O({self.ctx.p}^{self.abs_prec}))"
-        return (f"PadicScalar({self.ctx.p}^{self.val}*{self.unit}"
-                f" + O({self.ctx.p}^{self.abs_prec}))")
+            return f"PadicScalar(O({self.p}^{self.abs_prec}))"
+        return (f"PadicScalar({self.p}^{self.val}*{self.unit}"
+                f" + O({self.p}^{self.abs_prec}))")
 
 
 # ---------------------------------------------------------------------------
@@ -810,14 +665,20 @@ def embed_padic(x: ExactScalar, p: int, abs_prec: int) -> PadicScalar:
     """Image of x under the fixed embedding i_p into Q_p mod p^abs_prec.
 
     The embedding sends sqrt(-d) to the deterministic root of x^2 + d chosen
-    by :func:`_sqrt_minus_d_mod`.  Denominator valuations shift abs_prec as
-    usual for p-adic division.
+    by :func:`_sqrt_minus_d_mod`.  With p^e the least power that makes both
+    parts of x p-integral, p^e x is formed on ints mod p^(abs_prec + e), the
+    root lifted that far, so the result carries all abs_prec digits however
+    negative v_p(x) is.
     """
-    ctx = PadicContext(p)
-    guard = 4
-    a_part = ctx.from_fraction(x.a, abs_prec + guard)
-    if x.b == 0:
-        return a_part.with_abs_prec(abs_prec)
-    rt = ctx.from_int(_sqrt_minus_d_mod(p, x.d, abs_prec + guard), abs_prec + guard)
-    b_part = ctx.from_fraction(x.b, abs_prec + guard)
-    return (a_part + b_part * rt).with_abs_prec(abs_prec)
+    e = max([0] + [-_vp_fraction(c, p) for c in (x.a, x.b) if c])
+    k = abs_prec + e
+    pk = p ** k
+
+    def scaled(c: Fraction) -> int:
+        c *= Fraction(p) ** e
+        return c.numerator * pow(c.denominator, -1, pk)
+
+    n = scaled(x.a)
+    if x.b:
+        n += scaled(x.b) * _sqrt_minus_d_mod(p, x.d, k)
+    return PadicScalar.from_int(n, p, abs_prec, e)

@@ -6,9 +6,10 @@ total degree.  Coefficient scalars only need ``+ - * /`` among themselves and
 with ints; a small ring adapter supplies zero/one, Fraction coercion (for
 exp, log and integration denominators), a zero test and ``reduce``, which
 series products apply where their sums would otherwise grow without bound.
-Plain ``Fraction`` objects serve as the scalars of the rational exact ring,
-``ExactScalar`` for quadratic fields, ``PadicScalar`` for the p-adic engine
-and plain ints for :class:`IntModRing`.
+Plain ``Fraction`` objects serve as the scalars of the rational exact ring
+and ``ExactScalar`` for quadratic fields.  The p-adic engine uses plain
+ints mod p^k, the scalars of :class:`IntModRing`: each series carries one
+absolute precision, its ring's modulus.
 
 Multiplication of truncated series keeps the usual Laurent bookkeeping:
 the product of series known mod t^(Na+1), t^(Nb+1) with valuations va, vb is
@@ -21,11 +22,10 @@ from fractions import Fraction
 
 from typing import Callable, Dict, Tuple
 
-from .scalars import ExactScalar, PadicContext, PadicScalar
+from .scalars import ExactScalar
 
 __all__ = [
     "ExactRing",
-    "PadicRing",
     "IntModRing",
     "UniSeries",
     "BiSeries",
@@ -82,39 +82,6 @@ class ExactRing:
 
     def __repr__(self):
         return f"ExactRing(d={self.d})"
-
-
-class PadicRing:
-    """Z_p scalars at a default construction precision."""
-
-    def __init__(self, ctx: PadicContext, prec: int):
-        self.ctx = ctx
-        self.prec = prec
-        self.zero = ctx.zero(prec)
-        self.one = ctx.from_int(1, prec)
-
-    def coerce(self, x):
-        if isinstance(x, PadicScalar):
-            return x
-        if isinstance(x, int):
-            return self.ctx.from_int(x, self.prec)
-        if isinstance(x, Fraction):
-            return self.ctx.from_fraction(x, self.prec)
-        raise SeriesError(f"cannot coerce {type(x)} into {self!r}")
-
-    def from_fraction(self, fr: Fraction):
-        return self.ctx.from_fraction(fr, self.prec)
-
-    @staticmethod
-    def is_zero(x) -> bool:
-        return isinstance(x, PadicScalar) and x.val is None or not x
-
-    @staticmethod
-    def reduce(x):
-        return x
-
-    def __repr__(self):
-        return f"PadicRing(p={self.ctx.p}, prec={self.prec})"
 
 
 class IntModRing:

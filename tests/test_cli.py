@@ -243,6 +243,20 @@ class TestMeasureCommands:
         assert digest == \
             "77f08e44f21db664e5d187ff557baa1d95435cb836dc7457279ab1c033fe48f6"
 
+    def test_readme_measure_artifact_pinned(self):
+        # sha256 of the payload (meta dropped) of the README command, from
+        # when the measure, its restriction and its moments ran on p-adic
+        # scalars with per-value precision: ints mod p^k move no bit
+        cp = run_cli("measure", "--catalog", "Z[sqrt(-1)]", "--u", "4",
+                     "--prime", "13", "--prec", "8", "--order", "12",
+                     "--restrict", "--moments", "4,4",
+                     env={"EKTHETA_PREC_BITS": "256", "PYTHONHASHSEED": "0"})
+        doc = json.loads(cp.stdout)
+        del doc["meta"]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == \
+            "ec840873c1156d7d9ec07ca2e29b9e15d0fd4854d50a4b1d36023b742b390ca9"
+
     def test_measure_raw_curve_takes_its_field_from_j(self):
         # g2 = 30, g3 = 28 is the Z[sqrt(-2)] curve at u = 1; 11 splits in
         # Q(sqrt(-2)) though not in Q(i)

@@ -1,4 +1,6 @@
 """p-adic period note, measures, unit restriction, interpolation."""
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,9 +10,11 @@ import pytest
 from ektheta.curves import catalog, catalog_row, formal_log, wp_series
 from ektheta.kronecker import ComposedExpansion, _as_fraction, compose_formal, \
     kronecker_exact, valuation_heatmap
+from ektheta import padic
 from ektheta.padic import (
     IntegralityError,
     NoPeriodError,
+    _euler_moments_mod,
     _exact_composed,
     _int_mod,
     _series_mul,
@@ -34,8 +38,7 @@ from ektheta.padic import (
     split_prime_generator,
     verify_interpolation_origin,
 )
-from ektheta.scalars import ExactScalar, PadicContext, _vp_fraction, embed_padic, \
-    ok_omega
+from ektheta.scalars import ExactScalar, _vp_fraction, embed_padic, ok_omega
 from ektheta.series import BiSeries, ExactRing, KroneckerExpansion, UniSeries
 
 QQ = ExactRing(0)
@@ -329,8 +332,26 @@ def restricted_n6():
 
 class TestRestrictedSeries:
     def test_integral(self, restricted_n6):
-        for v in restricted_n6.coeffs.values():
-            assert v.val is None or v.val >= 0
+        # ints mod 13^(N+4): restricted_formal_series divided the p^2-scaled
+        # combination exactly, or it would have raised
+        assert restricted_n6.ring.modulus == 13 ** 10
+        assert all(isinstance(v, int) and 0 < v < 13 ** 10
+                   for v in restricted_n6.coeffs.values())
+
+    def test_p_squared_check_can_fail(self, monkeypatch):
+        # the combination is integral for every integral C (the traces are
+        # divisible by p), so a +1 in C passes through as an integral change;
+        # a +1 in one trace coefficient breaks the p^2 divisibility
+        table = padic._trace_coefficient_table
+
+        def perturbed(*args):
+            rows = [list(r) for r in table(*args)]
+            rows[1][1] += 1
+            return rows
+
+        monkeypatch.setattr(padic, "_trace_coefficient_table", perturbed)
+        with pytest.raises(IntegralityError, match=r"v_p = -1"):
+            restricted_formal_series(zi_curve(), 13, 4, 5)
 
     def test_sparsity_pattern(self, restricted_n6):
         # psi-killed congruence classes: same support pattern as the composed
@@ -425,8 +446,9 @@ class TestMeasure:
         assert mu.period_note == period_note(zi_curve(), 13)
         assert "no f <= 4" in mu.period_note
         assert mu.series.order == 12
-        for v in mu.series.coeffs.values():
-            assert v.val is None or v.val >= 0
+        assert mu.abs_prec == 6 and mu.series.ring.modulus == 13 ** 6
+        assert all(isinstance(v, int) and 0 < v < 13 ** 6
+                   for v in mu.series.coeffs.values())
 
     def test_moment_table_formal(self):
         mu = measure_from_theta(zi_curve(), 13, 6, 10)
@@ -532,13 +554,64 @@ class TestInterpolationSmall:
         assert sums == set(range(0, 12, w))
 
 
+# sha256 of the rows [pair_lo, pair_hi, twist_power, congruent] of
+# kummer_congruences(row at u = 1, its least good split prime, max_exp=12),
+# taken when the moments were formed in Q(sqrt(-d)) with ExactScalar powers
+KUMMER_PINNED = [
+    ("Z[(1+sqrt(-3))/2]", 7, 54, "eaf3198ab2a05f47d319826824fa8c47f24f9e418d93c12cbf4e8f9e665985d1"),
+    ("Z[sqrt(-3)]", 7, 162, "e24ef9bdf4d4632415eed9e2377900263e2f55d87f965da71d35e7dce7b22f45"),
+    ("Z[(1+3*sqrt(-3))/2]", 7, 162, "e24ef9bdf4d4632415eed9e2377900263e2f55d87f965da71d35e7dce7b22f45"),
+    ("Z[sqrt(-1)]", 5, 204, "cc0771a5ee4f06d98be2cd87823a29bc4f80fa6fb9a8ddcbef4dacd14b4b84e8"),
+    ("Z[2*sqrt(-1)]", 5, 408, "9028d1634861ca104e23d70e558f6fb68c64ea11df4f7f8462c7896ab599ae70"),
+    ("Z[(1+sqrt(-7))/2]", 11, 46, "74e71878b07725e131b4bcfc96bb2c26500bc8688cb9fe4e7279f96958ce5895"),
+    ("Z[sqrt(-7)]", 11, 46, "74e71878b07725e131b4bcfc96bb2c26500bc8688cb9fe4e7279f96958ce5895"),
+    ("Z[sqrt(-2)]", 11, 46, "74e71878b07725e131b4bcfc96bb2c26500bc8688cb9fe4e7279f96958ce5895"),
+    ("Z[(1+sqrt(-11))/2]", 5, 408, "9028d1634861ca104e23d70e558f6fb68c64ea11df4f7f8462c7896ab599ae70"),
+    ("Z[(1+sqrt(-19))/2]", 5, 408, "9028d1634861ca104e23d70e558f6fb68c64ea11df4f7f8462c7896ab599ae70"),
+    ("Z[(1+sqrt(-43))/2]", 11, 46, "74e71878b07725e131b4bcfc96bb2c26500bc8688cb9fe4e7279f96958ce5895"),
+    ("Z[(1+sqrt(-67))/2]", 17, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("Z[(1+sqrt(-163))/2]", 41, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+]
+
+
+class TestKummerOnInts:
+    @pytest.mark.parametrize("label,p,n_rows,digest", KUMMER_PINNED,
+                             ids=[f"{lab}-p{p}" for lab, p, _, _ in KUMMER_PINNED])
+    def test_rows_pinned(self, label, p, n_rows, digest):
+        row = catalog_row(label)
+        assert p == _least_good_split_prime(row)
+        rep = kummer_congruences(row.curve(1), p, 12)
+        rows = [[list(r.pair_lo), list(r.pair_hi), r.twist_power, r.congruent]
+                for r in rep.rows]
+        assert len(rows) == n_rows
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+
+    def test_every_catalog_row_is_pinned(self):
+        assert [lab for lab, _, _, _ in KUMMER_PINNED] == [r.label for r in catalog()]
+
+    def test_int_route_matches_exact_oracle(self):
+        # every moment the Z[i] (u = 4, p = 13) block compares, against the
+        # Euler-factor closed form computed in Q(i) and embedded
+        curve, p = zi_curve(), 13
+        pi = cm_prime_generator(curve, p)
+        pairs = {pair for r in kummer_congruences(curve, p, 20).rows
+                 for pair in (r.pair_lo, r.pair_hi)}
+        moms = _euler_moments_mod(curve, p, 20)
+        base = kronecker_exact(curve, 42, ExactRing(1))
+        assert len(pairs) >= 16
+        for a, b in sorted(pairs):
+            want = embed_padic(euler_factor_moment(curve, pi, p, a, b, base), p, 4)
+            assert moms[(a, b)].abs_prec >= 4
+            assert moms[(a, b)].eq_mod(want, 4), (a, b)
+
+
 class TestPrecisionContract:
     def test_restricted_series_stable_under_recompute_at_n_plus_4(self):
         # every reported digit must survive a recomputation at N + 4
         curve = zi_curve()
         lo = restricted_formal_series(curve, 13, 5, 7)
         hi = restricted_formal_series(curve, 13, 9, 7)
-        for key, v in lo.coeffs.items():
-            w = hi.coeff(*key)
-            k = min(v.abs_prec, 5)
-            assert (v - w).eq_mod(PadicContext(13).zero(k), k), key
+        # lo reports N + 4 = 9 digits, and all of them must agree
+        assert lo.ring.modulus == 13 ** 9 and hi.ring.modulus == 13 ** 13
+        for key in set(lo.coeffs) | set(hi.coeffs):
+            assert (lo.coeff(*key) - hi.coeff(*key)) % 13 ** 9 == 0, key

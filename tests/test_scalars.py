@@ -9,9 +9,8 @@ from ektheta.scalars import (
     CLASS_NUMBER_ONE,
     ExactScalar,
     FieldMismatchError,
-    PadicContext,
+    PadicScalar,
     RamifiedPrimeError,
-    ValuationAtLeast,
     canonical_associate,
     embed_padic,
     ideal_generators,
@@ -147,47 +146,39 @@ class TestRingOfIntegers:
 
 class TestPadicScalar:
     def test_integer_arithmetic_matches_mod_pN(self):
-        ctx = PadicContext(13)
         N = 6
         for a, b in [(7, 9), (13 * 5, 2), (-4, 13**2 * 3)]:
-            x, y = ctx.from_int(a, N), ctx.from_int(b, N)
-            assert (x + y).eq_mod(ctx.from_int(a + b, N), N)
-            assert (x * y).eq_mod(ctx.from_int(a * b, N), N)
+            x, y = PadicScalar.from_int(a, 13, N), PadicScalar.from_int(b, 13, N)
+            assert (x * y).eq_mod(PadicScalar.from_int(a * b, 13, N), N)
+            assert (x * y).to_int() == a * b % 13**N
 
     def test_valuation_examples(self):
-        ctx = PadicContext(13)
-        assert ctx.from_int(13**2, 5).valuation() == 2
-        assert ctx.zero(5).valuation() == ValuationAtLeast(5)
-        assert ctx.from_fraction(Fraction(1, 13), 5).valuation() == -1
+        assert PadicScalar.from_int(13**2, 13, 5).val == 2
+        zero = PadicScalar.from_int(13**5, 13, 5)
+        assert zero.val is None and zero.abs_prec == 5
+        assert embed_padic(Q(Fraction(1, 13)), 13, 5).val == -1
 
     def test_precision_tracking_product(self):
-        ctx = PadicContext(5)
-        x = ctx.from_int(2, 4)
-        y = ctx.from_int(3, 7)
+        x = PadicScalar.from_int(2, 5, 4)
+        y = PadicScalar.from_int(3, 5, 7)
         assert (x * y).abs_prec == 4
 
     def test_zero_product_precision(self):
-        ctx = PadicContext(13)
-        assert (ctx.zero(5) * ctx.from_int(1, 10)).abs_prec == 5
-        assert (ctx.zero(5) * ctx.zero(3)).abs_prec == 8
+        zero, one = PadicScalar.from_int(0, 13, 5), PadicScalar.from_int(1, 13, 10)
+        assert (zero * one).abs_prec == 5
+        assert (zero * PadicScalar.from_int(0, 13, 3)).abs_prec == 8
 
-    def test_division_shifts_precision(self):
-        ctx = PadicContext(5)
-        x = ctx.from_int(1, 6)
-        y = ctx.from_int(25, 6)  # val 2, rel 4
-        q = x / y
-        assert q.val == -2
-        assert q.abs_prec == 2  # -2 + rel 4
-
-    def test_addition_cancellation_detected(self):
-        ctx = PadicContext(7)
-        x = ctx.from_int(3, 5)
-        y = ctx.from_int(-3 + 7**3, 5)
-        assert (x + y).valuation() == 3
+    def test_eq_mod_across_negative_valuations(self):
+        # 1/13 + 13^3 and 1/13 agree mod 13^3 but not mod 13^4; 1/13 and
+        # 2/13 differ at 13^-1
+        x = embed_padic(Q(Fraction(1, 13) + 13**3), 13, 5)
+        y = embed_padic(Q(Fraction(1, 13)), 13, 5)
+        assert x.eq_mod(y, 3) and not x.eq_mod(y, 4)
+        assert not y.eq_mod(embed_padic(Q(Fraction(2, 13)), 13, 5), 1)
+        assert not y.eq_mod(y, 6)       # beyond the known digits
 
     def test_json_shape(self):
-        ctx = PadicContext(13)
-        obj = ctx.from_fraction(Fraction(5, 13), 4).to_json()
+        obj = embed_padic(Q(Fraction(5, 13)), 13, 4).to_json()
         assert obj["p"] == 13 and obj["val"] == -1 and obj["prec"] == 4
 
 
@@ -244,7 +235,19 @@ class TestEmbedPadic:
 
     def test_embed_pole(self):
         x = embed_padic(Q(Fraction(1, 13)), 13, 5)
-        assert x.valuation() == -1
+        assert x.val == -1
+
+    def test_deep_pole_keeps_every_digit(self):
+        # b = 13^-9: p^9 x = 13^-9 * 13^9 * sqrt(-1) needs the root to
+        # 5 + 9 digits.  Oracle: the root lifted one base-13 digit at a time
+        # by search, not by Newton's iteration
+        r = 5
+        for k in range(1, 14):
+            r += next(t for t in range(13)
+                      if ((r + t * 13**k) ** 2 + 1) % 13 ** (k + 1) == 0) * 13**k
+        got = embed_padic(ExactScalar(0, Fraction(1, 13**9), 1), 13, 5)
+        assert got.abs_prec == 5 and got.val == -9
+        assert got.unit == r % 13**14
 
     def test_ramified_rejected(self):
         with pytest.raises(RamifiedPrimeError):
@@ -263,9 +266,11 @@ class TestEmbedPadic:
         x = ExactScalar(a1, b1, 1)
         y = ExactScalar(a2, b2, 1)
         N = 5
-        ex, ey = embed_padic(x, 13, N), embed_padic(y, 13, N)
-        assert embed_padic(x * y, 13, N).eq_mod(ex * ey, N)
-        assert embed_padic(x + y, 13, N).eq_mod(ex + ey, N)
+        # Gaussian integers embed into Z_p: compare as ints mod 13^N
+        pk = 13 ** N
+        ex, ey = embed_padic(x, 13, N).to_int(), embed_padic(y, 13, N).to_int()
+        assert embed_padic(x * y, 13, N).to_int() == ex * ey % pk
+        assert embed_padic(x + y, 13, N).to_int() == (ex + ey) % pk
 
 
 class TestBigComplex:
