@@ -349,32 +349,48 @@ def eta1_quasi_period(w1, w2, prec_bits: int):
         return mp.pi ** 2 / (3 * w1) * E2
 
 
-def _raw(x):
-    """Exact identity of an mpf or mpc value: its raw mpmath tuple (an mpf
-    and an mpc of the same value give different keys, as they may round
-    differently in later arithmetic)."""
-    return x._mpc_ if isinstance(x, mp.mpc) else x._mpf_
+def _reduce_basis(w1, w2, eps):
+    """The basis of Z w1 + Z w2 whose tau = w2/w1 is reduced: -1/2 <= Re tau
+    < 1/2, |tau| >= 1, and Re tau <= 0 when |tau| = 1 (Cohen, A Course
+    in Computational Algebraic Number Theory, Algorithm 7.4.2: translate by
+    T^-n, n the integer nearest Re tau, and apply S: tau -> -1/tau while
+    |tau| < 1).  A boundary counts as met within eps, so a CM tau that lies on
+    it (i, rho, (-1+sqrt(-7))/2, ...) takes one fixed side however its last
+    bits round: -1/2 - eps <= Re tau < 1/2 - eps, and Re tau <= eps once
+    | |tau|^2 - 1 | < eps."""
+    if mp.im(w2 / w1) < 0:
+        w2 = -w2
+    while True:
+        n = int(mp.floor(mp.re(w2 / w1) + mp.mpf(1) / 2 + eps))
+        if n:
+            w2 = w2 - n * w1
+        tau = w2 / w1
+        t2 = abs(tau) ** 2
+        if t2 < 1 - eps or (t2 < 1 + eps and mp.re(tau) > eps):
+            w1, w2 = w2, -w1
+        else:
+            return w1, w2
 
 
 def compute_periods(curve: CurveData, prec_bits: int = 256) -> LatticeData:
-    """Period lattice of the curve with Im(w2/w1) > 0, validated by the
-    Eisenstein back-check to 2^(-prec_bits/2).
+    """Period lattice of the curve with Im(w2/w1) > 0 and tau = w2/w1 reduced
+    (_reduce_basis), validated by the Eisenstein back-check to
+    2^(-prec_bits/2).
 
-    Roots of 4x^3 - g2 x - g3 are combined through the optimal AGM for each
-    of the 6 root orderings; each basis (w1, w2), (w1, -w2), (w1, w2 +- w1)
-    with Im(w2/w1) > 0 is back-checked against (g2, g3), and the first one
-    with the least residual is kept.  No reduction of tau to a fundamental
-    domain is made: the residuals of the candidates differ by rounding, so
-    the kept tau may lie anywhere in the upper half plane.  Orderings that
-    give a bit-identical basis are back-checked once.
+    The roots of 4x^3 - g2 x - g3 are combined through the optimal AGM in the
+    first root ordering; the reduced basis of that lattice is back-checked
+    against (g2, g3) once.  Only when that back-check fails (or the AGM does
+    not converge) is the next of the 6 orderings tried; the basis kept is
+    the first that passes.
     """
     work = prec_bits + 48
+    tol = mp.mpf(2) ** (-(prec_bits // 2))
     with mp.workprec(work):
         g2 = curve.g2.to_mpc(work)
         g3 = curve.g3.to_mpc(work)
+        scale = 1 + abs(g2) + abs(g3)
         roots = mp.polyroots([4, 0, -g2, -g3], maxsteps=200, extraprec=60)
-        best = None
-        seen = set()
+        least = None
         for e1, e2, e3 in permutations(roots):
             try:
                 a = mp.sqrt(e1 - e3)
@@ -383,33 +399,24 @@ def compute_periods(curve: CurveData, prec_bits: int = 256) -> LatticeData:
                 w2 = mp.pi * 1j / _agm(a, mp.sqrt(e2 - e3), work)
             except (mp.libmp.libhyper.NoConvergence, ZeroDivisionError):
                 continue
-            for cand2 in (w2, -w2, w2 + w1, w2 - w1):
-                key = (_raw(w1), _raw(cand2))
-                if key in seen:
-                    continue
-                seen.add(key)
-                tau = cand2 / w1
-                if mp.im(tau) <= 0:
-                    continue
-                bg2, bg3 = eisenstein_backcheck(w1, cand2, work)
-                res = abs(bg2 - g2) + abs(bg3 - g3)
-                if best is None or res < best[0]:
-                    best = (res, w1, cand2)
-        if best is None:
+            if not mp.im(w2 / w1):
+                continue
+            w1, w2 = _reduce_basis(w1, w2, tol)
+            bg2, bg3 = eisenstein_backcheck(w1, w2, work)
+            res = abs(bg2 - g2) + abs(bg3 - g3)
+            if res <= tol * scale:
+                area = mp.im(w2 * mp.conj(w1)) / mp.pi
+                return LatticeData(
+                    omega1=BigComplex(w1.real, w1.imag, prec_bits),
+                    omega2=BigComplex(w2.real, w2.imag, prec_bits),
+                    area=BigComplex(area, mp.mpf(0), prec_bits),
+                    curve=curve,
+                )
+            least = res if least is None else min(least, res)
+        if least is None:
             raise PeriodPrecisionError("no admissible period basis found")
-        res, w1, w2 = best
-        tol = mp.mpf(2) ** (-(prec_bits // 2))
-        scale = 1 + abs(g2) + abs(g3)
-        if res > tol * scale:
-            raise PeriodPrecisionError(
-                f"back-check residual {mp.nstr(res, 5)} exceeds tolerance")
-        area = mp.im(w2 * mp.conj(w1)) / mp.pi
-        return LatticeData(
-            omega1=BigComplex(w1.real, w1.imag, prec_bits),
-            omega2=BigComplex(w2.real, w2.imag, prec_bits),
-            area=BigComplex(area, mp.mpf(0), prec_bits),
-            curve=curve,
-        )
+        raise PeriodPrecisionError(
+            f"back-check residual {mp.nstr(least, 5)} exceeds tolerance")
 
 
 def lattice_pair_mpc(z, w, A) -> mp.mpc:

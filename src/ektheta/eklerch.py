@@ -14,13 +14,13 @@ lattice sum a radius R is chosen with the Gaussian tail bound
     sum_{|z0+gamma| > R} ... <= C * R^(a+1) exp(-R^2/A),
 
 with the covolume constant C computed crudely and doubled.  The sum keeps
-more than the disc |z0+gamma| <= R: every point of the shells
-max(|m|, |n|) <= 2(R + |z0|)/short (short the shortest lattice vector) and
-every point within 2R.  Shells are enumerated in a fixed order (growing
-max(|m|, |n|), then lexicographic), so results are bit-reproducible at fixed
-precision.  Sums over several powers a at one s share a single shell pass
-(ek_table); each power still adds exactly the terms, in exactly the order, of
-its own pass.
+exactly the disc |z0+gamma| <= R that this bound certifies.  Its points are
+found in the box of (m, n) that the dual basis bounds, so the basis need not
+be reduced, and the box is walked in a fixed order (growing max(|m|, |n|),
+then lexicographic), so results are bit-reproducible at fixed precision.
+Sums over several powers a at one s share a single shell pass (ek_table);
+each power still adds exactly the terms, in exactly the order, of its own
+pass.
 
 The sums are homogeneous in the lattice,
 
@@ -92,13 +92,18 @@ def is_lattice_point(z, lattice: LatticeData, prec: Optional[int] = None) -> boo
         return dist < mp.mpf(2) ** (-(prec // 4))
 
 
-def _shells(mmax: int):
-    yield (0, 0)
-    for M in range(1, mmax + 1):
-        for m in range(-M, M + 1):
-            for n in range(-M, M + 1):
-                if max(abs(m), abs(n)) == M:
-                    yield (m, n)
+def _shells(mlo: int, mhi: int, nlo: int, nhi: int):
+    """The (m, n) of the box mlo <= m <= mhi, nlo <= n <= nhi by growing shell
+    max(|m|, |n|), lexicographic within a shell; each shell's perimeter is
+    walked directly."""
+    for M in range(max(-mlo, mhi, -nlo, nhi, 0) + 1):
+        for m in range(max(-M, mlo), min(M, mhi) + 1):
+            if abs(m) == M:
+                ns = range(max(-M, nlo), min(M, nhi) + 1)
+            else:
+                ns = [n for n in (-M, M) if nlo <= n <= nhi]
+            for n in ns:
+                yield m, n
 
 
 def _normalised(lattice: LatticeData) -> Tuple[int, LatticeData]:
@@ -153,23 +158,24 @@ def truncation_radius(a: int, s, lattice: LatticeData, target_error):
 def _I_a(targets: Dict[int, object], z0, w0, s, lattice: LatticeData,
          skip_minus_z0: bool) -> Dict[int, mp.mpc]:
     """I_a(z0, w0, s) for every power a in targets (a -> tail target), summed
-    in one shell pass.  Each power keeps its own radius and cut-off; the
-    incomplete gamma, |z0+gamma|^(2s) and pairing of a point are computed only
-    when some power keeps it."""
+    in one shell pass.  Each power sums exactly the disc |z0+gamma| <= R of
+    its own radius; the incomplete gamma, |z0+gamma|^(2s) and pairing of a
+    point are computed only when some power keeps it."""
     w1, w2 = lattice.pair_mpc()
     A = lattice.A()
     covol = mp.pi * A
-    short = min(abs(w1), abs(w2), abs(w1 + w2), abs(w1 - w2))
-    az0 = abs(z0)
-    # per power: [a, 4 R^2, 2 (R + |z0|), last shell, running sum]
-    sums = []
-    for a, target in targets.items():
-        R = _radius_for(a, s, A, target, covol)
-        mmax = int(mp.ceil((R + az0) / short * 2)) + 2
-        sums.append([a, R * R * 4, 2 * (R + az0), mmax, mp.mpc(0)])
+    cuts = {a: _radius_for(a, s, A, target, covol) ** 2 for a, target in targets.items()}
+    R = mp.sqrt(max(cuts.values()))
+    # |z0 + m w1 + n w2| <= R bounds m within R |w2|/covol of the w1-coordinate
+    # of -z0 and n within R |w1|/covol of its w2-coordinate (the dual basis),
+    # whether or not the basis is reduced
+    x0, y0 = mp.im(mp.conj(w2) * z0) / covol, -mp.im(mp.conj(w1) * z0) / covol
+    dm, dn = R * abs(w2) / covol, R * abs(w1) / covol
+    box = (int(mp.floor(x0 - dm)) - 1, int(mp.ceil(x0 + dm)) + 1,
+           int(mp.floor(y0 - dn)) - 1, int(mp.ceil(y0 + dn)) + 1)
+    sums = {a: mp.mpc(0) for a in targets}
     tiny = mp.mpf(2) ** (-lattice.prec_bits // 2)
-    for (m, n) in _shells(max(acc[3] for acc in sums)):
-        M = max(abs(m), abs(n))
+    for m, n in _shells(*box):
         g = m * w1 + n * w2
         zz = z0 + g
         az2 = abs(zz) ** 2
@@ -177,17 +183,29 @@ def _I_a(targets: Dict[int, object], z0, w0, s, lattice: LatticeData,
             continue
         if az2 == 0:
             continue
-        keep = [acc for acc in sums if M <= acc[3]
-                and not (az2 > acc[1] and M * short > acc[2])]
+        keep = [a for a, cut in cuts.items() if az2 <= cut]
         if not keep:
             continue
         gam = mp.gammainc(s, az2 / A)
         den = az2 ** s
         pair = lattice_pair_mpc(g, w0, A)
         czz = mp.conj(zz)
-        for acc in keep:
-            acc[4] += gam * czz ** acc[0] / den * pair
-    return {acc[0]: acc[4] for acc in sums}
+        for a in keep:
+            sums[a] += gam * czz ** a / den * pair
+    return sums
+
+
+def _omitted_terms(z0, w0, s, A, dz: bool, dw: bool):
+    """Gamma(s) K*_0 minus the two sums of its split, when z0 or w0 is a
+    lattice point: the gamma = -z0 term omitted from the theta sum and the
+    gamma = -w0 term omitted from its Poisson dual, each integrated over
+    t < 1/A.  For a > 0 both terms carry conj(0)^a = 0."""
+    out = mp.mpc(0)
+    if dz:
+        out -= lattice_pair_mpc(-z0, w0, A) * A ** -s / s
+    if dw:
+        out += A ** -s / (s - 1)
+    return out
 
 
 def _kstar_values(entries, z0, w0, lattice: LatticeData, target_error,
@@ -221,8 +239,11 @@ def _kstar_values(entries, z0, w0, lattice: LatticeData, target_error,
         I2 = {s: _I_a(t, w0, z0, s, lattice, dw) for s, t in at_w0.items()}
         out = []
         for (a, s), f in zip(entries, factors):
-            val = f * (I1[s][a] + A ** (a + 1 - 2 * s) * I2[a + 1 - s][a]
-                       * lattice_pair_mpc(w0, z0, A)) / mp.gamma(s)
+            val = I1[s][a] + A ** (a + 1 - 2 * s) * I2[a + 1 - s][a] \
+                * lattice_pair_mpc(w0, z0, A)
+            if a == 0:
+                val += _omitted_terms(z0, w0, s, A, dz, dw)
+            val = f * val / mp.gamma(s)
             out.append(BigComplex(val.real, val.imag, prec))
         return out
 

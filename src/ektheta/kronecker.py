@@ -357,26 +357,29 @@ def verify_generating_function(z0_coords: Tuple[Fraction, Fraction],
         pref0 = mp.exp(-z0 * cw0 / A)
 
         def grid(axis):
-            # U_{(z0,w0)} Theta on the product grid, the theta values of the
-            # two translated axes computed once each
+            # U_{(z0,w0)} Theta on the product grid.  theta of the two
+            # translated axes and each factor of exp(-(z cw0 + w cz0)/A) are
+            # computed once per axis sample; theta(z0 + w0 + (z + w)) once per
+            # unordered pair, as the rounded sum z + w is symmetric
             def guarded_theta(v):
                 ev._pole_guard(v)
                 return ev.theta(v)
 
-            zz = [z + z0 for z in axis]
-            ww = [w + w0 for w in axis]
-            th_z = [guarded_theta(v) for v in zz]
-            th_w = [guarded_theta(v) for v in ww]
+            th_z = [guarded_theta(z + z0) for z in axis]
+            th_w = [guarded_theta(w + w0) for w in axis]
+            pref_z = [pref0 * mp.exp(-z * cw0 / A) for z in axis]
+            pref_w = [mp.exp(-w * cz0 / A) for w in axis]
+            polar_z = [pair_wz / z if dz else 0 for z in axis]
+            polar_w = [1 / w if dw else 0 for w in axis]
+            zw0 = z0 + w0
+            upper = []  # upper[i][k - i] = theta(zw0 + (axis[k] + axis[i])), k >= i
             for i, w in enumerate(axis):
+                upper.append([ev.theta(zw0 + (z + w)) for z in axis[i:]])
                 row = []
-                for k, z in enumerate(axis):
-                    pref = pref0 * mp.exp(-(z * cw0 + w * cz0) / A)
-                    val = pref * (ev.theta(zz[k] + ww[i]) / (th_z[k] * th_w[i]))
-                    if dz:
-                        val -= pair_wz / z
-                    if dw:
-                        val -= 1 / w
-                    row.append(val)
+                for k in range(len(axis)):
+                    th = upper[k][i - k] if k < i else upper[i][k - i]
+                    val = pref_z[k] * pref_w[i] * (th / (th_z[k] * th_w[i]))
+                    row.append(val - polar_z[k] - polar_w[i])
                 yield row
 
         coeffs = taylor_coefficients_2d(grid, abs(w1), a_max, b_max, prec + 24)

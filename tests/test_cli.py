@@ -87,14 +87,14 @@ class TestVerifyCommands:
 
     @pytest.mark.parametrize("argv,want", [
         (["--a", "0", "--b", "4", "--err", "1e-20"],
-         "cf9eaeabb6aa23bf75f879abb9af4b5af3730bfbda09694b850757766641ef92"),
+         "15b3a16ea0d39cad82a21b574300e417a19fd558ea5c8ea09d43f793ab85aea8"),
         (["--a", "1", "--b", "3", "--z0", "1/3,0", "--err", "1e-18"],
-         "9d0667aa26861b86795b6b5a1a05542dd589f1b4bd46ec1e788d1a148ad775cb"),
+         "82aaf38eabb174c5673b770764d6a4e3dbd50bb06bb15376325c7015829dad6a"),
     ], ids=["a0-b4", "a1-b3-z0-third"])
     def test_readme_ek_artifacts_pinned(self, argv, want):
-        # sha256 of the payload (meta dropped) from before lattice sums ran
-        # on the lattice scaled to 4^k A in [1, 4): this one (A = 2.19) has
-        # k = 0, so no bit of the value or the radius moves
+        # sha256 of the payload (meta dropped), re-pinned when each lattice
+        # sum came to keep exactly the disc its tail bound certifies: the
+        # value moved by 1e-33 (a0-b4) and 2e-27 (a1-b3), the radius not at all
         cp = run_cli("ek", "--catalog", "Z[sqrt(-1)]", "--u", "4", *argv,
                      env={"EKTHETA_PREC_BITS": "256", "PYTHONHASHSEED": "0"})
         doc = json.loads(cp.stdout)
@@ -191,8 +191,9 @@ class TestVerifyCommands:
         assert "v_p" in cp.stderr
 
     def test_generating_function_artifact_pinned(self):
-        # sha256 of the payload (meta dropped) before theta values and
-        # lattice sums were shared across the grid: sharing moves no bit
+        # sha256 of the payload (meta dropped), re-pinned when the lattice
+        # sums came to keep exactly their certified disc and the grid to
+        # take theta(z0 + w0 + (z + w)) once per unordered pair
         cp = run_cli("verify", "generating-function", "--catalog",
                      "Z[sqrt(-1)]", "--u", "4", "--z0", "1/2,0", "--w0", "0,1/2",
                      "--amax", "2", "--bmax", "2", "--tol", "1e-12",
@@ -201,18 +202,20 @@ class TestVerifyCommands:
         del doc["meta"]
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
         assert digest == \
-            "4efe9a039a40ce421534382e9e47dc31c0312d3fb794b313100e78df5a7f78fa"
+            "90ce5c05a27b0bcb41b29a6528a588cd425ef13d620f721ed27208c730dfbefa"
 
     @pytest.mark.parametrize("argv,want", [
         (["hecke-l", "--s", "6", "--norm-bound", "300", "--tol", "1e-10"],
-         "3d61576f82bb1d3cefa83ba72f4a8834178e1efbe7ad3e14d6545ce49539f5b2"),
+         "05ad9b2317305685a82432adab835650fdd8ced93da1c654418714e2bda93b7b"),
         (["verify", "distribution", "--catalog", "Z[sqrt(-1)]", "--u", "4",
           "--ideal-a", "2", "--ideal-b", "1", "--points", "2", "--tol", "1e-12"],
          "8830a1d1cac9d508bf5e1e7c0a24fd0247fa19697836504fcb03e2cb43748c72"),
     ], ids=["hecke-l", "distribution"])
     def test_ideal_sum_artifacts_pinned(self, argv, want):
         # sha256 of the payload (meta dropped): sums over ideals and residue
-        # classes keep their terms, their order and so every bit
+        # classes keep their terms, their order and so every bit.  hecke-l
+        # was re-pinned when its K* sum came to keep exactly the certified
+        # disc (the value moved by 5e-30)
         cp = run_cli(*argv, env={"EKTHETA_PREC_BITS": "256", "PYTHONHASHSEED": "0"})
         doc = json.loads(cp.stdout)
         del doc["meta"]

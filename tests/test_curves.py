@@ -223,26 +223,68 @@ class TestPeriods:
             assert lat.A() > 0
 
 
-# sha256 of json.dumps(LatticeData.to_json(), sort_keys=True) at 256 bits,
-# taken before each back-check shared one q-power table and duplicate bases
-# were skipped: neither may move a bit of any period
+# sha256 of json.dumps(LatticeData.to_json(), sort_keys=True) at 256 bits.
+# The seven rows whose tau the reduction to the fundamental domain moved were
+# re-pinned with it (OLD_BASES keeps their earlier bases); the other nine
+# bases were reduced already and kept every bit
 PINNED_PERIODS = {
     ("Z[sqrt(-1)]", "1"): "3ceb5296e089894a46ec9a14c3bb0d0c8c5e43e2426980ebbee44d2d1d08c041",
     ("Z[sqrt(-2)]", "1"): "517c6677a1f375ba21de3ba20ef83253a0ae363f35922203be1620403e33af9b",
     ("Z[2*sqrt(-1)]", "1"): "62c7ace5e7d4fd7b33578f2736e9ae93a0fb560bee770ccf88767505df2ae415",
-    ("Z[(1+sqrt(-3))/2]", "1"): "6f533ca4d753e5aecce49d083741bfa990495c5100bc7b7d076f55730feb1f45",
+    ("Z[(1+sqrt(-3))/2]", "1"): "147c579d74825c18c44978687ae973e07693487758af89df68bec01bc0f14742",
     ("Z[sqrt(-3)]", "1"): "79f3c87e4d59fa57ae55d511f709f82e424fbc6066e8a5408a52179ad85992bd",
-    ("Z[(1+3*sqrt(-3))/2]", "1"): "efb3b00763c1b61fef67dd7a345ddd9040ec8aed4fee419fa376abdd97d645ff",
-    ("Z[(1+sqrt(-7))/2]", "1"): "cd4393ea128884a33a50223a1f720f77008530bc65eb238b5e1cc6ce21be4db6",
+    ("Z[(1+3*sqrt(-3))/2]", "1"): "93794551f8cac5472a65b2a9ac2985fa8d380fd2d35c0f571b9550d007e1dff5",
+    ("Z[(1+sqrt(-7))/2]", "1"): "b02294eb583af054c4f9fbc3f4526a7d9ebb0053b8d26363a97320baedaa7422",
     ("Z[sqrt(-7)]", "1"): "b0c757f445eebe51a424580f40f2c9985de30825fa98015588ec23627f78612d",
-    ("Z[(1+sqrt(-11))/2]", "1"): "17332ffaf41964ce9c53da3958ae0ccee80aa8031460907cf957c63d83b75a05",
-    ("Z[(1+sqrt(-19))/2]", "1"): "065a4a31eb9690f9298c31e2c9765d6b37b49c37c4d4208634acc0e02eae265a",
+    ("Z[(1+sqrt(-11))/2]", "1"): "1a117321d9802274daeff07a591ebc11d62a285b87391805baf06bc9074d52f8",
+    ("Z[(1+sqrt(-19))/2]", "1"): "6e1be55814dfb1170a28ae484261a9851ab7f4b290119a7fa13ac246d2d543d1",
     ("Z[(1+sqrt(-43))/2]", "1"): "baebee0b0221d22880e6a6a725f5c371893f7a18ca6e2a1681f286dba17cf776",
-    ("Z[(1+sqrt(-67))/2]", "1"): "02024143da36b4a0d924f48efda3f291b1c6e1570446b559f8d08f7853f648c0",
-    ("Z[(1+sqrt(-163))/2]", "1"): "196917061b95f4e0d350c156c1e3cc2b9c8aaf17aa001fb07ddf19a19c6aeec1",
+    ("Z[(1+sqrt(-67))/2]", "1"): "2f20fb3f33327e234b659991596a03fe3c03757f7ea3be550698cafb823276d4",
+    ("Z[(1+sqrt(-163))/2]", "1"): "26ea0d27c3d08a6ad2c818fff6512e877cca4fad73719f19b56cbc3c85eceb56",
     ("Z[sqrt(-1)]", "4"): "f780a89154280063f08bf4c97710f6377c7aeb448ac35ab74294e2dd4dd6a960",
     ("Z[2*sqrt(-1)]", "1/1000"): "4044234ea83003c125144ebf9261e61f84e76e8b71f31ac31a8eefbb7e2456b6",
     ("Z[2*sqrt(-1)]", "1000"): "24f1b0f4eeec70e030f01ddfd8a2780b5cfb223161ec242de18d4b6448e170b5",
+}
+
+
+# (w1, w2) as (re, im) of the rows above before tau was reduced to the
+# fundamental domain
+OLD_BASES = {
+    "Z[(1+sqrt(-3))/2]": (
+        ("1.52995403705719287491319417230882435857282895",
+         "2.64995812542817493597053424947265805385780281"),
+        ("0.0",
+         "5.29991625085634987194106849894531610771560561")),
+    "Z[(1+3*sqrt(-3))/2]": (
+        ("1.01996935803812858327546278153921623904855263",
+         "0.0"),
+        ("0.509984679019064291637731390769608119524276316",
+         "2.64995812542817493597053424947265805385780281")),
+    "Z[(1+sqrt(-7))/2]": (
+        ("1.36705781718897774487204721407750103951172735",
+         "0.0"),
+        ("0.683528908594488872436023607038750519755863676",
+         "1.80844750606441763745356419758764620596906749")),
+    "Z[(1+sqrt(-11))/2]": (
+        ("0.835994246645421896122568106375243434138229257",
+         "0.0"),
+        ("0.417997123322710948061284053187621717069114628",
+         "1.38633962150934641490382453254932558795298901")),
+    "Z[(1+sqrt(-19))/2]": (
+        ("0.961378108115071591746713220841006665699112643",
+         "0.0"),
+        ("0.480689054057535795873356610420503332849556322",
+         "2.09527500990295850019576042779614629084780479")),
+    "Z[(1+sqrt(-67))/2]": (
+        ("0.257633709611299693160733322270778481061828573",
+         "0.0"),
+        ("0.128816854805649846580366661135389240530914286",
+         "1.05441139954731689926704894783113001512542979")),
+    "Z[(1+sqrt(-163))/2]": (
+        ("0.0621632483511522593963481963019366203387344939",
+         "0.0"),
+        ("0.0932448725267283890945222944529049305081017408",
+         "0.396823613091328827281280626501436355238390019")),
 }
 
 
@@ -268,21 +310,43 @@ class TestBackcheck:
         with pytest.raises(PeriodPrecisionError):
             compute_periods(zi_curve(), 256)
 
-    def test_one_backcheck_per_distinct_basis(self, monkeypatch):
-        # Z[i] at u = 4: the 6 root orderings x 4 shears give 18 admissible
-        # bases, of which 12 are distinct; each is back-checked once
-        seen = []
+    @pytest.mark.parametrize("label,u", [(row.label, u) for row in catalog()
+                                         for u in ("1", "4", "1/1000", "1000")])
+    def test_reduced_tau_from_one_backcheck(self, monkeypatch, label, u):
+        # one back-check per call, and tau in the fundamental domain with the
+        # boundary taken within eps as _reduce_basis states it
+        calls = []
         check = curves.eisenstein_backcheck
 
         def counting(w1, w2, prec):
-            with mp.workprec(prec):
-                seen.append((mp.mpc(w1)._mpc_, mp.mpc(w2)._mpc_))
+            calls.append(prec)
             return check(w1, w2, prec)
 
         monkeypatch.setattr(curves, "eisenstein_backcheck", counting)
-        compute_periods(zi_curve(), 256)
-        assert len(seen) == 12
-        assert len(set(seen)) == len(seen)
+        w1, w2 = compute_periods(catalog_row(label).curve(Fraction(u)), 256).pair_mpc()
+        assert len(calls) == 1
+        with mp.workprec(256):
+            eps = mp.mpf(2) ** -128
+            tau = w2 / w1
+            t2 = abs(tau) ** 2
+            assert -mp.mpf(1) / 2 - eps <= mp.re(tau) < mp.mpf(1) / 2 - eps
+            assert t2 >= 1 - eps
+            assert t2 >= 1 + eps or mp.re(tau) <= eps
+
+    @pytest.mark.parametrize("label", sorted(OLD_BASES))
+    def test_moved_bases_span_the_same_lattice(self, label):
+        # the earlier basis is an integer combination of the reduced one, of
+        # determinant +-1, to within 2^(-prec/2)
+        w1, w2 = compute_periods(catalog_row(label).curve(1), 256).pair_mpc()
+        with mp.workprec(256):
+            det = mp.im(mp.conj(w1) * w2)
+            coords = []
+            for z in (mp.mpc(*v) for v in OLD_BASES[label]):
+                coords += [-mp.im(mp.conj(w2) * z) / det, mp.im(mp.conj(w1) * z) / det]
+            ints = [mp.nint(c) for c in coords]
+            assert all(abs(c - i) < mp.mpf(2) ** -128 for c, i in zip(coords, ints))
+            assert abs(ints[0] * ints[3] - ints[1] * ints[2]) == 1
+            assert ints != [1, 0, 0, 1]
 
     @pytest.mark.parametrize("label,u", [("Z[sqrt(-1)]", "4"), ("Z[(1+sqrt(-7))/2]", "1"),
                                          ("Z[2*sqrt(-1)]", "1/1000")])

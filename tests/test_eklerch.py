@@ -1,4 +1,5 @@
 """Eisenstein-Kronecker-Lerch numerics."""
+import cmath
 from fractions import Fraction
 from unittest import mock
 
@@ -6,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from ektheta import eklerch
-from ektheta.curves import catalog_row, compute_periods
+from ektheta.curves import LatticeData, catalog_row, compute_periods
 from ektheta.eklerch import (
     HeckeCharacter,
     PoleError,
@@ -19,7 +20,7 @@ from ektheta.eklerch import (
     hecke_L_partial,
     rational_reconstruct,
 )
-from ektheta.scalars import ExactScalar
+from ektheta.scalars import BigComplex, ExactScalar
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +124,67 @@ class TestFunctionalEquation:
         w1, w2 = zi_lattice.pair_mpc()
         check_functional_equation(2, w1 / 3, (w1 + w2) / 3, 2, zi_lattice, 1e-18)
         assert len(calls) == 2
+
+
+def _direct_kstar(entries, z0, w0, lattice, R):
+    """{(a, s): K*_a(z0, w0, s)} by the absolutely convergent sum
+    sum*_{|z0+gamma| <= R} conj(z0+gamma)^a |z0+gamma|^(-2s) <gamma, w0>, in
+    double precision, and a bound on the omitted tail of each entry.
+
+    Discs of radius rho = short/2 about the lattice points are disjoint, and
+    |v|^-k <= (|x| - rho)^-k on the disc about v, so with T = R - 2 rho
+    sum_{|v| > R} |v|^-k <= (2/rho^2) (T^(2-k)/(k-2) + rho T^(1-k)/(k-1)),
+    k = 2 Re s - a > 2."""
+    w1, w2 = (complex(w) for w in lattice.pair_mpc())
+    z0, w0, A = complex(z0), complex(w0), float(lattice.A())
+    rho = min(abs(w1), abs(w2), abs(w1 + w2), abs(w1 - w2)) / 2
+    det = (w1.conjugate() * w2).imag
+    # the box that holds every gamma with |z0 + gamma| <= R
+    x0, y0 = -(w2.conjugate() * z0).imag / det, (w1.conjugate() * z0).imag / det
+    mr, nr = R * abs(w2) / det + 1, R * abs(w1) / det + 1
+    sums = {e: 0j for e in entries}
+    for m in range(int(-x0 - mr), int(-x0 + mr) + 1):
+        for n in range(int(-y0 - nr), int(-y0 + nr) + 1):
+            g = m * w1 + n * w2
+            v = z0 + g
+            r = abs(v)
+            if r > R or r < 1e-9:
+                continue
+            pair = cmath.exp(2j * (g * w0.conjugate()).imag / A)
+            for a, s in entries:
+                sums[a, s] += v.conjugate() ** a * r ** (-2 * s) * pair
+    T = R - 2 * rho
+    tails = {(a, s): 2 / rho ** 2 * (T ** (2 - k) / (k - 2) + rho * T ** (1 - k) / (k - 1))
+             for a, s in entries for k in [2 * s - a]}
+    return sums, tails
+
+
+class TestDirectSum:
+    """K*_a for Re s > a/2 + 1 against its defining lattice sum: no incomplete
+    gamma, no functional equation, no shared code with the Ewald split."""
+
+    ENTRIES = [(0, 4), (2, 5), (4, 6)]
+
+    @pytest.mark.parametrize("label,u", [("Z[sqrt(-1)]", 4), ("Z[(1+sqrt(-7))/2]", 1)])
+    @pytest.mark.parametrize("z0c,w0c", [
+        ((0, 0), (0, 0)),
+        ((Fraction(1, 2), 0), (0, 0)),
+        ((0, 0), (Fraction(1, 3), Fraction(1, 3))),
+        ((Fraction(1, 3), 0), (0, Fraction(1, 2))),
+    ], ids=["origin", "z0-half", "w0-third", "z0-third-w0-half"])
+    def test_ewald_split_equals_direct_sum(self, label, u, z0c, w0c):
+        lat = compute_periods(catalog_row(label).curve(u), 256)
+        with mp.workprec(256):
+            z0, w0 = _torsion(lat, z0c), _torsion(lat, w0c)
+        direct, tails = _direct_kstar(self.ENTRIES, z0, w0, lat, R=60)
+        flags = {"z0_in_lattice": z0c == (0, 0), "w0_in_lattice": w0c == (0, 0)}
+        for a, s in self.ENTRIES:
+            want = direct[a, s]
+            got = complex(eisenstein_kronecker_lerch(a, z0, w0, s, lat, 1e-20,
+                                                     **flags).to_mpc())
+            assert tails[a, s] < 1e-9
+            assert abs(got - want) < tails[a, s] + 1e-12 * (1 + abs(want)), \
+                (a, s, got, want)
 
 
 def _torsion(lattice, coords):
@@ -236,6 +298,38 @@ class TestScaleFree:
             assert norm.A() == mp.ldexp(lat.A(), 2 * k)
             assert norm.omega1.re == mp.ldexp(lat.omega1.re, k)
             assert norm.omega2.im == mp.ldexp(lat.omega2.im, k)
+
+
+class TestKeptDisc:
+    """_I_a sums exactly the points with |z0 + gamma| <= R, R its radius."""
+
+    @pytest.mark.parametrize("skew", [0, 3], ids=["catalog-basis", "skewed-basis"])
+    @pytest.mark.parametrize("z0c", [(0, 0), (Fraction(1, 3), Fraction(1, 5))],
+                             ids=["origin", "torsion"])
+    def test_kept_points_are_the_disc(self, zi_lattice, skew, z0c):
+        # (w1, w2 + 3 w1) spans the same lattice, but a shell bound read off
+        # the shortest vector would miss disc points with large coefficients
+        prec = 128
+        with mp.workprec(prec):
+            w1, w2 = zi_lattice.pair_mpc()
+            w2 = w2 + skew * w1
+            lat = LatticeData(*(BigComplex(z.real, z.imag, prec)
+                                for z in (w1, w2, zi_lattice.area.to_mpc())))
+            z0 = _torsion(zi_lattice, z0c)
+            a, s, target = 2, mp.mpc(3), mp.mpf(10) ** -20
+            origin = z0c == (0, 0)
+            with mock.patch.object(mp, "gammainc", wraps=mp.gammainc) as gammainc:
+                eklerch._I_a({a: target}, z0, 0, s, lat, skip_minus_z0=origin)
+            R2 = eklerch._radius_for(a, s, lat.A(), target, mp.pi * lat.A()) ** 2
+            K = 60
+            inside = sum(1 for m in range(-K, K + 1) for n in range(-K, K + 1)
+                         if 0 < abs(z0 + m * w1 + n * w2) ** 2 <= R2)
+            # the disc lies well inside the scanned square
+            assert all(abs(z0 + m * w1 + n * w2) ** 2 > R2
+                       for m in (-K, K) for n in range(-K, K + 1))
+            assert all(abs(z0 + m * w1 + n * w2) ** 2 > R2
+                       for n in (-K, K) for m in range(-K, K + 1))
+        assert gammainc.call_count == inside > 40
 
 
 class TestE2StarCatalog:

@@ -250,7 +250,8 @@ class TestGeneratingFunction:
                                          2, 2, zi_lattice, tol=1e-12)
         assert rep.passed
         n = 3 * 12  # 3 radii, M = 2 (max(a_max, b_max) + 4) angles
-        assert calls[0] == n * n + 2 * n == 1368
+        # one theta per axis sample on each axis, one per unordered pair
+        assert calls[0] == n * (n + 1) // 2 + 2 * n == 738
 
 
 class TestDistribution:
