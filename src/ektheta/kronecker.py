@@ -17,6 +17,10 @@ after reducing the argument into the fundamental cell with the reduced-theta
 transformation factor alpha(gamma) exp[(z gamma-bar + |gamma|^2/2)/A];
 Theta(z, w) = theta(z+w)/(theta(z) theta(w)) and translations carry the
 exponential factor exp[-z0 conj(w0)/A] exp[-(z conj(w0) + w conj(z0))/A].
+The translate is thus separable, exp[-z0 conj(w0)/A] R_z(z) R_w(w) G(z + w)
+with R_z = exp[-z conj(w0)/A]/theta(z0 + z), R_w likewise and G(s) =
+theta(z0 + w0 + s): its Laurent coefficients come from three one-variable
+Cauchy extractions (multi-radius DFT) and their finite Cauchy product.
 """
 from __future__ import annotations
 
@@ -266,20 +270,18 @@ def _vandermonde_lu(radii, kmin: int, kmax: int, M: int):
     return out
 
 
-def _radial_coefficients(samples_by_radius, lu, kmin: int, kmax: int, M: int):
-    """Angular DFT per radius, then a 3x3 Vandermonde solve per harmonic to
-    strip the O(r^M) aliasing.  samples_by_radius[r][j] = f(r zeta^j); lu
-    from _vandermonde_lu."""
-    out = {}
+def _circle_coefficients(f, radii, lu, kmin: int, kmax: int, M: int):
+    """Laurent coefficients kmin..kmax of f from its values at r zeta^j on
+    each radius: angular DFT per radius, then a 3x3 Vandermonde solve per
+    harmonic to strip the O(r^M) aliasing.  lu from _vandermonde_lu."""
     zeta = mp.exp(2j * mp.pi / M)
     zpow = [zeta ** j for j in range(M)]
+    samples = [[f(r * zpow[j]) for j in range(M)] for r in radii]
+    out = {}
     for k in range(kmin, kmax + 1):
-        ys = []
-        for ri in range(3):
-            y = mp.fsum(samples_by_radius[ri][j] * zpow[(-k * j) % M]
-                        for j in range(M)) / M
-            ys.append(y)
         # y_i = c_k r_i^k + c_{k+M} r_i^{k+M} + c_{k+2M} r_i^{k+2M}
+        ys = [mp.fsum(row[j] * zpow[(-k * j) % M] for j in range(M)) / M
+              for row in samples]
         A, piv = lu[k]
         with mp.workprec(mp.mp.prec + 10):
             sol = mp.mp.U_solve(A, mp.mp.L_solve(A, mp.matrix(ys), piv))
@@ -287,34 +289,29 @@ def _radial_coefficients(samples_by_radius, lu, kmin: int, kmax: int, M: int):
     return out
 
 
-def taylor_coefficients_2d(grid_fn, scale, a_max: int, b_max: int, prec: int,
+def taylor_coefficients_2d(rz, rw, g, scale, a_max: int, b_max: int, prec: int,
                            radii_frac=(Fraction(5, 100), Fraction(7, 100),
-                                       Fraction(9, 100)),
-                           with_polar: bool = True):
+                                       Fraction(9, 100))):
     """Laurent coefficients c[(m, n)], -1 <= m <= b_max-1, -1 <= n <= a_max,
-    of f(z, w), sampled at |z|, |w| in radii_frac * scale.
+    of f(z, w) = rz(z) rw(w) g(z + w), with rz, rw at most simply polar at 0
+    and g regular there.
 
-    grid_fn(axis) receives the 3M axis samples r zeta^j (radius-major, the
-    same for z and w) and yields one row per w sample: row i holds
-    f(axis[k], axis[i]) for every k.  Rows are consumed at precision prec."""
+    Each factor is extracted once from its samples at radii_frac * scale, at
+    precision prec: rz and rw from degree -1, g to degree a_max + b_max + 1.
+    As [z^i w^j] g(z + w) = C(i + j, i) g_(i+j), c is the finite Cauchy product
+
+        c[(m, n)] = sum_{i, j >= -1} rz_i rw_j C(m-i + n-j, m-i) g_(m-i+n-j)."""
     with mp.workprec(prec):
         radii = [mp.mpf(f.numerator) / f.denominator * scale for f in radii_frac]
-        kmin = -1 if with_polar else 0
         M = 2 * (max(a_max, b_max) + 4)
-        zeta = mp.exp(2j * mp.pi / M)
-        axis = [r * zeta ** j for r in radii for j in range(M)]
-        lu = _vandermonde_lu(radii, kmin, max(a_max, b_max - 1), M)
-        # z-extract per w sample, then w-extract
-        per_w = [_radial_coefficients([row[ri * M:(ri + 1) * M] for ri in range(3)],
-                                      lu, kmin, b_max - 1, M)
-                 for row in grid_fn(axis)]
-        out = {}
-        for m in range(kmin, b_max):
-            by_radius = [[per_w[ri * M + j][m] for j in range(M)] for ri in range(3)]
-            cw = _radial_coefficients(by_radius, lu, kmin, a_max, M)
-            for n in range(kmin, a_max + 1):
-                out[(m, n)] = cw[n]
-        return out
+        lu = _vandermonde_lu(radii, -1, a_max + b_max + 1, M)
+        cz = _circle_coefficients(rz, radii, lu, -1, b_max - 1, M)
+        cw = _circle_coefficients(rw, radii, lu, -1, a_max, M)
+        cg = _circle_coefficients(g, radii, lu, 0, a_max + b_max + 1, M)
+        return {(m, n): mp.fsum(cz[i] * cw[j] * math.comb(m - i + n - j, m - i)
+                                * cg[m - i + n - j]
+                                for i in range(-1, m + 1) for j in range(-1, n + 1))
+                for m in range(-1, b_max) for n in range(-1, a_max + 1)}
 
 
 @dataclass
@@ -341,7 +338,17 @@ def verify_generating_function(z0_coords: Tuple[Fraction, Fraction],
                                target_error: float = 1e-18) -> GenFunReport:
     """Compare numeric Taylor coefficients of the translated Kronecker theta
     against (-1)^(a+b-1) e*_{a,b}(z0, w0)/(a! A^a) from the lattice sums,
-    polar terms included.  Coordinates are rational in the period basis."""
+    polar terms included.  Coordinates are rational in the period basis.
+
+    The translate factors exactly as
+
+        U_{(z0,w0)} Theta(z, w) = exp(-z0 conj(w0)/A) R_z(z) R_w(w) G(z + w),
+        R_z(z) = exp(-z conj(w0)/A)/theta(z0 + z),
+        R_w(w) = exp(-w conj(z0)/A)/theta(w0 + w),   G(s) = theta(z0 + w0 + s),
+
+    so taylor_coefficients_2d extracts three one-variable series (each
+    circle sample one theta value; the denominators' samples pole-guarded)
+    and forms the coefficients by their finite Cauchy product."""
     ev = ThetaEvaluator(lattice)
     prec = ev.prec
     with mp.workprec(prec + 24):
@@ -356,33 +363,16 @@ def verify_generating_function(z0_coords: Tuple[Fraction, Fraction],
         cw0, cz0 = mp.conj(w0), mp.conj(z0)
         pref0 = mp.exp(-z0 * cw0 / A)
 
-        def grid(axis):
-            # U_{(z0,w0)} Theta on the product grid.  theta of the two
-            # translated axes and each factor of exp(-(z cw0 + w cz0)/A) are
-            # computed once per axis sample; theta(z0 + w0 + (z + w)) once per
-            # unordered pair, as the rounded sum z + w is symmetric
-            def guarded_theta(v):
-                ev._pole_guard(v)
-                return ev.theta(v)
+        def guarded_theta(v):
+            ev._pole_guard(v)
+            return ev.theta(v)
 
-            th_z = [guarded_theta(z + z0) for z in axis]
-            th_w = [guarded_theta(w + w0) for w in axis]
-            pref_z = [pref0 * mp.exp(-z * cw0 / A) for z in axis]
-            pref_w = [mp.exp(-w * cz0 / A) for w in axis]
-            polar_z = [pair_wz / z if dz else 0 for z in axis]
-            polar_w = [1 / w if dw else 0 for w in axis]
-            zw0 = z0 + w0
-            upper = []  # upper[i][k - i] = theta(zw0 + (axis[k] + axis[i])), k >= i
-            for i, w in enumerate(axis):
-                upper.append([ev.theta(zw0 + (z + w)) for z in axis[i:]])
-                row = []
-                for k in range(len(axis)):
-                    th = upper[k][i - k] if k < i else upper[i][k - i]
-                    val = pref_z[k] * pref_w[i] * (th / (th_z[k] * th_w[i]))
-                    row.append(val - polar_z[k] - polar_w[i])
-                yield row
-
-        coeffs = taylor_coefficients_2d(grid, abs(w1), a_max, b_max, prec + 24)
+        # U_{(z0,w0)} Theta = R_z(z) R_w(w) G(z + w), the constant
+        # exp(-z0 cw0/A) carried in R_z; theta(z0 + w0 + s) is a numerator
+        coeffs = taylor_coefficients_2d(
+            lambda z: pref0 * mp.exp(-z * cw0 / A) / guarded_theta(z + z0),
+            lambda w: mp.exp(-w * cz0 / A) / guarded_theta(w + w0),
+            lambda s: ev.theta(z0 + w0 + s), abs(w1), a_max, b_max, prec + 24)
         table = ek_table(a_max, b_max, z0, w0, lattice, target_error,
                          z0_in_lattice=dz, w0_in_lattice=dw)
         entries = {}
@@ -394,9 +384,9 @@ def verify_generating_function(z0_coords: Tuple[Fraction, Fraction],
                 want = (-1) ** (a + b - 1) * ek / (mp.factorial(a) * A ** a)
                 entries[(a, b)] = (got, want)
                 maxdev = max(maxdev, abs(got - want))
-        # the predicted deltas were subtracted inside grid, so the leftover polar
-        # coefficients must vanish; report full coefficient vs prediction
-        maxdev = max(maxdev, abs(coeffs[(-1, 0)]), abs(coeffs[(0, -1)]))
+        polar_z, polar_w = coeffs[(-1, 0)], coeffs[(0, -1)]
+        maxdev = max(maxdev, abs(polar_z - polar_z_pred),
+                     abs(polar_w - polar_w_pred))
         from .eklerch import rational_reconstruct
         near_rational = {}
         for (a, b), (got, _want) in entries.items():
@@ -409,9 +399,9 @@ def verify_generating_function(z0_coords: Tuple[Fraction, Fraction],
         return GenFunReport(
             max_abs_deviation=maxdev,
             entries=entries,
-            polar_z=(coeffs[(-1, 0)] + polar_z_pred, polar_z_pred),
-            polar_w=(coeffs[(0, -1)] + polar_w_pred, polar_w_pred),
-            e01_recorded=coeffs.get((0, 0)),
+            polar_z=(polar_z, polar_z_pred),
+            polar_w=(polar_w, polar_w_pred),
+            e01_recorded=coeffs[(0, 0)],
             tolerance=tol,
             near_rational=near_rational,
         )

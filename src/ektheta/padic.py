@@ -552,7 +552,9 @@ def _exact_composed(curve: CurveData, p: int, order: int,
 
     Both ends are checked: a scaled input that is not p-integral, or an
     output coefficient not divisible by p^(i+j+1) (Theta-hat not
-    p-integral), raises IntegralityError naming v_p."""
+    p-integral), raises IntegralityError naming v_p.  Theta-hat is symmetric
+    by construction (a symmetric regular part, the same lambda on both
+    axes), so Theta-hat_ij != Theta-hat_ji is a bug: AssertionError."""
     K = digits + order + 2
     ring = IntModRing(p ** K)
     qq = ExactRing(0)
@@ -591,6 +593,8 @@ def _exact_composed(curve: CurveData, p: int, order: int,
                 f"{_vp_fraction(r, p) - e} < 0")
         if q % pkd:
             hat[(i, j)] = q % pkd
+    if any(hat.get((j, i)) != c for (i, j), c in hat.items()):
+        raise AssertionError("Theta-hat lost s<->t symmetry")
     return hat
 
 

@@ -191,9 +191,10 @@ class TestVerifyCommands:
         assert "v_p" in cp.stderr
 
     def test_generating_function_artifact_pinned(self):
-        # sha256 of the payload (meta dropped), re-pinned when the lattice
-        # sums came to keep exactly their certified disc and the grid to
-        # take theta(z0 + w0 + (z + w)) once per unordered pair
+        # sha256 of the payload (meta dropped), re-pinned when the
+        # coefficients came to be formed from three one-variable extractions
+        # (the polar slots, now products of extracted Laurent terms, and the
+        # last digit of max_abs_deviation moved)
         cp = run_cli("verify", "generating-function", "--catalog",
                      "Z[sqrt(-1)]", "--u", "4", "--z0", "1/2,0", "--w0", "0,1/2",
                      "--amax", "2", "--bmax", "2", "--tol", "1e-12",
@@ -202,7 +203,7 @@ class TestVerifyCommands:
         del doc["meta"]
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
         assert digest == \
-            "90ce5c05a27b0bcb41b29a6528a588cd425ef13d620f721ed27208c730dfbefa"
+            "65bc7aff0c28a03260f690ffdd573f090c17daefd9295b01ea05703938eafd3c"
 
     @pytest.mark.parametrize("argv,want", [
         (["hecke-l", "--s", "6", "--norm-bound", "300", "--tol", "1e-10"],
@@ -307,6 +308,22 @@ class TestBenchmarkHooks:
                     for c in cls:
                         owner = getattr(owner, c)
                     assert callable(vars(owner).get(attr)), f"{mod_name}.{dotted}"
+
+    def test_traced_generating_function_job(self, tmp_path):
+        # the hooked taylor_coefficients_2d and theta run under the tracer:
+        # one span for the extraction, one theta per circle sample
+        tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+        out = tmp_path / "spans.json"
+        cp = subprocess.run(
+            [sys.executable, str(tracer), str(out), "verify", "generating-function",
+             "--catalog", "Z[sqrt(-1)]", "--u", "4", "--z0", "1/2,0", "--w0", "0,1/2",
+             "--amax", "2", "--bmax", "2", "--tol", "1e-12"],
+            capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+        assert json.loads(cp.stdout)["passed"] is True
+        names = [s[0] for s in json.loads(out.read_text())["spans"]]
+        assert names.count("kronecker.taylor_coefficients_2d") == 1
+        assert names.count("kronecker.ThetaEvaluator.theta") == 108
 
     def test_every_order_noted_span_takes_an_order_argument(self):
         # the tracer binds each call's arguments and reads "order" from them

@@ -1,10 +1,12 @@
 """Kronecker theta: exact expansion, numeric identities, composition."""
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
 
+from ektheta import kronecker
 from ektheta.curves import catalog_row, compute_periods
 from ektheta.eklerch import eisenstein_kronecker_lerch
 from ektheta.kronecker import (
@@ -250,8 +252,49 @@ class TestGeneratingFunction:
                                          2, 2, zi_lattice, tol=1e-12)
         assert rep.passed
         n = 3 * 12  # 3 radii, M = 2 (max(a_max, b_max) + 4) angles
-        # one theta per axis sample on each axis, one per unordered pair
-        assert calls[0] == n * (n + 1) // 2 + 2 * n == 738
+        # one theta per sample of each circle, about z0, w0 and z0 + w0
+        assert calls[0] == 3 * n == 108
+
+    HALF = ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2)))
+
+    def test_fails_on_a_perturbed_lattice_sum(self, zi_lattice, monkeypatch):
+        orig = kronecker.ek_table
+
+        def perturbed(*args, **kwargs):
+            table = orig(*args, **kwargs)
+            v = table[(0, 2)].to_mpc() + mp.mpf("1e-10")
+            table[(0, 2)] = SimpleNamespace(to_mpc=lambda: v)
+            return table
+
+        monkeypatch.setattr(kronecker, "ek_table", perturbed)
+        rep = verify_generating_function(*self.HALF, 2, 2, zi_lattice, tol=1e-12)
+        assert not rep.passed
+
+    def test_fails_on_a_wrong_polar_prediction(self, zi_lattice, monkeypatch):
+        orig = ThetaEvaluator.pair
+        monkeypatch.setattr(ThetaEvaluator, "pair",
+                            lambda self, x, y: 2 * orig(self, x, y))
+        rep = verify_generating_function((Fraction(0), Fraction(0)),
+                                         (Fraction(0), Fraction(0)),
+                                         2, 2, zi_lattice, tol=1e-12)
+        assert not rep.passed
+
+    @pytest.mark.parametrize("centre", ["z0", "w0", "z0+w0"])
+    def test_fails_on_one_wrong_theta_sample(self, zi_lattice, monkeypatch,
+                                             centre):
+        # a relative 1e-9 error in theta at the first sample, |w1|/20, of one
+        # circle (w1 > 0 on this lattice; the three centres lie far apart)
+        orig = ThetaEvaluator.theta
+
+        def wrong_once(self, v):
+            z0, w0 = self.w1 / 2, self.w2 / 2
+            at = {"z0": z0, "w0": w0, "z0+w0": z0 + w0}[centre] + self.w1 / 20
+            out = orig(self, v)
+            return out * (1 + mp.mpf("1e-9")) if abs(v - at) < 1e-30 else out
+
+        monkeypatch.setattr(ThetaEvaluator, "theta", wrong_once)
+        rep = verify_generating_function(*self.HALF, 2, 2, zi_lattice, tol=1e-12)
+        assert not rep.passed
 
 
 class TestDistribution:

@@ -439,6 +439,22 @@ class TestIntegralComposedRoute:
         with pytest.raises(IntegralityError, match=r"v_p = -\d+ < 0"):
             _exact_composed(curve, 13, 8, 4)
 
+    def test_asymmetric_coefficient_is_refused(self, monkeypatch):
+        # p^(i+j+1) added at (1, 2) keeps every integrality check satisfied
+        # and moves Theta-hat_12 by 1 mod p^digits, but not Theta-hat_21
+        orig = padic.compose_regular
+
+        def corrupted(*args):
+            out = orig(*args)
+            coeffs = dict(out.coeffs)
+            coeffs[(1, 2)] = coeffs.get((1, 2), 0) + 13 ** 4
+            return BiSeries(out.ring, coeffs, out.order)
+
+        monkeypatch.setattr(padic, "compose_regular", corrupted)
+        _exact_composed.cache_clear()
+        with pytest.raises(AssertionError, match="symmetry"):
+            _exact_composed(zi_curve(), 13, 8, 4)
+
 
 class TestMeasure:
     def test_measure_embeds_and_notes_period_obstruction(self):
