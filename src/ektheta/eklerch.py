@@ -18,9 +18,11 @@ exactly the disc |z0+gamma| <= R that this bound certifies.  Its points are
 found in the box of (m, n) that the dual basis bounds, so the basis need not
 be reduced, and the box is walked in a fixed order (growing max(|m|, |n|),
 then lexicographic), so results are bit-reproducible at fixed precision.
-Sums over several powers a at one s share a single shell pass (ek_table);
-each power still adds exactly the terms, in exactly the order, of its own
-pass.
+All the sums about one centre share a single shell pass, whatever their
+powers a and exponents s (ek_table makes one pass about z0 and one about
+w0); each (s, a) still adds exactly the terms, in exactly the order, of a
+pass of its own, because the walk order of a box is that of any larger box
+restricted to it.
 
 The sums are homogeneous in the lattice,
 
@@ -33,7 +35,9 @@ working precisions are chosen in these normalised units.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import takewhile
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -130,11 +134,21 @@ def _homogeneity_factor(k: int, a: int, s):
 
 
 def _radius_for(a: int, smax, A, target, covol):
-    """Smallest R with 2 * (2 pi A / covol) R^(a+1) exp(-R^2/A) < target."""
+    """Smallest R with 2 * (2 pi A / covol) R^(a+1) exp(-R^2/A) < target.
+
+    R steps by sqrt(A)/4 from sqrt(A) + 1.  A double-precision estimate of
+    log(bound/target) screens the steps far from the crossing: where it
+    exceeds 2 the bound certainly exceeds the target, and the mpf test is
+    made only elsewhere, so R is the one the mpf test alone would give."""
     C = 4 * mp.pi * A / covol
     R = mp.sqrt(A) + 1
-    while 2 * C * R ** (a + 1) * mp.exp(-R * R / A) * (1 + abs(smax)) > target:
-        R += mp.sqrt(A) / 4
+    step = mp.sqrt(A) / 4
+    s_factor = 1 + abs(smax)
+    log_excess = float(mp.log(2 * C * s_factor / target))
+    A_f = float(A)
+    while log_excess + (a + 1) * math.log(float(R)) - float(R) ** 2 / A_f > 2 \
+            or 2 * C * R ** (a + 1) * mp.exp(-R * R / A) * s_factor > target:
+        R += step
         if R > 600:
             raise TailBoundError("tail bound did not close below the target")
     return R
@@ -155,17 +169,22 @@ def truncation_radius(a: int, s, lattice: LatticeData, target_error):
     return mp.ldexp(_radius_for(a, s, A, _tail_target(target, A, a), mp.pi * A), -k)
 
 
-def _I_a(targets: Dict[int, object], z0, w0, s, lattice: LatticeData,
-         skip_minus_z0: bool) -> Dict[int, mp.mpc]:
-    """I_a(z0, w0, s) for every power a in targets (a -> tail target), summed
-    in one shell pass.  Each power sums exactly the disc |z0+gamma| <= R of
-    its own radius; the incomplete gamma, |z0+gamma|^(2s) and pairing of a
-    point are computed only when some power keeps it."""
+def _I_a(groups: Dict[object, Dict[int, object]], z0, w0, lattice: LatticeData,
+         skip_minus_z0: bool) -> Dict[object, Dict[int, mp.mpc]]:
+    """I_a(z0, w0, s) for every s in groups and every power a in groups[s]
+    (s -> {a: tail target}), summed in one shell pass about z0.  Each (s, a)
+    sums exactly the disc |z0+gamma| <= R of its own radius, in shell order,
+    so it equals the sum of a pass of its own bit for bit.  A point's
+    pairing and conj(z0+gamma)^a are computed once; its incomplete gamma and
+    |z0+gamma|^(2s) once per s that keeps it."""
     w1, w2 = lattice.pair_mpc()
     A = lattice.A()
     covol = mp.pi * A
-    cuts = {a: _radius_for(a, s, A, target, covol) ** 2 for a, target in targets.items()}
-    R = mp.sqrt(max(cuts.values()))
+    # per s, (R^2, a) from the largest radius down
+    cuts = {s: sorted(((_radius_for(a, s, A, target, covol) ** 2, a)
+                       for a, target in targets.items()), reverse=True)
+            for s, targets in groups.items()}
+    R = mp.sqrt(max(by_cut[0][0] for by_cut in cuts.values()))
     # |z0 + m w1 + n w2| <= R bounds m within R |w2|/covol of the w1-coordinate
     # of -z0 and n within R |w1|/covol of its w2-coordinate (the dual basis),
     # whether or not the basis is reduced
@@ -173,7 +192,7 @@ def _I_a(targets: Dict[int, object], z0, w0, s, lattice: LatticeData,
     dm, dn = R * abs(w2) / covol, R * abs(w1) / covol
     box = (int(mp.floor(x0 - dm)) - 1, int(mp.ceil(x0 + dm)) + 1,
            int(mp.floor(y0 - dn)) - 1, int(mp.ceil(y0 + dn)) + 1)
-    sums = {a: mp.mpc(0) for a in targets}
+    sums = {s: {a: mp.mpc(0) for a in targets} for s, targets in groups.items()}
     tiny = mp.mpf(2) ** (-lattice.prec_bits // 2)
     for m, n in _shells(*box):
         g = m * w1 + n * w2
@@ -183,15 +202,22 @@ def _I_a(targets: Dict[int, object], z0, w0, s, lattice: LatticeData,
             continue
         if az2 == 0:
             continue
-        keep = [a for a, cut in cuts.items() if az2 <= cut]
-        if not keep:
-            continue
-        gam = mp.gammainc(s, az2 / A)
-        den = az2 ** s
-        pair = lattice_pair_mpc(g, w0, A)
-        czz = mp.conj(zz)
-        for a in keep:
-            sums[a] += gam * czz ** a / den * pair
+        pair = czz = None
+        powers = {}
+        for s, by_cut in cuts.items():
+            keep = [a for _, a in takewhile(lambda cut_a: az2 <= cut_a[0], by_cut)]
+            if not keep:
+                continue
+            if pair is None:
+                pair = lattice_pair_mpc(g, w0, A)
+                czz = mp.conj(zz)
+            gam = mp.gammainc(s, az2 / A)
+            den = az2 ** s
+            out = sums[s]
+            for a in keep:
+                if a not in powers:
+                    powers[a] = czz ** a
+                out[a] += gam * powers[a] / den * pair
     return sums
 
 
@@ -210,9 +236,9 @@ def _omitted_terms(z0, w0, s, A, dz: bool, dw: bool):
 
 def _kstar_values(entries, z0, w0, lattice: LatticeData, target_error,
                   z0_in_lattice: Optional[bool], w0_in_lattice: Optional[bool]):
-    """K*_a(z0, w0, s) for each (a, s) in entries.  The I_a(z0, w0, s) sums
-    that share s run in one lattice pass, and so do the I_a(w0, z0, a+1-s)
-    sums that share a+1-s.  Every sum runs on the normalised lattice, each
+    """K*_a(z0, w0, s) for each (a, s) in entries.  All I_a(z0, w0, s) sums
+    run in one lattice pass about z0, and all I_a(w0, z0, a+1-s) sums in one
+    about w0.  Every sum runs on the normalised lattice, each
     (a, s) to the target error divided by its homogeneity factor."""
     k, lattice = _normalised(lattice)
     prec = _work_prec(lattice, min(
@@ -235,8 +261,8 @@ def _kstar_values(entries, z0, w0, lattice: LatticeData, target_error,
             sub_target = _tail_target(target_error / abs(f), A, a)
             at_z0.setdefault(s, {})[a] = sub_target
             at_w0.setdefault(a + 1 - s, {})[a] = sub_target
-        I1 = {s: _I_a(t, z0, w0, s, lattice, dz) for s, t in at_z0.items()}
-        I2 = {s: _I_a(t, w0, z0, s, lattice, dw) for s, t in at_w0.items()}
+        I1 = _I_a(at_z0, z0, w0, lattice, dz)
+        I2 = _I_a(at_w0, w0, z0, lattice, dw)
         out = []
         for (a, s), f in zip(entries, factors):
             val = I1[s][a] + A ** (a + 1 - 2 * s) * I2[a + 1 - s][a] \
@@ -277,7 +303,8 @@ def ek_table(a_max: int, b_max: int, z0, w0, lattice: LatticeData,
              w0_in_lattice: Optional[bool] = None
              ) -> Dict[Tuple[int, int], BigComplex]:
     """{(a, b): e*_{a,b}(z0, w0)} for 0 <= a <= a_max, 1 <= b <= b_max, each
-    equal to ek_number(a, b, ...), in b_max + a_max + 1 lattice passes."""
+    equal to ek_number(a, b, ...), in two lattice passes (one about z0, one
+    about w0)."""
     if a_max < 0 or b_max <= 0:
         raise ValueError("need a_max >= 0 and b_max > 0")
     cells = [(a, b) for b in range(1, b_max + 1) for a in range(a_max + 1)]
@@ -307,8 +334,9 @@ def check_functional_equation(a: int, z0, w0, s, lattice: LatticeData,
         dz = is_lattice_point(z0, lattice, prec)
         dw = is_lattice_point(w0, lattice, prec)
         sub = _tail_target(target_error / f, A, a)
-        I1 = _I_a({a: sub}, z0, w0, s, lattice, skip_minus_z0=dz)[a]
-        I2 = _I_a({a: sub}, w0, z0, a + 1 - s, lattice, skip_minus_z0=dw)[a]
+        s2 = a + 1 - s
+        I1 = _I_a({s: {a: sub}}, z0, w0, lattice, skip_minus_z0=dz)[s][a]
+        I2 = _I_a({s2: {a: sub}}, w0, z0, lattice, skip_minus_z0=dw)[s2][a]
         lhs = I1 + A ** (a + 1 - 2 * s) * I2 * lattice_pair_mpc(w0, z0, A)
         rhs = A ** (a + 1 - 2 * s) * (
             I2 + A ** (2 * s - a - 1) * I1 * lattice_pair_mpc(z0, w0, A)

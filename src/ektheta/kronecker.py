@@ -19,8 +19,10 @@ Theta(z, w) = theta(z+w)/(theta(z) theta(w)) and translations carry the
 exponential factor exp[-z0 conj(w0)/A] exp[-(z conj(w0) + w conj(z0))/A].
 The translate is thus separable, exp[-z0 conj(w0)/A] R_z(z) R_w(w) G(z + w)
 with R_z = exp[-z conj(w0)/A]/theta(z0 + z), R_w likewise and G(s) =
-theta(z0 + w0 + s): its Laurent coefficients come from three one-variable
-Cauchy extractions (multi-radius DFT) and their finite Cauchy product.
+theta(z0 + w0 + s): its Laurent coefficients are the finite Cauchy product
+of three one-variable series, each built from theta's Taylor series at its
+centre (derivatives of the Jacobi theta_1 there, times the series of the
+transformation factor), R_z and R_w by series inversion.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ from .scalars import ExactScalar, _vp_fraction, in_ok, ok_elements, \
     residue_classes
 from .series import (
     BiSeries,
+    ComplexRing,
     ExactRing,
     KroneckerExpansion,
     NotDivisibleError,
@@ -200,6 +203,8 @@ class ThetaEvaluator:
             self.th1p0 = mp.jtheta(1, 0, self.q, 1)
             det = mp.im(mp.conj(self.w1) * self.w2)
             self._det = det
+            # distance to the lattice below which an argument counts as a pole
+            self.pole_tol = abs(self.w1) * mp.mpf(2) ** (-(self.prec // 3))
 
     def coords(self, z) -> Tuple[mp.mpf, mp.mpf]:
         """Real (x, y) with z = x w1 + y w2."""
@@ -212,25 +217,50 @@ class ThetaEvaluator:
         x, y = self.coords(z)
         return abs(mp.mpc(z) - mp.nint(x) * self.w1 - mp.nint(y) * self.w2)
 
+    def _reduced(self, z):
+        """(z - g, g, alpha(g)) for g the lattice point of z's cell."""
+        x, y = self.coords(z)
+        m, n = mp.nint(x), mp.nint(y)
+        g = m * self.w1 + n * self.w2
+        alpha = 1 if (int(m) % 2 == 0 and int(n) % 2 == 0) else -1
+        return z - g, g, alpha
+
     def theta(self, z):
         """Reduced theta: exp(-e2*/2 z^2) sigma(z), evaluated by reducing z
         into the fundamental cell and applying the transformation factor."""
         with mp.workprec(self.prec + 24):
-            z = mp.mpc(z)
-            x, y = self.coords(z)
-            m, n = mp.nint(x), mp.nint(y)
-            g = m * self.w1 + n * self.w2
-            z0 = z - g
-            alpha = 1 if (int(m) % 2 == 0 and int(n) % 2 == 0) else -1
+            z0, g, alpha = self._reduced(mp.mpc(z))
             factor = alpha * mp.exp((z0 * mp.conj(g) + abs(g) ** 2 / 2) / self.A)
             sig = (self.w1 / mp.pi) * mp.exp(self.eta1 * z0 ** 2 / (2 * self.w1)) \
                 * mp.jtheta(1, mp.pi * z0 / self.w1, self.q) / self.th1p0
             return factor * mp.exp(-self.e2 * z0 ** 2 / 2) * sig
 
+    def taylor(self, c, n: int) -> List[mp.mpc]:
+        """Coefficients 0..n of theta(c + t) in t.  c is reduced once to
+        u = c - g, and with kappa = eta1/(2 w1) - e2/2
+
+            theta(c + t) = alpha exp(((u + t) conj(g) + |g|^2/2)/A + kappa (u + t)^2)
+                           (w1/pi) theta_1(pi (u + t)/w1, q) / theta_1'(0, q)
+
+        is expanded from the derivatives of theta_1 at pi u/w1 times the
+        series of the exponential."""
+        with mp.workprec(self.prec + 24):
+            u, g, alpha = self._reduced(mp.mpc(c))
+            cg = mp.conj(g)
+            kappa = self.eta1 / (2 * self.w1) - self.e2 / 2
+            lead = alpha * (self.w1 / mp.pi) / self.th1p0 \
+                * mp.exp((u * cg + abs(g) ** 2 / 2) / self.A + kappa * u ** 2)
+            h = mp.pi / self.w1
+            ring = ComplexRing()
+            jac = UniSeries(ring, {d: mp.jtheta(1, h * u, self.q, d) * h ** d
+                                   / mp.factorial(d) for d in range(n + 1)}, n)
+            expo = UniSeries(ring, {1: cg / self.A + 2 * kappa * u, 2: kappa}, n).exp()
+            prod = jac * expo
+            return [lead * prod.coeff(d) for d in range(n + 1)]
+
     def _pole_guard(self, *zs):
-        tol = abs(self.w1) * mp.mpf(2) ** (-(self.prec // 3))
         for z in zs:
-            if self.dist_to_lattice(z) < tol:
+            if self.dist_to_lattice(z) < self.pole_tol:
                 raise PoleProximityError("argument within pole tolerance of the divisor")
 
     def kronecker(self, z, w):
@@ -253,65 +283,21 @@ class ThetaEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# numeric Taylor extraction (multi-radius Vandermonde)
+# Taylor coefficients of the translate
 # ---------------------------------------------------------------------------
 
-def _vandermonde_lu(radii, kmin: int, kmax: int, M: int):
-    """{k: LU factors of the 3x3 matrix r_i^(k + c M)}, one per harmonic,
-    factored as mp.lu_solve factors it (10 extra bits)."""
-    out = {}
-    for k in range(kmin, kmax + 1):
-        Amat = mp.matrix(3, 3)
-        for i, r in enumerate(radii):
-            for c in range(3):
-                Amat[i, c] = mp.mpc(r) ** (k + c * M)
-        with mp.workprec(mp.mp.prec + 10):
-            out[k] = mp.mp.LU_decomp(Amat)
-    return out
-
-
-def _circle_coefficients(f, radii, lu, kmin: int, kmax: int, M: int):
-    """Laurent coefficients kmin..kmax of f from its values at r zeta^j on
-    each radius: angular DFT per radius, then a 3x3 Vandermonde solve per
-    harmonic to strip the O(r^M) aliasing.  lu from _vandermonde_lu."""
-    zeta = mp.exp(2j * mp.pi / M)
-    zpow = [zeta ** j for j in range(M)]
-    samples = [[f(r * zpow[j]) for j in range(M)] for r in radii]
-    out = {}
-    for k in range(kmin, kmax + 1):
-        # y_i = c_k r_i^k + c_{k+M} r_i^{k+M} + c_{k+2M} r_i^{k+2M}
-        ys = [mp.fsum(row[j] * zpow[(-k * j) % M] for j in range(M)) / M
-              for row in samples]
-        A, piv = lu[k]
-        with mp.workprec(mp.mp.prec + 10):
-            sol = mp.mp.U_solve(A, mp.mp.L_solve(A, mp.matrix(ys), piv))
-        out[k] = sol[0]
-    return out
-
-
-def taylor_coefficients_2d(rz, rw, g, scale, a_max: int, b_max: int, prec: int,
-                           radii_frac=(Fraction(5, 100), Fraction(7, 100),
-                                       Fraction(9, 100))):
+def taylor_coefficients_2d(rz, rw, g, a_max: int, b_max: int):
     """Laurent coefficients c[(m, n)], -1 <= m <= b_max-1, -1 <= n <= a_max,
-    of f(z, w) = rz(z) rw(w) g(z + w), with rz, rw at most simply polar at 0
-    and g regular there.
-
-    Each factor is extracted once from its samples at radii_frac * scale, at
-    precision prec: rz and rw from degree -1, g to degree a_max + b_max + 1.
-    As [z^i w^j] g(z + w) = C(i + j, i) g_(i+j), c is the finite Cauchy product
+    of f(z, w) = rz(z) rw(w) g(z + w), from the coefficients of its factors:
+    rz[k], k = -1..b_max-1, rw[k], k = -1..a_max, and g[k], k = 0..a_max +
+    b_max + 1.  As [z^i w^j] g(z + w) = C(i + j, i) g_(i+j), c is the finite
+    Cauchy product
 
         c[(m, n)] = sum_{i, j >= -1} rz_i rw_j C(m-i + n-j, m-i) g_(m-i+n-j)."""
-    with mp.workprec(prec):
-        radii = [mp.mpf(f.numerator) / f.denominator * scale for f in radii_frac]
-        M = 2 * (max(a_max, b_max) + 4)
-        lu = _vandermonde_lu(radii, -1, a_max + b_max + 1, M)
-        cz = _circle_coefficients(rz, radii, lu, -1, b_max - 1, M)
-        cw = _circle_coefficients(rw, radii, lu, -1, a_max, M)
-        cg = _circle_coefficients(g, radii, lu, 0, a_max + b_max + 1, M)
-        return {(m, n): mp.fsum(cz[i] * cw[j] * math.comb(m - i + n - j, m - i)
-                                * cg[m - i + n - j]
-                                for i in range(-1, m + 1) for j in range(-1, n + 1))
-                for m in range(-1, b_max) for n in range(-1, a_max + 1)}
+    return {(m, n): mp.fsum(rz[i] * rw[j] * math.comb(m - i + n - j, m - i)
+                            * g[m - i + n - j]
+                            for i in range(-1, m + 1) for j in range(-1, n + 1))
+            for m in range(-1, b_max) for n in range(-1, a_max + 1)}
 
 
 @dataclass
@@ -344,11 +330,16 @@ def verify_generating_function(z0_coords: Tuple[Fraction, Fraction],
 
         U_{(z0,w0)} Theta(z, w) = exp(-z0 conj(w0)/A) R_z(z) R_w(w) G(z + w),
         R_z(z) = exp(-z conj(w0)/A)/theta(z0 + z),
-        R_w(w) = exp(-w conj(z0)/A)/theta(w0 + w),   G(s) = theta(z0 + w0 + s),
+        R_w(w) = exp(-w conj(z0)/A)/theta(w0 + w),   G(s) = theta(z0 + w0 + s).
 
-    so taylor_coefficients_2d extracts three one-variable series (each
-    circle sample one theta value; the denominators' samples pole-guarded)
-    and forms the coefficients by their finite Cauchy product."""
+    Each factor's series comes from theta's Taylor series at its centre
+    (ThetaEvaluator.taylor): R_z and R_w by series inversion, with a simple
+    pole exactly where theta's series reads a zero at the centre (|theta_0|
+    within the pole tolerance of |theta_1|, a first-order distance to the
+    lattice).  A centre off the lattice that reads a zero raises
+    PoleProximityError; a lattice centre that reads none gets polar slot 0,
+    which fails against the prediction.  taylor_coefficients_2d forms the
+    coefficients by the finite Cauchy product of the three series."""
     ev = ThetaEvaluator(lattice)
     prec = ev.prec
     with mp.workprec(prec + 24):
@@ -361,18 +352,26 @@ def verify_generating_function(z0_coords: Tuple[Fraction, Fraction],
 
         A = ev.A
         cw0, cz0 = mp.conj(w0), mp.conj(z0)
-        pref0 = mp.exp(-z0 * cw0 / A)
+        ring = ComplexRing()
 
-        def guarded_theta(v):
-            ev._pole_guard(v)
-            return ev.theta(v)
+        def reciprocal(c, on_lattice: bool, slope, order: int):
+            """Laurent coefficients -1..order of exp(slope t)/theta(c + t)."""
+            th = ev.taylor(c, order + (2 if on_lattice else 1))
+            polar = abs(th[0]) < ev.pole_tol * abs(th[1])
+            if polar and not on_lattice:
+                raise PoleProximityError("centre within pole tolerance of the divisor")
+            den = UniSeries(ring, {k: th[k] for k in range(int(polar), len(th))},
+                            len(th) - 1)
+            out = den.inverse() * UniSeries(ring, {1: slope}, order + 1).exp()
+            return {k: out.coeff(k) for k in range(-1, order + 1)}
 
         # U_{(z0,w0)} Theta = R_z(z) R_w(w) G(z + w), the constant
         # exp(-z0 cw0/A) carried in R_z; theta(z0 + w0 + s) is a numerator
-        coeffs = taylor_coefficients_2d(
-            lambda z: pref0 * mp.exp(-z * cw0 / A) / guarded_theta(z + z0),
-            lambda w: mp.exp(-w * cz0 / A) / guarded_theta(w + w0),
-            lambda s: ev.theta(z0 + w0 + s), abs(w1), a_max, b_max, prec + 24)
+        pref0 = mp.exp(-z0 * cw0 / A)
+        rz = {k: pref0 * v for k, v in reciprocal(z0, dz, -cw0 / A, b_max - 1).items()}
+        rw = reciprocal(w0, dw, -cz0 / A, a_max)
+        coeffs = taylor_coefficients_2d(rz, rw, ev.taylor(z0 + w0, a_max + b_max + 1),
+                                        a_max, b_max)
         table = ek_table(a_max, b_max, z0, w0, lattice, target_error,
                          z0_in_lattice=dz, w0_in_lattice=dw)
         entries = {}

@@ -9,7 +9,8 @@ series products apply where their sums would otherwise grow without bound.
 Plain ``Fraction`` objects serve as the scalars of the rational exact ring
 and ``ExactScalar`` for quadratic fields.  The p-adic engine uses plain
 ints mod p^k, the scalars of :class:`IntModRing`: each series carries one
-absolute precision, its ring's modulus.
+absolute precision, its ring's modulus.  The numeric engine's Taylor series
+of theta take mpmath complex numbers, the scalars of :class:`ComplexRing`.
 
 Multiplication of truncated series keeps the usual Laurent bookkeeping:
 the product of series known mod t^(Na+1), t^(Nb+1) with valuations va, vb is
@@ -22,11 +23,14 @@ from fractions import Fraction
 
 from typing import Callable, Dict, Tuple
 
+import mpmath as mp
+
 from .scalars import ExactScalar
 
 __all__ = [
     "ExactRing",
     "IntModRing",
+    "ComplexRing",
     "UniSeries",
     "BiSeries",
     "KroneckerExpansion",
@@ -107,6 +111,32 @@ class IntModRing:
 
     def __repr__(self):
         return f"IntModRing({self.modulus})"
+
+
+class ComplexRing:
+    """mpmath complex numbers, rounded at the caller's working precision."""
+
+    zero = mp.mpc(0)
+    one = mp.mpc(1)
+
+    @staticmethod
+    def coerce(x):
+        return mp.mpc(x)
+
+    @staticmethod
+    def from_fraction(fr: Fraction):
+        return mp.mpf(fr.numerator) / fr.denominator
+
+    @staticmethod
+    def is_zero(x) -> bool:
+        return not x
+
+    @staticmethod
+    def reduce(x):
+        return x
+
+    def __repr__(self):
+        return "ComplexRing()"
 
 
 _BIG = 1 << 60

@@ -191,10 +191,12 @@ class TestVerifyCommands:
         assert "v_p" in cp.stderr
 
     def test_generating_function_artifact_pinned(self):
-        # sha256 of the payload (meta dropped), re-pinned when the
-        # coefficients came to be formed from three one-variable extractions
-        # (the polar slots, now products of extracted Laurent terms, and the
-        # last digit of max_abs_deviation moved)
+        # sha256 of the payload (meta dropped), re-pinned when the three
+        # one-variable series came to be built from theta's Taylor series in
+        # place of circle extractions: the polar slots of the two centres off
+        # the lattice are now exactly 0, max_abs_deviation is now that of the
+        # 4x4 check (the 2x2 figure carried extraction noise), and the real
+        # part of e01 (rounding noise) moved
         cp = run_cli("verify", "generating-function", "--catalog",
                      "Z[sqrt(-1)]", "--u", "4", "--z0", "1/2,0", "--w0", "0,1/2",
                      "--amax", "2", "--bmax", "2", "--tol", "1e-12",
@@ -203,7 +205,7 @@ class TestVerifyCommands:
         del doc["meta"]
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
         assert digest == \
-            "65bc7aff0c28a03260f690ffdd573f090c17daefd9295b01ea05703938eafd3c"
+            "0172b72d3dc68b8b6ffff06f498a5f289314af8ba62c98dafac0702ad790cd44"
 
     @pytest.mark.parametrize("argv,want", [
         (["hecke-l", "--s", "6", "--norm-bound", "300", "--tol", "1e-10"],
@@ -311,7 +313,8 @@ class TestBenchmarkHooks:
 
     def test_traced_generating_function_job(self, tmp_path):
         # the hooked taylor_coefficients_2d and theta run under the tracer:
-        # one span for the extraction, one theta per circle sample
+        # one span for the Cauchy product, and no theta value (the series
+        # come from ThetaEvaluator.taylor)
         tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
         out = tmp_path / "spans.json"
         cp = subprocess.run(
@@ -323,7 +326,7 @@ class TestBenchmarkHooks:
         assert json.loads(cp.stdout)["passed"] is True
         names = [s[0] for s in json.loads(out.read_text())["spans"]]
         assert names.count("kronecker.taylor_coefficients_2d") == 1
-        assert names.count("kronecker.ThetaEvaluator.theta") == 108
+        assert names.count("kronecker.ThetaEvaluator.theta") == 0
 
     def test_every_order_noted_span_takes_an_order_argument(self):
         # the tracer binds each call's arguments and reads "order" from them

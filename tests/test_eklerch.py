@@ -5,6 +5,7 @@ from unittest import mock
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ektheta import eklerch
 from ektheta.curves import LatticeData, catalog_row, compute_periods
@@ -209,20 +210,99 @@ class TestBatchedTable:
             one = ek_number(a, b, z0, w0, zi_lattice, 1e-18, **flags)
             assert (val.re, val.im, val.prec_bits) == (one.re, one.im, one.prec_bits)
 
-    def test_one_lattice_pass_per_s(self, zi_lattice, monkeypatch):
+    def test_one_lattice_pass_per_centre(self, zi_lattice, monkeypatch):
         passes = []
         orig = eklerch._I_a
 
-        def counted(targets, z0, w0, s, *rest, **kwargs):
-            passes.append((sorted(targets), s))
-            return orig(targets, z0, w0, s, *rest, **kwargs)
+        def counted(groups, z0, *rest, **kwargs):
+            passes.append((z0, [(int(mp.re(s)), sorted(t)) for s, t in groups.items()]))
+            return orig(groups, z0, *rest, **kwargs)
 
         monkeypatch.setattr(eklerch, "_I_a", counted)
         w1, w2 = zi_lattice.pair_mpc()
         ek_table(2, 2, w1 / 3, w2 / 2, zi_lattice, 1e-18)
-        # b_max passes for I(z0, w0, b), a_max + 1 for I(w0, z0, a + 1)
-        assert passes == [([1, 2, 3], 1), ([2, 3, 4], 2),
-                          ([1, 2], 1), ([2, 3], 2), ([3, 4], 3)]
+        # one pass about z0 for every I(z0, w0, b), one about w0 for every
+        # I(w0, z0, a + 1)
+        assert len(passes) == 2
+        # about z0 = w1/3, then about w0 = w2/2 (both on the normalised lattice)
+        assert abs(passes[0][0] * w2 / 2 - passes[1][0] * w1 / 3) < 1e-30
+        assert passes[0][1] == [(1, [1, 2, 3]), (2, [2, 3, 4])]
+        assert passes[1][1] == [(1, [1, 2]), (2, [2, 3]), (3, [3, 4])]
+
+    @pytest.mark.parametrize("centre", [(0, 0), (Fraction(1, 3), Fraction(-1, 2))],
+                             ids=["origin", "torsion"])
+    def test_shared_pass_equals_one_entry_passes(self, zi_lattice, centre):
+        # every (s, a) of a shared pass is the sum of a pass of its own, bit
+        # for bit, though the shared box is that of the largest radius (the
+        # radii run from about 6.5 to 16.5, several periods apart)
+        k, lat = eklerch._normalised(zi_lattice)
+        with mp.workprec(160):
+            z0 = _torsion(lat, centre)
+            w0 = _torsion(lat, (Fraction(1, 5), Fraction(2, 3)))
+            origin = centre == (0, 0)
+            groups = {mp.mpc(s): {a: mp.mpf(10) ** -e for a, e in powers}
+                      for s, powers in [(1, [(0, 6), (3, 20)]),
+                                        (mp.mpf(5) / 2, [(0, 18), (3, 24)]),
+                                        (6, [(2, 12), (9, 40)]),
+                                        (mp.mpc(3, 2), [(4, 14), (5, 19)])]}
+            shared = eklerch._I_a(groups, z0, w0, lat, skip_minus_z0=origin)
+            assert {s: sorted(v) for s, v in shared.items()} == \
+                {s: sorted(v) for s, v in groups.items()}
+            for s, targets in groups.items():
+                for a, target in targets.items():
+                    one = eklerch._I_a({s: {a: target}}, z0, w0, lat,
+                                       skip_minus_z0=origin)[s][a]
+                    assert shared[s][a]._mpc_ == one._mpc_, (s, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.integers(-6, 6)] * 4), st.tuples(*[st.integers(-6, 6)] * 4))
+def test_shells_order_restricts_to_any_sub_box(outer, inner):
+    # a sub-box is walked in the order of any box containing it, so a sum
+    # over a disc adds the same terms in the same order whatever box holds it
+    mlo, mhi = sorted(outer[:2])
+    nlo, nhi = sorted(outer[2:])
+    a, b = sorted(inner[:2])
+    c, d = sorted(inner[2:])
+    sub = (max(a, mlo), min(b, mhi), max(c, nlo), min(d, nhi))
+    walked = list(eklerch._shells(mlo, mhi, nlo, nhi))
+    assert sorted(walked) == [(m, n) for m in range(mlo, mhi + 1)
+                              for n in range(nlo, nhi + 1)]
+    inside = [(m, n) for m, n in walked
+              if sub[0] <= m <= sub[1] and sub[2] <= n <= sub[3]]
+    assert list(eklerch._shells(*sub)) == inside
+
+
+def _radius_oracle(a, smax, A, target, covol):
+    """The radius loop without its double-precision screen."""
+    C = 4 * mp.pi * A / covol
+    R = mp.sqrt(A) + 1
+    while 2 * C * R ** (a + 1) * mp.exp(-R * R / A) * (1 + abs(smax)) > target:
+        R += mp.sqrt(A) / 4
+        if R > 600:
+            raise eklerch.TailBoundError("tail bound did not close below the target")
+    return R
+
+
+class TestRadiusScreen:
+    @pytest.mark.parametrize("A", ["1", "2.7", "3.99"])
+    def test_screened_radius_has_the_bits_of_the_plain_loop(self, A):
+        with mp.workprec(160):
+            A = mp.mpf(A)
+            covol = mp.pi * A
+            for s in (mp.mpc(1), mp.mpc(5) / 2, mp.mpc(6), mp.mpc(3, 2)):
+                for e in (10, 20, 30, 40):
+                    target = mp.mpf(10) ** -e
+                    for a in range(10):
+                        got = eklerch._radius_for(a, s, A, target, covol)
+                        want = _radius_oracle(a, s, A, target, covol)
+                        assert got._mpf_ == want._mpf_, (a, s, e)
+
+    def test_radius_beyond_600_still_raises(self):
+        with mp.workprec(160):
+            A = mp.mpf(1)
+            with pytest.raises(eklerch.TailBoundError):
+                eklerch._radius_for(3, mp.mpc(2), A, mp.mpf(10) ** -200000, mp.pi * A)
 
 
 class TestDifferentialEquation:
@@ -319,7 +399,7 @@ class TestKeptDisc:
             a, s, target = 2, mp.mpc(3), mp.mpf(10) ** -20
             origin = z0c == (0, 0)
             with mock.patch.object(mp, "gammainc", wraps=mp.gammainc) as gammainc:
-                eklerch._I_a({a: target}, z0, 0, s, lat, skip_minus_z0=origin)
+                eklerch._I_a({s: {a: target}}, z0, 0, lat, skip_minus_z0=origin)
             R2 = eklerch._radius_for(a, s, lat.A(), target, mp.pi * lat.A()) ** 2
             K = 60
             inside = sum(1 for m in range(-K, K + 1) for n in range(-K, K + 1)

@@ -229,31 +229,32 @@ class TestGeneratingFunction:
         assert abs(rep.polar_w[0] - 1) < 1e-12      # delta(w0) = 1
 
     @pytest.mark.parametrize("z0c,w0c", [
-        ((Fraction(-1, 20), Fraction(0)), (Fraction(0), Fraction(1, 2))),
-        ((Fraction(1, 2), Fraction(0)), (Fraction(-1, 20), Fraction(0))),
-    ], ids=["z-axis", "w-axis"])
-    def test_pole_guard_fires_on_a_grid_sample(self, zi_lattice, z0c, w0c):
-        # the first sample of each axis is |w1|/20 = w1/20 (w1 > 0 on this
-        # lattice): a translate by -w1/20 moves it onto the lattice
+        ((Fraction(1, 10 ** 40), Fraction(0)), (Fraction(0), Fraction(1, 2))),
+        ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(-1, 10 ** 40))),
+    ], ids=["z0", "w0"])
+    def test_pole_guard_fires_near_the_lattice(self, zi_lattice, z0c, w0c):
+        # a centre 1e-40 periods off the lattice is no lattice point, yet
+        # theta's series there reads a zero: the check refuses it
         with pytest.raises(PoleProximityError):
             verify_generating_function(z0c, w0c, 2, 2, zi_lattice, tol=1e-12)
 
     def test_theta_once_per_axis_sample(self, zi_lattice, monkeypatch):
-        calls = [0]
-        orig = ThetaEvaluator.theta
+        calls = {"theta": 0, "taylor": 0}
+        for name in calls:
+            orig = getattr(ThetaEvaluator, name)
 
-        def counted(self, z):
-            calls[0] += 1
-            return orig(self, z)
+            def counted(self, *args, _name=name, _orig=orig):
+                calls[_name] += 1
+                return _orig(self, *args)
 
-        monkeypatch.setattr(ThetaEvaluator, "theta", counted)
+            monkeypatch.setattr(ThetaEvaluator, name, counted)
         rep = verify_generating_function((Fraction(1, 2), Fraction(0)),
                                          (Fraction(0), Fraction(1, 2)),
                                          2, 2, zi_lattice, tol=1e-12)
         assert rep.passed
-        n = 3 * 12  # 3 radii, M = 2 (max(a_max, b_max) + 4) angles
-        # one theta per sample of each circle, about z0, w0 and z0 + w0
-        assert calls[0] == 3 * n == 108
+        # one Taylor series of theta about each of z0, w0 and z0 + w0, and
+        # no theta value
+        assert calls == {"theta": 0, "taylor": 3}
 
     HALF = ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2)))
 
@@ -280,21 +281,71 @@ class TestGeneratingFunction:
         assert not rep.passed
 
     @pytest.mark.parametrize("centre", ["z0", "w0", "z0+w0"])
-    def test_fails_on_one_wrong_theta_sample(self, zi_lattice, monkeypatch,
-                                             centre):
-        # a relative 1e-9 error in theta at the first sample, |w1|/20, of one
-        # circle (w1 > 0 on this lattice; the three centres lie far apart)
-        orig = ThetaEvaluator.theta
+    def test_fails_on_one_wrong_taylor_coefficient(self, zi_lattice, monkeypatch,
+                                                   centre):
+        # a relative 1e-9 error in the degree-1 coefficient of theta's series
+        # about one centre (the three centres lie far apart)
+        orig = ThetaEvaluator.taylor
 
-        def wrong_once(self, v):
+        def wrong_once(self, c, n):
             z0, w0 = self.w1 / 2, self.w2 / 2
-            at = {"z0": z0, "w0": w0, "z0+w0": z0 + w0}[centre] + self.w1 / 20
-            out = orig(self, v)
-            return out * (1 + mp.mpf("1e-9")) if abs(v - at) < 1e-30 else out
+            at = {"z0": z0, "w0": w0, "z0+w0": z0 + w0}[centre]
+            out = orig(self, c, n)
+            if abs(c - at) < 1e-30:
+                out[1] *= 1 + mp.mpf("1e-9")
+            return out
 
-        monkeypatch.setattr(ThetaEvaluator, "theta", wrong_once)
+        monkeypatch.setattr(ThetaEvaluator, "taylor", wrong_once)
         rep = verify_generating_function(*self.HALF, 2, 2, zi_lattice, tol=1e-12)
         assert not rep.passed
+
+    def test_fails_when_a_lattice_centre_reads_no_zero(self, zi_lattice, monkeypatch):
+        # theta's value at the lattice centre z0 = 0 pushed off zero by far
+        # more than the pole tolerance: R_z reads regular, its polar slot 0
+        # against the predicted <w0, z0> = 1
+        orig = ThetaEvaluator.taylor
+
+        def off_zero(self, c, n):
+            out = orig(self, c, n)
+            if abs(c) < 1e-30:
+                out[0] += mp.mpf("1e-20") * out[1]
+            return out
+
+        monkeypatch.setattr(ThetaEvaluator, "taylor", off_zero)
+        rep = verify_generating_function((Fraction(0), Fraction(0)),
+                                         (Fraction(1, 2), Fraction(0)),
+                                         2, 2, zi_lattice, tol=1e-12)
+        assert rep.polar_z[0] == 0 and abs(rep.polar_z[1]) == 1
+        assert not rep.passed
+
+
+def _cauchy_coefficients(ev, c, n, M=64):
+    """Coefficients 0..n of theta(c + t) by an M-point DFT of theta values
+    on the circle |t| = |w1|/8."""
+    r = abs(ev.w1) / 8
+    zeta = [mp.exp(2j * mp.pi * j / M) for j in range(M)]
+    vals = [ev.theta(c + r * z) for z in zeta]
+    return [mp.fsum(v * zeta[(-k * j) % M] for j, v in enumerate(vals)) / (M * r ** k)
+            for k in range(n + 1)]
+
+
+class TestThetaTaylor:
+    @pytest.mark.parametrize("coords", [
+        (1, -1), (Fraction(1, 2), 0), (0, Fraction(1, 2)),
+        (Fraction(1, 2), Fraction(1, 2)), (Fraction(-1, 2), Fraction(1, 2)),
+        (Fraction(1, 3), 0), (Fraction(13, 4), Fraction(-7, 3)),
+    ], ids=["lattice", "half-0", "0-half", "half-half", "minus-half-half",
+            "third", "far-cell"])
+    def test_series_matches_a_cauchy_dft_of_theta(self, zi_lattice, coords):
+        # the series reduces its centre once; the DFT's samples straddle the
+        # cell boundary at the 2-torsion points and reduce one by one
+        ev = ThetaEvaluator(zi_lattice)
+        with mp.workprec(ev.prec + 24):
+            c = kronecker.torsion_point(coords, ev.w1, ev.w2)[0]
+            got = ev.taylor(c, 9)
+            want = _cauchy_coefficients(ev, c, 9)
+            assert len(got) == 10
+            assert max(abs(x - y) for x, y in zip(got, want)) < 1e-40
 
 
 class TestDistribution:
