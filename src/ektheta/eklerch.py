@@ -16,13 +16,13 @@ lattice sum a radius R is chosen with the Gaussian tail bound
 with the covolume constant C computed crudely and doubled.  The sum keeps
 exactly the disc |z0+gamma| <= R that this bound certifies.  Its points are
 found in the box of (m, n) that the dual basis bounds, so the basis need not
-be reduced, and the box is walked in a fixed order (growing max(|m|, |n|),
-then lexicographic), so results are bit-reproducible at fixed precision.
-All the sums about one centre share a single shell pass, whatever their
-powers a and exponents s (ek_table makes one pass about z0 and one about
-w0); each (s, a) still adds exactly the terms, in exactly the order, of a
-pass of its own, because the walk order of a box is that of any larger box
-restricted to it.
+be reduced.  The sum runs on integers: the disc test on the exact
+coordinates of z0 + gamma, the terms in fixed point with bits chosen from the
+entry's own quantities, added exactly and rounded once, within 2^-prec of the
+exact sum over the disc.  All the sums about one centre share a single shell
+pass, whatever their powers a and exponents s (ek_table makes one pass about
+z0 and one about w0), and each (s, a) equals the sum of a pass of its own
+bit for bit.
 
 The sums are homogeneous in the lattice,
 
@@ -35,13 +35,15 @@ working precisions are chosen in these normalised units.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from itertools import takewhile
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 from .curves import LatticeData, lattice_pair_mpc
 from .scalars import BigComplex, CLASS_NUMBER_ONE, ExactScalar, ideal_generators, \
@@ -169,22 +171,129 @@ def truncation_radius(a: int, s, lattice: LatticeData, target_error):
     return mp.ldexp(_radius_for(a, s, A, _tail_target(target, A, a), mp.pi * A), -k)
 
 
+def _positive_int(s) -> Optional[int]:
+    """s as an int when it is a positive integer, else None."""
+    s = mp.mpc(s)
+    if s.imag == 0 and s.real >= 1 and s.real == int(s.real):
+        return int(s.real)
+    return None
+
+
+def _fixed_bits(prec: int, a: int, s, R, n: int, q: int, A, span) -> int:
+    """Fractional bits F of the fixed-point sum of one (s, a) entry of _I_a.
+
+    With u = 2^-F, U = max(1, R), Q = 2^q >= max(1, 1/r^2) for r the least
+    kept |z0+gamma|, Ab = max(1, 1/A) and B = span >= |m| + |n| over the kept
+    points, each term conj(z0+gamma)^a h <gamma, w0>, h = Gamma(s, x)/N^s,
+    N = |z0+gamma|^2, x = N/A, is formed within E u to first order,
+
+        E = (D + 1) U^a + H U^a (2a + 2B + 2),
+
+    from the error D u of h (D = s s! Q^(s+1) Ab^s (R^2 + Ab + 3) for a
+    positive integer s, whose h comes from the recurrence; D = H for other s,
+    whose h mpmath computes to F + 10 bits), the bound H on |h| (with
+    sigma = Re s, Gamma(sigma) Q^sigma for sigma >= 1, and max(1, A)^(1-sigma) Q
+    below, where Gamma(s, x) <= x^(sigma-1) e^-x), the error 2a U^(a-1) u of
+    conj(z0+gamma)^a (a rounded products) and the error 2(B+1) u of the
+    pairing (two power tables).
+    F = prec + 3 + log2(n E), rounded up to a multiple of 64, so the n terms
+    sum to within 2^-(prec+3) of the exact sum, with room for the
+    second-order terms."""
+    lg = math.log2
+    k = _positive_int(s)
+    sigma = float(mp.re(s))
+    lh = float(mp.log(mp.gamma(sigma), 2)) + sigma * q if sigma >= 1 \
+        else (1 - sigma) * max(0.0, lg(float(A))) + q
+    if k is None:
+        ld = lh
+    else:
+        lab = max(0.0, -lg(float(A)))
+        ld = lg(k * math.factorial(k)) + (k + 1) * q + k * lab \
+            + lg(float(R) ** 2 + 2 ** lab + 3)
+    le = max(ld + 1, lh + lg(2 * a + 2 * span + 2)) \
+        + a * max(0.0, lg(float(R))) + 1
+    F = prec + 3 + math.ceil(lg(max(n, 1)) + le)
+    return -(-F // 64) * 64
+
+
+def _shift(v: int, k: int) -> int:
+    """v / 2^k rounded to the nearest integer (exact for k <= 0)."""
+    return v << -k if k <= 0 else (v + (1 << (k - 1))) >> k
+
+
+def _fixed(x, F: int) -> int:
+    """The mpf x in fixed point with F fractional bits, rounded (exact when
+    the lowest bit of x lies at or above 2^-F)."""
+    sign, man, exp, _ = x._mpf_
+    v = _shift(man, -(exp + F))
+    return -v if sign else v
+
+
+def _cmul(x, y, F: int) -> Tuple[int, int]:
+    """The product of two complex fixed-point values (re, im), rounded."""
+    return (_shift(x[0] * y[0] - x[1] * y[1], F),
+            _shift(x[0] * y[1] + x[1] * y[0], F))
+
+
+def _unit_powers(p, lo: int, hi: int, F: int) -> Dict[int, Tuple[int, int]]:
+    """{k: p^k} for lo <= k <= hi, p a fixed-point value on the unit circle:
+    repeated products outward from p^0 = 1, and p^-k = conj(p^k)."""
+    pos = [(1 << F, 0)]
+    for _ in range(max(hi, -lo, 0)):
+        pos.append(_cmul(pos[-1], p, F))
+    return {k: pos[k] if k >= 0 else (pos[-k][0], -pos[-k][1])
+            for k in range(lo, hi + 1)}
+
+
+def _factor(h, pair, F: int) -> Tuple[int, int]:
+    """Gamma(s, x) <gamma, w0>/N^s of one kept (point, s) in fixed point,
+    from h = Gamma(s, x)/N^s and the pairing.  _I_a forms each kept
+    (point, s) factor here, once, so this counts them."""
+    return _cmul(h, pair, F)
+
+
 def _I_a(groups: Dict[object, Dict[int, object]], z0, w0, lattice: LatticeData,
          skip_minus_z0: bool) -> Dict[object, Dict[int, mp.mpc]]:
     """I_a(z0, w0, s) for every s in groups and every power a in groups[s]
-    (s -> {a: tail target}), summed in one shell pass about z0.  Each (s, a)
-    sums exactly the disc |z0+gamma| <= R of its own radius, in shell order,
-    so it equals the sum of a pass of its own bit for bit.  A point's
-    pairing and conj(z0+gamma)^a are computed once; its incomplete gamma and
-    |z0+gamma|^(2s) once per s that keeps it."""
+    (s -> {a: tail target}), summed in one shell pass about z0 on integers
+    (_fixed_sums) and rounded once to the working precision."""
+    prec = mp.mp.prec
+    return {s: {a: mp.make_mpc((from_man_exp(re, -F, prec, round_nearest),
+                                from_man_exp(im, -F, prec, round_nearest)))
+                for a, (re, im, F) in by_a.items()}
+            for s, by_a in _fixed_sums(groups, z0, w0, lattice, skip_minus_z0).items()}
+
+
+def _fixed_sums(groups, z0, w0, lattice: LatticeData, skip_minus_z0: bool
+                ) -> Dict[object, Dict[int, Tuple[int, int, int]]]:
+    """{s: {a: (re, im, F2)}}: I_a(z0, w0, s) = (re + i im) 2^-F2 for every s
+    in groups and every power a in groups[s] (s -> {a: tail target}), summed
+    in one shell pass about z0 on integers; prec is the working precision.
+
+    The coordinates of z0 + gamma are exact integers, so each (s, a) keeps
+    exactly the disc |z0+gamma|^2 <= R^2 of its own radius (re^2 + im^2
+    against R^2, no rounding).  Its terms are formed in fixed point with the
+    entry's own F fractional bits (_fixed_bits: from the working precision
+    prec, a, s, R, the number of kept terms and the least kept
+    |z0+gamma|), added as exact integers, and the sum is rounded once to
+    prec bits by _I_a.  The integer sum lies within 2^-prec of the exact sum
+    over the kept points, and no value depends on the other entries of its
+    pass.
+
+    Entries of equal F share a level (_level_sums), and per point and level
+    the transcendentals are shared: one e^-x serves every positive integer
+    s, by Gamma(1, x) = e^-x and Gamma(k+1, x) = k Gamma(k, x) + x^k e^-x;
+    the pairing <gamma, w0> = <w1, w0>^m <w2, w0>^n comes from two power
+    tables; conj(z0+gamma)^a from repeated products.  Other s keep
+    mp.gammainc for their factor."""
     w1, w2 = lattice.pair_mpc()
     A = lattice.A()
     covol = mp.pi * A
-    # per s, (R^2, a) from the largest radius down
-    cuts = {s: sorted(((_radius_for(a, s, A, target, covol) ** 2, a)
-                       for a, target in targets.items()), reverse=True)
-            for s, targets in groups.items()}
-    R = mp.sqrt(max(by_cut[0][0] for by_cut in cuts.values()))
+    prec = mp.mp.prec
+    z0 = mp.mpc(z0)
+    radii = {s: {a: _radius_for(a, s, A, target, covol) for a, target in targets.items()}
+             for s, targets in groups.items()}
+    R = max(r for by_a in radii.values() for r in by_a.values())
     # |z0 + m w1 + n w2| <= R bounds m within R |w2|/covol of the w1-coordinate
     # of -z0 and n within R |w1|/covol of its w2-coordinate (the dual basis),
     # whether or not the basis is reduced
@@ -192,33 +301,104 @@ def _I_a(groups: Dict[object, Dict[int, object]], z0, w0, lattice: LatticeData,
     dm, dn = R * abs(w2) / covol, R * abs(w1) / covol
     box = (int(mp.floor(x0 - dm)) - 1, int(mp.ceil(x0 + dm)) + 1,
            int(mp.floor(y0 - dn)) - 1, int(mp.ceil(y0 + dn)) + 1)
-    sums = {s: {a: mp.mpc(0) for a in targets} for s, targets in groups.items()}
-    tiny = mp.mpf(2) ** (-lattice.prec_bits // 2)
+    # the scale Fe holds every input exactly
+    exact_in = [w1.real, w1.imag, w2.real, w2.imag, z0.real, z0.imag,
+                *(r for by_a in radii.values() for r in by_a.values())]
+    Fe = max([lattice.prec_bits] + [-x._mpf_[2] for x in exact_in if x._mpf_[1]])
+    W1r, W1i, W2r, W2i, Zr, Zi = (_fixed(x, Fe) for x in exact_in[:6])
+    cut2 = {s: sorted(((_fixed(r, Fe) ** 2, a) for a, r in by_a.items()), reverse=True)
+            for s, by_a in radii.items()}
+    widest = max(by_cut[0][0] for by_cut in cut2.values())
+    tiny = 1 << (2 * Fe - lattice.prec_bits // 2)
+    points = []  # (m, n, re, im, |z0+gamma|^2) at scale 2^-Fe, 2^-2Fe
     for m, n in _shells(*box):
-        g = m * w1 + n * w2
-        zz = z0 + g
-        az2 = abs(zz) ** 2
-        if skip_minus_z0 and az2 < tiny:
+        X = Zr + m * W1r + n * W2r
+        Y = Zi + m * W1i + n * W2i
+        N = X * X + Y * Y
+        if N == 0 or N > widest or (skip_minus_z0 and N < tiny):
             continue
-        if az2 == 0:
-            continue
-        pair = czz = None
-        powers = {}
-        for s, by_cut in cuts.items():
-            keep = [a for _, a in takewhile(lambda cut_a: az2 <= cut_a[0], by_cut)]
-            if not keep:
-                continue
-            if pair is None:
-                pair = lattice_pair_mpc(g, w0, A)
-                czz = mp.conj(zz)
-            gam = mp.gammainc(s, az2 / A)
-            den = az2 ** s
-            out = sums[s]
-            for a in keep:
-                if a not in powers:
-                    powers[a] = czz ** a
-                out[a] += gam * powers[a] / den * pair
+        points.append((m, n, X, Y, N))
+    sums = {s: {a: (0, 0, 0) for a in targets} for s, targets in groups.items()}
+    if not points:
+        return sums
+    norms = sorted(p[4] for p in points)
+    # the least kept |z0+gamma| lies in every disc that keeps a point
+    q = max(0, 2 * Fe + 1 - norms[0].bit_length())
+    levels = {}  # F -> {s: [(R^2, a)] from the largest radius down}
+    for s, by_cut in cut2.items():
+        for r2, a in by_cut:
+            r = radii[s][a]
+            span = float(abs(x0) + abs(y0) + r * (abs(w1) + abs(w2)) / covol) + 2
+            F = _fixed_bits(prec, a, s, r, bisect.bisect_right(norms, r2), q, A, span)
+            levels.setdefault(F, {}).setdefault(s, []).append((r2, a))
+    for F, cuts in levels.items():
+        level = _level_sums(F, cuts, points, Fe, A, w1, w2, w0, box)
+        for s, by_a in level.items():
+            for a, (re, im) in by_a.items():
+                sums[s][a] = (re, im, 2 * F)
     return sums
+
+
+def _gammainc_h(s, Ne: int, Fe: int, F: int, A) -> Tuple[int, int]:
+    """h = Gamma(s, N/A)/N^s in fixed point, N = Ne 2^-2Fe, from mpmath at
+    F + 10 bits plus those of the condition of h in x = N/A and in N."""
+    lb = Ne.bit_length() - 2 * Fe
+    cond = (float(abs(s)) + 1) * (abs(lb) + 2) + 2.0 ** lb / float(A) + 2
+    with mp.workprec(F + 10 + math.ceil(math.log2(cond))):
+        N = mp.make_mpf(from_man_exp(Ne, -2 * Fe))
+        h = mp.gammainc(s, N / A) / N ** s
+        return _fixed(h.real, F), _fixed(h.imag, F)
+
+
+def _level_sums(F: int, cuts, points, Fe: int, A, w1, w2, w0, box
+                ) -> Dict[object, Dict[int, list]]:
+    """{s: {a: [re, im]}}: the exact integer sums, at scale 2^-2F, of the
+    entries of one level (cuts: s -> [(R^2, a)], largest first)."""
+    G = 16  # guard bits of the exponential
+    mlo, mhi, nlo, nhi = box
+    with mp.workprec(F + 40 + (max(0, int(mp.mag(w0))) if w0 else 0)):
+        tabs = [_unit_powers((_fixed(p.real, F), _fixed(p.imag, F)), lo, hi, F)
+                for p, lo, hi in ((lattice_pair_mpc(w1, w0, A), mlo, mhi),
+                                  (lattice_pair_mpc(w2, w0, A), nlo, nhi))]
+    # (s, s as an int when a positive integer else None, its cuts)
+    kinds = [(s, _positive_int(s), by_cut) for s, by_cut in cuts.items()]
+    top = max((k for _, k, _ in kinds if k), default=0)
+    with mp.workprec(F + G + 40):
+        inv_a = _fixed(1 / A, F + G)
+        alpha = [0] + [_fixed(A ** -k, F) for k in range(1, top)]
+    ln2 = ln2_fixed(F + G)
+    acc = {s: {a: [0, 0] for _, a in by_cut} for s, by_cut in cuts.items()}
+    for m, n, Xe, Ye, Ne in points:
+        keep = [(s, k, [a for r2, a in by_cut if Ne <= r2])
+                for s, k, by_cut in kinds if Ne <= by_cut[0][0]]
+        if not keep:
+            continue
+        pair = _cmul(tabs[0][m], tabs[1][n], F)
+        cz = [(1 << F, 0), (_shift(Xe, Fe - F), -_shift(Ye, Fe - F))]
+        hs = [None]
+        point_top = max((k for _, k, _ in keep if k), default=0)
+        if point_top:
+            NG = _shift(Ne, 2 * Fe - F - G)
+            E = _shift(exp_fixed(-((NG * inv_a) >> (F + G)), F + G, ln2), G)
+            NF = _shift(Ne, 2 * Fe - F)
+            iN = ((1 << 2 * F) + NF // 2) // NF
+            h = _shift(E * iN, F)
+            hs.append(h)
+            for k in range(1, point_top):
+                h = _shift((k * h + _shift(alpha[k] * E, F)) * iN, F)
+                hs.append(h)
+        for s, k, powers in keep:
+            h = (hs[k], 0) if k else _gammainc_h(s, Ne, Fe, F, A)
+            fr, fi = _factor(h, pair, F)
+            out = acc[s]
+            for a in powers:
+                while len(cz) <= a:
+                    cz.append(_cmul(cz[-1], cz[1], F))
+                cr, ci = cz[a]
+                t = out[a]
+                t[0] += fr * cr - fi * ci
+                t[1] += fr * ci + fi * cr
+    return acc
 
 
 def _omitted_terms(z0, w0, s, A, dz: bool, dw: bool):
@@ -530,32 +710,3 @@ def hecke_L_partial(char: HeckeCharacter, s, target_error=1e-14,
         out = val.to_mpc() / wf
         return BigComplex(out.real, out.imag, prec_bits)
 
-
-def e2star_estimate(lattice: LatticeData, target_error=1e-20,
-                    max_den: int = 10 ** 4):
-    """Numeric e2* with attempted continued-fraction rational reconstruction.
-
-    Returns (value, reconstructed, verified): `reconstructed` is a Fraction
-    or None; `verified` is True only when the reconstruction matches a
-    catalog row's e2* for the lattice's curve, else the value is reported as
-    unverified heuristics.
-    """
-    from .curves import catalog
-    val = e2star_numeric(lattice, target_error)
-    with mp.workprec(val.prec_bits):
-        if abs(val.im) > mp.mpf(target_error) * 100:
-            return val, None, False
-        rec = rational_reconstruct(val.re, max_den, tol=mp.mpf(target_error) * 100)
-    verified = False
-    curve = lattice.curve
-    if rec is not None and curve is not None:
-        for row in catalog():
-            try:
-                cand = row.curve(curve.u if curve.u else 1)
-            except ValueError:
-                continue
-            if cand.g2 == curve.g2 and cand.g3 == curve.g3 and \
-                    cand.e2_star == ExactScalar(rec):
-                verified = True
-                break
-    return val, rec, verified

@@ -187,6 +187,44 @@ class PoleProximityError(ArithmeticError):
     """Evaluation requested too close to the polar divisor."""
 
 
+def _theta1_derivatives(v, q, n: int) -> List[mp.mpc]:
+    """[theta_1^(j)(v, q) for j = 0..n] (mpmath's jtheta(1, v, q, j)) from one
+    pass over the q-series
+
+        theta_1(v, q) = 2 q^(1/4) sum_k (-1)^k q^(k(k+1)) sin(c_k v),  c_k = 2k+1.
+
+    With S(+-)_j = sum_k (-1)^k q^(k(k+1)) c_k^j e^(+-i c_k v), the j-th
+    derivative is q^(1/4) (i^(j-1) S(+)_j - (-i)^(j+1) S(-)_j).  The sum stops
+    once a term, weighted by c_k^n, falls below 2^-wp of the first; it runs
+    at 16 + 4n bits above the caller's precision."""
+    wp = mp.mp.prec + 16 + 4 * n
+    with mp.workprec(wp):
+        v, q = mp.mpc(v), mp.mpc(q)
+        e = mp.exp(1j * v)
+        ep, em = e, 1 / e
+        e2, q2 = e * e, q * q
+        ie2 = 1 / e2
+        weight, step = mp.mpc(1), q2
+        plus, minus = [mp.mpc(0)] * (n + 1), [mp.mpc(0)] * (n + 1)
+        eps = mp.ldexp(abs(ep) + abs(em), -wp)
+        k = 0
+        while True:
+            c = 2 * k + 1
+            tp, tm = weight * ep, weight * em
+            if k and (abs(tp) + abs(tm)) * c ** n < eps:
+                break
+            for j in range(n + 1):
+                plus[j] += tp
+                minus[j] += tm
+                tp, tm = tp * c, tm * c
+            weight, step = -weight * step, step * q2
+            ep, em = ep * e2, em * ie2
+            k += 1
+        q4 = mp.nthroot(q, 4)
+        return [q4 * (1j ** (j - 1) * plus[j] - (-1j) ** (j + 1) * minus[j])
+                for j in range(n + 1)]
+
+
 class ThetaEvaluator:
     """Numeric reduced theta / Kronecker theta on a fixed lattice."""
 
@@ -242,8 +280,9 @@ class ThetaEvaluator:
             theta(c + t) = alpha exp(((u + t) conj(g) + |g|^2/2)/A + kappa (u + t)^2)
                            (w1/pi) theta_1(pi (u + t)/w1, q) / theta_1'(0, q)
 
-        is expanded from the derivatives of theta_1 at pi u/w1 times the
-        series of the exponential."""
+        is expanded from the derivatives of theta_1 at pi u/w1
+        (_theta1_derivatives, one pass over its q-series) times the series of
+        the exponential."""
         with mp.workprec(self.prec + 24):
             u, g, alpha = self._reduced(mp.mpc(c))
             cg = mp.conj(g)
@@ -252,8 +291,9 @@ class ThetaEvaluator:
                 * mp.exp((u * cg + abs(g) ** 2 / 2) / self.A + kappa * u ** 2)
             h = mp.pi / self.w1
             ring = ComplexRing()
-            jac = UniSeries(ring, {d: mp.jtheta(1, h * u, self.q, d) * h ** d
-                                   / mp.factorial(d) for d in range(n + 1)}, n)
+            derivs = _theta1_derivatives(h * u, self.q, n)
+            jac = UniSeries(ring, {d: derivs[d] * h ** d / mp.factorial(d)
+                                   for d in range(n + 1)}, n)
             expo = UniSeries(ring, {1: cg / self.A + 2 * kappa * u, 2: kappa}, n).exp()
             prod = jac * expo
             return [lead * prod.coeff(d) for d in range(n + 1)]

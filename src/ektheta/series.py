@@ -444,10 +444,6 @@ class BiSeries:
     def map_coeffs(self, fn: Callable) -> "BiSeries":
         return BiSeries(self.ring, {k: fn(v) for k, v in self.coeffs.items()}, self.order)
 
-    def swap(self) -> "BiSeries":
-        return BiSeries(self.ring, {(n, m): v for (m, n), v in self.coeffs.items()},
-                        self.order, normalize=False)
-
     def is_symmetric(self) -> bool:
         return all(self.coeff(n, m) == v for (m, n), v in self.coeffs.items())
 

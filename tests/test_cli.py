@@ -87,14 +87,18 @@ class TestVerifyCommands:
 
     @pytest.mark.parametrize("argv,want", [
         (["--a", "0", "--b", "4", "--err", "1e-20"],
-         "15b3a16ea0d39cad82a21b574300e417a19fd558ea5c8ea09d43f793ab85aea8"),
+         "550c16f23569429f64e1b8848062a24359503ce08afa063e6faa8dd6a09700e7"),
         (["--a", "1", "--b", "3", "--z0", "1/3,0", "--err", "1e-18"],
-         "82aaf38eabb174c5673b770764d6a4e3dbd50bb06bb15376325c7015829dad6a"),
+         "3600330aa36fc2554b828c50b648a8493882b051e0775bc5f7ce011498a91901"),
     ], ids=["a0-b4", "a1-b3-z0-third"])
     def test_readme_ek_artifacts_pinned(self, argv, want):
         # sha256 of the payload (meta dropped), re-pinned when each lattice
-        # sum came to keep exactly the disc its tail bound certifies: the
-        # value moved by 1e-33 (a0-b4) and 2e-27 (a1-b3), the radius not at all
+        # sum came to keep exactly the disc its tail bound certifies (the
+        # value moved by 1e-33 (a0-b4) and 2e-27 (a1-b3)), and again when the
+        # sums came to be added on integers in fixed point: the real part
+        # moved by 1.2e-35 (a0-b4) and 1.1e-31 (a1-b3), the imaginary part
+        # (7e-49 and 5e-38 of rounding noise) is now exactly 0; the radius
+        # never moved
         cp = run_cli("ek", "--catalog", "Z[sqrt(-1)]", "--u", "4", *argv,
                      env={"EKTHETA_PREC_BITS": "256", "PYTHONHASHSEED": "0"})
         doc = json.loads(cp.stdout)
@@ -196,7 +200,9 @@ class TestVerifyCommands:
         # place of circle extractions: the polar slots of the two centres off
         # the lattice are now exactly 0, max_abs_deviation is now that of the
         # 4x4 check (the 2x2 figure carried extraction noise), and the real
-        # part of e01 (rounding noise) moved
+        # part of e01 (rounding noise) moved.  Re-pinned again when the
+        # lattice sums came to be added on integers and theta's derivatives
+        # to come from one q-series pass: max_abs_deviation moved by 4.9e-32
         cp = run_cli("verify", "generating-function", "--catalog",
                      "Z[sqrt(-1)]", "--u", "4", "--z0", "1/2,0", "--w0", "0,1/2",
                      "--amax", "2", "--bmax", "2", "--tol", "1e-12",
@@ -205,11 +211,11 @@ class TestVerifyCommands:
         del doc["meta"]
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
         assert digest == \
-            "0172b72d3dc68b8b6ffff06f498a5f289314af8ba62c98dafac0702ad790cd44"
+            "e38345bb5ef35874b6b8e4b9c1e8b739c4ddd6d994e078f0ceead8252e9ccc20"
 
     @pytest.mark.parametrize("argv,want", [
         (["hecke-l", "--s", "6", "--norm-bound", "300", "--tol", "1e-10"],
-         "05ad9b2317305685a82432adab835650fdd8ced93da1c654418714e2bda93b7b"),
+         "062837d3339091d90adc94fb07ab365621c3f269df60fc967313ae636041412b"),
         (["verify", "distribution", "--catalog", "Z[sqrt(-1)]", "--u", "4",
           "--ideal-a", "2", "--ideal-b", "1", "--points", "2", "--tol", "1e-12"],
          "8830a1d1cac9d508bf5e1e7c0a24fd0247fa19697836504fcb03e2cb43748c72"),
@@ -218,7 +224,9 @@ class TestVerifyCommands:
         # sha256 of the payload (meta dropped): sums over ideals and residue
         # classes keep their terms, their order and so every bit.  hecke-l
         # was re-pinned when its K* sum came to keep exactly the certified
-        # disc (the value moved by 5e-30)
+        # disc (the value moved by 5e-30), and again when the lattice sums
+        # came to be added on integers (the real part moved by 7.9e-31; the
+        # imaginary part, 7e-36 of rounding noise, is now exactly 0)
         cp = run_cli(*argv, env={"EKTHETA_PREC_BITS": "256", "PYTHONHASHSEED": "0"})
         doc = json.loads(cp.stdout)
         del doc["meta"]

@@ -5,10 +5,12 @@ from unittest import mock
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_man_exp
 from hypothesis import given, settings, strategies as st
 
 from ektheta import eklerch
-from ektheta.curves import LatticeData, catalog_row, compute_periods
+from ektheta.curves import LatticeData, catalog, catalog_row, compute_periods, \
+    lattice_pair_mpc
 from ektheta.eklerch import (
     HeckeCharacter,
     PoleError,
@@ -325,19 +327,19 @@ class TestDifferentialEquation:
             assert abs(dz - rhs) / abs(rhs) < 1e-8
 
 
-def _ek02_and_gammainc_calls(u: Fraction):
-    """e*_{0,2} on the Z[2*sqrt(-1)] row at scale u, and the number of
-    incomplete gamma values it took."""
+def _ek02_and_factor_count(u: Fraction):
+    """e*_{0,2} on the Z[2*sqrt(-1)] row at scale u, and the number of kept
+    (point, s) factors its lattice sums formed."""
     lat = compute_periods(catalog_row("Z[2*sqrt(-1)]").curve(u), 256)
-    with mock.patch.object(mp, "gammainc", wraps=mp.gammainc) as gammainc:
+    with mock.patch.object(eklerch, "_factor", wraps=eklerch._factor) as factor:
         val = ek_number(0, 2, 0, 0, lat, 1e-20,
                         z0_in_lattice=True, w0_in_lattice=True)
-    return val, gammainc.call_count
+    return val, factor.call_count
 
 
 @pytest.fixture(scope="module")
-def gammainc_calls_at_u1():
-    return _ek02_and_gammainc_calls(Fraction(1))[1]
+def factors_at_u1():
+    return _ek02_and_factor_count(Fraction(1))[1]
 
 
 class TestScaleFree:
@@ -346,13 +348,13 @@ class TestScaleFree:
     their cost depends on the scale u of the curve."""
 
     @pytest.mark.parametrize("e", range(-12, 13, 3))
-    def test_e02_is_u_at_every_scale_for_bounded_cost(self, e, gammainc_calls_at_u1):
+    def test_e02_is_u_at_every_scale_for_bounded_cost(self, e, factors_at_u1):
         # on the Z[2*sqrt(-1)] row e*_{0,2} = e2* = u exactly
         u = Fraction(10) ** e
-        val, calls = _ek02_and_gammainc_calls(u)
+        val, calls = _ek02_and_factor_count(u)
         with mp.workprec(400):
             assert abs(val.to_mpc() - mp.mpf(u.numerator) / u.denominator) < 1e-20
-        assert calls <= 2 * gammainc_calls_at_u1, (calls, gammainc_calls_at_u1)
+        assert 0 < calls <= 2 * factors_at_u1, (calls, factors_at_u1)
 
     @pytest.mark.parametrize("u", [Fraction(1, 1000), Fraction(1000)])
     def test_homogeneity_across_catalog_scales(self, u):
@@ -398,7 +400,7 @@ class TestKeptDisc:
             z0 = _torsion(zi_lattice, z0c)
             a, s, target = 2, mp.mpc(3), mp.mpf(10) ** -20
             origin = z0c == (0, 0)
-            with mock.patch.object(mp, "gammainc", wraps=mp.gammainc) as gammainc:
+            with mock.patch.object(eklerch, "_factor", wraps=eklerch._factor) as factor:
                 eklerch._I_a({s: {a: target}}, z0, 0, lat, skip_minus_z0=origin)
             R2 = eklerch._radius_for(a, s, lat.A(), target, mp.pi * lat.A()) ** 2
             K = 60
@@ -409,7 +411,103 @@ class TestKeptDisc:
                        for m in (-K, K) for n in range(-K, K + 1))
             assert all(abs(z0 + m * w1 + n * w2) ** 2 > R2
                        for n in (-K, K) for m in range(-K, K + 1))
-        assert gammainc.call_count == inside > 40
+        assert factor.call_count == inside > 40
+
+
+def _oracle_sums(groups, z0, w0, lattice, skip_minus_z0, extra):
+    """The mpmath loop the integer kernel replaced, as the reference: each
+    (s, a) sums Gamma(s, |zz|^2/A) conj(zz)^a <gamma, w0> / |zz|^(2s),
+    zz = z0 + gamma, over its disc |zz| <= R.  The radii come at the caller's
+    precision, the disc test is exact (1 200 bits) and the terms are formed
+    at extra bits more.  Returns {s: {a: sum}} and the bound on the sums' own
+    rounding error, 2^6 sum |term| 2^-(prec+extra)."""
+    prec = mp.mp.prec
+    w1, w2 = lattice.pair_mpc()
+    A = lattice.A()
+    covol = mp.pi * A
+    cuts = {s: sorted(((eklerch._radius_for(a, s, A, target, covol) ** 2, a)
+                       for a, target in targets.items()), reverse=True)
+            for s, targets in groups.items()}
+    R = mp.sqrt(max(by_cut[0][0] for by_cut in cuts.values()))
+    x0, y0 = mp.im(mp.conj(w2) * z0) / covol, -mp.im(mp.conj(w1) * z0) / covol
+    dm, dn = R * abs(w2) / covol, R * abs(w1) / covol
+    box = (int(mp.floor(x0 - dm)) - 1, int(mp.ceil(x0 + dm)) + 1,
+           int(mp.floor(y0 - dn)) - 1, int(mp.ceil(y0 + dn)) + 1)
+    tiny = mp.mpf(2) ** (-lattice.prec_bits // 2)
+    sums = {s: {a: mp.mpc(0) for a in targets} for s, targets in groups.items()}
+    size = mp.mpf(0)
+    for m, n in eklerch._shells(*box):
+        with mp.workprec(1200):
+            g = m * w1 + n * w2
+            zz = z0 + g
+            az2 = zz.real ** 2 + zz.imag ** 2
+        if az2 == 0 or (skip_minus_z0 and az2 < tiny):
+            continue
+        with mp.workprec(prec + extra):
+            pair = lattice_pair_mpc(g, w0, A)
+            for s, by_cut in cuts.items():
+                keep = [a for r2, a in by_cut if az2 <= r2]
+                if not keep:
+                    continue
+                gam = mp.gammainc(s, az2 / A)
+                den = az2 ** s
+                for a in keep:
+                    term = gam * mp.conj(zz) ** a / den * pair
+                    sums[s][a] += term
+                    size += abs(term)
+    return sums, 64 * size * mp.mpf(2) ** -(prec + extra)
+
+
+def _assert_kernel_matches_oracle(groups, z0, w0, lat, skip_minus_z0, extra=96):
+    """The integer sums lie within 2^-prec of the oracle's (the bound
+    _fixed_sums states), and _I_a returns them rounded once to prec bits."""
+    prec = mp.mp.prec
+    fixed = eklerch._fixed_sums(groups, z0, w0, lat, skip_minus_z0)
+    rounded = eklerch._I_a(groups, z0, w0, lat, skip_minus_z0)
+    want, slack = _oracle_sums(groups, z0, w0, lat, skip_minus_z0, extra)
+    assert slack < mp.mpf(2) ** -(prec + 4), "the oracle is too coarse to judge"
+    for s, by_a in fixed.items():
+        for a, (re, im, f2) in by_a.items():
+            got = mp.make_mpc((from_man_exp(re, -f2), from_man_exp(im, -f2)))
+            with mp.workprec(prec + extra):
+                err = abs(got - want[s][a])
+            assert err <= mp.mpf(2) ** -prec, (s, a, err)
+            assert rounded[s][a] == +got, (s, a)
+
+
+class TestIntegerKernel:
+    """_I_a's fixed-point kernel against the mpmath loop it replaced."""
+
+    @pytest.mark.parametrize("label", [row.label for row in catalog()])
+    def test_catalog_rows_at_a_torsion_pair(self, label):
+        k, lat = eklerch._normalised(compute_periods(catalog_row(label).curve(1), 256))
+        with mp.workprec(96):
+            z0 = _torsion(lat, (Fraction(1, 2), 0))
+            w0 = _torsion(lat, (Fraction(1, 3), Fraction(1, 3)))
+            groups = {mp.mpc(s): {a: mp.mpf(10) ** -12 for a in (0, s, 10)}
+                      for s in range(1, 7)}
+            _assert_kernel_matches_oracle(groups, z0, w0, lat, False)
+
+    def test_complex_and_half_integer_s(self, zi_lattice):
+        k, lat = eklerch._normalised(zi_lattice)
+        with mp.workprec(96):
+            z0 = _torsion(lat, (Fraction(1, 3), Fraction(-1, 2)))
+            w0 = _torsion(lat, (Fraction(1, 5), Fraction(2, 3)))
+            groups = {mp.mpc(3, 2): {0: mp.mpf(10) ** -14, 4: mp.mpf(10) ** -14},
+                      mp.mpc(5) / 2: {0: mp.mpf(10) ** -16, 7: mp.mpf(10) ** -12}}
+            _assert_kernel_matches_oracle(groups, z0, w0, lat, False)
+
+    def test_centre_near_a_lattice_point_is_kept(self, zi_lattice):
+        # |z0 + gamma| = 2^-20 |w1| at gamma = 0: that term is about 2^247
+        # for s = 6, a = 0, and the bits of F grow with it
+        k, lat = eklerch._normalised(zi_lattice)
+        with mp.workprec(96):
+            w1, w2 = lat.pair_mpc()
+            z0 = w1 * mp.ldexp(1, -20)
+            w0 = _torsion(lat, (Fraction(1, 2), Fraction(1, 3)))
+            groups = {mp.mpc(s): {a: mp.mpf(10) ** -12 for a in (0, 4, 10)}
+                      for s in (1, 6)}
+            _assert_kernel_matches_oracle(groups, z0, w0, lat, False, extra=420)
 
 
 class TestE2StarCatalog:
@@ -487,18 +585,3 @@ class TestHeckeL:
         assembled = hecke_L_partial(char, s, target_error=1e-16, prec_bits=256)
         assert abs(direct.to_mpc() - assembled.to_mpc()) < 1e-10
 
-
-class TestE2StarEstimate:
-    def test_catalog_row_verified(self):
-        from ektheta.eklerch import e2star_estimate
-        lat = compute_periods(catalog_row("Z[sqrt(-3)]").curve(1), 200)
-        val, rec, verified = e2star_estimate(lat)
-        assert rec == Fraction(1, 2) and verified
-
-    def test_non_catalog_reported_unverified(self):
-        from ektheta.curves import CurveData
-        from ektheta.eklerch import e2star_estimate
-        from ektheta.scalars import ExactScalar
-        lat = compute_periods(CurveData(ExactScalar(5), ExactScalar(1)), 200)
-        val, rec, verified = e2star_estimate(lat)
-        assert not verified
