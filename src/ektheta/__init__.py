@@ -18,13 +18,12 @@ __version__ = "0.1.0"
 from .scalars import BigComplex, ExactScalar, PadicScalar, embed_padic
 from .series import BiSeries, ExactRing, KroneckerExpansion, UniSeries
 from .curves import CurveData, FormalLog, LatticeData, catalog, catalog_row, \
-    compute_periods, formal_log, pairing, sigma_series, theta_series, wp_series
+    compute_periods, formal_log, sigma_series, theta_series, wp_series
 from .eklerch import check_functional_equation, direct_hecke_sum, \
     e2star_numeric, eisenstein_kronecker_lerch, ek_number, hecke_L_partial, \
     HeckeCharacter
-from .kronecker import ComposedExpansion, ThetaExpansion, compose_formal, \
-    ek_from_expansion, kronecker_exact, valuation_heatmap, verify_distribution, \
-    verify_generating_function
+from .kronecker import compose_formal, ek_from_expansion, kronecker_exact, \
+    valuation_heatmap, verify_distribution, verify_generating_function
 from .padic import MeasureSeries, kummer_congruences, measure_from_theta, \
     moment_table, period_note, restrict_to_units, verify_interpolation_origin
 

@@ -105,7 +105,7 @@ def cmd_expand(args):
     curve = _curve_from(args)
     exp = kronecker_exact(curve, args.order)
     return _emit(args, {"kind": "kronecker-origin-expansion",
-                        "expansion": exp.expansion.to_json()})
+                        "expansion": exp.to_json()})
 
 
 def cmd_formal_log(args):
@@ -119,7 +119,7 @@ def cmd_compose(args):
     exp = kronecker_exact(curve, args.order)
     hat = compose_formal(exp, curve, args.order, starred=args.starred)
     return _emit(args, {"kind": "composed-expansion", "starred": args.starred,
-                        "expansion": hat.expansion.to_json()})
+                        "expansion": hat.to_json()})
 
 
 def cmd_valuations(args):

@@ -41,7 +41,6 @@ __all__ = [
     "theta_series",
     "formal_log",
     "compute_periods",
-    "pairing",
     "lattice_pair_mpc",
     "eisenstein_backcheck",
     "PeriodPrecisionError",
@@ -423,9 +422,3 @@ def lattice_pair_mpc(z, w, A) -> mp.mpc:
     """<z, w> = exp[(z conj(w) - w conj(z))/A] on raw mpmath values."""
     return mp.exp((z * mp.conj(w) - w * mp.conj(z)) / A)
 
-
-def pairing(z: BigComplex, w: BigComplex, lattice: LatticeData) -> BigComplex:
-    prec = max(z.prec_bits, w.prec_bits, lattice.prec_bits)
-    with mp.workprec(prec):
-        out = lattice_pair_mpc(z.to_mpc(), w.to_mpc(), lattice.A())
-        return BigComplex(out.real, out.imag, prec)

@@ -654,9 +654,10 @@ def direct_hecke_sum(char: HeckeCharacter, s, norm_bound: int,
     with mp.workprec(prec_bits):
         tot = mp.mpc(0)
         for g in ideal_generators(norm_bound, char.d):
-            if not char.is_coprime(g):
+            try:
+                val = char.value_on_generator(g)
+            except KeyError:        # g is not coprime to the conductor
                 continue
-            val = char.value_on_generator(g)
             tot += val.to_mpc(prec_bits) / mp.mpf(int(g.norm())) ** mp.mpc(s)
         return BigComplex(tot.real, tot.imag, prec_bits)
 

@@ -54,8 +54,6 @@ from .series import (
 )
 
 __all__ = [
-    "ThetaExpansion",
-    "ComposedExpansion",
     "kronecker_exact",
     "kronecker_regular",
     "ek_from_expansion",
@@ -79,35 +77,22 @@ __all__ = [
 # exact expansion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThetaExpansion:
-    """Exact origin expansion of Theta(z, w): polar parts 1/z + 1/w and the
-    symmetric regular part, coefficients in the curve's field."""
-
-    expansion: KroneckerExpansion
-    curve: CurveData
-    order: int
-
-    def coeff(self, m: int, n: int):
-        return self.expansion.regular.coeff(m, n)
-
-
 def _unit_series_list(curve: CurveData, order: int, ring) -> list:
     th = theta_series(curve, order + 1, ring)
     return [th.coeff(k + 1) for k in range(order + 1)]
 
 
 def kronecker_exact(curve: CurveData, order: int,
-                    ring: Optional[ExactRing] = None) -> ThetaExpansion:
-    """Exact Theta expansion with regular part to total degree `order`."""
+                    ring: Optional[ExactRing] = None) -> KroneckerExpansion:
+    """Exact Theta expansion at the origin, 1/z + 1/w plus the symmetric
+    regular part to total degree `order`, in the curve's field."""
     ring = ring or curve.ring()
     D = order + 1
     U = _unit_series_list(curve, D, ring)
     Uinv = UniSeries.from_list(ring, U, D).inverse()
     regular = kronecker_regular(U, [Uinv.coeff(j) for j in range(D + 1)],
                                 order, ring)
-    return ThetaExpansion(KroneckerExpansion(ring.one, ring.one, regular),
-                          curve, order)
+    return KroneckerExpansion(ring.one, regular)
 
 
 def kronecker_regular(U: list, Uinv: list, order: int, ring) -> BiSeries:
@@ -169,7 +154,7 @@ def kronecker_regular(U: list, Uinv: list, order: int, ring) -> BiSeries:
     return regular
 
 
-def ek_from_expansion(exp: ThetaExpansion, a: int, b: int):
+def ek_from_expansion(exp: KroneckerExpansion, a: int, b: int):
     """e*_{a,b}(0,0)/(a! A^a), read off the (z^(b-1) w^a) coefficient."""
     if a < 0 or b <= 0:
         raise ValueError("need a >= 0, b > 0")
@@ -563,41 +548,23 @@ def verify_distribution(a_gen: ExactScalar, b_gen: ExactScalar,
 # formal composition and valuations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComposedExpansion:
-    """Theta-hat(s, t): the origin expansion composed with z = lambda(s),
-    w = lambda(t).  starred = True subtracts the raw 1/s + 1/t poles, leaving
-    polar flags 0; the (1/lambda - 1/s)-tails live in the regular part."""
-
-    expansion: KroneckerExpansion
-    curve: CurveData
-    starred: bool
-
-    @property
-    def order(self) -> int:
-        return self.expansion.regular.order
-
-    def coeff(self, m: int, n: int):
-        return self.expansion.regular.coeff(m, n)
-
-
-def compose_formal(exp: ThetaExpansion, curve: CurveData, order: int,
-                   starred: bool = True) -> ComposedExpansion:
-    """Substitute z = lambda(s), w = lambda(t) into the Theta expansion.
+def compose_formal(exp: KroneckerExpansion, curve: CurveData, order: int,
+                   starred: bool = True) -> KroneckerExpansion:
+    """Theta-hat(s, t): substitute z = lambda(s), w = lambda(t) into the
+    Theta expansion.
 
     The polar parts transform through 1/lambda(s) = (1/s) (lambda/s)^(-1);
-    the starred variant subtracts exactly 1/s and 1/t, so its regular part
-    picks up the tail (1/lambda(s) - 1/s) + (1/lambda(t) - 1/t).
+    the starred variant subtracts exactly 1/s and 1/t (polar 0), so its
+    regular part picks up the tail (1/lambda(s) - 1/s) + (1/lambda(t) - 1/t).
+    The unstarred one keeps polar 1 and the same regular part.
     """
     if order > exp.order:
         raise ValueError(f"composition order {order} exceeds expansion order "
                          f"{exp.order}")
-    ring = exp.expansion.regular.ring
+    ring = exp.regular.ring
     lam, Q = log_and_tail_inverse(curve, order, ring)
-    composed = compose_regular(exp.expansion.regular.truncate(order), lam, Q, order)
-    pol = ring.zero if starred else ring.one
-    out = KroneckerExpansion(pol, pol, composed)
-    return ComposedExpansion(out, curve, starred)
+    composed = compose_regular(exp.regular.truncate(order), lam, Q, order)
+    return KroneckerExpansion(ring.zero if starred else ring.one, composed)
 
 
 def log_and_tail_inverse(curve: CurveData, order: int, ring: ExactRing):
@@ -661,13 +628,13 @@ class HeatmapReport:
             yield m, n, e
 
 
-def valuation_heatmap(composed: ComposedExpansion, p: int,
+def valuation_heatmap(composed: KroneckerExpansion, p: int,
                       fit_window: Tuple[int, int] = (10, 10 ** 9)) -> HeatmapReport:
     """Exponent of p in the denominator of every coefficient, with the
     antidiagonal ridge statistic and its least-squares slope."""
     entries = {}
     ridge: Dict[int, int] = {}
-    for (m, n), v in composed.expansion.regular.coeffs.items():
+    for (m, n), v in composed.regular.coeffs.items():
         fr = _as_fraction(v)
         vp = _vp_fraction(fr, p)
         if vp is None:

@@ -57,12 +57,13 @@ from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .curves import CurveData, catalog_row_of, formal_log
-from .kronecker import ThetaExpansion, _as_fraction, _unit_series_list, \
-    compose_regular, kronecker_exact, kronecker_regular, log_and_tail_inverse
+from .kronecker import _as_fraction, _unit_series_list, compose_regular, \
+    kronecker_exact, kronecker_regular, log_and_tail_inverse
 from .scalars import ExactScalar, PadicScalar, divrem_monic, embed_padic, \
     ideal_generators, inverse, mulmod, ok_omega, ok_units, power_sums, trace, \
     _sqrt_minus_d_mod, _vp_fraction
-from .series import BiSeries, ExactRing, IntModRing, UniSeries
+from .series import BiSeries, ExactRing, IntModRing, KroneckerExpansion, \
+    UniSeries
 
 __all__ = [
     "NoPeriodError",
@@ -127,9 +128,9 @@ def _require_split(curve: CurveData, p: int) -> None:
 
 
 def split_prime_generator(p: int, d: int) -> ExactScalar:
-    """The canonical generator (scalars.canonical_associate) of the prime
-    above p with i_p(pi) = 0 mod p, where i_p sends sqrt(-d) to its
-    deterministic smallest root.  Class number 1 only."""
+    """The canonical generator of the prime above p with i_p(pi) = 0 mod p,
+    where i_p sends sqrt(-d) to its deterministic smallest root.  Class
+    number 1 only."""
     if not is_split(p, d):
         raise NoPeriodError(f"p = {p} is not split in Q(sqrt(-{d}))")
     root = _sqrt_minus_d_mod(p, d, 1)
@@ -832,7 +833,7 @@ def four_term_expansions(curve: CurveData, pi: ExactScalar, order: int):
 
 
 def euler_factor_moment(curve: CurveData, pi: ExactScalar, p: int,
-                        a: int, b: int, base: Optional[ThetaExpansion] = None):
+                        a: int, b: int, base: Optional[KroneckerExpansion] = None):
     """(b-1)! a! c~(b-1, a) (1 - pi^(a+b)/p^(a+1)) (1 - pi^(a+b)/p^b): the
     closed form of the unit-restricted moment, period-normalized."""
     if base is None:

@@ -8,9 +8,8 @@ Three scalar kinds live here:
   are kept reduced and a vanishing b collapses the tag to d = 0, so equality
   and hashing are structural.
 
-* :class:`BigComplex` -- an arbitrary-precision complex number carrying its
-  working mantissa precision in bits.  Arithmetic is performed at the larger
-  of the two operand precisions and never silently narrows.
+* :class:`BigComplex` -- an arbitrary-precision complex value, for output,
+  carrying its working mantissa precision in bits.
 
 * :class:`PadicScalar` -- an element of Q_p, stored as p^val * unit with
   the int unit known modulo p^(abs_prec - val).  It is a value for output
@@ -24,8 +23,8 @@ the smallest nonnegative representative, Hensel-lifted, so runs are
 reproducible.
 
 The ring of integers O_K = Z + Z omega of a class-number-one field has one
-set of helpers here: membership, units, elements by norm, the canonical
-associate of an ideal's generator, ideal generators and residue classes.
+set of helpers here: membership, units, elements by norm, ideal generators
+and residue classes.
 """
 from __future__ import annotations
 
@@ -49,7 +48,6 @@ __all__ = [
     "in_ok",
     "ok_units",
     "ok_elements",
-    "canonical_associate",
     "ideal_generators",
     "residue_key",
     "residue_classes",
@@ -236,12 +234,6 @@ class ExactScalar:
             "d": self.d,
         }
 
-    @staticmethod
-    def from_json(obj) -> "ExactScalar":
-        if isinstance(obj, str):
-            return ExactScalar(Fraction(obj))
-        return ExactScalar(Fraction(obj["a"]), Fraction(obj["b"]), obj["d"])
-
 
 # ---------------------------------------------------------------------------
 # the ring of integers O_K = Z + Z omega of a class-number-one K = Q(sqrt(-d))
@@ -318,20 +310,10 @@ def _associate_keys(u: int, v: int, d: int) -> list:
     return [(u, v), (-u, -v)]
 
 
-def canonical_associate(x: ExactScalar, d: int) -> ExactScalar:
-    """The associate of x in O_K with the lexicographically largest (a, b):
-    the one generator of the ideal (x) used throughout."""
-    den = 2 if d % 4 == 3 else 1
-    u, v = den * x.a, den * x.b
-    if u.denominator != 1 or v.denominator != 1:
-        raise ValueError(f"{x} is not in O_K")
-    u, v = max(_associate_keys(int(u), int(v), d))
-    return ExactScalar(Fraction(u, den), Fraction(v, den), d)
-
-
 def ideal_generators(norm_bound: int, d: int) -> list:
     """The canonical generator of each nonzero ideal of O_K with norm
-    <= norm_bound, in (norm, a, b) order (class number one)."""
+    <= norm_bound, in (norm, a, b) order (class number one): of its
+    associates, the one with the lexicographically largest (a, b)."""
     den, points = _ok_points(norm_bound, d)
     return [ExactScalar(Fraction(u, den), Fraction(v, den), d)
             for n, u, v in points if n and max(_associate_keys(u, v, d)) == (u, v)]
@@ -370,58 +352,9 @@ class BigComplex:
     im: mp.mpf
     prec_bits: int
 
-    @staticmethod
-    def make(value, prec_bits: int) -> "BigComplex":
-        with mp.workprec(prec_bits):
-            z = mp.mpc(value)
-            return BigComplex(z.real, z.imag, prec_bits)
-
     def to_mpc(self) -> mp.mpc:
         with mp.workprec(max(self.prec_bits, mp.mp.prec)):
             return mp.mpc(self.re, self.im)
-
-    def _binary(self, other, op):
-        if isinstance(other, BigComplex):
-            prec = max(self.prec_bits, other.prec_bits)
-            ov = other.to_mpc()
-        else:
-            prec = self.prec_bits
-            ov = other
-        with mp.workprec(prec):
-            out = op(self.to_mpc(), mp.mpc(ov))
-            return BigComplex(out.real, out.imag, prec)
-
-    def __add__(self, other):
-        return self._binary(other, lambda x, y: x + y)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, lambda x, y: x - y)
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda x, y: y - x)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda x, y: x * y)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, lambda x, y: x / y)
-
-    def __rtruediv__(self, other):
-        return self._binary(other, lambda x, y: y / x)
-
-    def __neg__(self):
-        return BigComplex(-self.re, -self.im, self.prec_bits)
-
-    def conjugate(self) -> "BigComplex":
-        return BigComplex(self.re, -self.im, self.prec_bits)
-
-    def abs(self) -> mp.mpf:
-        with mp.workprec(self.prec_bits):
-            return abs(self.to_mpc())
 
     def to_json(self):
         dps = _dps_for(self.prec_bits)
@@ -430,12 +363,6 @@ class BigComplex:
             "im": mp.nstr(self.im, dps),
             "prec_bits": self.prec_bits,
         }
-
-    @staticmethod
-    def from_json(obj) -> "BigComplex":
-        prec = obj["prec_bits"]
-        with mp.workprec(prec):
-            return BigComplex(mp.mpf(obj["re"]), mp.mpf(obj["im"]), prec)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 import mpmath as mp
 
@@ -44,7 +44,7 @@ class SeriesError(ValueError):
 
 
 class NotDivisibleError(SeriesError):
-    """exact_div requested but the remainder does not vanish."""
+    """A series that must vanish on an axis before a division does not."""
 
 
 class ExactRing:
@@ -162,10 +162,6 @@ class UniSeries:
                          order)
 
     @staticmethod
-    def identity(ring, order: int) -> "UniSeries":
-        return UniSeries(ring, {1: ring.one}, order)
-
-    @staticmethod
     def constant(ring, c, order: int) -> "UniSeries":
         return UniSeries(ring, {0: ring.coerce(c)}, order)
 
@@ -181,9 +177,6 @@ class UniSeries:
             return self
         return UniSeries(self.ring, {k: v for k, v in self.coeffs.items() if k <= order},
                          order, normalize=False)
-
-    def map_coeffs(self, fn: Callable) -> "UniSeries":
-        return UniSeries(self.ring, {k: fn(v) for k, v in self.coeffs.items()}, self.order)
 
     def __add__(self, other):
         if not isinstance(other, UniSeries):
@@ -251,17 +244,6 @@ class UniSeries:
             b.append(-(inv_lead * s) if s is not None else self.ring.zero)
         return UniSeries(self.ring, {k - v: c for k, c in enumerate(b)}, n - v)
 
-    def exact_div(self, other: "UniSeries") -> "UniSeries":
-        """self / other, erroring unless the division is exact to the order.
-
-        A truncated univariate is divisible by t^v * unit exactly when its
-        valuation is at least v, so the valuation check suffices.
-        """
-        v = other.valuation()
-        if self.coeffs and self.valuation() < v:
-            raise NotDivisibleError(f"valuation {self.valuation()} < divisor {v}")
-        return self * other.inverse()
-
     def derivative(self) -> "UniSeries":
         return UniSeries(self.ring,
                          {k - 1: v * k for k, v in self.coeffs.items() if k != 0},
@@ -296,13 +278,6 @@ class UniSeries:
                      if s is not None else self.ring.zero)
         return UniSeries(self.ring, dict(enumerate(e)), n)
 
-    def log(self) -> "UniSeries":
-        """log of a series with constant term 1."""
-        if self.valuation() != 0 or self.coeff(0) != self.ring.one:
-            raise SeriesError("log needs constant term 1")
-        # L' = f'/f, L(0) = 0
-        return (self.derivative() * self.inverse()).truncate(self.order - 1).integrate()
-
     def compose(self, inner: "UniSeries") -> "UniSeries":
         """self(inner(t)); inner must have zero constant term.
 
@@ -330,18 +305,6 @@ class UniSeries:
             if c is not None:
                 reg = reg + cur.scale(c)
         return out + reg
-
-    def __call__(self, x):
-        """Horner evaluation at a scalar (regular part only)."""
-        if any(k < 0 for k in self.coeffs):
-            raise SeriesError("evaluation of polar series not supported")
-        acc = self.ring.zero
-        for k in range(self.order, -1, -1):
-            acc = acc * x
-            c = self.coeffs.get(k)
-            if c is not None:
-                acc = acc + c
-        return acc
 
     def __eq__(self, other):
         if not isinstance(other, UniSeries):
@@ -393,10 +356,6 @@ class BiSeries:
                       if k[0] + k[1] <= order and not ring.is_zero(v)}
         self.coeffs = coeffs
 
-    @staticmethod
-    def zero(ring, order: int) -> "BiSeries":
-        return BiSeries(ring, {}, order, normalize=False)
-
     def coeff(self, m: int, n: int):
         return self.coeffs.get((m, n), self.ring.zero)
 
@@ -441,21 +400,8 @@ class BiSeries:
         return BiSeries(self.ring, {k: v for k, v in self.coeffs.items()
                                     if k[0] + k[1] <= order}, order, normalize=False)
 
-    def map_coeffs(self, fn: Callable) -> "BiSeries":
-        return BiSeries(self.ring, {k: fn(v) for k, v in self.coeffs.items()}, self.order)
-
     def is_symmetric(self) -> bool:
         return all(self.coeff(n, m) == v for (m, n), v in self.coeffs.items())
-
-    def exact_div_monomial(self, dm: int, dn: int) -> "BiSeries":
-        """Divide by z^dm w^dn, erroring if any surviving term is not divisible."""
-        out = {}
-        for (m, n), v in self.coeffs.items():
-            if m < dm or n < dn:
-                raise NotDivisibleError(f"term z^{m} w^{n} not divisible by "
-                                        f"z^{dm} w^{dn}")
-            out[(m - dm, n - dn)] = v
-        return BiSeries(self.ring, out, self.order - dm - dn, normalize=False)
 
     def compose(self, inner_s: UniSeries, inner_t: UniSeries) -> "BiSeries":
         """self(inner_s(s), inner_t(t)); both inners with zero constant term."""
@@ -520,12 +466,13 @@ def _power_table(s: UniSeries, kmax: int, order: int):
     return [sorted(p.coeffs.items()) for p in pows]
 
 
-@dataclass
+@dataclass(frozen=True)
 class KroneckerExpansion:
-    """polar_z / z + polar_w / w + regular(z, w); no other polar monomials."""
+    """polar/z + polar/w + regular(z, w): the Kronecker theta expansion at the
+    origin (polar 1) or its composition with the formal logarithm (polar 1,
+    or 0 when starred, the raw 1/s + 1/t subtracted)."""
 
-    polar_z: object
-    polar_w: object
+    polar: object
     regular: BiSeries
 
     @property
@@ -535,17 +482,6 @@ class KroneckerExpansion:
     def coeff(self, m: int, n: int):
         return self.regular.coeff(m, n)
 
-    def scale(self, c) -> "KroneckerExpansion":
-        c = self.regular.ring.coerce(c)
-        return KroneckerExpansion(self.polar_z * c, self.polar_w * c,
-                                  self.regular.scale(c))
-
-    def __add__(self, other: "KroneckerExpansion") -> "KroneckerExpansion":
-        return KroneckerExpansion(self.polar_z + other.polar_z,
-                                  self.polar_w + other.polar_w,
-                                  self.regular + other.regular)
-
-    def to_json(self, scalar_json=None):
-        sj = scalar_json or _scalar_json
-        return {"polar_z": sj(self.polar_z), "polar_w": sj(self.polar_w),
-                "regular": self.regular.to_json(scalar_json)}
+    def to_json(self):
+        polar = _scalar_json(self.polar)
+        return {"polar_z": polar, "polar_w": polar, "regular": self.regular.to_json()}

@@ -77,6 +77,37 @@ class TestExpandCompose:
             outs.append(p.read_text())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("argv,want", [
+        (["expand", "kronecker", "--catalog", "Z[sqrt(-1)]", "--u", "4",
+          "--order", "10"],
+         "7e305e5485574e8d63f73de4e496dc95211c9ac2cd64c0e208fc6d1565dc8159"),
+        (["compose", "--catalog", "Z[sqrt(-1)]", "--u", "4", "--order", "30",
+          "--starred"],
+         "a8c61ed768497e948bd66677fbca640c304e92bcb4e83e037f915b591d91fd24"),
+        (["compose", "--catalog", "Z[sqrt(-1)]", "--u", "4", "--order", "30",
+          "--no-starred"],
+         "af51a7bb95ce93d0dcc451450bd57b3a418c7c87985648f49d302ac9b444fed4"),
+        (["formal-log", "--catalog", "Z[2*sqrt(-1)]", "--order", "20"],
+         "e9321e12c854e856728660e70f9ef6bcfa788474dcf4995c88c8c5b117becbe0"),
+        (["valuations", "--catalog", "Z[sqrt(-1)]", "--u", "4", "--prime", "7",
+          "--order", "80", "--csv", "heat.csv", "--fit-diagonal"],
+         "3f693a2375171abf672285e7b9f47c2af548400c354ad4b0eb3ff86e2020944a"),
+    ], ids=["expand", "compose-starred", "compose-no-starred", "formal-log",
+            "valuations"])
+    def test_readme_exact_artifacts_pinned(self, argv, want, tmp_path):
+        # sha256 of the payload (meta and the echoed CSV path dropped) of the
+        # exact engine's README commands; the heat map's CSV bytes as well
+        argv = [str(tmp_path / a) if a == "heat.csv" else a for a in argv]
+        cp = run_cli(*argv, env={"EKTHETA_PREC_BITS": "256", "PYTHONHASHSEED": "0"})
+        doc = json.loads(cp.stdout)
+        del doc["meta"]
+        doc.pop("csv_path", None)
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == want
+        if "--csv" in argv:
+            assert hashlib.sha256((tmp_path / "heat.csv").read_bytes()).hexdigest() \
+                == "64dc027c127b52a14e29a169323aee62238256e33dae09fd11ec302467b34cf3"
+
 
 class TestVerifyCommands:
     def test_ek_value(self):

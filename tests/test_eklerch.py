@@ -23,7 +23,7 @@ from ektheta.eklerch import (
     hecke_L_partial,
     rational_reconstruct,
 )
-from ektheta.scalars import BigComplex, ExactScalar
+from ektheta.scalars import BigComplex, ExactScalar, ideal_generators
 
 
 @pytest.fixture(scope="module")
@@ -577,6 +577,17 @@ class TestHeckeL:
     def test_empty_truncation_is_zero(self):
         char = make_zi_conductor_character()
         assert abs(direct_hecke_sum(char, 6, 0).to_mpc()) == 0
+
+    def test_direct_sum_classifies_each_generator_once(self):
+        # one residue class per ideal generator: the coprimality test and
+        # the character value share it
+        char = make_zi_conductor_character()
+        gens = ideal_generators(100, 1)
+        with mock.patch.object(eklerch, "residue_key",
+                               wraps=eklerch.residue_key) as key:
+            direct_hecke_sum(char, 6, 100)
+        assert key.call_count == len(gens)
+        assert sum(char.is_coprime(g) for g in gens) < len(gens)
 
     def test_assembly_matches_direct_sum(self):
         char = make_zi_conductor_character()

@@ -20,6 +20,7 @@ from ektheta.kronecker import (
     verify_generating_function,
 )
 from ektheta.scalars import ExactScalar
+from ektheta.series import NotDivisibleError
 
 def zi_curve(u=4):
     return catalog_row("Z[sqrt(-1)]").curve(u)
@@ -44,20 +45,31 @@ class TestExactExpansion:
         assert zi_exact10.coeff(0, 0) == 0
 
     def test_polar_normalization(self, zi_exact10):
-        assert zi_exact10.expansion.polar_z == 1
-        assert zi_exact10.expansion.polar_w == 1
+        assert zi_exact10.polar == 1
+        obj = zi_exact10.to_json()
+        assert obj["polar_z"] == obj["polar_w"] == "1/1"
+
+    def test_axis_vanishing_check_fires(self):
+        # V - 1 = U(z + w) U(z)^-1 U(w)^-1 - 1 must vanish on both axes: the
+        # true U with a wrong U^-1 (the constant 1) leaves U(w) - 1 there
+        curve, order = zi_curve(), 6
+        ring = curve.ring()
+        U = kronecker._unit_series_list(curve, order + 1, ring)
+        wrong_inverse = [ring.one] + [ring.zero] * (order + 1)
+        with pytest.raises(NotDivisibleError, match=r"z\^0 w\^4"):
+            kronecker.kronecker_regular(U, wrong_inverse, order, ring)
 
     def test_symmetry(self, zi_exact10):
-        reg = zi_exact10.expansion.regular
+        reg = zi_exact10.regular
         assert reg.is_symmetric()
 
     def test_unit_group_congruence_square(self, zi_exact10):
-        for (m, n), v in zi_exact10.expansion.regular.coeffs.items():
+        for (m, n), v in zi_exact10.regular.coeffs.items():
             assert (m + n + 1) % 4 == 0, ((m, n), v)
 
     def test_unit_group_congruence_hexagonal(self):
         exp = kronecker_exact(catalog_row("Z[(1+sqrt(-3))/2]").curve(1), 12)
-        for (m, n), v in exp.expansion.regular.coeffs.items():
+        for (m, n), v in exp.regular.coeffs.items():
             assert (m + n + 1) % 6 == 0, ((m, n), v)
 
     def test_ek_from_expansion(self, zi_exact10):
@@ -81,11 +93,11 @@ class TestExactExpansion:
             A = zi_lattice.A()
             for b in range(1, 11):
                 for a in range(0, 11 - b):
-                    want = zi_exact10.coeff(b - 1, a)
+                    want = ek_from_expansion(zi_exact10, a, b)
                     ek = eisenstein_kronecker_lerch(
                         a + b, 0, 0, b, zi_lattice, 1e-24,
                         z0_in_lattice=True, w0_in_lattice=True).to_mpc()
-                    num = (-1) ** (a + b - 1) * ek / (mp.factorial(a) * A ** a)
+                    num = ek / (mp.factorial(a) * A ** a)
                     ref = mp.mpf(want.numerator) / want.denominator
                     assert abs(num - ref) < 1e-15, (a, b)
 
@@ -373,9 +385,10 @@ class TestCompose:
         curve = zi_curve()
         exp = kronecker_exact(curve, 12)
         hat = compose_formal(exp, curve, 12, starred=False)
-        assert hat.expansion.polar_z == 1 and hat.expansion.polar_w == 1
+        assert hat.polar == 1
         star = compose_formal(exp, curve, 12, starred=True)
-        assert star.expansion.polar_z == 0
+        assert star.polar == 0
+        assert star.regular == hat.regular
         # tail of 1/lambda(s) - 1/s starts at s^3 with coefficient 2/5
         assert star.coeff(3, 0) - exp.coeff(3, 0) == Fraction(2, 5)
 
@@ -383,7 +396,7 @@ class TestCompose:
         curve = zi_curve()
         exp = kronecker_exact(curve, 16)
         star = compose_formal(exp, curve, 16)
-        for (i, j), v in star.expansion.regular.coeffs.items():
+        for (i, j), v in star.regular.coeffs.items():
             assert (i + j) % 4 == 3, ((i, j), v)
 
     def test_ordinary_integrality_p13(self):
@@ -419,7 +432,7 @@ class TestCompose:
             direct = ev.kronecker(z, w) - 1 / s - 1 / t
             series_val = mp.fsum(
                 mp.mpf(v.numerator) / v.denominator * s ** i * t ** j
-                for (i, j), v in star.expansion.regular.coeffs.items())
+                for (i, j), v in star.regular.coeffs.items())
             assert abs(direct - series_val) < 1e-12
 
 
