@@ -24,17 +24,22 @@ on the composed series C(s,t), where Tr_s C = sum over the p-1 nonzero
 p-division points x of the formal group of C(s (+) x, t).  The division
 points live in the algebra Z_p[T]/W1(T), W1 the even degree-(p-1)
 Weierstrass polynomial of the formal p-torsion.  It is built in integers:
-the reversed p-division polynomial in u = 1/x has a distinguished Hensel
-factor W_u, and W1(T) is the characteristic polynomial of t^2 = 4x^2/y^2 on
-the integral algebra Z_p[u]/(W_u), evaluated at T^2.  All of this runs on
+the p-division polynomial, formed on ints mod p^k, reversed in u = 1/x has
+a distinguished Hensel factor W_u, and W1(T) is the characteristic
+polynomial of t^2 = 4x^2/y^2 on the integral algebra Z_p[u]/(W_u),
+evaluated at T^2.  All of this runs on
 the Z/p^k[x]/(W) helpers of ``scalars``.  s (+) x is assembled from the
 chord law in the formal coordinates z = t, w = -2/y (Silverman, AEC IV.1):
 the slope and intercept of the line through the two points are power
 series with coefficients in Z[g2/4, g3/4] evaluated at x, so every quantity
 is integral, and the only division is by a unit series.  The translate is
 therefore exact in Z/p^M[x]/(W1) and needs no guard digits beyond the
-output's.  The pole class (s^-1-terms and all their trace shadows) cancels
-identically in the four-fold combination, so only the regular part enters.
+output's.  The trace combination needs the traces of F^i, F = s (+) x, for
+i up to the composed order.  Only F^1..F^(p-1) are formed: Newton's
+identities turn their traces into F's characteristic polynomial, whose
+recurrence (Cayley-Hamilton) gives the other traces.  The pole class
+(s^-1-terms and all their trace shadows) cancels identically in the
+four-fold combination, so only the regular part enters.
 
 Composed expansion.  Theta-hat(s, t) = Theta(lambda(s), lambda(t)) is
 p-integral at ordinary p, though lambda is not.  ``_exact_composed`` computes
@@ -60,8 +65,8 @@ from .curves import CurveData, catalog_row_of, formal_log
 from .kronecker import _as_fraction, _unit_series_list, compose_regular, \
     kronecker_exact, kronecker_regular, log_and_tail_inverse
 from .scalars import ExactScalar, PadicScalar, divrem_monic, embed_padic, \
-    ideal_generators, inverse, mulmod, ok_omega, ok_units, power_sums, trace, \
-    _sqrt_minus_d_mod, _vp_fraction
+    ideal_generators, inverse, kronecker_mul, mulmod, ok_omega, ok_units, \
+    power_sums, trace, _sqrt_minus_d_mod, _vp_fraction
 from .series import BiSeries, ExactRing, IntModRing, KroneckerExpansion, \
     UniSeries
 
@@ -196,83 +201,60 @@ def period_note(curve: CurveData, p: int) -> str:
 # division polynomial and the formal p-torsion algebra
 # ---------------------------------------------------------------------------
 
-def _poly_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
+def division_polynomial_p(curve: CurveData, p: int, k: int) -> list:
+    """The p-division polynomial in x (roots: x-coordinates of E[p] minus O),
+    normalized with leading coefficient p, degree (p^2 - 1)/2, on ints mod
+    p^k (k >= 2, so that the leading coefficient is not 0 mod p^k).
 
-
-@lru_cache(maxsize=None)
-def _division_polynomials(g2: Fraction, g3: Fraction, nmax: int):
-    """f_n for the short model y'^2 = x^3 + A x + B (A = -g2/4, B = -g3/4):
-    psi_n = f_n(x) for odd n, psi_n = 2 y' f_n(x) for even n.
+    f_n for the short model y'^2 = x^3 + A x + B (A = -g2/4, B = -g3/4):
+    psi_n = f_n(x) for odd n, psi_n = 2 y' f_n(x) for even n, and
 
         f_{2m}   = f_m (f_{m+2} f_{m-1}^2 - f_{m-2} f_{m+1}^2)
         f_{2m+1} = 16 F^2 f_{m+2} f_m^3 - f_{m-1} f_{m+1}^3     (m even)
                  = f_{m+2} f_m^3 - 16 F^2 f_{m-1} f_{m+1}^3     (m odd)
 
-    with F = x^3 + A x + B; deg f_p = (p^2-1)/2, leading coefficient p.
-    """
-    A, B = -g2 / 4, -g3 / 4
-    F = [B, A, Fraction(0), Fraction(1)]
-    F2_16 = [16 * c for c in _poly_mul(F, F)]
+    with F = x^3 + A x + B.  The recursion lies in Z[A, B], so it runs on
+    ints mod p^k once A and B are; A or B not p-integral raises
+    IntegralityError.  Only the f_n that f_p calls for are formed.  The two
+    terms of each difference have the same degree, deg f_n = (n^2 - 1)/2 or
+    (n^2 - 4)/2, and f_n has leading coefficient n or n/2."""
+    if not (curve.g2.is_rational() and curve.g3.is_rational()):
+        raise ValueError("division polynomials implemented for rational models")
+    pk = p ** k
+    A, B = (_int_mod(-g.a / 4, p, pk) for g in (curve.g2, curve.g3))
+
+    def mul(*polys) -> list:
+        out = polys[0]
+        for q in polys[1:]:
+            out = [c % pk for c in kronecker_mul(out, q, pk)]
+        return out
+
+    def sub(a: list, b: list) -> list:
+        return [(x - y) % pk for x, y in zip(a, b, strict=True)]
+
+    F = [B, A, 0, 1]
+    F2_16 = [16 * c % pk for c in mul(F, F)]
     f: Dict[int, list] = {
-        0: [Fraction(0)],
-        1: [Fraction(1)],
-        2: [Fraction(1)],
-        3: [-A * A, 12 * B, 6 * A, Fraction(0), Fraction(3)],
-        4: [2 * (-8 * B * B - A ** 3), 2 * (-4 * A * B), 2 * (-5 * A * A),
-            2 * (20 * B), 2 * (5 * A), Fraction(0), Fraction(2)],
+        1: [1],
+        2: [1],
+        3: [-A * A % pk, 12 * B % pk, 6 * A % pk, 0, 3],
+        4: [c % pk for c in (2 * (-8 * B * B - A ** 3), 2 * (-4 * A * B),
+                             2 * (-5 * A * A), 2 * (20 * B), 2 * (5 * A), 0, 2)],
     }
 
     def get(n: int) -> list:
-        if n in f:
-            return f[n]
-        m = (n - 1) // 2 if n % 2 else n // 2
-        if n % 2 == 1:
-            cube = _poly_mul(get(m), _poly_mul(get(m), get(m)))
-            cube1 = _poly_mul(get(m + 1), _poly_mul(get(m + 1), get(m + 1)))
-            t1 = _poly_mul(get(m + 2), cube)
-            t2 = _poly_mul(get(m - 1), cube1)
-            if m % 2 == 0:
-                val = _sub(_poly_mul(t1, F2_16), t2)
+        if n not in f:
+            m = n // 2
+            if n % 2:
+                t1 = mul(get(m + 2), get(m), get(m), get(m))
+                t2 = mul(get(m - 1), get(m + 1), get(m + 1), get(m + 1))
+                f[n] = sub(mul(t1, F2_16), t2) if m % 2 == 0 else sub(t1, mul(t2, F2_16))
             else:
-                val = _sub(t1, _poly_mul(t2, F2_16))
-        else:
-            t1 = _poly_mul(get(m + 2), _poly_mul(get(m - 1), get(m - 1)))
-            t2 = _poly_mul(get(m - 2), _poly_mul(get(m + 1), get(m + 1)))
-            val = _poly_mul(get(m), _sub(t1, t2))
-        f[n] = _trim(val)
+                f[n] = mul(get(m), sub(mul(get(m + 2), get(m - 1), get(m - 1)),
+                                       mul(get(m - 2), get(m + 1), get(m + 1))))
         return f[n]
 
-    for n in range(5, nmax + 1):
-        get(n)
-    return {n: tuple(get(n)) for n in range(nmax + 1)}
-
-
-def _sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-            for i in range(n)]
-
-
-def _trim(a: list) -> list:
-    while len(a) > 1 and not a[-1]:
-        a = a[:-1]
-    return a
-
-
-def division_polynomial_p(curve: CurveData, p: int) -> list:
-    """The p-division polynomial in x (roots: x-coordinates of E[p] minus O),
-    normalized with leading coefficient p, degree (p^2 - 1)/2."""
-    if not (curve.g2.is_rational() and curve.g3.is_rational()):
-        raise ValueError("division polynomials implemented for rational models")
-    polys = _division_polynomials(curve.g2.a, curve.g3.a, p)
-    out = list(polys[p])
+    out = get(p)
     if len(out) - 1 != (p * p - 1) // 2 or out[-1] != p:
         raise AssertionError("division polynomial sanity check failed")
     return out
@@ -362,16 +344,16 @@ class TorsionAlgebra:
         return inverse(u, self.W1, self.pk, start)
 
     def eval_series_at_x(self, coeffs: Dict[int, Fraction], scale: int) -> tuple:
-        """sum p^scale * coeffs[k] * x^k by Horner's rule; each scaled
-        coefficient must be p-integral.  Convergence: x^k gains floor(k/deg)
-        powers of p."""
+        """sum p^scale * coeffs[k] * x^k by Horner's rule, scale >= 0; each
+        scaled coefficient (int or Fraction) must be p-integral.
+        Convergence: x^k gains floor(k/deg) powers of p."""
         acc = self.const(0)
         for k in range(max(coeffs, default=0), -1, -1):
             acc = self.mul(acc, self.x())
             c = coeffs.get(k)
             if c:
                 acc = self.add(acc, self.const(
-                    _int_mod(c * Fraction(self.p) ** scale, self.p, self.pk)))
+                    _int_mod(c * self.p ** scale, self.p, self.pk)))
         return acc
 
 
@@ -379,7 +361,8 @@ def formal_torsion_algebra(curve: CurveData, p: int, M: int) -> TorsionAlgebra:
     """Build Z/p^M[T]/W1(T), W1 the even monic degree-(p-1) polynomial whose
     roots are the t-coordinates of the nonzero formal p-torsion points.
 
-    Pipeline, in integers mod p^(M + 8):
+    Pipeline, in integers mod p^(M + 8), from the p-division polynomial
+    formed on the same ints (division_polynomial_p):
     - the reversed p-division polynomial u^deg psi_p(1/u), u = 1/x, has the
       distinguished Hensel factor W_u of degree d = (p-1)/2, whose roots are
       the values of u at the pairs +-P of nonzero formal p-torsion points;
@@ -391,10 +374,9 @@ def formal_torsion_algebra(curve: CurveData, p: int, M: int) -> TorsionAlgebra:
     """
     guard = 8
     pk = p ** (M + guard)
-    psi = division_polynomial_p(curve, p)
+    psi = division_polynomial_p(curve, p, M + guard)
     d = (p - 1) // 2
-    Wu, _E = hensel_factor_distinguished(
-        [_int_mod(c, p, pk) for c in reversed(psi)], d, p, M + guard)
+    Wu, _E = hensel_factor_distinguished(psi[::-1], d, p, M + guard)
     g2, g3 = (_int_mod(g.a, p, pk) for g in (curve.g2, curve.g3))
     den = divrem_monic([4, 0, -g2, -g3], Wu, pk)[1]
     den_inv = inverse(den, Wu, pk, (pow(4, -1, p),) + (0,) * (d - 1))
@@ -424,28 +406,19 @@ def _series_mul(alg: TorsionAlgebra, u: list, v: list, keep: int) -> list:
 
     Each output coefficient sums the raw polynomial products u_a v_b,
     a + b = k, and is reduced mod (W1, p^M) once.  The sums come from one
-    integer product (Kronecker substitution): coefficient i of u_a fills
-    slot a (2 deg - 1) + i of a packed integer, each slot nb bytes wide, so
-    that no slot of the product overflows into the next."""
+    polynomial product (kronecker_mul): coefficient i of u_a sits at index
+    a (2 deg - 1) + i, so the degree <= 2 deg - 2 products of one s-degree
+    never reach the next."""
     d, pk = alg.deg, alg.pk
     slots = 2 * d - 1
-    nb = (2 * pk.bit_length() + (d * (keep + 1)).bit_length()) // 8 + 1
-    pad = bytes(nb * (d - 1))
+    pad = (0,) * (d - 1)
 
-    def pack(series):
-        return int.from_bytes(b"".join(
-            b"".join(c.to_bytes(nb, "little") for c in vec) + pad
-            for vec in series[:keep + 1]), "little")
+    def flat(series) -> list:
+        return [c for vec in series[:keep + 1] for c in vec + pad]
 
-    size = nb * slots * (keep + 1)
-    raw = (pack(u) * pack(v) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-    out = []
-    for k in range(keep + 1):
-        base = k * slots * nb
-        poly = [int.from_bytes(raw[base + i * nb:base + (i + 1) * nb], "little")
-                for i in range(slots)]
-        out.append(tuple(divrem_monic(poly, alg.W1, pk)[1]))
-    return out
+    raw = kronecker_mul(flat(u), flat(v), pk, slots * (keep + 1))
+    return [tuple(divrem_monic(raw[k * slots:(k + 1) * slots], alg.W1, pk)[1])
+            for k in range(keep + 1)]
 
 
 def _series_inverse(alg: TorsionAlgebra, u: list, keep: int) -> list:
@@ -462,28 +435,42 @@ def _series_inverse(alg: TorsionAlgebra, u: list, keep: int) -> list:
 
 
 @lru_cache(maxsize=8)
-def _xy_parameter_series(curve: CurveData, order: int):
-    """Exact coefficients w_0 .. w_order of the Weierstrass w-series w(t).
+def _xy_parameter_series(curve: CurveData, order: int, modulus: Optional[int] = None):
+    """Coefficients w_0 .. w_order of the Weierstrass w-series w(t): exact
+    Fractions, or ints mod `modulus` when one is given.
 
     On Y^2 = x^3 + a4 x + a6 (Y = y/2, a4 = -g2/4, a6 = -g3/4) the formal
     coordinates are z = -x/Y = t = -2x/y and w = -1/Y (Silverman, AEC IV.1).
     Then w = t^3 U(t^2), with U = 1 + a4 s^2 U^2 + a6 s^3 U^3, whose
-    coefficients lie in Z[a4, a6]; x = t/w and y = -2/w.
+    coefficients lie in Z[a4, a6]; x = t/w and y = -2/w.  So the same
+    recursion runs mod `modulus` once a4 and a6 do; an a4 or a6 whose
+    denominator shares a factor with `modulus` raises IntegralityError.
     """
     ring = ExactRing(0)
     a4 = -ring.coerce(curve.g2) / 4
     a6 = -ring.coerce(curve.g3) / 4
+    one = Fraction(1)
+    if modulus is not None:
+        if math.gcd(a4.denominator * a6.denominator, modulus) != 1:
+            raise IntegralityError(f"a4 = {a4} or a6 = {a6} is not integral "
+                                   f"mod {modulus}")
+        a4, a6 = (c.numerator * pow(c.denominator, -1, modulus) for c in (a4, a6))
+        one = 1
+
+    def red(x):
+        return x if modulus is None else x % modulus
+
     U, U2, U3 = [], [], []          # s-coefficients of U, U^2, U^3
     for k in range((order - 3) // 2 + 1):
-        c = Fraction(k == 0)
+        c = one * (k == 0)
         if k >= 2:
             c += a4 * U2[k - 2]
         if k >= 3:
             c += a6 * U3[k - 3]
-        U.append(c)
-        U2.append(sum((U[i] * U[k - i] for i in range(k + 1) if U[i]), Fraction(0)))
-        U3.append(sum((U[i] * U2[k - i] for i in range(k + 1) if U[i]), Fraction(0)))
-    w = [Fraction(0)] * (order + 1)
+        U.append(red(c))
+        U2.append(red(sum(U[i] * U[k - i] for i in range(k + 1) if U[i])))
+        U3.append(red(sum(U[i] * U2[k - i] for i in range(k + 1) if U[i])))
+    w = [one * 0] * (order + 1)
     for k, c in enumerate(U):
         w[2 * k + 3] = c
     return tuple(w)
@@ -508,8 +495,8 @@ def formal_group_translate(alg: TorsionAlgebra, keep: int) -> list:
     """
     p, pk = alg.p, alg.pk
     n = alg.deg * alg.M + keep + 1
-    w = _xy_parameter_series(alg.curve, n)
-    A = [alg.const(_int_mod(c, p, pk)) for c in w[:keep + 1]]
+    w = _xy_parameter_series(alg.curve, n, pk)
+    A = [alg.const(c) for c in w[:keep + 1]]
     a4, a6 = (_int_mod(-g.a / 4, p, pk) for g in (alg.curve.g2, alg.curve.g3))
     ell = [None] * keep + [
         alg.eval_series_at_x({m: w[m + keep + 1] for m in range(n - keep)}, 0)]
@@ -601,13 +588,50 @@ def _exact_composed(curve: CurveData, p: int, order: int,
 
 def _trace_coefficient_table(alg: TorsionAlgebra, imax: int, keep: int):
     """T[i][k] = trace over the nonzero formal p-torsion of F(s, x)^i,
-    coefficient of s^k, as ints mod p^M."""
+    coefficient of s^k, as ints mod p^M, for i <= imax.  Rows 0..deg are the
+    traces of F^0..F^deg; the rest follow from F's characteristic
+    polynomial (_extend_power_sums)."""
     F = formal_group_translate(alg, keep)
     cur = [alg.one()] + [alg.const(0)] * keep
     rows = [[alg.trace(v) for v in cur]]
-    for _ in range(imax):
+    for _ in range(min(imax, alg.deg)):
         cur = _series_mul(alg, cur, F, keep)
         rows.append([alg.trace(v) for v in cur])
+    return _extend_power_sums(rows, imax, alg.pk)
+
+
+def _extend_power_sums(rows: list, imax: int, pk: int) -> list:
+    """T_0 .. T_imax from T_0 .. T_d, where T_i = Tr F^i for an element F of
+    a free rank-d algebra over B = Z/pk[[s]]/(s^K), each T_i a row of K ints
+    (T_0 = d), and every k <= d a unit mod pk.
+
+    Newton's identities give the characteristic polynomial
+    X^d + c_1 X^(d-1) + ... + c_d of F from the traces,
+    k c_k = -sum_(i=1..k) c_(k-i) T_i, and Cayley-Hamilton gives
+    T_i = -sum_(k=1..d) c_k T_(i-k) for i > d.  Both are identities over
+    any commutative ring, so every row is exact mod pk."""
+    d = len(rows) - 1
+    if imax <= d:
+        return rows[:imax + 1]
+    K = len(rows[0])
+
+    def dot(us, vs) -> list:
+        """sum_j us[j] vs[j] in B."""
+        acc = [0] * K
+        for u, v in zip(us, vs):
+            for a, x in enumerate(u):
+                if x:
+                    for b in range(K - a):
+                        acc[a + b] += x * v[b]
+        return acc
+
+    c = [[1] + [0] * (K - 1)]
+    for k in range(1, d + 1):
+        inv = -pow(k, -1, pk)
+        c.append([x * inv % pk for x in dot(c[k - 1::-1], rows[1:k + 1])])
+    rows = list(rows)
+    for i in range(d + 1, imax + 1):
+        rows.append([-x % pk for x in dot(c[1:], rows[i - 1:i - d - 1:-1])])
     return rows
 
 
@@ -951,13 +975,15 @@ def kummer_congruences(curve: CurveData, p: int, max_exp: int = 20) -> KummerRep
     """
     ap = hasse_unit_mod_p(curve, p)
     vals = _euler_moments_mod(curve, p, max_exp)
+    # each moment pairs with the later moments of its (a, b) mod p-1 bucket
+    buckets: Dict[Tuple[int, int], list] = {}
+    for key in sorted(vals):
+        buckets.setdefault((key[0] % (p - 1), key[1] % (p - 1)), []).append(key)
     rows = []
     for (a, b), m1 in sorted(vals.items()):
-        for (a2, b2), m2 in sorted(vals.items()):
-            if (a2, b2) <= (a, b):
-                continue
-            if (b2 - b) % (p - 1) or (a2 - a) % (p - 1):
-                continue
+        group = buckets[(a % (p - 1), b % (p - 1))]
+        for a2, b2 in group[group.index((a, b)) + 1:]:
+            m2 = vals[(a2, b2)]
             tw = ((a2 + b2) - (a + b)) // (p - 1)
             twist = PadicScalar.from_int(pow(ap, tw, p ** KUMMER_DIGITS), p,
                                          KUMMER_DIGITS)

@@ -395,6 +395,24 @@ def base_p_digits(n: int, p: int, k: int) -> list:
     return out
 
 
+def kronecker_mul(u, v, bound: int, size: Optional[int] = None) -> list:
+    """Coefficients 0..size-1 (default: all) of the product of the
+    polynomials u and v, whose coefficients are ints in [0, bound).
+
+    One integer product (Kronecker substitution): coefficient i of u fills
+    bytes [i nb, (i + 1) nb) of a packed integer, and likewise for v, with
+    nb wide enough that no coefficient of the product, a sum of at most
+    min(len(u), len(v)) terms below bound^2, overflows into the next."""
+    n = len(u) + len(v) - 1 if size is None else size
+    nb = (2 * (bound - 1).bit_length() + min(len(u), len(v)).bit_length()) // 8 + 1
+
+    def pack(a) -> int:
+        return int.from_bytes(b"".join(c.to_bytes(nb, "little") for c in a[:n]), "little")
+
+    raw = (pack(u) * pack(v) & ((1 << 8 * nb * n) - 1)).to_bytes(nb * n, "little")
+    return [int.from_bytes(raw[i * nb:(i + 1) * nb], "little") for i in range(n)]
+
+
 def mulmod(u, v, W, pk) -> tuple:
     """u * v mod (W(x), pk); u, v of length at most deg W."""
     d = len(W) - 1

@@ -16,8 +16,10 @@ from ektheta.padic import (
     NoPeriodError,
     _euler_moments_mod,
     _exact_composed,
+    _extend_power_sums,
     _int_mod,
     _series_mul,
+    _trace_coefficient_table,
     _xy_parameter_series,
     cm_prime_generator,
     division_polynomial_p,
@@ -150,16 +152,82 @@ class TestSplitPrime:
             cm_prime_generator(curve, 13)
 
 
+def _poly_mul(a: list, b: list) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_sub(a: list, b: list) -> list:
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+            for i in range(n)]
+
+
+def _division_polynomial_fractions(curve, p):
+    """The p-division polynomial in exact Fractions: the recursion of
+    division_polynomial_p over Q, every f_n for n <= p formed, leading zeros
+    trimmed; the oracle of the integer route."""
+    A, B = -curve.g2.a / 4, -curve.g3.a / 4
+    F = [B, A, Fraction(0), Fraction(1)]
+    F2_16 = [16 * c for c in _poly_mul(F, F)]
+    f = {1: [Fraction(1)], 2: [Fraction(1)],
+         3: [-A * A, 12 * B, 6 * A, Fraction(0), Fraction(3)],
+         4: [2 * (-8 * B * B - A ** 3), 2 * (-4 * A * B), 2 * (-5 * A * A),
+             2 * (20 * B), 2 * (5 * A), Fraction(0), Fraction(2)]}
+    for n in range(5, p + 1):
+        m = n // 2
+        if n % 2:
+            t1 = _poly_mul(f[m + 2], _poly_mul(f[m], _poly_mul(f[m], f[m])))
+            t2 = _poly_mul(f[m - 1], _poly_mul(f[m + 1], _poly_mul(f[m + 1], f[m + 1])))
+            val = _poly_sub(_poly_mul(t1, F2_16), t2) if m % 2 == 0 else \
+                _poly_sub(t1, _poly_mul(t2, F2_16))
+        else:
+            val = _poly_mul(f[m], _poly_sub(
+                _poly_mul(f[m + 2], _poly_mul(f[m - 1], f[m - 1])),
+                _poly_mul(f[m - 2], _poly_mul(f[m + 1], f[m + 1]))))
+        while len(val) > 1 and not val[-1]:
+            val = val[:-1]
+        f[n] = val
+    return f[p]
+
+
 class TestDivisionPolynomial:
     def test_degree_and_leading(self):
-        f = division_polynomial_p(zi_curve(), 13)
+        f = division_polynomial_p(zi_curve(), 13, 4)
         assert len(f) - 1 == 84 and f[-1] == 13
+
+    def test_leading_coefficient_check_can_fail(self):
+        # mod p the leading coefficient p is 0, and the check refuses it
+        with pytest.raises(AssertionError, match="sanity check"):
+            division_polynomial_p(zi_curve(), 13, 1)
+
+    @pytest.mark.parametrize("label,u,p,k", [
+        ("Z[sqrt(-1)]", 4, 13, 20),
+        ("Z[(1+sqrt(-7))/2]", 1, 11, 20),
+        ("Z[(1+sqrt(-67))/2]", 1, 17, 20),
+    ], ids=["zi_u4_p13", "d7_p11", "d67_p17"])
+    def test_ints_equal_reduced_fraction_oracle(self, label, u, p, k):
+        curve = catalog_row(label).curve(u)
+        pk = p ** k
+        want = [_int_mod(c, p, pk) for c in _division_polynomial_fractions(curve, p)]
+        assert division_polynomial_p(curve, p, k) == want
+
+    def test_non_integral_curve_is_refused(self):
+        # u = 1/13 puts 13 in the denominators of g2/4
+        curve = catalog_row("Z[sqrt(-1)]").curve(Fraction(1, 13))
+        with pytest.raises(IntegralityError, match="not 13-integral"):
+            division_polynomial_p(curve, 13, 4)
+        with pytest.raises(IntegralityError, match="not 13-integral"):
+            formal_torsion_algebra(curve, 13, 4)
 
     def test_vanishes_at_numeric_torsion(self):
         import mpmath as mp
         from ektheta.curves import compute_periods, wp_series
         curve = zi_curve()
-        f = division_polynomial_p(curve, 5)
+        f = _division_polynomial_fractions(curve, 5)
         lat = compute_periods(curve, 160)
         w1, w2 = lat.pair_mpc()
         wp = wp_series(curve, 140)
@@ -202,13 +270,34 @@ class TestXYParameterSeries:
             + (W * W * W).scale(a6)
         assert list(wl) == [rhs.coeff(k) for k in range(order + 1)]
 
+    @pytest.mark.parametrize("label,u", XY_CURVES,
+                             ids=[f"{lab}-u{u}" for lab, u in XY_CURVES])
+    def test_ints_equal_reduced_fractions(self, label, u):
+        # at the least prime p >= 5 of good reduction
+        curve = catalog_row(label).curve(u)
+        disc = curve.discriminant().a
+        p = next(p for p in SPLIT_PRIMES if p >= 5 and disc.numerator % p
+                 and disc.denominator % p)
+        pk = p ** 8
+        want = [_int_mod(c, p, pk) for c in _xy_parameter_series(curve, 200)]
+        assert list(_xy_parameter_series(curve, 200, pk)) == want
+
+    def test_non_integral_curve_is_refused(self):
+        curve = catalog_row("Z[sqrt(-1)]").curve(Fraction(1, 13))
+        with pytest.raises(IntegralityError, match="not integral mod"):
+            _xy_parameter_series(curve, 20, 13 ** 4)
+
 
 class TestTorsionAlgebra:
+    # d = 163 at its least good split prime 41: the degree-840 division
+    # polynomial on ints makes this row cheap, which closes the division
+    # polynomial half of putting d = 163 into the interpolation sweep
     @pytest.mark.parametrize("label,u,p", [
         ("Z[sqrt(-1)]", 4, 13),
         ("Z[sqrt(-2)]", 1, 11),
         ("Z[(1+sqrt(-7))/2]", 1, 23),
-    ], ids=["zi_u4_p13", "zsqrt2_p11", "zomega7_p23"])
+        ("Z[(1+sqrt(-163))/2]", 1, 41),
+    ], ids=["zi_u4_p13", "zsqrt2_p11", "zomega7_p23", "d163_p41"])
     def test_w1_eisenstein_and_log_kills_torsion(self, label, u, p):
         curve = catalog_row(label).curve(u)
         M = 12
@@ -321,6 +410,56 @@ class TestTranslateLogOracle:
         assert _p2_log_of(lift, G, self.KEEP) == self._want(lift, self.KEEP)
         assert tuple(c % alg.pk for c in lift.W1) == alg.W1
         assert [tuple(c % alg.pk for c in g) for g in G] == F
+
+
+def _direct_trace_table(alg, imax, keep):
+    """The trace table from the powers F^0 .. F^imax, one series product
+    each: the oracle of the recurrence in _trace_coefficient_table."""
+    F = formal_group_translate(alg, keep)
+    cur = [alg.one()] + [alg.const(0)] * keep
+    rows = [[alg.trace(v) for v in cur]]
+    for _ in range(imax):
+        cur = _series_mul(alg, cur, F, keep)
+        rows.append([alg.trace(v) for v in cur])
+    return rows
+
+
+TRACE_CASES = [("Z[sqrt(-1)]", 4, 13), ("Z[sqrt(-1)]", 1, 5),
+               ("Z[(1+sqrt(-7))/2]", 1, 11), ("Z[sqrt(-2)]", 1, 11),
+               ("Z[(1+sqrt(-3))/2]", 1, 7)]
+
+
+class TestTraceRecurrence:
+    """Rows past deg of the trace table come from F's characteristic
+    polynomial; the direct powers of F are the oracle."""
+
+    M, KEEP = 6, 5
+
+    @pytest.mark.parametrize("label,u,p", TRACE_CASES,
+                             ids=[f"{lab}-u{u}-p{p}" for lab, u, p in TRACE_CASES])
+    def test_matches_direct_powers(self, label, u, p):
+        alg = formal_torsion_algebra(catalog_row(label).curve(u), p, self.M)
+        imax = 3 * alg.deg + 4
+        assert _trace_coefficient_table(alg, imax, self.KEEP) == \
+            _direct_trace_table(alg, imax, self.KEEP)
+
+    def test_short_table_is_the_direct_one(self):
+        alg = formal_torsion_algebra(zi_curve(), 13, self.M)
+        for imax in (0, 5, alg.deg):
+            want = _direct_trace_table(alg, imax, self.KEEP)
+            assert _trace_coefficient_table(alg, imax, self.KEEP) == want
+            assert len(want) == imax + 1
+
+    def test_perturbed_direct_row_changes_the_extension(self):
+        # +1 in any one of the rows 1..deg the recurrence starts from must
+        # show up past row deg
+        alg = formal_torsion_algebra(zi_curve(), 13, self.M)
+        d, imax = alg.deg, 3 * alg.deg
+        want = _direct_trace_table(alg, imax, self.KEEP)
+        for j in range(1, d + 1):
+            rows = [list(r) for r in want[:d + 1]]
+            rows[j][j % (self.KEEP + 1)] += 1
+            assert _extend_power_sums(rows, imax, alg.pk)[d + 1:] != want[d + 1:], j
 
 
 @pytest.fixture(scope="module")
@@ -499,8 +638,7 @@ def _least_good_split_prime(row):
 
 
 # Z[(1+sqrt(-163))/2] is left out: its least such prime is 41, where the run
-# takes minutes (the composed expansion to order 445 and the degree-840
-# division polynomial in Fractions).
+# takes minutes (the composed expansion to order 445).
 GATE_ROWS = [(row.label, _least_good_split_prime(row))
              for row in catalog() if row.d != 163]
 
