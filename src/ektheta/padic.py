@@ -16,30 +16,32 @@ side (d/dz, d/dw moments, which differ from the multiplicative
 log-derivative moments by exactly Omega^(a+b-1)).
 
 Unit restriction, formal side.  The restriction of the measure to
-Z_p^x x Z_p^x is computed as the four-fold trace combination
+Z_p^x x Z_p^x is
 
-    (1-1/p)^2 C - (1/p)(1-1/p)(Tr_s C + Tr_t C) + (1/p^2) Tr_s Tr_t C
+    (1/p^2) L_s L_t C,    L_s = (p - 1) - Tr_s,  L_t = (p - 1) - Tr_t,
 
 on the composed series C(s,t), where Tr_s C = sum over the p-1 nonzero
-p-division points x of the formal group of C(s (+) x, t).  The division
-points live in the algebra Z_p[T]/W1(T), W1 the even degree-(p-1)
-Weierstrass polynomial of the formal p-torsion.  It is built in integers:
-the p-division polynomial, formed on ints mod p^k, reversed in u = 1/x has
-a distinguished Hensel factor W_u, and W1(T) is the characteristic
-polynomial of t^2 = 4x^2/y^2 on the integral algebra Z_p[u]/(W_u),
-evaluated at T^2.  All of this runs on
-the Z/p^k[x]/(W) helpers of ``scalars``.  s (+) x is assembled from the
+p-division points x of the formal group of C(s (+) x, t).  The two traces
+act on separate variables, so this is the four-fold combination
+(1-1/p)^2 C - (1/p)(1-1/p)(Tr_s C + Tr_t C) + (1/p^2) Tr_s Tr_t C, applied
+as one operator per axis.  The division points live in the algebra
+Z_p[T]/W1(T), W1 the even degree-(p-1) Weierstrass polynomial of the formal
+p-torsion.  It is built in integers: the p-division polynomial, formed on
+ints mod p^k, reversed in u = 1/x has a distinguished Hensel factor W_u,
+and W1(T) is the characteristic polynomial of t^2 = 4x^2/y^2 on the
+integral algebra Z_p[u]/(W_u), evaluated at T^2.  All of this runs on the
+Z/p^k[x]/(W) helpers of ``scalars``.  s (+) x is assembled from the
 chord law in the formal coordinates z = t, w = -2/y (Silverman, AEC IV.1):
 the slope and intercept of the line through the two points are power
 series with coefficients in Z[g2/4, g3/4] evaluated at x, so every quantity
 is integral, and the only division is by a unit series.  The translate is
 therefore exact in Z/p^M[x]/(W1) and needs no guard digits beyond the
-output's.  The trace combination needs the traces of F^i, F = s (+) x, for
-i up to the composed order.  Only F^1..F^(p-1) are formed: Newton's
-identities turn their traces into F's characteristic polynomial, whose
-recurrence (Cayley-Hamilton) gives the other traces.  The pole class
-(s^-1-terms and all their trace shadows) cancels identically in the
-four-fold combination, so only the regular part enters.
+output's.  L_s needs the traces T_i(s) of F^i, F = s (+) x, for i up to the
+composed order.  Only F^1..F^(p-1) are formed: Newton's identities
+(``scalars.charpoly``) turn their traces into F's characteristic
+polynomial, and ``scalars.power_sums`` gives every T_i back from it
+(Cayley-Hamilton past p-1).  The pole class (s^-1-terms and all their trace
+shadows) cancels identically in L_s L_t, so only the regular part enters.
 
 Composed expansion.  Theta-hat(s, t) = Theta(lambda(s), lambda(t)) is
 p-integral at ordinary p, though lambda is not.  ``_exact_composed`` computes
@@ -64,9 +66,9 @@ from typing import Dict, List, Optional, Tuple
 from .curves import CurveData, catalog_row_of, formal_log
 from .kronecker import _as_fraction, _unit_series_list, compose_regular, \
     kronecker_exact, kronecker_regular, log_and_tail_inverse
-from .scalars import ExactScalar, PadicScalar, divrem_monic, embed_padic, \
-    ideal_generators, inverse, kronecker_mul, mulmod, ok_omega, ok_units, \
-    power_sums, trace, _sqrt_minus_d_mod, _vp_fraction
+from .scalars import ExactScalar, PadicScalar, charpoly, divrem_monic, \
+    embed_padic, ideal_generators, inverse, kronecker_mul, mulmod, ok_omega, \
+    ok_units, power_sums, trace, _sqrt_minus_d_mod, _vp_fraction
 from .series import BiSeries, ExactRing, IntModRing, KroneckerExpansion, \
     UniSeries
 
@@ -282,8 +284,7 @@ def hensel_factor_distinguished(poly: list, deg_w: int, p: int, M: int):
         if not any(r):
             return W, q
         qbar = divrem_monic(q, W, pk)[1]
-        start = (pow(qbar[0], -1, p),) + (0,) * (deg_w - 1)
-        step = mulmod(inverse(qbar, W, pk, start), r, W, pk)
+        step = mulmod(inverse(qbar, W, p, pk), r, W, pk)
         W = [(W[i] + (step[i] if i < deg_w else 0)) % pk for i in range(deg_w + 1)]
     raise ArithmeticError("Hensel factor iteration did not converge")
 
@@ -328,20 +329,17 @@ class TorsionAlgebra:
         return tuple((x + y) % self.pk for x, y in zip(u, v))
 
     @cached_property
-    def root_power_sums(self) -> tuple:
+    def root_power_sums(self) -> list:
         """Power sums of the roots of W1, shared by every trace."""
-        return power_sums(self.W1, self.pk)
+        return _root_power_sums(self.W1, self.pk)
 
     def trace(self, u: tuple) -> int:
-        return trace(u, self.W1, self.pk, self.root_power_sums)
+        return trace(u, self.root_power_sums, self.pk)
 
     def inverse_unit(self, u: tuple) -> tuple:
         """Inverse of an element that is a unit (constant coordinate a p-unit;
         mod p the algebra is F_p[x]/x^deg)."""
-        if u[0] % self.p == 0:
-            raise ZeroDivisionError("not a unit in the torsion algebra")
-        start = (pow(u[0], -1, self.p),) + (0,) * (self.deg - 1)
-        return inverse(u, self.W1, self.pk, start)
+        return inverse(u, self.W1, self.p, self.pk)
 
     def eval_series_at_x(self, coeffs: Dict[int, Fraction], scale: int) -> tuple:
         """sum p^scale * coeffs[k] * x^k by Horner's rule, scale >= 0; each
@@ -357,6 +355,11 @@ class TorsionAlgebra:
         return acc
 
 
+def _root_power_sums(W, pk) -> list:
+    """Power sums s_0 .. s_(deg-1) of the roots of monic W, mod pk."""
+    return [row[0] for row in power_sums([[c] for c in W[::-1]], len(W) - 1, pk)]
+
+
 def formal_torsion_algebra(curve: CurveData, p: int, M: int) -> TorsionAlgebra:
     """Build Z/p^M[T]/W1(T), W1 the even monic degree-(p-1) polynomial whose
     roots are the t-coordinates of the nonzero formal p-torsion points.
@@ -369,8 +372,9 @@ def formal_torsion_algebra(curve: CurveData, p: int, M: int) -> TorsionAlgebra:
     - in the integral algebra A = Z_p[u]/(W_u) the element
       tau = t^2 = 4x^2/y^2 = 4u (4 - g2 u^2 - g3 u^3)^-1 is integral, since
       the inverted factor is a unit;
-    - W1(T) = charpoly_A(tau)(T^2), by Newton's identities on the traces of
-      tau^1..tau^d; the divisions by k <= d < p are by p-units.
+    - W1(T) = charpoly_A(tau)(T^2), by Newton's identities (charpoly) on
+      the traces of tau^1..tau^d; the divisions by k <= d < p are by
+      p-units.
     """
     guard = 8
     pk = p ** (M + guard)
@@ -379,21 +383,15 @@ def formal_torsion_algebra(curve: CurveData, p: int, M: int) -> TorsionAlgebra:
     Wu, _E = hensel_factor_distinguished(psi[::-1], d, p, M + guard)
     g2, g3 = (_int_mod(g.a, p, pk) for g in (curve.g2, curve.g3))
     den = divrem_monic([4, 0, -g2, -g3], Wu, pk)[1]
-    den_inv = inverse(den, Wu, pk, (pow(4, -1, p),) + (0,) * (d - 1))
-    tau = mulmod(divrem_monic([0, 4], Wu, pk)[1], den_inv, Wu, pk)
-    # power sums s_k = Tr tau^k, then e_k = (1/k) sum_i (-1)^(i-1) e_(k-i) s_i
-    s, tk, sums = [], tau, power_sums(Wu, pk)
+    tau = mulmod(divrem_monic([0, 4], Wu, pk)[1], inverse(den, Wu, p, pk), Wu, pk)
+    sums, traces, tk = _root_power_sums(Wu, pk), [[d]], tau
     for _ in range(d):
-        s.append(trace(tk, Wu, pk, sums))
+        traces.append([trace(tk, sums, pk)])
         tk = mulmod(tk, tau, Wu, pk)
-    e = [1]
-    for k in range(1, d + 1):
-        acc = sum((-1) ** (i - 1) * e[k - i] * s[i - 1] for i in range(1, k + 1))
-        e.append(acc * pow(k, -1, pk) % pk)
-    # charpoly(X) = sum_k (-1)^k e_k X^(d-k); W1(T) = charpoly(T^2)
+    # charpoly(X) = X^d + c_1 X^(d-1) + ... + c_d; W1(T) = charpoly(T^2)
     W1 = [0] * p
-    for k in range(d + 1):
-        W1[2 * (d - k)] = (-1) ** k * e[k] % p ** M
+    for k, (c,) in enumerate(charpoly(traces, pk)):
+        W1[2 * (d - k)] = c % p ** M
     return TorsionAlgebra(p, M, tuple(W1), curve)
 
 
@@ -520,7 +518,7 @@ def formal_group_translate(alg: TorsionAlgebra, keep: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# unit restriction on the formal side (four-fold torsion trace)
+# unit restriction on the formal side: (p - 1 - Tr) on each axis
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=4)
@@ -589,63 +587,31 @@ def _exact_composed(curve: CurveData, p: int, order: int,
 def _trace_coefficient_table(alg: TorsionAlgebra, imax: int, keep: int):
     """T[i][k] = trace over the nonzero formal p-torsion of F(s, x)^i,
     coefficient of s^k, as ints mod p^M, for i <= imax.  Rows 0..deg are the
-    traces of F^0..F^deg; the rest follow from F's characteristic
-    polynomial (_extend_power_sums)."""
+    traces of F^0..F^deg, over B = Z/p^M[[s]]/(s^(keep+1)); the table is
+    power_sums of F's characteristic polynomial (charpoly of those rows),
+    which gives them back and continues them."""
     F = formal_group_translate(alg, keep)
     cur = [alg.one()] + [alg.const(0)] * keep
     rows = [[alg.trace(v) for v in cur]]
-    for _ in range(min(imax, alg.deg)):
+    for _ in range(alg.deg):
         cur = _series_mul(alg, cur, F, keep)
         rows.append([alg.trace(v) for v in cur])
-    return _extend_power_sums(rows, imax, alg.pk)
-
-
-def _extend_power_sums(rows: list, imax: int, pk: int) -> list:
-    """T_0 .. T_imax from T_0 .. T_d, where T_i = Tr F^i for an element F of
-    a free rank-d algebra over B = Z/pk[[s]]/(s^K), each T_i a row of K ints
-    (T_0 = d), and every k <= d a unit mod pk.
-
-    Newton's identities give the characteristic polynomial
-    X^d + c_1 X^(d-1) + ... + c_d of F from the traces,
-    k c_k = -sum_(i=1..k) c_(k-i) T_i, and Cayley-Hamilton gives
-    T_i = -sum_(k=1..d) c_k T_(i-k) for i > d.  Both are identities over
-    any commutative ring, so every row is exact mod pk."""
-    d = len(rows) - 1
-    if imax <= d:
-        return rows[:imax + 1]
-    K = len(rows[0])
-
-    def dot(us, vs) -> list:
-        """sum_j us[j] vs[j] in B."""
-        acc = [0] * K
-        for u, v in zip(us, vs):
-            for a, x in enumerate(u):
-                if x:
-                    for b in range(K - a):
-                        acc[a + b] += x * v[b]
-        return acc
-
-    c = [[1] + [0] * (K - 1)]
-    for k in range(1, d + 1):
-        inv = -pow(k, -1, pk)
-        c.append([x * inv % pk for x in dot(c[k - 1::-1], rows[1:k + 1])])
-    rows = list(rows)
-    for i in range(d + 1, imax + 1):
-        rows.append([-x % pk for x in dot(c[1:], rows[i - 1:i - d - 1:-1])])
-    return rows
+    return power_sums(charpoly(rows, alg.pk), imax + 1, alg.pk)
 
 
 def restricted_formal_series(curve: CurveData, p: int, N: int,
                              out_order: int) -> BiSeries:
-    """The unit-restricted measure's formal-side series
+    """The unit-restricted measure's formal-side series (1/p^2) L_s L_t C,
+    L = (p - 1) - Tr on each axis, on ints mod p^(N+4), from the composed
+    integral expansion C mod p^(N+6).
 
-        (1-1/p)^2 C - (1/p)(1-1/p)(Tr_s C + Tr_t C) + (1/p^2) Tr_s Tr_t C
-
-    on ints mod p^(N+4), from the composed integral expansion C mod p^(N+6).
+    With L_i(s) = (p-1) s^i - T_i(s) from the trace table,
+    G_j(s) = sum_i c_ij L_i(s) and p^2 R = sum_j G_j(s) L_j(t), to total
+    degree out_order; every j enters, since T_j(t) has terms below t^j.
     The pole class cancels identically, so only the regular part enters.
-    The combination is formed times p^2 and divided back exactly: a
-    coefficient not divisible by p^2 (the restriction not integral, against
-    the measure property) raises IntegralityError naming v_p.
+    A coefficient of p^2 R not divisible by p^2 (the restriction not
+    integral, against the measure property) raises IntegralityError naming
+    v_p.
     """
     _require_split(curve, p)
     DS = out_order
@@ -655,40 +621,24 @@ def restricted_formal_series(curve: CurveData, p: int, N: int,
     pko = p ** digits
     imax = max((i for i, _ in chat), default=0)
     alg = formal_torsion_algebra(curve, p, digits)
-    T = _trace_coefficient_table(alg, imax, DS)
-    # scale by p^2: R2 = (p-1)^2 C - (p-1)(TrS + TrT) + TrS TrT
-    R2: Dict[Tuple[int, int], int] = {}
-
-    def bump(key, val):
-        if key[0] + key[1] <= DS:
-            R2[key] = (R2.get(key, 0) + val) % pko
-
-    w1sq = (p - 1) ** 2
+    L = [[((p - 1) * (k == i) - x) % pko for k, x in enumerate(row)]
+         for i, row in enumerate(_trace_coefficient_table(alg, imax, DS))]
+    G: Dict[int, list] = {}
     for (i, j), cv in chat.items():
-        if i <= DS and j <= DS:
-            bump((i, j), w1sq * cv)
-        # single traces: sum_i c_{ij} T_i(s) t^j   and the t-side mirror
-        if j <= DS:
-            row = T[i]
-            for k in range(0, DS + 1 - j):
-                if row[k]:
-                    bump((k, j), -(p - 1) * cv * row[k])
-        if i <= DS:
-            row = T[j]
-            for k in range(0, DS + 1 - i):
-                if row[k]:
-                    bump((i, k), -(p - 1) * cv * row[k])
-        rowi, rowj = T[i], T[j]
-        for k in range(0, DS + 1):
-            if not rowi[k]:
-                continue
-            ck = cv * rowi[k] % pko
-            for l in range(0, DS + 1 - k):
-                if rowj[l]:
-                    bump((k, l), ck * rowj[l])
+        g = G.setdefault(j, [0] * (DS + 1))
+        for k, x in enumerate(L[i]):
+            if x:
+                g[k] += cv * x
+    R2: Dict[Tuple[int, int], int] = {}
+    for j, g in G.items():
+        for k, gk in enumerate(g):
+            gk %= pko
+            if gk:
+                for l, x in enumerate(L[j][:DS + 1 - k]):
+                    R2[(k, l)] = R2.get((k, l), 0) + gk * x
     out = {}
     for key, val in R2.items():
-        q, r = divmod(val, p * p)
+        q, r = divmod(val % pko, p * p)
         if r:
             raise IntegralityError(f"restricted series coefficient at {key} has "
                                    f"v_p = {_vp_fraction(r, p) - 2}")
@@ -783,9 +733,10 @@ def measure_from_theta(curve: CurveData, p: int, N: int, order: int) -> MeasureS
 
 
 def restrict_to_units(mu: MeasureSeries, out_order: Optional[int] = None) -> MeasureSeries:
-    """Restriction of the measure to Z_p^x x Z_p^x: the four-fold
-    torsion-trace combination, recomputed from the exact composed expansion
-    at the order needed for the trace tails."""
+    """Restriction of the measure to Z_p^x x Z_p^x: (1/p^2) L_s L_t C with
+    L = (p - 1) - Tr on each axis (restricted_formal_series), recomputed
+    from the exact composed expansion at the order needed for the trace
+    tails."""
     p = mu.p
     series = restricted_formal_series(mu.curve, p, mu.abs_prec,
                                       out_order or mu.series.order)

@@ -369,8 +369,6 @@ class BigComplex:
 # p-adic scalars
 # ---------------------------------------------------------------------------
 
-# integer arithmetic in Z/p^k[x]/(W), W monic; elements are coefficient tuples
-
 def _vp_fraction(x, p: int) -> Optional[int]:
     """v_p of a nonzero int or Fraction; None for zero."""
     if not x:
@@ -384,15 +382,6 @@ def _vp_fraction(x, p: int) -> Optional[int]:
         den //= p
         v -= 1
     return v
-
-
-def base_p_digits(n: int, p: int, k: int) -> list:
-    """The k lowest base-p digits of n, least significant first."""
-    out = []
-    for _ in range(k):
-        out.append(n % p)
-        n //= p
-    return out
 
 
 def kronecker_mul(u, v, bound: int, size: Optional[int] = None) -> list:
@@ -413,21 +402,17 @@ def kronecker_mul(u, v, bound: int, size: Optional[int] = None) -> list:
     return [int.from_bytes(raw[i * nb:(i + 1) * nb], "little") for i in range(n)]
 
 
+# integer arithmetic in Z/p^k[x]/(W), W monic; elements are coefficient tuples
+
 def mulmod(u, v, W, pk) -> tuple:
-    """u * v mod (W(x), pk); u, v of length at most deg W."""
-    d = len(W) - 1
-    out = [0] * (2 * d - 1)
+    """u * v mod (W(x), pk); u, v of length at most deg W.  The schoolbook
+    product is formed on unreduced ints and reduced once (divrem_monic)."""
+    out = [0] * (2 * len(W) - 3)         # degree <= 2 deg W - 2
     for i, ui in enumerate(u):
         if ui:
             for j, vj in enumerate(v):
-                if vj:
-                    out[i + j] = (out[i + j] + ui * vj) % pk
-    for i in range(2 * d - 2, d - 1, -1):
-        c = out[i]
-        if c:
-            for j in range(d + 1):
-                out[i - d + j] = (out[i - d + j] - c * W[j]) % pk
-    return tuple(x % pk for x in out[:d])
+                out[i + j] += ui * vj
+    return tuple(divrem_monic(out, W, pk)[1])
 
 
 def divrem_monic(f, W, pk):
@@ -444,43 +429,80 @@ def divrem_monic(f, W, pk):
     return q, [x % pk for x in rem[:d]]
 
 
-def power_sums(W, pk) -> tuple:
-    """Power sums s_0..s_(deg-1) of the roots of monic W, mod pk, by Newton's
-    identities."""
-    d = len(W) - 1
-    s = [d]
-    for k in range(1, d):
-        s.append(-(k * W[d - k] + sum(W[d - i] * s[k - i] for i in range(1, k))) % pk)
-    return tuple(s)
+# Newton's identities over B = Z/pk[[s]]/(s^K): an element of B is a row of
+# K ints, and K = 1 is Z/pk itself.  For an element F of a free rank-d
+# algebra over B with traces T_i = Tr F^i and characteristic polynomial
+# X^d + c_1 X^(d-1) + ... + c_d (c_0 = 1),
+#
+#     T_k + c_1 T_(k-1) + ... + c_(k-1) T_1 + k c_k = 0      (k <= d)
+#     T_k + c_1 T_(k-1) + ... + c_d T_(k-d) = 0              (k > d)
+#
+# the second being Cayley-Hamilton.  Both hold over any commutative ring, so
+# each direction is exact mod pk, given that every k <= d is a unit mod pk.
+
+def _row_dot(us, vs, K: int) -> list:
+    """sum_j us[j] vs[j] in Z[[s]]/(s^K), unreduced."""
+    acc = [0] * K
+    for u, v in zip(us, vs):
+        for a, x in enumerate(u):
+            if x:
+                for b in range(K - a):
+                    acc[a + b] += x * v[b]
+    return acc
 
 
-def trace(u, W, pk, sums: Optional[tuple] = None) -> int:
+def charpoly(T, pk) -> list:
+    """Rows c_0 = 1, c_1 .. c_d of the characteristic polynomial of F from
+    its traces T_0 = d, T_1 .. T_d: k c_k = -sum_(i=1..k) c_(k-i) T_i."""
+    K = len(T[0])
+    c = [[1] + [0] * (K - 1)]
+    for k in range(1, len(T)):
+        inv = -pow(k, -1, pk)
+        c.append([x * inv % pk for x in _row_dot(c[k - 1::-1], T[1:k + 1], K)])
+    return c
+
+
+def power_sums(c, n: int, pk) -> list:
+    """Rows T_0 .. T_(n-1), T_i = Tr F^i, from the characteristic polynomial
+    c_0 = 1, c_1 .. c_d of F: T_k = -(k c_k + sum_(i=1..k-1) c_i T_(k-i)),
+    with c_k = 0 past d (Cayley-Hamilton)."""
+    d, K = len(c) - 1, len(c[0])
+    T = [[d] + [0] * (K - 1)]
+    for k in range(1, n):
+        acc = _row_dot(c[1:], T[k - 1:max(k - d - 1, 0):-1], K)
+        if k <= d:
+            acc = [x + k * y for x, y in zip(acc, c[k])]
+        T.append([-x % pk for x in acc])
+    return T
+
+
+def trace(u, sums, pk) -> int:
     """Trace of multiplication by u on Z/pk[x]/(W): sum of u_i times the
-    power sums s_i of the roots of W; `sums` passes power_sums(W, pk) in when
-    the caller already holds them."""
-    if sums is None:
-        sums = power_sums(W, pk)
+    power sums s_i of the roots of W (the K = 1 power_sums of W)."""
     return sum(ui * si for ui, si in zip(u, sums)) % pk
 
 
-def inverse(u, W, pk, start) -> tuple:
+def inverse(u, W, p, pk) -> tuple:
     """Inverse of u mod (W(x), pk) by Newton's iteration inv <- inv (2 - u inv)
-    from `start`, an inverse of u modulo the maximal ideal.
+    from (u_0^-1 mod p, 0, ..., 0); u_0 not a p-unit raises ZeroDivisionError.
 
-    Each step doubles the valuation of 1 - u inv.  When W = x^deg mod p, that
-    ideal is (p, x) and its deg-th power lies in (p), so k*deg doublings reach
-    p^k; k <= log2(pk) bounds the steps allowed before giving up.
+    That start inverts u modulo (p, x).  Each step doubles the valuation of
+    1 - u inv.  When W = x^deg mod p, (p, x) is the maximal ideal and its
+    deg-th power lies in (p), so k*deg doublings reach p^k; k <= log2(pk)
+    bounds the steps allowed before giving up.
     """
+    if u[0] % p == 0:
+        raise ZeroDivisionError(f"constant term {u[0]} is not a {p}-unit")
     d = len(W) - 1
     one = (1,) + (0,) * (d - 1)
-    inv = tuple(start)
+    inv = (pow(u[0], -1, p),) + (0,) * (d - 1)
     for _ in range((pk.bit_length() * d).bit_length() + 2):
         prod = mulmod(u, inv, W, pk)
         if prod == one:
             return inv
         inv = mulmod(inv, ((2 - prod[0]) % pk,) + tuple(-c % pk for c in prod[1:]), W, pk)
-    raise ArithmeticError("Newton inverse did not converge: start is not an "
-                          "inverse modulo the maximal ideal")
+    raise ArithmeticError("Newton inverse did not converge: W is not x^deg "
+                          "modulo p")
 
 
 class PadicScalar:
@@ -500,13 +522,10 @@ class PadicScalar:
     def from_int(n: int, p: int, abs_prec: int, shift: int = 0) -> "PadicScalar":
         """n / p^shift, for an int n known mod p^(abs_prec + shift)."""
         n %= p ** (abs_prec + shift)
-        if not n:
+        v = _vp_fraction(n, p)
+        if v is None:
             return PadicScalar(p, None, 0, abs_prec)
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return PadicScalar(p, v - shift, n, abs_prec)
+        return PadicScalar(p, v - shift, n // p ** v, abs_prec)
 
     @property
     def rel_prec(self) -> int:
@@ -560,9 +579,11 @@ class PadicScalar:
 
     def digits(self) -> list:
         """Base-p digits of the unit part, least significant first."""
-        if self.val is None:
-            return []
-        return base_p_digits(self.unit, self.p, self.rel_prec)
+        n, out = self.unit, []
+        for _ in range(self.rel_prec):       # rel_prec is 0 for zero
+            n, r = divmod(n, self.p)
+            out.append(r)
+        return out
 
     def to_json(self):
         # "f": the residue degree of the scalar's field, always 1 (Z_p)

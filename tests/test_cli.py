@@ -302,6 +302,24 @@ class TestMeasureCommands:
         assert digest == \
             "ec840873c1156d7d9ec07ca2e29b9e15d0fd4854d50a4b1d36023b742b390ca9"
 
+    @pytest.mark.parametrize("label,want", [
+        ("Z[(1+sqrt(-7))/2]",
+         "ff9195935af39b1a08f42bed73d3b2d6a2114ff81834ea30251fff4507baafdf"),
+        ("Z[sqrt(-2)]",
+         "5f16890e2b4f24d31a9439b20a98f04ccc138b09f3f1b7d7720c7c9cf66f23c4"),
+    ], ids=["d7", "d2"])
+    def test_restricted_measure_off_zi_pinned(self, label, want):
+        # sha256 of the payload (meta dropped) of a restricted measure on a
+        # field other than Q(i), from the four-term trace loop: the factored
+        # restriction moves no bit
+        cp = run_cli("measure", "--catalog", label, "--u", "1", "--prime", "11",
+                     "--prec", "6", "--order", "10", "--restrict", "--moments", "3,3",
+                     env={"EKTHETA_PREC_BITS": "256", "PYTHONHASHSEED": "0"})
+        doc = json.loads(cp.stdout)
+        del doc["meta"]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == want
+
     def test_measure_raw_curve_takes_its_field_from_j(self):
         # g2 = 30, g3 = 28 is the Z[sqrt(-2)] curve at u = 1; 11 splits in
         # Q(sqrt(-2)) though not in Q(i)

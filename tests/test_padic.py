@@ -16,7 +16,6 @@ from ektheta.padic import (
     NoPeriodError,
     _euler_moments_mod,
     _exact_composed,
-    _extend_power_sums,
     _int_mod,
     _series_mul,
     _trace_coefficient_table,
@@ -40,7 +39,8 @@ from ektheta.padic import (
     split_prime_generator,
     verify_interpolation_origin,
 )
-from ektheta.scalars import ExactScalar, _vp_fraction, embed_padic, ok_omega
+from ektheta.scalars import ExactScalar, _vp_fraction, charpoly, embed_padic, \
+    ok_omega, power_sums
 from ektheta.series import BiSeries, ExactRing, KroneckerExpansion, UniSeries
 
 QQ = ExactRing(0)
@@ -427,6 +427,7 @@ def _direct_trace_table(alg, imax, keep):
 TRACE_CASES = [("Z[sqrt(-1)]", 4, 13), ("Z[sqrt(-1)]", 1, 5),
                ("Z[(1+sqrt(-7))/2]", 1, 11), ("Z[sqrt(-2)]", 1, 11),
                ("Z[(1+sqrt(-3))/2]", 1, 7)]
+TRACE_IDS = [f"{lab}-u{u}-p{p}" for lab, u, p in TRACE_CASES]
 
 
 class TestTraceRecurrence:
@@ -435,13 +436,20 @@ class TestTraceRecurrence:
 
     M, KEEP = 6, 5
 
-    @pytest.mark.parametrize("label,u,p", TRACE_CASES,
-                             ids=[f"{lab}-u{u}-p{p}" for lab, u, p in TRACE_CASES])
+    @pytest.mark.parametrize("label,u,p", TRACE_CASES, ids=TRACE_IDS)
     def test_matches_direct_powers(self, label, u, p):
         alg = formal_torsion_algebra(catalog_row(label).curve(u), p, self.M)
         imax = 3 * alg.deg + 4
         assert _trace_coefficient_table(alg, imax, self.KEEP) == \
             _direct_trace_table(alg, imax, self.KEEP)
+
+    @pytest.mark.parametrize("label,u,p", TRACE_CASES, ids=TRACE_IDS)
+    def test_newton_identities_round_trip(self, label, u, p):
+        # over B = Z/p^M[[s]]/(s^(KEEP+1)): traces -> characteristic
+        # polynomial -> traces gives rows 0..deg back exactly
+        alg = formal_torsion_algebra(catalog_row(label).curve(u), p, self.M)
+        rows = _direct_trace_table(alg, alg.deg, self.KEEP)
+        assert power_sums(charpoly(rows, alg.pk), alg.deg + 1, alg.pk) == rows
 
     def test_short_table_is_the_direct_one(self):
         alg = formal_torsion_algebra(zi_curve(), 13, self.M)
@@ -459,7 +467,45 @@ class TestTraceRecurrence:
         for j in range(1, d + 1):
             rows = [list(r) for r in want[:d + 1]]
             rows[j][j % (self.KEEP + 1)] += 1
-            assert _extend_power_sums(rows, imax, alg.pk)[d + 1:] != want[d + 1:], j
+            got = power_sums(charpoly(rows, alg.pk), imax + 1, alg.pk)
+            assert got[d + 1:] != want[d + 1:], j
+
+
+def _four_fold_restriction(curve, p, N, out_order) -> dict:
+    """The unit restriction term by term: (p-1)^2 C - (p-1)(Tr_s C + Tr_t C)
+    + Tr_s Tr_t C over every (i, j) of the composed expansion C, divided by
+    p^2.  The oracle of restricted_formal_series's factored form, from the
+    same C and trace table."""
+    DS, digits = out_order, N + 6
+    chat = _exact_composed(curve, p, DS + (p - 1) * (N + 5), digits)
+    pko = p ** digits
+    alg = formal_torsion_algebra(curve, p, digits)
+    T = _trace_coefficient_table(alg, max(i for i, _ in chat), DS)
+    R2 = {}
+
+    def bump(key, val):
+        if key[0] + key[1] <= DS:
+            R2[key] = (R2.get(key, 0) + val) % pko
+
+    for (i, j), cv in chat.items():
+        if i <= DS and j <= DS:
+            bump((i, j), (p - 1) ** 2 * cv)
+        if j <= DS:             # Tr_s: sum_i c_ij T_i(s) t^j
+            for k in range(DS + 1 - j):
+                bump((k, j), -(p - 1) * cv * T[i][k])
+        if i <= DS:             # Tr_t: sum_j c_ij s^i T_j(t)
+            for k in range(DS + 1 - i):
+                bump((i, k), -(p - 1) * cv * T[j][k])
+        for k in range(DS + 1):
+            for l in range(DS + 1 - k):
+                bump((k, l), cv * T[i][k] * T[j][l])
+    out = {}
+    for key, val in R2.items():
+        q, r = divmod(val, p * p)
+        assert r == 0, key
+        if q:
+            out[key] = q
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -489,6 +535,13 @@ class TestRestrictedSeries:
         monkeypatch.setattr(padic, "_trace_coefficient_table", perturbed)
         with pytest.raises(IntegralityError, match=r"v_p = -1"):
             restricted_formal_series(zi_curve(), 13, 4, 5)
+
+    @pytest.mark.parametrize("N", [4, 6])
+    @pytest.mark.parametrize("label,u,p", TRACE_CASES, ids=TRACE_IDS)
+    def test_factored_form_equals_four_fold_loop(self, label, u, p, N):
+        curve = catalog_row(label).curve(u)
+        assert restricted_formal_series(curve, p, N, 6).coeffs == \
+            _four_fold_restriction(curve, p, N, 6)
 
     def test_sparsity_pattern(self, restricted_n6):
         # psi-killed congruence classes: same support pattern as the composed

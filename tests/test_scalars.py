@@ -1,11 +1,12 @@
 """Exact / p-adic scalar arithmetic."""
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ektheta.padic import is_split, split_prime_generator
+from ektheta.padic import _root_power_sums, is_split, split_prime_generator
 from ektheta.scalars import (
     CLASS_NUMBER_ONE,
     ExactScalar,
@@ -13,11 +14,13 @@ from ektheta.scalars import (
     PadicScalar,
     RamifiedPrimeError,
     _associate_keys,
+    charpoly,
     embed_padic,
     ideal_generators,
     inverse,
     mulmod,
     ok_elements,
+    power_sums,
     residue_classes,
     trace,
 )
@@ -191,6 +194,26 @@ class TestPadicScalar:
         assert obj["p"] == 13 and obj["val"] == -1 and obj["prec"] == 4
 
 
+def _mulmod_termwise(u, v, W, pk) -> tuple:
+    """u * v mod (W, pk), reducing after every term: the oracle of mulmod."""
+    d = len(W) - 1
+    out = [0] * (2 * d - 1)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            out[i + j] = (out[i + j] + ui * vj) % pk
+    for i in range(2 * d - 2, d - 1, -1):
+        for j in range(d + 1):
+            out[i - d + j] = (out[i - d + j] - out[i] * W[j]) % pk
+    return tuple(out[:d])
+
+
+def _matrix_trace(u, W, pk) -> int:
+    """Trace of the matrix of multiplication by u on the basis 1, x, ..."""
+    d = len(W) - 1
+    basis = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    return sum(_mulmod_termwise(u, basis[i], W, pk)[i] for i in range(d)) % pk
+
+
 class TestPolyModHelpers:
     @given(st.lists(st.integers(0, 13 ** 4 - 1), min_size=6, max_size=6),
            st.lists(st.integers(0, 13 ** 4 - 1), min_size=6, max_size=6))
@@ -198,15 +221,46 @@ class TestPolyModHelpers:
     def test_trace_is_multiplication_matrix_trace(self, u, w):
         pk = 13 ** 4
         W = tuple(w) + (1,)
-        basis = [tuple(int(i == j) for j in range(6)) for i in range(6)]
-        want = sum(mulmod(u, basis[i], W, pk)[i] for i in range(6)) % pk
-        assert trace(u, W, pk) == want
+        assert trace(u, _root_power_sums(W, pk), pk) == _matrix_trace(u, W, pk)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_power_sums_are_traces_of_powers(self, seed):
+        # K = 1, rows T_0 .. T_(3 deg): Newton's identities up to deg, then
+        # Cayley-Hamilton, against the traces of x^k
+        rng = random.Random(seed)
+        pk, d = 11 ** 5, 7
+        W = tuple(rng.randrange(pk) for _ in range(d)) + (1,)
+        got = power_sums([[c] for c in W[::-1]], 3 * d + 1, pk)
+        xk = (1,) + (0,) * (d - 1)
+        for k, row in enumerate(got):
+            assert row == [_matrix_trace(xk, W, pk)], k
+            xk = _mulmod_termwise(xk, (0, 1) + (0,) * (d - 2), W, pk)
+        assert power_sums(charpoly(got[:d + 1], pk), 3 * d + 1, pk) == got
+
+    @pytest.mark.parametrize("d", [2, 6, 12, 40])
+    def test_mulmod_matches_termwise_reduction(self, d):
+        rng = random.Random(d)
+        pk = 13 ** 9
+        W = tuple(rng.randrange(pk) for _ in range(d)) + (1,)
+        x = (0, 1) + (0,) * (d - 2)
+        for _ in range(5):
+            u, v = (tuple(rng.randrange(pk) for _ in range(d)) for _ in range(2))
+            assert mulmod(u, v, W, pk) == _mulmod_termwise(u, v, W, pk)
+            assert mulmod(x, v, W, pk) == _mulmod_termwise(x, v, W, pk)
 
     def test_newton_inverse_rejects_non_unit(self):
-        # Z/5^6[x]/(x^2 - 5): x is not a unit, so Newton from 1 cannot converge
+        # Z/5^6[x]/(x^2 - 5): x has constant term 0, not a unit mod (5, x)
+        pk = 5 ** 6
+        with pytest.raises(ZeroDivisionError):
+            inverse((0, 1), (pk - 5, 0, 1), 5, pk)
+
+    def test_newton_inverse_needs_w_nilpotent_mod_p(self):
+        # Z/5^6[x]/(x^2 - 2) is unramified: 1 + x is a unit (norm -1), but
+        # x is not nilpotent mod 5, so Newton from the residue inverse 1 of
+        # its constant term cannot converge
         pk = 5 ** 6
         with pytest.raises(ArithmeticError, match="did not converge"):
-            inverse((0, 1), (pk - 5, 0, 1), pk, (1, 0))
+            inverse((1, 1), (pk - 2, 0, 1), 5, pk)
 
 
 def extended_euclid_inverse(a: int, m: int) -> int:
