@@ -96,8 +96,10 @@ def _parse_gaussian(text: str) -> ExactScalar:
 def cmd_catalog(args):
     rows = [row.to_json() for row in catalog()]
     if args.u is not None:
+        u = ExactScalar(Fraction(args.u))
         for row, obj in zip(catalog(), rows):
-            obj["at_u"] = row.curve(Fraction(args.u)).to_json()
+            obj["at_u"] = {**row.curve(u).to_json(), "cm_order": row.label,
+                           "d": row.d, "u": u.to_json()}
     return _emit(args, {"rows": rows})
 
 

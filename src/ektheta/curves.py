@@ -16,11 +16,12 @@ with the weight conventions of the table itself (g2 ~ u^k as listed).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import mpmath as mp
 
@@ -53,14 +54,12 @@ class PeriodPrecisionError(ArithmeticError):
 
 @dataclass(frozen=True)
 class CurveData:
-    """Weierstrass data y^2 = 4x^3 - g2 x - g3 with CM bookkeeping."""
+    """Weierstrass data y^2 = 4x^3 - g2 x - g3 and, for theta, e2*.  Its CM
+    order is read from the j-invariant (catalog_row_of)."""
 
     g2: ExactScalar
     g3: ExactScalar
-    cm_order_label: str = ""
-    d: int = 0
     e2_star: Optional[ExactScalar] = None
-    u: ExactScalar = field(default_factory=lambda: ExactScalar(1))
 
     def __post_init__(self):
         if not self.discriminant():
@@ -70,31 +69,23 @@ class CurveData:
         return self.g2 ** 3 - ExactScalar(27) * self.g3 ** 2
 
     def ring(self) -> ExactRing:
-        d = self.d
-        if self.g2.is_rational() and self.g3.is_rational() and (
-                self.e2_star is None or self.e2_star.is_rational()):
-            d = 0
-        return ExactRing(d)
+        """Q, or Q(sqrt(-d)) when a coefficient is irrational (its own tag)."""
+        return ExactRing(max(x.d for x in (self.g2, self.g3, self.e2_star)
+                             if x is not None))
 
     def scaled(self, c: ExactScalar) -> "CurveData":
         """Curve of the lattice c * Gamma: (g2, g3, e2*) / (c^4, c^6, c^2)."""
         return CurveData(
             g2=self.g2 / c ** 4,
             g3=self.g3 / c ** 6,
-            cm_order_label=self.cm_order_label,
-            d=self.d if self.d else c.d,
             e2_star=None if self.e2_star is None else self.e2_star / c ** 2,
-            u=self.u,
         )
 
     def to_json(self):
         return {
             "g2": self.g2.to_json(),
             "g3": self.g3.to_json(),
-            "cm_order": self.cm_order_label,
-            "d": self.d,
             "e2_star": None if self.e2_star is None else self.e2_star.to_json(),
-            "u": self.u.to_json(),
         }
 
 
@@ -118,8 +109,6 @@ class CatalogRow:
         return CurveData(
             g2=ExactScalar(self.g2_coeff) * uu ** self.g2_upow,
             g3=ExactScalar(self.g3_coeff) * uu ** self.g3_upow,
-            cm_order_label=self.label,
-            d=self.d,
             e2_star=ExactScalar(self.e2_coeff) * uu,
         )
 
@@ -178,14 +167,21 @@ def j_invariant(curve: CurveData) -> ExactScalar:
     return ExactScalar(1728) * curve.g2 ** 3 / curve.discriminant()
 
 
+@lru_cache(maxsize=None)
+def _rows_by_j() -> Dict[Fraction, CatalogRow]:
+    """{j: row}, j = 1728 g2^3/(g2^3 - 27 g3^2) from each row at u = 1."""
+    return {Fraction(1728 * r.g2_coeff ** 3,
+                     r.g2_coeff ** 3 - 27 * r.g3_coeff ** 2): r for r in _CATALOG}
+
+
 def catalog_row_of(curve: CurveData) -> CatalogRow:
     """The catalog row whose curves share curve's j-invariant, so its CM
     order; raises ValueError when no row does."""
     j = j_invariant(curve)
-    for row in _CATALOG:
-        if j_invariant(row.curve()) == j:
-            return row
-    raise ValueError(f"j = {j} is not the j-invariant of a catalog curve")
+    row = _rows_by_j().get(j.a) if j.is_rational() else None
+    if row is None:
+        raise ValueError(f"j = {j} is not the j-invariant of a catalog curve")
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +266,7 @@ def formal_log(curve: CurveData, order: int, ring: Optional[ExactRing] = None) -
             num = factorial(2 * m + 3 * n)
             den = factorial(m + 2 * n) * factorial(m) * factorial(n)
             c = g2pow[m] * g3pow[n] * Fraction(num, den * k)
-            if not ring.is_zero(c):
+            if c:
                 out[k] = out[k] + c if k in out else c
             n += 1
         m += 1

@@ -663,7 +663,7 @@ def direct_hecke_sum(char: HeckeCharacter, s, norm_bound: int,
 
 
 def hecke_L_partial(char: HeckeCharacter, s, target_error=1e-14,
-                    prec_bits: int = 256, omega=1) -> BigComplex:
+                    prec_bits: int = 256) -> BigComplex:
     """L_f(phi, s) assembled from Eisenstein-Kronecker-Lerch values.
 
     Class number 1 with trivial ray class group I(f)/P(f) (checked): the sum
@@ -672,8 +672,7 @@ def hecke_L_partial(char: HeckeCharacter, s, target_error=1e-14,
         L_f(phi, s) = (1/w_f) K*_{|m-n|}(alpha0^delta, 0, s - min(m,n);
                                           (f)^delta),
 
-    alpha0 = 1, delta = conjugation when m > n.  omega optionally rescales
-    the lattice (f * omega) for period-normalized values.
+    alpha0 = 1, delta = conjugation when m > n.
     """
     m, n = char.infinity_type
     if m == n:
@@ -689,9 +688,8 @@ def hecke_L_partial(char: HeckeCharacter, s, target_error=1e-14,
     with mp.workprec(prec_bits + 32):
         w = ok_omega(char.d)
         f = char.conductor
-        om = mp.mpc(omega)
-        w1 = f.to_mpc(prec_bits + 32) * om
-        w2 = (f * w).to_mpc(prec_bits + 32) * om
+        w1 = f.to_mpc(prec_bits + 32)
+        w2 = (f * w).to_mpc(prec_bits + 32)
         if mp.im(w2 / w1) < 0:
             w2 = -w2
         delta_conj = m > n
@@ -704,9 +702,8 @@ def hecke_L_partial(char: HeckeCharacter, s, target_error=1e-14,
             BigComplex(w2.real, w2.imag, prec_bits + 32),
             BigComplex(mp.im(w2 * mp.conj(w1)) / mp.pi, mp.mpf(0), prec_bits + 32),
         )
-        alpha0 = mp.conj(om) if delta_conj else om  # image of alpha0 = 1 scaled
         val = eisenstein_kronecker_lerch(
-            abs(m - n), alpha0, 0, mp.mpc(s) - min(m, n), lat, target_error,
+            abs(m - n), 1, 0, mp.mpc(s) - min(m, n), lat, target_error,
             w0_in_lattice=True)
         out = val.to_mpc() / wf
         return BigComplex(out.real, out.imag, prec_bits)

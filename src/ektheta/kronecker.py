@@ -36,6 +36,7 @@ import mpmath as mp
 from .curves import (
     CurveData,
     LatticeData,
+    catalog_row_of,
     eta1_quasi_period,
     formal_log,
     lattice_pair_mpc,
@@ -105,11 +106,11 @@ def kronecker_regular(U: list, Uinv: list, order: int, ring) -> BiSeries:
     condition."""
     D = order + 1
     reduce = ring.reduce
-    uinv = [(j, c) for j, c in enumerate(Uinv) if not ring.is_zero(c)]
+    uinv = [(j, c) for j, c in enumerate(Uinv) if c]
     # A = U(z + w), as {(m, n): coeff}
     amap: Dict[Tuple[int, int], object] = {}
     for k in range(D + 1):
-        if ring.is_zero(U[k]):
+        if not U[k]:
             continue
         for j in range(k + 1):
             amap[(j, k - j)] = reduce(U[k] * math.comb(k, j))
@@ -138,7 +139,7 @@ def kronecker_regular(U: list, Uinv: list, order: int, ring) -> BiSeries:
     reg: Dict[Tuple[int, int], object] = {}
     for (m, n), v in vmap.items():
         v = reduce(v)
-        if ring.is_zero(v):
+        if not v:
             continue
         if m == 0 or n == 0:
             raise NotDivisibleError(
@@ -213,9 +214,9 @@ def _theta1_derivatives(v, q, n: int) -> List[mp.mpc]:
 class ThetaEvaluator:
     """Numeric reduced theta / Kronecker theta on a fixed lattice."""
 
-    def __init__(self, lattice: LatticeData, prec_bits: Optional[int] = None):
+    def __init__(self, lattice: LatticeData):
         self.lattice = lattice
-        self.prec = prec_bits or lattice.prec_bits
+        self.prec = lattice.prec_bits
         with mp.workprec(self.prec + 24):
             self.w1, self.w2 = lattice.pair_mpc()
             self.A = lattice.A()
@@ -333,9 +334,6 @@ class GenFunReport:
     polar_w: Tuple[mp.mpc, mp.mpc]
     e01_recorded: mp.mpc
     tolerance: float
-    # heuristic diagnostics, never asserted: continued-fraction reconstructions
-    # of a! A^a times the extracted coefficients that came out near-rational
-    near_rational: Dict[Tuple[int, int], Fraction] = None
 
     @property
     def passed(self) -> bool:
@@ -411,15 +409,6 @@ def verify_generating_function(z0_coords: Tuple[Fraction, Fraction],
         polar_z, polar_w = coeffs[(-1, 0)], coeffs[(0, -1)]
         maxdev = max(maxdev, abs(polar_z - polar_z_pred),
                      abs(polar_w - polar_w_pred))
-        from .eklerch import rational_reconstruct
-        near_rational = {}
-        for (a, b), (got, _want) in entries.items():
-            scaled = got * mp.factorial(a) * A ** a
-            if abs(mp.im(scaled)) < mp.mpf(10) * tol:
-                rec = rational_reconstruct(mp.re(scaled), 10 ** 5,
-                                           tol=mp.mpf(100) * tol)
-                if rec is not None:
-                    near_rational[(a, b)] = rec
         return GenFunReport(
             max_abs_deviation=maxdev,
             entries=entries,
@@ -427,7 +416,6 @@ def verify_generating_function(z0_coords: Tuple[Fraction, Fraction],
             polar_w=(polar_w, polar_w_pred),
             e01_recorded=coeffs[(0, 0)],
             tolerance=tol,
-            near_rational=near_rational,
         )
 
 
@@ -471,44 +459,30 @@ def find_epsilon(a_gen: ExactScalar, b_gen: ExactScalar, d: int) -> ExactScalar:
 
 def verify_distribution(a_gen: ExactScalar, b_gen: ExactScalar,
                         lattice: LatticeData, n_points: int = 10,
-                        tol: float = 1e-12, seed: int = 0,
-                        epsilon: Optional[ExactScalar] = None) -> DistributionReport:
+                        tol: float = 1e-12, seed: int = 0) -> DistributionReport:
     """Numeric residual of the distribution relation
 
         sum_{alpha, beta} <eps alpha, w0> Theta_{z0 + eps alpha, w0 + eps beta}
             = N(ab) Theta_{N(a) z0, N(b) w0}(N(a) z, N(b) w; conj(ab) Gamma)
 
-    at z0 = w0 = 0 over pseudo-random sample points.  When the coprimality
-    hypothesis (ab, conj b) = 1 fails (ramified b), the caller-supplied
-    epsilon (default 1) is used and the report flags the relaxation; at the
-    origin the epsilon factors are vacuous.
+    at z0 = w0 = 0 over pseudo-random sample points, in the CM field of the
+    lattice's curve (curves.catalog_row_of).  When the coprimality hypothesis
+    (ab, conj b) = 1 fails (ramified b), epsilon = 1 is used and the report
+    flags the relaxation; at the origin the epsilon factors are vacuous.
     """
     import random as _random
 
-    curve = lattice.curve
-    d = curve.d if curve is not None else 1
+    d = catalog_row_of(lattice.curve).d
     ev = ThetaEvaluator(lattice)
     with mp.workprec(ev.prec + 24):
         w1, w2 = ev.w1, ev.w2
         ab = a_gen * b_gen
-        bbar = b_gen.conjugate()
         relaxed = False
-        if epsilon is None:
-            try:
-                epsilon = find_epsilon(a_gen, b_gen, d)
-            except ValueError:
-                epsilon = ExactScalar(1)
-                relaxed = True
-        else:
-            # caller-supplied: check the congruences when the hypothesis holds
-            ok = in_ok((epsilon - 1) / ab, d) and in_ok(epsilon / bbar, d)
-            if not ok:
-                try:
-                    find_epsilon(a_gen, b_gen, d)
-                except ValueError:
-                    relaxed = True  # hypothesis (ab, conj b) = 1 fails: origin case
-                else:
-                    raise ValueError("epsilon violates its congruences")
+        try:
+            epsilon = find_epsilon(a_gen, b_gen, d)
+        except ValueError:
+            epsilon = ExactScalar(1)
+            relaxed = True
         # (1/g) O_K / O_K for the CM identification Gamma = O_K * w1
         alphas = [x / a_gen for x in residue_classes(a_gen, d)]
         betas = [x / b_gen for x in residue_classes(b_gen, d)]

@@ -3,9 +3,10 @@
 A :class:`UniSeries` is known modulo t^(order+1) and may carry finitely many
 negative-index (polar) coefficients.  A :class:`BiSeries` is truncated by
 total degree.  Coefficient scalars only need ``+ - * /`` among themselves and
-with ints; a small ring adapter supplies zero/one, Fraction coercion (for
-exp, log and integration denominators), a zero test and ``reduce``, which
-series products apply where their sums would otherwise grow without bound.
+with ints, and their truthiness is the zero test; a small ring adapter
+supplies zero/one, Fraction coercion (for exp, log and integration
+denominators) and ``reduce``, which series products apply where their sums
+would otherwise grow without bound.
 Plain ``Fraction`` objects serve as the scalars of the rational exact ring
 and ``ExactScalar`` for quadratic fields.  The p-adic engine uses plain
 ints mod p^k, the scalars of :class:`IntModRing`: each series carries one
@@ -74,15 +75,8 @@ class ExactRing:
         return fr if self.d == 0 else ExactScalar(fr)
 
     @staticmethod
-    def is_zero(x) -> bool:
-        return not x
-
-    @staticmethod
     def reduce(x):
         return x
-
-    def __eq__(self, other):
-        return isinstance(other, ExactRing) and other.d == self.d
 
     def __repr__(self):
         return f"ExactRing(d={self.d})"
@@ -105,10 +99,6 @@ class IntModRing:
     def reduce(self, x: int) -> int:
         return x % self.modulus
 
-    @staticmethod
-    def is_zero(x) -> bool:
-        return not x
-
     def __repr__(self):
         return f"IntModRing({self.modulus})"
 
@@ -126,10 +116,6 @@ class ComplexRing:
     @staticmethod
     def from_fraction(fr: Fraction):
         return mp.mpf(fr.numerator) / fr.denominator
-
-    @staticmethod
-    def is_zero(x) -> bool:
-        return not x
 
     @staticmethod
     def reduce(x):
@@ -152,7 +138,7 @@ class UniSeries:
         self.order = order
         if normalize:
             coeffs = {k: v for k, v in coeffs.items()
-                      if k <= order and not ring.is_zero(v)}
+                      if k <= order and v}
         self.coeffs = coeffs
 
     # -- constructors -----------------------------------------------------
@@ -237,7 +223,7 @@ class UniSeries:
         for m in range(1, n + 1):
             s = None
             for i in range(1, m + 1):
-                if self.ring.is_zero(a[i]):
+                if not a[i]:
                     continue
                 t = a[i] * b[m - i]
                 s = t if s is None else s + t
@@ -270,7 +256,7 @@ class UniSeries:
             s = None
             for j in range(1, m + 1):
                 c = Lp.coeff(j - 1)
-                if self.ring.is_zero(c):
+                if not c:
                     continue
                 t = c * e[m - j]
                 s = t if s is None else s + t
@@ -284,7 +270,7 @@ class UniSeries:
         Polar coefficients of self turn into Laurent contributions through
         1/inner(t)^k, which requires inner to have valuation exactly 1.
         """
-        if not self.ring.is_zero(inner.coeff(0)):
+        if inner.coeff(0):
             raise SeriesError("inner constant term must vanish")
         order = min(self.order, inner.order)
         out = UniSeries(self.ring, {}, order)
@@ -353,7 +339,7 @@ class BiSeries:
         self.order = order
         if normalize:
             coeffs = {k: v for k, v in coeffs.items()
-                      if k[0] + k[1] <= order and not ring.is_zero(v)}
+                      if k[0] + k[1] <= order and v}
         self.coeffs = coeffs
 
     def coeff(self, m: int, n: int):
@@ -406,7 +392,7 @@ class BiSeries:
     def compose(self, inner_s: UniSeries, inner_t: UniSeries) -> "BiSeries":
         """self(inner_s(s), inner_t(t)); both inners with zero constant term."""
         for inner in (inner_s, inner_t):
-            if not self.ring.is_zero(inner.coeff(0)):
+            if inner.coeff(0):
                 raise SeriesError("inner constant term must vanish")
         order = min(self.order, inner_s.order, inner_t.order)
         reduce = self.ring.reduce

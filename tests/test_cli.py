@@ -40,6 +40,13 @@ class TestCatalog:
         b = run_cli("catalog", "--u", "2").stdout
         assert a == b
 
+    def test_catalog_echoes_u(self):
+        doc = json.loads(run_cli("catalog", "--u", "4").stdout)
+        assert [r["at_u"]["u"] for r in doc["rows"]] == ["4/1"] * 13
+        zi = [r["at_u"] for r in doc["rows"] if r["cm_order"] == "Z[sqrt(-1)]"][0]
+        assert (zi["g2"], zi["g3"], zi["cm_order"], zi["d"]) == \
+            ("4/1", "0/1", "Z[sqrt(-1)]", 1)
+
 
 class TestExpandCompose:
     def test_expand_kronecker(self, tmp_path):
@@ -185,8 +192,11 @@ class TestVerifyCommands:
         (["measure", "--g2", "2", "--g3", "1", "--e2star", "1/2", "--prime", "13",
           "--prec", "4", "--order", "8"],
          "not the j-invariant of a catalog curve"),
+        (["verify", "distribution", "--g2", "2", "--g3", "1", "--e2star", "1/2",
+          "--ideal-a", "2", "--ideal-b", "1", "--points", "1"],
+         "not the j-invariant of a catalog curve"),
     ], ids=["missing-curve", "unknown-character", "j-outside-catalog",
-            "measure-j-outside-catalog"])
+            "measure-j-outside-catalog", "distribution-j-outside-catalog"])
     def test_usage_error_says_why(self, argv, reason):
         cp = run_cli(*argv, check=False)
         assert cp.returncode == 2
@@ -195,7 +205,9 @@ class TestVerifyCommands:
     def test_interpolation_artifact_pinned(self):
         # sha256 of the payload (meta dropped) from when the composed
         # expansion was built in exact Fractions: the integral route moves
-        # no bit of the rows or the Kummer block
+        # no bit of the rows or the Kummer block.  Re-pinned when each row
+        # came to compare every digit both sides claim (padic_digits 1 or 0
+        # became 8 on all 20 rows; b8bd3d53... before)
         cp = run_cli("verify-interpolation", "--catalog", "Z[sqrt(-1)]", "--u", "4",
                      "--prime", "13", "--prec", "4", "--amax", "4", "--bmax", "4",
                      "--kummer-max", "20",
@@ -204,7 +216,7 @@ class TestVerifyCommands:
         del doc["meta"]
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
         assert digest == \
-            "b8bd3d537048ef365b602e1266eb22c6f5c76015e51f712ee523f475858c3efc"
+            "1f23d100d512d38635a2f0f79ae62d1ae21f96227fccbedd4ac70bfa1bef6af5"
 
     def test_kummer_block_without_pairs_fails(self):
         # exponents <= 5 pair nothing mod 12: a block that compared no pair
@@ -264,6 +276,17 @@ class TestVerifyCommands:
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
         assert digest == want
 
+    def test_distribution_raw_curve_takes_its_field_from_j(self):
+        # g2 = 4, g3 = 0, e2* = 0 is the Z[sqrt(-1)] curve at u = 4
+        raw, cat = (json.loads(run_cli("verify", "distribution", *curve,
+                                       "--ideal-a", "2", "--ideal-b", "1",
+                                       "--points", "2", "--tol", "1e-12").stdout)
+                    for curve in (["--g2", "4", "--g3", "0", "--e2star", "0"],
+                                  ["--catalog", "Z[sqrt(-1)]", "--u", "4"]))
+        del raw["meta"], cat["meta"]
+        assert raw["passed"] and not raw["relaxed_epsilon"]
+        assert raw == cat
+
     def test_distribution_cli(self):
         cp = run_cli("verify", "distribution", "--catalog", "Z[sqrt(-1)]",
                      "--u", "4", "--ideal-a", "1", "--ideal-b", "1+i",
@@ -291,7 +314,10 @@ class TestMeasureCommands:
     def test_readme_measure_artifact_pinned(self):
         # sha256 of the payload (meta dropped) of the README command, from
         # when the measure, its restriction and its moments ran on p-adic
-        # scalars with per-value precision: ints mod p^k move no bit
+        # scalars with per-value precision: ints mod p^k move no bit.
+        # Re-pinned when formal_moments came to keep every moment whose
+        # series still has a constant term: 17 moments became 20, the 17
+        # unchanged (ec840873... before)
         cp = run_cli("measure", "--catalog", "Z[sqrt(-1)]", "--u", "4",
                      "--prime", "13", "--prec", "8", "--order", "12",
                      "--restrict", "--moments", "4,4",
@@ -300,18 +326,20 @@ class TestMeasureCommands:
         del doc["meta"]
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
         assert digest == \
-            "ec840873c1156d7d9ec07ca2e29b9e15d0fd4854d50a4b1d36023b742b390ca9"
+            "4979e85d771cdb7234f3fb04908d187b4849012d8275b6a16ad3fa92bc69c908"
 
     @pytest.mark.parametrize("label,want", [
         ("Z[(1+sqrt(-7))/2]",
-         "ff9195935af39b1a08f42bed73d3b2d6a2114ff81834ea30251fff4507baafdf"),
+         "c6720f221d879f4e5cd1234d25a34377c9e01cd4aa2d6668f35a51e37a3d2bc7"),
         ("Z[sqrt(-2)]",
-         "5f16890e2b4f24d31a9439b20a98f04ccc138b09f3f1b7d7720c7c9cf66f23c4"),
+         "85cfcac7a1ffe1d2c0c2eae8eb6b891e1e866a3b3e77fb01fe1500bacaa4f769"),
     ], ids=["d7", "d2"])
     def test_restricted_measure_off_zi_pinned(self, label, want):
         # sha256 of the payload (meta dropped) of a restricted measure on a
         # field other than Q(i), from the four-term trace loop: the factored
-        # restriction moves no bit
+        # restriction moves no bit.  Re-pinned when formal_moments came to
+        # keep every moment whose series still has a constant term (d7
+        # ff919593..., d2 5f16890e... before)
         cp = run_cli("measure", "--catalog", label, "--u", "1", "--prime", "11",
                      "--prec", "6", "--order", "10", "--restrict", "--moments", "3,3",
                      env={"EKTHETA_PREC_BITS": "256", "PYTHONHASHSEED": "0"})

@@ -1,4 +1,5 @@
 """Catalog, exact expansions, periods, pairing."""
+import dataclasses
 import hashlib
 import json
 import random
@@ -13,6 +14,7 @@ from ektheta.curves import (
     PeriodPrecisionError,
     catalog,
     catalog_row,
+    catalog_row_of,
     compute_periods,
     eisenstein_backcheck,
     eta1_quasi_period,
@@ -64,6 +66,38 @@ class TestCatalog:
     def test_alias(self):
         assert catalog_row("Z[i]").label == "Z[sqrt(-1)]"
 
+    def test_curve_is_its_weierstrass_data(self):
+        # the CM row is read from j, not stored: a raw curve with the same
+        # (g2, g3, e2*) is the same value, and hashes alike
+        raw = CurveData(ExactScalar(4), ExactScalar(0), ExactScalar(0))
+        assert raw == zi_curve() and hash(raw) == hash(zi_curve())
+        assert [f.name for f in dataclasses.fields(CurveData)] == \
+            ["g2", "g3", "e2_star"]
+
+
+class TestCatalogRowOf:
+    @pytest.mark.parametrize("u", [1, 4, Fraction(1, 3)], ids=["u1", "u4", "u1_3"])
+    def test_every_row_is_found_from_its_j(self, u):
+        for row in catalog():
+            assert catalog_row_of(row.curve(u)) is row
+
+    def test_scaled_by_pibar_keeps_its_row_and_field(self):
+        # the four-term moment's curves: (g2, g3, e2*) / (pibar^4, pibar^6,
+        # pibar^2) has coefficients in Q(sqrt(-d)), and the same j
+        from ektheta.padic import is_split, split_prime_generator
+        for row in catalog():
+            p = next(q for q in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+                     if is_split(q, row.d))
+            pibar = split_prime_generator(p, row.d).conjugate()
+            curve = row.curve(1).scaled(pibar)
+            assert catalog_row_of(curve) is row
+            assert not curve.g2.is_rational() or not curve.g3.is_rational()
+            assert curve.ring().d == row.d
+
+    def test_raw_curve_outside_the_catalog_is_refused(self):
+        with pytest.raises(ValueError, match="not the j-invariant of a catalog curve"):
+            catalog_row_of(CurveData(ExactScalar(2), ExactScalar(1)))
+
 
 class TestWpSeries:
     def test_leading_coefficients(self):
@@ -85,7 +119,7 @@ class TestWpSeries:
         wp = wp_series(curve, order + 4)
         lhs = wp.derivative() * wp.derivative() - 4 * (wp * wp * wp) \
             + wp.scale(curve.g2.a) + UniSeries.constant(wp.ring, curve.g3.a, order)
-        assert all(wp.ring.is_zero(c) for k, c in lhs.coeffs.items() if k <= order)
+        assert all(not c for k, c in lhs.coeffs.items() if k <= order)
 
 
 class TestSigmaTheta:
@@ -140,7 +174,7 @@ class TestSigmaTheta:
         f = sig.shift(-1)  # sigma/z
         dlog = f.derivative() * f.inverse()  # (log(sigma/z))'
         check = dlog.derivative() + wp - UniSeries(wp.ring, {-2: wp.ring.one}, order)
-        assert all(wp.ring.is_zero(c) for k, c in check.coeffs.items() if k <= order - 3)
+        assert all(not c for k, c in check.coeffs.items() if k <= order - 3)
 
 
 class TestFormalLog:

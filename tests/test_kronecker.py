@@ -446,23 +446,3 @@ class TestHeatmapRidge:
         assert hm.ridge_nondecreasing_from(10)
         rows = list(hm.csv_rows())
         assert all(len(r) == 3 for r in rows)
-
-
-class TestEpsilonChecks:
-    def test_supplied_epsilon_congruence_violation(self, zi_lattice):
-        with pytest.raises(ValueError, match="congruence"):
-            verify_distribution(ExactScalar(2), ExactScalar(1), zi_lattice,
-                                n_points=1, tol=1e-10, epsilon=ExactScalar(2))
-
-    def test_supplied_valid_epsilon_accepted(self, zi_lattice):
-        rep = verify_distribution(ExactScalar(2), ExactScalar(1), zi_lattice,
-                                  n_points=1, tol=1e-10, epsilon=ExactScalar(1))
-        assert rep.passed and not rep.relaxed_epsilon
-
-
-def test_near_rational_diagnostics_at_origin(zi_lattice):
-    rep = verify_generating_function((Fraction(0), Fraction(0)),
-                                     (Fraction(0), Fraction(0)),
-                                     2, 4, zi_lattice, tol=1e-14)
-    # diagnostics only; at the origin the coefficients are genuinely rational
-    assert rep.near_rational.get((0, 4)) == Fraction(-1, 15)

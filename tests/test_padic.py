@@ -13,6 +13,8 @@ from ektheta.kronecker import _as_fraction, compose_formal, kronecker_exact, \
 from ektheta import padic
 from ektheta.padic import (
     IntegralityError,
+    InterpolationReport,
+    InterpolationRow,
     NoPeriodError,
     _euler_moments_mod,
     _exact_composed,
@@ -700,26 +702,28 @@ class TestInterpolationSweep:
     @pytest.mark.parametrize("label,p", GATE_ROWS,
                              ids=[f"{lab}-p{p}" for lab, p in GATE_ROWS])
     def test_every_catalog_row_interpolates(self, label, p):
+        # every row compares all N + 4 = 10 digits the restriction claims
         rep = verify_interpolation_origin(catalog_row(label).curve(1), p, 6, 4, 4)
         assert rep.passed
+        assert len(rep.rows) == 20
+        assert [r.padic_digits_checked for r in rep.rows] == [10] * 20
 
 
 class TestInterpolationSmall:
     def test_origin_interpolation_n6(self):
         rep = verify_interpolation_origin(zi_curve(), 13, 6, 4, 4)
         assert rep.passed
-        fours = [r for r in rep.rows if (r.a + r.b) % 4 == 0]
-        # the buffer (a+3 digits here) eats the comparison window at large a
-        assert fours and all(r.padic_digits_checked > 0 for r in fours
-                             if r.a + r.b == 4 and r.a <= 2)
+        # no digit is held back: each moment is compared to its full N + 4
+        assert all(r.padic_digits_checked == 10 for r in rep.rows)
 
     def test_run_checking_no_digit_does_not_pass(self):
-        # at N = 3 every comparison window is eaten by the buffer: each row
-        # agrees vacuously, and the run shows nothing about the measure
-        rep = verify_interpolation_origin(zi_curve(), 13, 3, 4, 4)
-        assert all(r.exact_equal and r.padic_equal for r in rep.rows)
-        assert not any(r.padic_digits_checked for r in rep.rows)
-        assert not rep.passed
+        # rows that agree but compared no p-adic digit show nothing about the
+        # measure; one compared digit makes the same run pass
+        pi = split_prime_generator(13, 1)
+        rows = [InterpolationRow(a, 1, True, 0, True) for a in range(3)]
+        assert not InterpolationReport(13, 4, pi, rows).passed
+        rows[0] = InterpolationRow(0, 1, True, 1, True)
+        assert InterpolationReport(13, 4, pi, rows).passed
 
     @pytest.mark.parametrize("label,p", [
         ("Z[sqrt(-3)]", 7),
