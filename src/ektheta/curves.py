@@ -38,8 +38,10 @@ __all__ = [
     "catalog_row_of",
     "j_invariant",
     "wp_series",
+    "sigma_integers",
     "sigma_series",
     "theta_series",
+    "log_integers",
     "formal_log",
     "compute_periods",
     "lattice_pair_mpc",
@@ -213,26 +215,67 @@ def wp_series(curve: CurveData, order: int, ring: Optional[ExactRing] = None) ->
     return UniSeries(ring, out, order)
 
 
+@lru_cache(maxsize=8)
+def sigma_integers(order: int) -> Tuple[Tuple[int, int, int, int], ...]:
+    """(k, m, n, a_mn) for k = 4m + 6n + 1 <= order: Weierstrass's integers
+    (DLMF section 23.9), by weight 2m + 3n from a_00 = 1,
+
+        3 a_mn = 9 (m+1) a_(m+1,n-1) + 16 (n+1) a_(m-2,n+1)
+                 - (2m+3n-1)(4m+6n-1) a_(m-1,n),
+
+    a with a negative index being 0.  Each a_mn is an integer: a remainder
+    mod 3 is a bug."""
+    a: Dict[Tuple[int, int], int] = {(0, 0): 1}
+    out = [(1, 0, 0, 1)]
+    for wt in range(1, (order - 1) // 2 + 1):
+        for n in range(wt % 2, wt // 3 + 1, 2):
+            m = (wt - 3 * n) // 2
+            t = 9 * (m + 1) * a.get((m + 1, n - 1), 0) \
+                + 16 * (n + 1) * a.get((m - 2, n + 1), 0) \
+                - (2 * m + 3 * n - 1) * (4 * m + 6 * n - 1) * a.get((m - 1, n), 0)
+            q, r = divmod(t, 3)
+            if r:
+                raise AssertionError(f"Weierstrass a_({m},{n}) is not an integer")
+            a[(m, n)] = q
+            out.append((2 * wt + 1, m, n, q))
+    return tuple(out)
+
+
 def sigma_series(curve: CurveData, order: int, ring: Optional[ExactRing] = None) -> UniSeries:
-    """Weierstrass sigma: the odd unit-derivative solution of
-    (log sigma)'' = -wp, computed by integrating the regular part of -wp
-    twice and exponentiating: sigma = z * exp(-I I (wp - z^-2))."""
+    """Weierstrass sigma (DLMF section 23.9):
+
+        sigma(z) = sum_{m,n} a_mn (g2/2)^m (2 g3)^n z^(4m+6n+1)/(4m+6n+1)!,
+
+    with Weierstrass's integers a_mn (sigma_integers)."""
     ring = ring or curve.ring()
-    wp = wp_series(curve, order + 2, ring)
-    P = UniSeries(ring, {k: v for k, v in wp.coeffs.items() if k >= 0}, order - 1)
-    L = (-P).integrate().integrate()
-    return L.exp().shift(1).truncate(order)
+    h2 = ring.coerce(curve.g2) * Fraction(1, 2)
+    h3 = ring.coerce(curve.g3) * 2
+    h2pow, h3pow = [ring.one], [ring.one]
+    out = {}
+    for k, m, n, a in sigma_integers(order):
+        while len(h2pow) <= m:
+            h2pow.append(h2pow[-1] * h2)
+        while len(h3pow) <= n:
+            h3pow.append(h3pow[-1] * h3)
+        if a and h2pow[m] and h3pow[n]:
+            c = h2pow[m] * h3pow[n] * Fraction(a, factorial(k))
+            out[k] = out[k] + c if k in out else c
+    return UniSeries(ring, out, order)
 
 
 def theta_series(curve: CurveData, order: int, ring: Optional[ExactRing] = None) -> UniSeries:
-    """Reduced theta series exp(-(e2*/2) z^2) sigma(z), theta'(0) = 1."""
+    """Reduced theta series exp(-(e2*/2) z^2) sigma(z), theta'(0) = 1; the
+    exponential as sum_j (-e2*/2)^j z^(2j)/j!."""
     if curve.e2_star is None:
         raise ValueError("curve has no e2* (supply one or use a catalog row)")
     ring = ring or curve.ring()
     sig = sigma_series(curve, order, ring)
-    e2 = ring.coerce(curve.e2_star)
-    quad = UniSeries(ring, {2: -(e2 * Fraction(1, 2))}, order)
-    return (quad.exp() * sig).truncate(order)
+    h = -(ring.coerce(curve.e2_star) * Fraction(1, 2))
+    quad, c = {}, ring.one
+    for j in range(order // 2 + 1):
+        quad[2 * j] = c
+        c = c * h * Fraction(1, j + 1)
+    return (UniSeries(ring, quad, order) * sig).truncate(order)
 
 
 @dataclass(frozen=True)
@@ -241,6 +284,16 @@ class FormalLog:
 
     series: UniSeries
     curve: CurveData
+
+
+def log_integers(order: int):
+    """(k, m, n, (2m+3n)!/((m+2n)! m! n!)) for k = 4m + 6n + 1 <= order: the
+    terms of the formal logarithm (formal_log), the multinomial an integer."""
+    for m in range((order - 1) // 4 + 1):
+        for n in range((order - 1 - 4 * m) // 6 + 1):
+            yield (4 * m + 6 * n + 1, m, n,
+                   factorial(2 * m + 3 * n)
+                   // (factorial(m + 2 * n) * factorial(m) * factorial(n)))
 
 
 def formal_log(curve: CurveData, order: int, ring: Optional[ExactRing] = None) -> FormalLog:
@@ -255,21 +308,14 @@ def formal_log(curve: CurveData, order: int, ring: Optional[ExactRing] = None) -
     out = {}
     g2pow = [ring.one]
     g3pow = [ring.one]
-    m = 0
-    while 4 * m + 1 <= order:
-        if m >= len(g2pow):
+    for k, m, n, multinomial in log_integers(order):
+        while len(g2pow) <= m:
             g2pow.append(g2pow[-1] * qg2)
-        n = 0
-        while (k := 4 * m + 6 * n + 1) <= order:
-            if n >= len(g3pow):
-                g3pow.append(g3pow[-1] * qg3)
-            num = factorial(2 * m + 3 * n)
-            den = factorial(m + 2 * n) * factorial(m) * factorial(n)
-            c = g2pow[m] * g3pow[n] * Fraction(num, den * k)
-            if c:
-                out[k] = out[k] + c if k in out else c
-            n += 1
-        m += 1
+        while len(g3pow) <= n:
+            g3pow.append(g3pow[-1] * qg3)
+        c = g2pow[m] * g3pow[n] * Fraction(multinomial, k)
+        if c:
+            out[k] = out[k] + c if k in out else c
     return FormalLog(UniSeries(ring, out, order), curve)
 
 

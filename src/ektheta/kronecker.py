@@ -52,6 +52,7 @@ from .series import (
     KroneckerExpansion,
     NotDivisibleError,
     UniSeries,
+    axpy,
 )
 
 __all__ = [
@@ -100,56 +101,61 @@ def kronecker_regular(U: list, Uinv: list, order: int, ring) -> BiSeries:
     """(z + w)(V - 1)/(z w), V = U(z + w) U(z)^-1 U(w)^-1, to total degree
     `order`, from the coefficient lists of U and U^-1 (degrees 0..order+1).
 
-    ring.reduce is applied after each stage, so the same loop runs on exact
-    scalars and on ints mod m (IntModRing).  V - 1 must vanish on both axes
-    and the result must be symmetric; either failure is a bug, not a data
-    condition."""
+    The loops run on anti-diagonals, one list per total degree d indexed by
+    the z-exponent: U(z)^-1 moves (m, n) to (m + j, n) and U(w)^-1 to
+    (m, n + j), so each coefficient of U^-1 scales a whole anti-diagonal by
+    one factor.  The same loops run on exact scalars and on a ScaledIntRing
+    (U and U^-1 of varpi-scaled z, entry k of varpi-degree k, and a product
+    carries one factor p where the carry rule says so).  There
+    the result at total degree d is stored with p^(floor(d/(p-1)) + 1), one
+    power of p above its varpi-degree, so that the shift through
+    (z + w)/(z w) multiplies by p or 1 and never divides.
+
+    V - 1 must vanish on both axes and the result must be symmetric; either
+    failure is a bug, not a data condition."""
     D = order + 1
-    reduce = ring.reduce
-    uinv = [(j, c) for j, c in enumerate(Uinv) if c]
-    # A = U(z + w), as {(m, n): coeff}
-    amap: Dict[Tuple[int, int], object] = {}
-    for k in range(D + 1):
-        if not U[k]:
-            continue
-        for j in range(k + 1):
-            amap[(j, k - j)] = reduce(U[k] * math.comb(k, j))
-    # multiply by U(z)^-1 then U(w)^-1 (univariate convolutions)
-    bmap: Dict[Tuple[int, int], object] = {}
-    for (m, n), v in amap.items():
-        lim = D - m - n
-        for j, c in uinv:
-            if j > lim:
-                break
-            key = (m + j, n)
-            t = v * c
-            bmap[key] = bmap[key] + t if key in bmap else t
-    vmap: Dict[Tuple[int, int], object] = {}
-    for (m, n), v in bmap.items():
-        v = reduce(v)
-        lim = D - m - n
-        for j, c in uinv:
-            if j > lim:
-                break
-            key = (m, n + j)
-            t = v * c
-            vmap[key] = vmap[key] + t if key in vmap else t
+    period, carry = ring.period, ring.carry
+    uinv = [(j, c, c * carry if carry != 1 else c, j % period)
+            for j, c in enumerate(Uinv[:D + 1]) if c]
+
+    def times_inverse(diagonals, along_z: bool) -> list:
+        out = [[ring.zero] * (d + 1) for d in range(D + 1)]
+        for d, src in enumerate(diagonals):
+            if not any(src):
+                continue
+            rd = d % period
+            for j, c, cc, r in uinv:
+                if d + j > D:
+                    break
+                tgt, lo = out[d + j], j if along_z else 0
+                tgt[lo:lo + d + 1] = axpy(tgt[lo:lo + d + 1], src,
+                                          cc if rd + r >= period else c)
+        return [ring.reduce_row(row) for row in out]
+
+    # A = U(z + w): anti-diagonal d holds U_d C(d, m) at index m
+    A = [ring.reduce_row([U[d] * math.comb(d, m) for m in range(d + 1)])
+         if U[d] else [] for d in range(D + 1)]
+    V = times_inverse(times_inverse(A, True), False)
+    V[0][0] = ring.reduce(V[0][0] - ring.one)
     # V - 1 must vanish on both axes (forced by the polar structure)
-    vmap[(0, 0)] = vmap.get((0, 0), ring.zero) - ring.one
+    for d, row in enumerate(V):
+        for m in (0, d):
+            if row[m]:
+                raise NotDivisibleError(
+                    f"Kronecker divisibility failed at z^{m} w^{d - m}: {row[m]} "
+                    "(implementation bug, not a data condition)")
+    # (z + w) (V - 1)/(z w): (m, n) of degree d - 1 takes V(m, n+1) + V(m+1, n)
     reg: Dict[Tuple[int, int], object] = {}
-    for (m, n), v in vmap.items():
-        v = reduce(v)
-        if not v:
+    for d in range(1, D + 1):
+        row = V[d]
+        if not any(row):
             continue
-        if m == 0 or n == 0:
-            raise NotDivisibleError(
-                f"Kronecker divisibility failed at z^{m} w^{n}: {v} "
-                "(implementation bug, not a data condition)")
-        # (z + w) * (V - 1)/(z w): shift (m-1, n-1) through (z + w)
-        for key in ((m, n - 1), (m - 1, n)):
-            if key[0] + key[1] <= order:
-                reg[key] = reg[key] + v if key in reg else v
-    regular = BiSeries(ring, {k: reduce(v) for k, v in reg.items()}, order)
+        row = [(a + b if b else a) if a else b for a, b in zip(row, row[1:])]
+        if d % period:
+            row = [v * carry for v in row]
+        reg.update(((m, d - 1 - m), v)
+                   for m, v in enumerate(ring.reduce_row(row)) if v)
+    regular = BiSeries(ring, reg, order)
     if not regular.is_symmetric():
         raise AssertionError("Theta expansion lost z<->w symmetry")
     return regular
@@ -553,13 +559,18 @@ def log_and_tail_inverse(curve: CurveData, order: int, ring: ExactRing):
 def compose_regular(regular: BiSeries, lam: UniSeries, Q: UniSeries,
                     order: int) -> BiSeries:
     """regular(lam(s), lam(t)) plus the polar tails 1/lam(u) - 1/u =
-    (Q(u) - 1)/u on both axes, to total degree `order`; exact or on ints
-    mod m (IntModRing), as the inputs are."""
+    (Q(u) - 1)/u on both axes, to total degree `order`; exact, or
+    varpi-scaled on a ScaledIntRing (BiSeries.compose), as the inputs are.
+    There the regular part carries one power of p above its varpi-degree
+    (kronecker_regular), and so does each tail term: Q_k, of varpi-degree
+    k, moves to degree k - 1 times p, or times 1 when p - 1 divides k."""
     ring = regular.ring
     composed = regular.compose(lam, lam)
     add = {}
     for k, v in Q.coeffs.items():
         if k >= 1 and k - 1 <= order:
+            if k % ring.period:
+                v = v * ring.carry
             for key in ((k - 1, 0), (0, k - 1)):
                 add[key] = add[key] + v if key in add else v
     return composed + BiSeries(ring, {k: ring.reduce(v) for k, v in add.items()},

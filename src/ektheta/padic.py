@@ -45,10 +45,12 @@ shadows) cancels identically in L_s L_t, so only the regular part enters.
 
 Composed expansion.  Theta-hat(s, t) = Theta(lambda(s), lambda(t)) is
 p-integral at ordinary p, though lambda is not.  ``_exact_composed`` computes
-p Theta-hat(p s, p t) on ints mod p^K from p-integral scaled inputs and reads
-Theta-hat mod p^digits off it; the exact Fraction route
-(kronecker_exact + compose_formal) shares its bivariate loops and is its
-test oracle.
+it in varpi-scaled variables (varpi^(p-1) = p), where every input is
+integral, on ints mod p^W with the carry rule of ``series.ScaledIntRing``,
+and reads Theta-hat mod p^digits off it; the exact Fraction route
+(kronecker_exact + compose_formal) runs the same bivariate loops and is its
+test oracle.  The Kummer block reads its Eisenstein-Kronecker factors off
+the same scaled regular part.
 
 Interpolation.  The Euler factors use pi, the generator of the prime above
 p in the curve's CM order Z + f O_K (``cm_prime_generator``).  Each
@@ -63,14 +65,15 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .curves import CurveData, catalog_row_of, formal_log
-from .kronecker import _as_fraction, _unit_series_list, compose_regular, \
-    kronecker_exact, kronecker_regular, log_and_tail_inverse
+from .curves import CurveData, catalog_row_of, formal_log, log_integers, \
+    sigma_integers
+from .kronecker import _as_fraction, compose_regular, kronecker_exact, \
+    kronecker_regular
 from .scalars import ExactScalar, PadicScalar, charpoly, divrem_monic, \
     embed_padic, ideal_generators, inverse, kronecker_mul, mulmod, ok_omega, \
     ok_units, power_sums, trace, _sqrt_minus_d_mod, _vp_fraction
 from .series import BiSeries, ExactRing, IntModRing, KroneckerExpansion, \
-    UniSeries
+    ScaledIntRing, UniSeries, scaled_mul, unit_inverse
 
 __all__ = [
     "NoPeriodError",
@@ -106,9 +109,11 @@ def precision_buffer(a: int, b: int, p: int) -> int:
 
 
 def _int_mod(x: Fraction, p: int, pk: int) -> int:
-    """x mod pk for a p-integral rational x."""
+    """x mod pk for a p-integral rational x; IntegralityError naming v_p
+    otherwise."""
     if x.denominator % p == 0:
-        raise IntegralityError(f"{x} is not {p}-integral")
+        raise IntegralityError(f"{x} has v_p = {_vp_fraction(x, p)} < 0: "
+                               f"not {p}-integral")
     return x.numerator * pow(x.denominator, -1, pk) % pk
 
 
@@ -523,64 +528,117 @@ def formal_group_translate(alg: TorsionAlgebra, keep: int) -> list:
 # unit restriction on the formal side: (p - 1 - Tr) on each axis
 # ---------------------------------------------------------------------------
 
+def _scaled_over_factorials(ring: ScaledIntRing, n: int, scale: int,
+                            shift: int) -> list:
+    """p^floor((scale k + shift)/(p-1))/k! mod p^width for k = 0..n: ints
+    for scale >= 1 and shift >= -1, since v_p(k!) <= (k - 1)/(p - 1)."""
+    p, pk, q = ring.p, ring.modulus, ring.period
+    out, v, unit = [], 0, 1
+    for k in range(n + 1):
+        j = k
+        while j and j % p == 0:
+            j //= p
+            v += 1
+        unit = unit * (j or 1) % pk
+        out.append(p ** ((scale * k + shift) // q - v) * pow(unit, -1, pk) % pk)
+    return out
+
+
+def _scaled_theta_unit(curve: CurveData, ring: ScaledIntRing, D: int) -> list:
+    """U(varpi z) to degree D on ring, U = theta/z (entry k stores
+    p^floor(k/(p-1)) U_k): sigma/z gives a_mn (g2/2)^m (2 g3)^n
+    p^floor((k-1)/(p-1))/k! at degree k - 1 = 4m + 6n (curves.sigma_integers),
+    and exp(-e2* z^2/2) gives (-e2*/2)^j p^floor(2j/(p-1))/j! at degree 2j.
+    g2, g3 or e2* not p-integral raises IntegralityError naming v_p."""
+    if curve.e2_star is None:
+        raise ValueError("curve has no e2* (supply one or use a catalog row)")
+    p, pk = ring.p, ring.modulus
+    half = pow(2, -1, pk)
+    g2, g3, e2 = (_int_mod(_as_fraction(x), p, pk)
+                  for x in (curve.g2, curve.g3, curve.e2_star))
+    h2, h3, h = g2 * half % pk, 2 * g3 % pk, -e2 * half % pk
+    S, E = [0] * (D + 1), [0] * (D + 1)
+    over = _scaled_over_factorials(ring, D + 1, 1, -1)
+    for k, m, n, a in sigma_integers(D + 1):
+        S[k - 1] += a % pk * pow(h2, m, pk) * pow(h3, n, pk) * over[k]
+    over = _scaled_over_factorials(ring, D // 2, 2, 0)
+    for j in range(D // 2 + 1):
+        E[2 * j] = pow(h, j, pk) * over[j]
+    return scaled_mul(ring.reduce_row(S), ring.reduce_row(E), D, ring)
+
+
+def _scaled_regular(curve: CurveData, ring: ScaledIntRing, order: int) -> BiSeries:
+    """The regular part of Theta in varpi-scaled variables to total degree
+    `order`, (m, n) stored as p^(floor((m+n)/(p-1)) + 1) c_mn
+    (kronecker_regular on ring)."""
+    U = _scaled_theta_unit(curve, ring, order + 1)
+    return kronecker_regular(U, unit_inverse(U, order + 1, ring), order, ring)
+
+
+def _scaled_log(curve: CurveData, ring: ScaledIntRing, n: int) -> list:
+    """lambda(varpi s)/varpi to degree n on ring: its s^k coefficient, of
+    varpi-degree k - 1, stores multinomial (-g2/4)^m (-g3/4)^n
+    p^floor((k-1)/(p-1))/k (curves.log_integers), an int since
+    v_p(k) <= floor((k - 1)/(p - 1))."""
+    p, pk = ring.p, ring.modulus
+    quarter = pow(-4, -1, pk)
+    a4, a6 = (_int_mod(_as_fraction(g), p, pk) * quarter % pk
+              for g in (curve.g2, curve.g3))
+    lam = [0] * (n + 1)
+    for k, m, j, multinomial in log_integers(n):
+        v = _vp_fraction(k, p)
+        lam[k] += multinomial * pow(a4, m, pk) * pow(a6, j, pk) \
+            * p ** ((k - 1) // ring.period - v) * pow(k // p ** v, -1, pk)
+    return ring.reduce_row(lam)
+
+
 @lru_cache(maxsize=4)
 def _exact_composed(curve: CurveData, p: int, order: int,
                     digits: int) -> Dict[Tuple[int, int], int]:
     """The starred composed expansion, {(i, j): Theta-hat_ij mod p^digits}
     for i + j <= order (zeros mod p^digits omitted), computed on ints.
 
-    Substituting s -> p s, t -> p t scales the exact route's univariate
-    inputs: U(p z) and U(p z)^-1 have coefficients p^k U_k, lambda(p s)/p has
-    p^(k-1) lambda_k and Q(p s) = (lambda/s)^-1(p s) has p^k Q_k.  The same
-    two bivariate stages (kronecker_regular, compose_regular) applied to
-    them give p Theta-hat(p s, p t), whose (i, j) coefficient is
-    p^(i+j+1) Theta-hat_ij.  Only ring operations and monomial shifts occur,
-    so on ints mod p^K, K = digits + order + 2, every coefficient is exact
-    mod p^K, which leaves at least digits + 1 digits after the shift.
+    Everything runs in varpi-scaled variables, varpi^(p-1) = p, on
+    ScaledIntRing(p, W) with W = digits + floor(order/(p-1)) + 1.  There
+    every input is integral once g2, g3 and e2* are (p odd):
+    - U(varpi z), U = theta/z, and its inverse: sigma's z^k coefficient is
+      an integer polynomial in g2/2, 2 g3 over k!, and
+      v_p(k!) <= (k - 1)/(p - 1), so v_p(U_k) >= -k/(p - 1);
+    - lambda(varpi s)/varpi and Q(varpi s), Q = (lambda/s)^-1: lambda's t^k
+      coefficient is an integer polynomial in g2/4, g3/4 over k, and
+      v_p(k) <= floor((k - 1)/(p - 1)).
+    The same two stages as the exact route (kronecker_regular,
+    compose_regular) run on them with the carry rule and never divide.  The
+    regular part and the polar tails carry one power of p above their
+    varpi-degree, so the output at (i, j) is the int
+    p^(floor((i+j)/(p-1)) + 1) Theta-hat_ij mod p^W, which leaves `digits`
+    digits.
 
-    Both ends are checked: a scaled input that is not p-integral, or an
-    output coefficient not divisible by p^(i+j+1) (Theta-hat not
-    p-integral), raises IntegralityError naming v_p.  Theta-hat is symmetric
-    by construction (a symmetric regular part, the same lambda on both
-    axes), so Theta-hat_ij != Theta-hat_ji is a bug: AssertionError."""
-    K = digits + order + 2
-    ring = IntModRing(p ** K)
-    qq = ExactRing(0)
-    D = order + 1
-    U = _unit_series_list(curve, D, qq)
-    Uinv = UniSeries.from_list(qq, U, D).inverse()
-    lam, Q = log_and_tail_inverse(curve, order, qq)
-
-    def scaled(name, coeffs, shift):
-        """{k: p^(k + shift) c_k mod p^K}, each checked p-integral."""
-        out = {}
-        for k, c in coeffs.items():
-            c = _as_fraction(c)
-            v = _vp_fraction(c, p)
-            if v is not None and v + k + shift < 0:
-                raise IntegralityError(f"{name} coefficient of degree {k} has "
-                                       f"v_p = {v + k + shift} < 0 after s -> {p} s")
-            out[k] = _int_mod(c * Fraction(p) ** (k + shift), p, ring.modulus)
-        return out
-
-    Us = scaled("theta unit", dict(enumerate(U)), 0)
-    Uis = scaled("inverse theta unit", Uinv.coeffs, 0)
-    regular = kronecker_regular([Us.get(k, 0) for k in range(D + 1)],
-                                [Uis.get(k, 0) for k in range(D + 1)], order, ring)
+    Both ends are checked: g2, g3 or e2* not p-integral, or an output not
+    divisible by p^(floor((i+j)/(p-1)) + 1) (Theta-hat not p-integral),
+    raises IntegralityError naming v_p.  Theta-hat is symmetric by
+    construction (a symmetric regular part, the same lambda on both axes),
+    so Theta-hat_ij != Theta-hat_ji is a bug: AssertionError."""
+    q = p - 1
+    ring = ScaledIntRing(p, digits + order // q + 1)
+    pk = ring.modulus
+    regular = _scaled_regular(curve, ring, order)
+    lam = _scaled_log(curve, ring, order + 2)
+    Q = unit_inverse(lam[1:], order + 1, ring)
     composed = compose_regular(
-        regular, UniSeries(ring, scaled("formal log", lam.coeffs, -1), order),
-        UniSeries(ring, scaled("tail inverse", Q.coeffs, 0), Q.order), order)
+        regular, UniSeries(ring, dict(enumerate(lam[:order + 1])), order),
+        UniSeries(ring, dict(enumerate(Q)), order + 1), order)
     pkd = p ** digits
     hat = {}
     for (i, j), c in composed.coeffs.items():
-        e = i + j + 1
-        q, r = divmod(c % ring.modulus, p ** e)
+        e = (i + j) // q + 1
+        y, r = divmod(c % pk, p ** e)
         if r:
             raise IntegralityError(
                 f"composed coefficient at {(i, j)} has v_p = "
                 f"{_vp_fraction(r, p) - e} < 0")
-        if q % pkd:
-            hat[(i, j)] = q % pkd
+        if y % pkd:
+            hat[(i, j)] = y % pkd
     if any(hat.get((j, i)) != c for (i, j), c in hat.items()):
         raise AssertionError("Theta-hat lost s<->t symmetry")
     return hat
@@ -888,19 +946,12 @@ def _euler_moments_mod(curve: CurveData, p: int,
 
     i_p(pi) has v_p exactly 1, so u = i_p(pi)/p is a p-unit and the Euler
     factors are the ints 1 - p^(b-1) u^(a+b) and 1 - p^a u^(a+b).  The factor
-    (b-1)! a! c~(b-1, a), from the expansion over curve.ring(), may have a p
-    in its denominator that the Euler factors cancel; with g the largest
-    such power, the factors are formed mod p^(KUMMER_DIGITS + g), enough to
-    give the product abs_prec >= KUMMER_DIGITS."""
+    (b-1)! a! c~(b-1, a) (_kummer_factors) may have a p in its denominator
+    that the Euler factors cancel; with g the largest such power, the
+    factors are formed mod p^(KUMMER_DIGITS + g), enough to give the product
+    abs_prec >= KUMMER_DIGITS."""
     pi = cm_prime_generator(curve, p)
-    # unit count of the CM order, from g2, g3 rather than d: Z[sqrt(-3)]
-    # and Z[2 sqrt(-1)] share d with orders that have more units
-    w = 6 if not curve.g2 else 4 if not curve.g3 else 2
-    base = kronecker_exact(curve, 2 * max_exp + 2)     # over curve.ring()
-    ctil = {(a, b): embed_padic(ExactScalar(base.coeff(b - 1, a) * math.factorial(b - 1)
-                                            * math.factorial(a)), p, KUMMER_DIGITS)
-            for b in range(1, max_exp + 2) for a in range(max_exp + 1)
-            if (a + b) % w == 0}
+    ctil = _kummer_factors(curve, p, max_exp)
     k = KUMMER_DIGITS + max([0] + [-c.val for c in ctil.values() if c.val is not None])
     pk = p ** k
     u = embed_padic(pi, p, k + 1).unit
@@ -910,6 +961,26 @@ def _euler_moments_mod(curve: CurveData, p: int,
         euler = (1 - p ** (b - 1) * un) * (1 - p ** a * un)
         out[(a, b)] = c * PadicScalar.from_int(euler, p, k)
     return out
+
+
+def _kummer_factors(curve: CurveData, p: int,
+                    max_exp: int) -> Dict[Tuple[int, int], PadicScalar]:
+    """(b-1)! a! c~(b-1, a) with abs_prec KUMMER_DIGITS, for a, b - 1 <=
+    max_exp and a + b divisible by the unit count of the CM order (read
+    from g2, g3 rather than d: Z[sqrt(-3)] and Z[2 sqrt(-1)] share d with
+    orders that have more units).  Read off the varpi-scaled regular part
+    (_scaled_regular), which stores c~ at total degree d as
+    p^(floor(d/(p-1)) + 1) c~, on ints wide enough to keep KUMMER_DIGITS
+    digits after that power."""
+    w = 6 if not curve.g2 else 4 if not curve.g3 else 2
+    order = 2 * max_exp
+    ring = ScaledIntRing(p, KUMMER_DIGITS + order // (p - 1) + 1)
+    regular = _scaled_regular(curve, ring, order)
+    return {(a, b): PadicScalar.from_int(
+                regular.coeff(b - 1, a) * math.factorial(b - 1) * math.factorial(a),
+                p, KUMMER_DIGITS, (a + b - 1) // (p - 1) + 1)
+            for b in range(1, max_exp + 2) for a in range(max_exp + 1)
+            if (a + b) % w == 0}
 
 
 def kummer_congruences(curve: CurveData, p: int, max_exp: int = 20) -> KummerReport:

@@ -4,14 +4,16 @@ A :class:`UniSeries` is known modulo t^(order+1) and may carry finitely many
 negative-index (polar) coefficients.  A :class:`BiSeries` is truncated by
 total degree.  Coefficient scalars only need ``+ - * /`` among themselves and
 with ints, and their truthiness is the zero test; a small ring adapter
-supplies zero/one, Fraction coercion (for exp, log and integration
-denominators) and ``reduce``, which series products apply where their sums
+supplies zero/one, Fraction coercion (for exp denominators) and ``reduce``
+(``reduce_row`` on a list), which series products apply where their sums
 would otherwise grow without bound.
 Plain ``Fraction`` objects serve as the scalars of the rational exact ring
 and ``ExactScalar`` for quadratic fields.  The p-adic engine uses plain
 ints mod p^k, the scalars of :class:`IntModRing`: each series carries one
-absolute precision, its ring's modulus.  The numeric engine's Taylor series
-of theta take mpmath complex numbers, the scalars of :class:`ComplexRing`.
+absolute precision, its ring's modulus.  Its composed expansion runs in
+varpi-scaled variables on :class:`ScaledIntRing`, ints mod p^W whose
+products follow a carry rule.  The numeric engine's Taylor series of theta
+take mpmath complex numbers, the scalars of :class:`ComplexRing`.
 
 Multiplication of truncated series keeps the usual Laurent bookkeeping:
 the product of series known mod t^(Na+1), t^(Nb+1) with valuations va, vb is
@@ -19,9 +21,11 @@ known mod t^(min(Na+vb, Nb+va)+1).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
+from functools import lru_cache
+from operator import mul
 from typing import Dict, Tuple
 
 import mpmath as mp
@@ -31,12 +35,17 @@ from .scalars import ExactScalar
 __all__ = [
     "ExactRing",
     "IntModRing",
+    "ScaledIntRing",
     "ComplexRing",
     "UniSeries",
     "BiSeries",
     "KroneckerExpansion",
     "SeriesError",
     "NotDivisibleError",
+    "axpy",
+    "carried",
+    "scaled_mul",
+    "unit_inverse",
 ]
 
 
@@ -50,6 +59,8 @@ class NotDivisibleError(SeriesError):
 
 class ExactRing:
     """Rational (d = 0, scalars are Fractions) or Q(sqrt(-d)) coefficients."""
+
+    period = carry = 1      # no carry rule (see ScaledIntRing)
 
     def __init__(self, d: int = 0):
         self.d = d
@@ -78,6 +89,10 @@ class ExactRing:
     def reduce(x):
         return x
 
+    @staticmethod
+    def reduce_row(row: list) -> list:
+        return row
+
     def __repr__(self):
         return f"ExactRing(d={self.d})"
 
@@ -87,6 +102,7 @@ class IntModRing:
 
     zero = 0
     one = 1
+    period = carry = 1
 
     def __init__(self, modulus: int):
         self.modulus = modulus
@@ -99,8 +115,33 @@ class IntModRing:
     def reduce(self, x: int) -> int:
         return x % self.modulus
 
+    def reduce_row(self, row: list) -> list:
+        m = self.modulus
+        return [x % m for x in row]
+
     def __repr__(self):
         return f"IntModRing({self.modulus})"
+
+
+class ScaledIntRing(IntModRing):
+    """Z_p[varpi]/(p^width), varpi^(p-1) = p, for series in varpi-scaled
+    variables (z -> varpi z): ints mod p^width in coordinates.
+
+    A coefficient c of varpi-degree k is stored as the int
+    p^floor(k/(p-1)) c mod p^width; the monomial varpi^(k mod (p-1)) is left
+    implicit, because the coefficient's position fixes k.  The product of
+    stored values of varpi-degrees a and b is then their int product, times
+    p exactly when (a mod (p-1)) + (b mod (p-1)) >= p - 1: the carry rule,
+    read by the kernels below from ``period`` (p - 1) and ``carry`` (p).  No
+    step divides.  On the other rings both are 1 and no product carries."""
+
+    def __init__(self, p: int, width: int):
+        super().__init__(p ** width)
+        self.p, self.width = p, width
+        self.period, self.carry = p - 1, p
+
+    def __repr__(self):
+        return f"ScaledIntRing({self.p}, {self.width})"
 
 
 class ComplexRing:
@@ -108,6 +149,7 @@ class ComplexRing:
 
     zero = mp.mpc(0)
     one = mp.mpc(1)
+    period = carry = 1
 
     @staticmethod
     def coerce(x):
@@ -215,34 +257,14 @@ class UniSeries:
         v = self.valuation()
         if v == _BIG:
             raise ZeroDivisionError("inverse of zero series")
-        lead = self.coeffs[v]
         n = self.order - v
-        a = [self.coeff(v + k) for k in range(n + 1)]
-        inv_lead = self.ring.one / lead
-        b = [inv_lead]
-        for m in range(1, n + 1):
-            s = None
-            for i in range(1, m + 1):
-                if not a[i]:
-                    continue
-                t = a[i] * b[m - i]
-                s = t if s is None else s + t
-            b.append(-(inv_lead * s) if s is not None else self.ring.zero)
+        b = unit_inverse([self.coeff(v + k) for k in range(n + 1)], n, self.ring)
         return UniSeries(self.ring, {k - v: c for k, c in enumerate(b)}, n - v)
 
     def derivative(self) -> "UniSeries":
         return UniSeries(self.ring,
                          {k - 1: v * k for k, v in self.coeffs.items() if k != 0},
                          self.order - 1)
-
-    def integrate(self) -> "UniSeries":
-        """Antiderivative with zero constant term."""
-        out = {}
-        for k, v in self.coeffs.items():
-            if k == -1:
-                raise SeriesError("cannot integrate t^-1 term")
-            out[k + 1] = v * self.ring.from_fraction(Fraction(1, k + 1))
-        return UniSeries(self.ring, out, self.order + 1)
 
     def exp(self) -> "UniSeries":
         """exp of a series with zero constant term (and no polar part)."""
@@ -390,38 +412,36 @@ class BiSeries:
         return all(self.coeff(n, m) == v for (m, n), v in self.coeffs.items())
 
     def compose(self, inner_s: UniSeries, inner_t: UniSeries) -> "BiSeries":
-        """self(inner_s(s), inner_t(t)); both inners with zero constant term."""
+        """self(inner_s(s), inner_t(t)); both inners with zero constant term.
+
+        The rows of self (row m over n) contract with the powers of inner_s
+        into rows i over n, and, transposed, with the powers of inner_t.  On a
+        ScaledIntRing self holds c_mn varpi^(m+n) and each inner f(varpi s)/
+        varpi, whose s^k coefficient has varpi-degree k - 1: the result is
+        then the varpi-scaled composition, entry (i, j) of varpi-degree
+        i + j."""
         for inner in (inner_s, inner_t):
             if inner.coeff(0):
                 raise SeriesError("inner constant term must vanish")
+        ring = self.ring
         order = min(self.order, inner_s.order, inner_t.order)
-        reduce = self.ring.reduce
-        max_m = max((m for m, _ in self.coeffs), default=0)
-        max_n = max((n for _, n in self.coeffs), default=0)
+        rows = [[ring.zero] * (order - m + 1) for m in range(order + 1)]
+        for (m, n), c in self.coeffs.items():
+            if m + n <= order:
+                rows[m][n] = c
+        max_m = max((m for m, n in self.coeffs if m + n <= order), default=0)
+        max_n = max((n for m, n in self.coeffs if m + n <= order), default=0)
         if inner_t is inner_s:      # one table serves both axes
             pows_s = pows_t = _power_table(inner_s, max(max_m, max_n), order)
         else:
             pows_s = _power_table(inner_s, max_m, order)
             pows_t = _power_table(inner_t, max_n, order)
-        # stage 1: contract over m:  T1[i][n] = sum_m c_{mn} (inner_s^m)_i
-        t1: Dict[Tuple[int, int], object] = {}
-        for (m, n), c in self.coeffs.items():
-            for i, u in pows_s[m]:
-                if i + n > order:
-                    break
-                key = (i, n)
-                p = c * u
-                t1[key] = t1[key] + p if key in t1 else p
-        out: Dict[Tuple[int, int], object] = {}
-        for (i, n), c in t1.items():
-            c = reduce(c)
-            for j, u in pows_t[n]:
-                if i + j > order:
-                    break
-                key = (i, j)
-                p = c * u
-                out[key] = out[key] + p if key in out else p
-        return BiSeries(self.ring, {k: reduce(v) for k, v in out.items()}, order)
+        t1 = _contract(rows, pows_s, order, ring)                   # [i][n]
+        t1 = [[t1[i][n] for i in range(order - n + 1)] for n in range(order + 1)]
+        t2 = _contract(t1, pows_t, order, ring)                     # [j][i]
+        return BiSeries(ring, {(i, j): v for j, row in enumerate(t2)
+                               for i, v in enumerate(row) if v}, order,
+                        normalize=False)
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
@@ -440,16 +460,110 @@ class BiSeries:
                           for (m, n), v in sorted(self.coeffs.items())]}
 
 
+def axpy(ys: list, xs: list, c) -> list:
+    """[y + c x], as long as the shorter list; a zero y is not added to.
+    The callers pass the rows of a CM expansion sliced to their support
+    (_support), so few x are zero."""
+    return [y + x * c if y else x * c for y, x in zip(ys, xs)]
+
+
+def _support(row: list):
+    """(s, g) with every nonzero entry of row at s, s + g, s + 2g, ...
+    (g the gcd of their distances, len(row) for a single one), or None for
+    a zero row: a CM expansion fills one residue class of the degree."""
+    nz = [n for n, v in enumerate(row) if v]
+    if not nz:
+        return None
+    return nz[0], math.gcd(*(n - nz[0] for n in nz[1:])) or len(row)
+
+
+@lru_cache(maxsize=None)
+def _carry_pattern(period: int, carry: int, start: int, r: int) -> tuple:
+    return tuple(carry if (start + n) % period + r >= period else 1
+                 for n in range(period))
+
+
+def carried(row: list, start: int, r: int, ring) -> list:
+    """row, with entry n (of varpi-degree start + n) times ring.carry where
+    its product with a factor of varpi-degree residue r carries: what
+    multiplies that factor's coefficient under the carry rule."""
+    period = ring.period
+    if period == 1 or not r:
+        return row
+    pattern = _carry_pattern(period, ring.carry, start % period, r)
+    return list(map(mul, row, pattern * (len(row) // period + 1)))
+
+
+def scaled_mul(a: list, b: list, n: int, ring, sa: int = 0, sb: int = 0) -> list:
+    """Coefficients 0..n of the product of the coefficient lists a and b,
+    reduced; entry k of a (of b) has varpi-degree k + sa (k + sb), which
+    only a ScaledIntRing reads (the carry rule)."""
+    out = [ring.zero] * (n + 1)
+    support = _support(a[:n + 1])
+    if support is None:
+        return out
+    lo, g = support
+    src, variants = a[lo:n + 1], {}
+    for k, c in enumerate(b[:n + 1 - lo]):
+        if c:
+            r = (k + sb) % ring.period
+            if r not in variants:
+                variants[r] = carried(src, lo + sa, r, ring)[::g]
+            out[k + lo::g] = axpy(out[k + lo::g], variants[r], c)
+    return ring.reduce_row(out)
+
+
+def unit_inverse(a: list, n: int, ring) -> list:
+    """b_0 .. b_n of 1/a, a a coefficient list with a_0 invertible:
+    b_m = -a_0^-1 sum_{i=1..m} a_i b_(m-i).  On a ScaledIntRing (entry k of
+    varpi-degree k, the carry rule) a_0 must be 1."""
+    period, carry = ring.period, ring.carry
+    inv_lead = ring.one if a[0] == ring.one else ring.one / a[0]
+    terms = [(i, c, c * carry if carry != 1 else c, i % period)
+             for i, c in enumerate(a[1:n + 1], 1) if c]
+    b = [inv_lead]
+    for m in range(1, n + 1):
+        s = None
+        for i, c, cc, r in terms:
+            if i > m:
+                break
+            t = (cc if r + (m - i) % period >= period else c) * b[m - i]
+            s = t if s is None else s + t
+        b.append(ring.zero if s is None else ring.reduce(-(inv_lead * s)))
+    return b
+
+
 def _power_table(s: UniSeries, kmax: int, order: int):
-    """[s^0 .. s^kmax] to degree `order`, each as (degree, coeff) pairs in
-    increasing degree."""
-    reduce = s.ring.reduce
-    pows = [UniSeries.constant(s.ring, s.ring.one, order), s.truncate(order)]
-    for _ in range(2, kmax + 1):
-        prod = (pows[-1] * s).truncate(order)
-        pows.append(UniSeries(s.ring, {k: reduce(v) for k, v in prod.coeffs.items()},
-                              order))
-    return [sorted(p.coeffs.items()) for p in pows]
+    """s^0 .. s^kmax to degree `order`, each as (degree i, coeff, r) triples
+    in increasing degree, r the residue mod ring.period of the coefficient's
+    varpi-degree i - m (s held as f(varpi s)/varpi: its s^k coefficient has
+    varpi-degree k - 1)."""
+    ring = s.ring
+    base = [s.coeff(k) for k in range(order + 1)]
+    table, cur = [[(0, ring.one, 0)]], base
+    for m in range(1, kmax + 1):
+        if m > 1:
+            cur = scaled_mul(cur, base, order, ring, 1 - m, -1)
+        table.append([(i, c, (i - m) % ring.period) for i, c in enumerate(cur) if c])
+    return table
+
+
+def _contract(rows: list, pows: list, order: int, ring) -> list:
+    """out[i][n] = sum_m (pows[m])_i rows[m][n] for n <= order - i, reduced;
+    rows[m][n] has varpi-degree m + n."""
+    out = [[ring.zero] * (order - i + 1) for i in range(order + 1)]
+    for m, row in enumerate(rows[:len(pows)]):
+        support = _support(row)
+        if support is None:
+            continue
+        s, g = support
+        variants = {}
+        for i, e, r in pows[m]:
+            if r not in variants:
+                variants[r] = carried(row, m, r, ring)[s::g]
+            tgt = out[i]
+            tgt[s::g] = axpy(tgt[s::g], variants[r], e)
+    return [ring.reduce_row(o) for o in out]
 
 
 @dataclass(frozen=True)

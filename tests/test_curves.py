@@ -122,7 +122,30 @@ class TestWpSeries:
         assert all(not c for k, c in lhs.coeffs.items() if k <= order)
 
 
+def _sigma_by_integration(curve, order):
+    """sigma by the route that the recurrence replaced, kept as its oracle:
+    integrate the regular part of -wp twice and exponentiate,
+    sigma = z exp(-I I (wp - z^-2))."""
+    ring = curve.ring()
+    wp = wp_series(curve, order + 2, ring)
+    twice = {k + 2: -v * Fraction(1, (k + 1) * (k + 2))
+             for k, v in wp.coeffs.items() if 0 <= k <= order - 1}
+    return UniSeries(ring, twice, order + 1).exp().shift(1).truncate(order)
+
+
 class TestSigmaTheta:
+    @pytest.mark.parametrize("u", [1, 4, Fraction(1, 3)], ids=["u1", "u4", "u1/3"])
+    def test_recurrence_equals_integration_route(self, u):
+        # Weierstrass's integers a_mn against (log sigma)'' = -wp, integrated
+        for row in catalog():
+            curve = row.curve(u)
+            assert sigma_series(curve, 120) == _sigma_by_integration(curve, 120), row.label
+
+    def test_weierstrass_integers_start(self):
+        # sigma = z - g2 z^5/240 - g3 z^7/840 - g2^2 z^9/161280 - ...
+        assert curves.sigma_integers(9) == ((1, 0, 0, 1), (5, 1, 0, -1),
+                                            (7, 0, 1, -3), (9, 2, 0, -9))
+
     def test_sigma_leading_terms(self):
         # sigma = z - (g2/240) z^5 - (g3/840) z^7 + ...
         curve = catalog_row("Z[2*sqrt(-1)]").curve(1)

@@ -598,25 +598,31 @@ def _good_split_pairs():
 
 
 class TestIntegralComposedRoute:
-    """_exact_composed runs on ints mod p^K; the Fraction route
-    compose_formal(kronecker_exact(...)) is its oracle."""
+    """_exact_composed runs in varpi-scaled variables on ints mod p^W; the
+    Fraction route compose_formal(kronecker_exact(...)) is its oracle."""
 
     @pytest.mark.parametrize("label,u,p", _good_split_pairs())
     def test_matches_fraction_route(self, label, u, p):
+        # orders on both sides of p - 1 and 2(p - 1), odd and even: the carry
+        # rule first acts at varpi-degree p - 1, and the polar tail reaches
+        # degree order + 1
         curve = catalog_row(label).curve(u)
-        order, digits = 16, 5
-        pk = p ** digits
-        try:
-            hat = compose_formal(kronecker_exact(curve, order), curve, order)
-            want = {k: _int_mod(_as_fraction(v), p, pk)
-                    for k, v in hat.regular.coeffs.items()}
-        except IntegralityError:
-            with pytest.raises(IntegralityError):
-                _exact_composed(curve, p, order, digits)
-            return
-        # a pair the Fraction route accepts must not be refused here
-        got = _exact_composed(curve, p, order, digits)
-        assert got == {k: v for k, v in want.items() if v}
+        cases = [(16, 5), (p - 2, 4), (p - 1, 6), (p, 3), (2 * p - 3, 5),
+                 (2 * p - 2, 4), (2 * p - 1, 7)]
+        exp = kronecker_exact(curve, max(order for order, _ in cases))
+        for order, digits in cases:
+            pk = p ** digits
+            try:
+                hat = compose_formal(exp, curve, order)
+                want = {k: _int_mod(_as_fraction(v), p, pk)
+                        for k, v in hat.regular.coeffs.items()}
+            except IntegralityError:
+                with pytest.raises(IntegralityError):
+                    _exact_composed(curve, p, order, digits)
+                continue
+            # a pair the Fraction route accepts must not be refused here
+            got = _exact_composed(curve, p, order, digits)
+            assert got == {k: v for k, v in want.items() if v}, (order, digits)
 
     def test_sweep_covers_every_row_with_a_small_split_prime(self):
         # in Q(sqrt(-67)) and Q(sqrt(-163)) every prime below 17 is inert
@@ -632,14 +638,16 @@ class TestIntegralComposedRoute:
             _exact_composed(curve, 13, 8, 4)
 
     def test_asymmetric_coefficient_is_refused(self, monkeypatch):
-        # p^(i+j+1) added at (1, 2) keeps every integrality check satisfied
-        # and moves Theta-hat_12 by 1 mod p^digits, but not Theta-hat_21
+        # the composition step stores (i, j) as p^(floor((i+j)/(p-1)) + 1)
+        # Theta-hat_ij: p added at (1, 2) keeps every integrality check
+        # satisfied and moves Theta-hat_12 by 1 mod p^digits, but not
+        # Theta-hat_21
         orig = padic.compose_regular
 
         def corrupted(*args):
             out = orig(*args)
             coeffs = dict(out.coeffs)
-            coeffs[(1, 2)] = coeffs.get((1, 2), 0) + 13 ** 4
+            coeffs[(1, 2)] = coeffs.get((1, 2), 0) + 13
             return BiSeries(out.ring, coeffs, out.order)
 
         monkeypatch.setattr(padic, "compose_regular", corrupted)
@@ -692,10 +700,7 @@ def _least_good_split_prime(row):
                 and disc.numerator % p and disc.denominator % p)
 
 
-# Z[(1+sqrt(-163))/2] is left out: its least such prime is 41, where the run
-# takes minutes (the composed expansion to order 445).
-GATE_ROWS = [(row.label, _least_good_split_prime(row))
-             for row in catalog() if row.d != 163]
+GATE_ROWS = [(row.label, _least_good_split_prime(row)) for row in catalog()]
 
 
 class TestInterpolationSweep:
@@ -797,6 +802,21 @@ class TestKummerOnInts:
 
     def test_every_catalog_row_is_pinned(self):
         assert [lab for lab, _, _, _ in KUMMER_PINNED] == [r.label for r in catalog()]
+
+    def test_factors_equal_embedded_fraction_route(self):
+        # (b-1)! a! c~(b-1, a) read off the varpi-scaled regular part, against
+        # the Fraction expansion embedded to KUMMER_DIGITS, on every row at
+        # its least good split prime
+        for row in catalog():
+            curve, p = row.curve(1), _least_good_split_prime(row)
+            base = kronecker_exact(curve, 24)
+            got = padic._kummer_factors(curve, p, 12)
+            assert len(got) >= 28, row.label
+            for (a, b), c in got.items():
+                want = embed_padic(ExactScalar(base.coeff(b - 1, a) * math.factorial(b - 1)
+                                               * math.factorial(a)), p, padic.KUMMER_DIGITS)
+                assert (c.val, c.unit, c.abs_prec) == \
+                    (want.val, want.unit, want.abs_prec), (row.label, a, b)
 
     def test_int_route_matches_exact_oracle(self):
         # every moment the Z[i] (u = 4, p = 13) block compares, against the

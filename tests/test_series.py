@@ -8,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 from ektheta.series import (
     BiSeries,
     ExactRing,
+    ScaledIntRing,
     UniSeries,
+    scaled_mul,
+    unit_inverse,
 )
 
 QQ = ExactRing(0)
@@ -120,6 +123,30 @@ class TestBiSeries:
         f = B({(2, 1): 3, (1, 2): 3, (0, 0): 1}, 4)
         assert f.is_symmetric()
         assert not B({(2, 1): 3}, 4).is_symmetric()
+
+
+class TestScaledIntRing:
+    @pytest.mark.parametrize("p", [5, 13])
+    def test_carry_rule_matches_exact_products(self, p):
+        # coefficients of varpi-degree k stored as p^floor(k/(p-1)) c_k: the
+        # product and the inverse formed with the carry rule are the stored
+        # exact ones, to every digit of the width
+        n, ring = 3 * p, ScaledIntRing(p, 6)
+        rng = random.Random(p)
+        a = [1] + [rng.randrange(-50, 50) for _ in range(n)]
+        b = [rng.randrange(-50, 50) for _ in range(n + 1)]
+
+        def stored(series):
+            return [p ** (k // (p - 1)) * int(series.coeff(k)) % ring.modulus
+                    for k in range(n + 1)]
+
+        fa, fb = U(a, n), U(b, n)
+        assert scaled_mul(stored(fa), stored(fb), n, ring) == stored(fa * fb)
+        assert unit_inverse(stored(fa), n, ring) == stored(fa.inverse())
+        # without the carry the product is another series
+        plain = ScaledIntRing(p, 6)
+        plain.carry = 1
+        assert scaled_mul(stored(fa), stored(fb), n, plain) != stored(fa * fb)
 
 
 class TestJson:
