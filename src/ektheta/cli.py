@@ -12,14 +12,11 @@ meaning (a w1 + b w2)/n.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 from fractions import Fraction
-
-import mpmath as mp
 
 from . import __version__
 from .curves import CurveData, PeriodPrecisionError, catalog, catalog_row, \
@@ -30,7 +27,7 @@ from .kronecker import compose_formal, kronecker_exact, torsion_point, \
     valuation_heatmap, verify_distribution, verify_generating_function
 from .padic import IntegralityError, kummer_congruences, measure_from_theta, \
     moment_table, restrict_to_units, verify_interpolation_origin
-from .scalars import ExactScalar, PadicScalar
+from .scalars import ExactScalar, PadicScalar, mp
 
 
 def _meta(args, seed=None):
@@ -125,6 +122,7 @@ def cmd_compose(args):
 
 
 def cmd_valuations(args):
+    import csv
     curve = _curve_from(args)
     exp = kronecker_exact(curve, args.order)
     hat = compose_formal(exp, curve, args.order, starred=True)

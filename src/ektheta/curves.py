@@ -16,16 +16,13 @@ with the weight conventions of the table itself (g2 ~ u^k as listed).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-import mpmath as mp
-
-from .scalars import BigComplex, ExactScalar
+from .scalars import BigComplex, ExactScalar, mp
 from .series import ExactRing, SeriesError, UniSeries
 
 __all__ = [
@@ -54,18 +51,37 @@ class PeriodPrecisionError(ArithmeticError):
     """Back-check residual of a computed period lattice exceeded tolerance."""
 
 
-@dataclass(frozen=True)
 class CurveData:
     """Weierstrass data y^2 = 4x^3 - g2 x - g3 and, for theta, e2*.  Its CM
-    order is read from the j-invariant (catalog_row_of)."""
+    order is read from the j-invariant (catalog_row_of).  An immutable value:
+    equal data compare and hash alike, as the lru_cache keys on curves need."""
 
-    g2: ExactScalar
-    g3: ExactScalar
-    e2_star: Optional[ExactScalar] = None
+    __slots__ = ("g2", "g3", "e2_star")
 
-    def __post_init__(self):
+    def __init__(self, g2: ExactScalar, g3: ExactScalar,
+                 e2_star: Optional[ExactScalar] = None):
+        object.__setattr__(self, "g2", g2)
+        object.__setattr__(self, "g3", g3)
+        object.__setattr__(self, "e2_star", e2_star)
         if not self.discriminant():
             raise ValueError("degenerate curve: g2^3 - 27 g3^2 = 0")
+
+    def __setattr__(self, *args):
+        raise AttributeError("CurveData is immutable")
+
+    def _key(self) -> tuple:
+        return self.g2, self.g3, self.e2_star
+
+    def __eq__(self, other):
+        if not isinstance(other, CurveData):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "CurveData(g2={!r}, g3={!r}, e2_star={!r})".format(*self._key())
 
     def discriminant(self) -> ExactScalar:
         return self.g2 ** 3 - ExactScalar(27) * self.g3 ** 2
@@ -91,8 +107,7 @@ class CurveData:
         }
 
 
-@dataclass(frozen=True)
-class CatalogRow:
+class CatalogRow(NamedTuple):
     """One row of the CM-over-Q table, symbolic in the scaling u."""
 
     label: str
@@ -278,8 +293,7 @@ def theta_series(curve: CurveData, order: int, ring: Optional[ExactRing] = None)
     return (UniSeries(ring, quad, order) * sig).truncate(order)
 
 
-@dataclass(frozen=True)
-class FormalLog:
+class FormalLog(NamedTuple):
     """lambda(t): odd series with lambda'(0) = 1, exponents in 4m + 6n + 1."""
 
     series: UniSeries
@@ -323,8 +337,7 @@ def formal_log(curve: CurveData, order: int, ring: Optional[ExactRing] = None) -
 # numeric lattice
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatticeData:
+class LatticeData(NamedTuple):
     """Numeric period lattice with derived constants."""
 
     omega1: BigComplex

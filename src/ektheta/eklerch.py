@@ -37,17 +37,12 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest
-from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
-
 from .curves import LatticeData, lattice_pair_mpc
 from .scalars import BigComplex, CLASS_NUMBER_ONE, ExactScalar, ideal_generators, \
-    in_ok, ok_omega, ok_units, residue_classes, residue_key
+    in_ok, mp, ok_omega, ok_units, residue_classes, residue_key
 
 __all__ = [
     "PoleError",
@@ -258,6 +253,7 @@ def _I_a(groups: Dict[object, Dict[int, object]], z0, w0, lattice: LatticeData,
     (s -> {a: tail target}), summed in one shell pass about z0 on integers
     (_fixed_sums) and rounded once to the working precision."""
     prec = mp.mp.prec
+    from_man_exp, round_nearest = mp.libmp.from_man_exp, mp.libmp.round_nearest
     return {s: {a: mp.make_mpc((from_man_exp(re, -F, prec, round_nearest),
                                 from_man_exp(im, -F, prec, round_nearest)))
                 for a, (re, im, F) in by_a.items()}
@@ -345,7 +341,7 @@ def _gammainc_h(s, Ne: int, Fe: int, F: int, A) -> Tuple[int, int]:
     lb = Ne.bit_length() - 2 * Fe
     cond = (float(abs(s)) + 1) * (abs(lb) + 2) + 2.0 ** lb / float(A) + 2
     with mp.workprec(F + 10 + math.ceil(math.log2(cond))):
-        N = mp.make_mpf(from_man_exp(Ne, -2 * Fe))
+        N = mp.make_mpf(mp.libmp.from_man_exp(Ne, -2 * Fe))
         h = mp.gammainc(s, N / A) / N ** s
         return _fixed(h.real, F), _fixed(h.imag, F)
 
@@ -366,7 +362,8 @@ def _level_sums(F: int, cuts, points, Fe: int, A, w1, w2, w0, box
     with mp.workprec(F + G + 40):
         inv_a = _fixed(1 / A, F + G)
         alpha = [0] + [_fixed(A ** -k, F) for k in range(1, top)]
-    ln2 = ln2_fixed(F + G)
+    exp_fixed = mp.libmp.libelefun.exp_fixed
+    ln2 = mp.libmp.libelefun.ln2_fixed(F + G)
     acc = {s: {a: [0, 0] for _, a in by_cut} for s, by_cut in cuts.items()}
     for m, n, Xe, Ye, Ne in points:
         keep = [(s, k, [a for r2, a in by_cut if Ne <= r2])
@@ -556,7 +553,6 @@ def rational_reconstruct(x, max_den: int = 10 ** 6, tol=None) -> Optional[Fracti
 # Hecke L partial sums (class number 1)
 # ---------------------------------------------------------------------------
 
-@dataclass
 class HeckeCharacter:
     """Finite part of an algebraic Hecke character on a class-number-1 field.
 
@@ -566,12 +562,11 @@ class HeckeCharacter:
     phi((alpha)) = eps(alpha) alpha^m conj(alpha)^n.
     """
 
-    d: int
-    conductor: ExactScalar
-    infinity_type: Tuple[int, int]
-    table: Dict[ExactScalar, ExactScalar]
-
-    def __post_init__(self):
+    def __init__(self, d: int, conductor: ExactScalar,
+                 infinity_type: Tuple[int, int],
+                 table: Dict[ExactScalar, ExactScalar]):
+        self.d, self.conductor = d, conductor
+        self.infinity_type, self.table = infinity_type, table
         if self.d not in CLASS_NUMBER_ONE:
             raise ValueError(f"class number of Q(sqrt(-{self.d})) is not 1")
         self._index_classes()

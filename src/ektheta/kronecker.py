@@ -27,11 +27,8 @@ transformation factor), R_z and R_w by series inversion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
-
-import mpmath as mp
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .curves import (
     CurveData,
@@ -43,7 +40,7 @@ from .curves import (
     theta_series,
 )
 from .eklerch import ek_table
-from .scalars import ExactScalar, _vp_fraction, in_ok, ok_elements, \
+from .scalars import ExactScalar, _vp_fraction, in_ok, mp, ok_elements, \
     residue_classes
 from .series import (
     BiSeries,
@@ -332,8 +329,7 @@ def taylor_coefficients_2d(rz, rw, g, a_max: int, b_max: int):
             for m in range(-1, b_max) for n in range(-1, a_max + 1)}
 
 
-@dataclass
-class GenFunReport:
+class GenFunReport(NamedTuple):
     max_abs_deviation: mp.mpf
     entries: Dict[Tuple[int, int], Tuple[mp.mpc, mp.mpc]]
     polar_z: Tuple[mp.mpc, mp.mpc]
@@ -438,8 +434,7 @@ def torsion_point(coords, w1, w2):
 # distribution relation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DistributionReport:
+class DistributionReport(NamedTuple):
     max_residual: mp.mpf
     residuals: List[mp.mpf]
     epsilon: ExactScalar
@@ -585,8 +580,7 @@ def _as_fraction(v) -> Fraction:
     raise TypeError(f"cannot reinterpret {v!r} as a rational")
 
 
-@dataclass
-class HeatmapReport:
+class HeatmapReport(NamedTuple):
     """Denominator exponents of a composed expansion at p.
 
     entries: (m, n) -> max(0, -v_p).  ridge maps total degree T to the

@@ -60,10 +60,9 @@ both claim: modulo p^k, k the smaller of their absolute precisions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .curves import CurveData, catalog_row_of, formal_log, log_integers, \
     sigma_integers
@@ -300,14 +299,12 @@ def hensel_factor_distinguished(poly: list, deg_w: int, p: int, M: int):
 # formal p-torsion polynomial W1 (even, degree p-1)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class TorsionAlgebra:
     """Z/p^M [T]/W1(T) for the nonzero formal p-torsion; plain-int vectors."""
 
-    p: int
-    M: int
-    W1: tuple          # ints, monic, degree p-1, Eisenstein
-    curve: CurveData
+    def __init__(self, p: int, M: int, W1: tuple, curve: CurveData):
+        self.p, self.M, self.curve = p, M, curve
+        self.W1 = W1       # ints, monic, degree p-1, Eisenstein
 
     @property
     def deg(self) -> int:
@@ -760,8 +757,7 @@ def formal_moments(series: BiSeries, curve: CurveData, p: int,
 # measures
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MeasureSeries:
+class MeasureSeries(NamedTuple):
     """Power-series avatar of the measure attached to the starred composed
     expansion, in the formal coordinates (s, t).
 
@@ -816,8 +812,7 @@ def moment_table(mu: MeasureSeries, a_max: int, b_max: int):
 # interpolation at the origin and Kummer congruences
 # ---------------------------------------------------------------------------
 
-@dataclass
-class InterpolationRow:
+class InterpolationRow(NamedTuple):
     a: int
     b: int
     exact_equal: bool               # four-term == Euler closed form in Q(sqrt(-d))
@@ -825,8 +820,7 @@ class InterpolationRow:
     padic_equal: bool
 
 
-@dataclass
-class InterpolationReport:
+class InterpolationReport(NamedTuple):
     p: int
     N: int
     pi: ExactScalar
@@ -849,11 +843,9 @@ def four_term_moment(curve: CurveData, pi: ExactScalar, p: int,
     four_term_expansions, to order at least a + b - 1."""
     base, e1, e2 = exps
     m, n = b - 1, a
-    val = base.coeff(m, n) \
-        - ExactScalar(p) ** m * e1.coeff(m, n) \
-        - ExactScalar(p) ** n * e1.coeff(m, n) \
-        + ExactScalar(p) ** (m + n) * e2.coeff(m, n)
-    return val * math.factorial(m) * math.factorial(n)
+    val = base.coeff(m, n) - (p ** m + p ** n) * e1.coeff(m, n) \
+        + p ** (m + n) * e2.coeff(m, n)
+    return val * (math.factorial(m) * math.factorial(n))
 
 
 @lru_cache(maxsize=4)
@@ -873,10 +865,9 @@ def euler_factor_moment(curve: CurveData, pi: ExactScalar, p: int,
     if base is None:
         base = kronecker_exact(curve, a + b, ExactRing(pi.d))
     ctil = base.coeff(b - 1, a)
-    one = ExactScalar(1)
-    return ctil * math.factorial(b - 1) * math.factorial(a) \
-        * (one - pi ** (a + b) / ExactScalar(p) ** (a + 1)) \
-        * (one - pi ** (a + b) / ExactScalar(p) ** b)
+    pi_ab = pi ** (a + b)
+    return ctil * (math.factorial(b - 1) * math.factorial(a)) \
+        * (1 - pi_ab / p ** (a + 1)) * (1 - pi_ab / p ** b)
 
 
 def verify_interpolation_origin(curve: CurveData, p: int, N: int,
@@ -915,16 +906,14 @@ def verify_interpolation_origin(curve: CurveData, p: int, N: int,
     return InterpolationReport(p, N, pi, rows)
 
 
-@dataclass
-class KummerRow:
+class KummerRow(NamedTuple):
     pair_lo: Tuple[int, int]     # (a, b)
     pair_hi: Tuple[int, int]
     twist_power: int
     congruent: bool
 
 
-@dataclass
-class KummerReport:
+class KummerReport(NamedTuple):
     p: int
     a_p_mod_p: int
     rows: List[KummerRow]

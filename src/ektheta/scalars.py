@@ -28,13 +28,32 @@ and residue classes.
 """
 from __future__ import annotations
 
+import importlib.util
 import math
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
-import mpmath as mp
+
+def _lazy_mpmath():
+    """The mpmath module, executed at its first attribute read (or as it is,
+    when something imported it already).  The exact and p-adic engines never
+    read it, so their commands skip its import.  The other modules take `mp`
+    from here and reach its submodules as attributes (mp.libmp): an import
+    statement executes mpmath at once, and a first `from mpmath.libmp import`
+    through the lazy module executes mpmath.libmp a second time."""
+    if "mpmath" in sys.modules:
+        return sys.modules["mpmath"]
+    spec = importlib.util.find_spec("mpmath")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["mpmath"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+mp = _lazy_mpmath()
 
 __all__ = [
     "ExactScalar",
@@ -344,8 +363,7 @@ def _dps_for(prec_bits: int) -> int:
     return int(prec_bits * 0.30103) + 4
 
 
-@dataclass(frozen=True)
-class BigComplex:
+class BigComplex(NamedTuple):
     """Arbitrary-precision complex value with explicit mantissa precision."""
 
     re: mp.mpf

@@ -22,15 +22,12 @@ known mod t^(min(Na+vb, Nb+va)+1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
-import mpmath as mp
-
-from .scalars import ExactScalar
+from .scalars import ExactScalar, mp
 
 __all__ = [
     "ExactRing",
@@ -147,9 +144,11 @@ class ScaledIntRing(IntModRing):
 class ComplexRing:
     """mpmath complex numbers, rounded at the caller's working precision."""
 
-    zero = mp.mpc(0)
-    one = mp.mpc(1)
     period = carry = 1
+
+    def __init__(self):
+        self.zero = mp.mpc(0)
+        self.one = mp.mpc(1)
 
     @staticmethod
     def coerce(x):
@@ -566,8 +565,7 @@ def _contract(rows: list, pows: list, order: int, ring) -> list:
     return [ring.reduce_row(o) for o in out]
 
 
-@dataclass(frozen=True)
-class KroneckerExpansion:
+class KroneckerExpansion(NamedTuple):
     """polar/z + polar/w + regular(z, w): the Kronecker theta expansion at the
     origin (polar 1) or its composition with the formal logarithm (polar 1,
     or 0 when starred, the raw 1/s + 1/t subtracted)."""

@@ -373,6 +373,72 @@ class TestMeasureCommands:
         assert doc["passed"] is True
 
 
+_COLD_START = """
+import sys
+import ektheta.cli
+stages = [sorted(sys.modules)]
+import contextlib, io, json
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if ektheta.cli.main(argv) != 0:
+            raise SystemExit(f"exit code not 0: {argv}")
+    stages.append(sorted(sys.modules))
+print(json.dumps(stages))
+"""
+
+
+def _modules_after(*argvs):
+    """The set of imported module names in a fresh interpreter after
+    `import ektheta.cli`, then after main() runs each argv in turn."""
+    cp = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(argvs)],
+                        capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    return [set(names) for names in json.loads(cp.stdout)]
+
+
+class TestColdStart:
+    """`import ektheta.cli` executes neither mpmath nor the dataclass
+    machinery; mpmath runs at a command's first numeric call."""
+
+    ZI4 = ["--catalog", "Z[sqrt(-1)]", "--u", "4"]
+
+    def test_import_loads_every_module_but_not_mpmath(self):
+        # perfbench/tracer.py reads the seven modules from sys.modules
+        loaded, = _modules_after()
+        assert {f"ektheta.{m}" for m in ("scalars", "series", "curves", "eklerch",
+                                         "kronecker", "padic", "cli")} <= loaded
+        assert not {"mpmath.libmp", "dataclasses", "inspect", "csv"} & loaded
+
+    def test_exact_and_padic_commands_never_execute_mpmath(self):
+        stages = _modules_after(
+            ["catalog", "--u", "4"],
+            ["valuations", *self.ZI4, "--prime", "7", "--order", "20"],
+            ["verify-interpolation", *self.ZI4, "--prime", "13", "--prec", "4",
+             "--kummer-max", "20"])
+        assert ["mpmath.libmp" in s for s in stages] == [False] * 4
+
+    def test_a_numeric_command_executes_mpmath(self):
+        stages = _modules_after(["ek", *self.ZI4, "--a", "0", "--b", "2"])
+        assert ["mpmath.libmp" in s for s in stages] == [False, True]
+
+    @pytest.mark.parametrize("argv", [
+        ["ek", "--a", "1", "--b", "3", "--z0", "1/3,0", "--err", "1e-18"],
+        ["verify", "generating-function", "--z0", "1/2,0", "--w0", "0,1/2",
+         "--amax", "2", "--bmax", "2", "--tol", "1e-12"],
+    ], ids=["ek-z0-third", "generating-function"])
+    def test_artifact_does_not_depend_on_a_prior_mpmath_import(self, argv):
+        # in-process callers (the tests) import mpmath first and get it
+        # eagerly; a CLI run gets the lazily executed module
+        launch = "import sys; from ektheta.cli import main; sys.exit(main(sys.argv[1:]))"
+        outs = []
+        for prelude in ("", "import mpmath; "):
+            cp = subprocess.run([sys.executable, "-c", prelude + launch,
+                                 *argv, *self.ZI4], capture_output=True, text=True)
+            assert cp.returncode == 0, cp.stderr
+            outs.append(cp.stdout)
+        assert outs[0] == outs[1]
+
+
 def _tracer():
     """perfbench/tracer.py, loaded from its file."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
