@@ -12,6 +12,8 @@ meaning (a w1 + b w2)/n.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import io
 import json
 import os
@@ -312,112 +314,134 @@ def cmd_verify_interpolation(args):
 DEFAULT_PREC = int(os.environ.get("EKTHETA_PREC_BITS", "256"))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+CURVE_OPTS = [
+    _arg("--catalog", help="catalog row label, e.g. 'Z[sqrt(-1)]'"),
+    _arg("--u", default="1", help="catalog scaling u (rational)"),
+    _arg("--g2", help="rational g2 for a raw curve"),
+    _arg("--g3", help="rational g3 for a raw curve"),
+    _arg("--e2star", help="rational e2* for a raw curve"),
+    _arg("--out", help="write JSON artifact to this path"),
+]
+
+# Each subcommand once: name -> (help, handler, arguments in help order).
+COMMANDS = {
+    "catalog": ("the thirteen CM curves over Q", cmd_catalog, [
+        _arg("--u", default=None),
+        _arg("--out"),
+    ]),
+    "expand": ("exact origin expansion", cmd_expand, [
+        _arg("what", choices=["kronecker"]),
+        *CURVE_OPTS,
+        _arg("--order", type=int, default=10),
+        _arg("--format", choices=["json"], default="json"),
+    ]),
+    "formal-log": ("formal logarithm series", cmd_formal_log, [
+        *CURVE_OPTS,
+        _arg("--order", type=int, default=20),
+    ]),
+    "compose": ("formal-parameter composition", cmd_compose, [
+        *CURVE_OPTS,
+        _arg("--order", type=int, default=20),
+        _arg("--starred", action=argparse.BooleanOptionalAction, default=True),
+    ]),
+    "valuations": ("denominator-exponent heatmap CSV", cmd_valuations, [
+        *CURVE_OPTS,
+        _arg("--prime", type=int, required=True),
+        _arg("--order", type=int, default=40),
+        _arg("--csv", help="CSV output path"),
+        _arg("--fit-diagonal", action="store_true"),
+    ]),
+    "ek": ("Eisenstein-Kronecker number", cmd_ek, [
+        *CURVE_OPTS,
+        _arg("--a", type=int, required=True),
+        _arg("--b", type=int, required=True),
+        _arg("--z0", help="'a/n,b/n' in the period basis"),
+        _arg("--w0", help="'a/n,b/n' in the period basis"),
+        _arg("--err", type=float, default=1e-20),
+        _arg("--prec-bits", type=int, default=DEFAULT_PREC),
+    ]),
+    "hecke-l": ("Hecke L partial sum, two routes", cmd_hecke_l, [
+        _arg("--character", default="zi-conductor-2-2i"),
+        _arg("--s", type=int, default=6),
+        _arg("--norm-bound", type=int, default=400),
+        _arg("--err", type=float, default=1e-16),
+        _arg("--tol", type=float, default=1e-10),
+        _arg("--prec-bits", type=int, default=DEFAULT_PREC),
+        _arg("--out"),
+    ]),
+    "verify": ("identity verification suites", cmd_verify, [
+        _arg("target", choices=["kronecker", "generating-function",
+                                "functional-equation", "distribution"]),
+        *CURVE_OPTS,
+        _arg("--points", type=int, default=10),
+        _arg("--tol", type=float, default=1e-15),
+        _arg("--seed", type=int, default=0),
+        _arg("--prec-bits", type=int, default=DEFAULT_PREC),
+        _arg("--z0"),
+        _arg("--w0"),
+        _arg("--amax", type=int, default=4),
+        _arg("--bmax", type=int, default=4),
+        _arg("--ideal-a", default="1"),
+        _arg("--ideal-b", default="1"),
+    ]),
+    "measure": ("p-adic measure series and moments", cmd_measure, [
+        *CURVE_OPTS,
+        _arg("--prime", type=int, required=True),
+        _arg("--prec", type=int, default=8),
+        _arg("--order", type=int, default=12),
+        _arg("--restrict", action="store_true"),
+        _arg("--moments", help="a_max,b_max"),
+        _arg("--json", action="store_true", help="JSON output (default)"),
+    ]),
+    "verify-interpolation": ("origin interpolation + Kummer congruences",
+                             cmd_verify_interpolation, [
+        *CURVE_OPTS,
+        _arg("--prime", type=int, required=True),
+        _arg("--prec", type=int, default=8),
+        _arg("--amax", type=int, default=4),
+        _arg("--bmax", type=int, default=4),
+        _arg("--kummer-max", type=int, default=0),
+    ]),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser; when argv[0] names a subcommand, with that one alone
+    (its arguments and Namespace are the same).  Help, a missing or an
+    unknown command get every subcommand, and so the usual messages."""
     ap = argparse.ArgumentParser(prog="ektheta",
                                  description=__doc__.splitlines()[0])
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def curve_opts(sp):
-        sp.add_argument("--catalog", help="catalog row label, e.g. 'Z[sqrt(-1)]'")
-        sp.add_argument("--u", default="1", help="catalog scaling u (rational)")
-        sp.add_argument("--g2", help="rational g2 for a raw curve")
-        sp.add_argument("--g3", help="rational g3 for a raw curve")
-        sp.add_argument("--e2star", help="rational e2* for a raw curve")
-        sp.add_argument("--out", help="write JSON artifact to this path")
-
-    sp = sub.add_parser("catalog", help="the thirteen CM curves over Q")
-    sp.add_argument("--u", default=None)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_catalog)
-
-    sp = sub.add_parser("expand", help="exact origin expansion")
-    sp.add_argument("what", choices=["kronecker"])
-    curve_opts(sp)
-    sp.add_argument("--order", type=int, default=10)
-    sp.add_argument("--format", choices=["json"], default="json")
-    sp.set_defaults(func=cmd_expand)
-
-    sp = sub.add_parser("formal-log", help="formal logarithm series")
-    curve_opts(sp)
-    sp.add_argument("--order", type=int, default=20)
-    sp.set_defaults(func=cmd_formal_log)
-
-    sp = sub.add_parser("compose", help="formal-parameter composition")
-    curve_opts(sp)
-    sp.add_argument("--order", type=int, default=20)
-    sp.add_argument("--starred", action=argparse.BooleanOptionalAction,
-                    default=True)
-    sp.set_defaults(func=cmd_compose)
-
-    sp = sub.add_parser("valuations", help="denominator-exponent heatmap CSV")
-    curve_opts(sp)
-    sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--order", type=int, default=40)
-    sp.add_argument("--csv", help="CSV output path")
-    sp.add_argument("--fit-diagonal", action="store_true")
-    sp.set_defaults(func=cmd_valuations)
-
-    sp = sub.add_parser("ek", help="Eisenstein-Kronecker number")
-    curve_opts(sp)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--z0", help="'a/n,b/n' in the period basis")
-    sp.add_argument("--w0", help="'a/n,b/n' in the period basis")
-    sp.add_argument("--err", type=float, default=1e-20)
-    sp.add_argument("--prec-bits", type=int, default=DEFAULT_PREC)
-    sp.set_defaults(func=cmd_ek)
-
-    sp = sub.add_parser("hecke-l", help="Hecke L partial sum, two routes")
-    sp.add_argument("--character", default="zi-conductor-2-2i")
-    sp.add_argument("--s", type=int, default=6)
-    sp.add_argument("--norm-bound", type=int, default=400)
-    sp.add_argument("--err", type=float, default=1e-16)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--prec-bits", type=int, default=DEFAULT_PREC)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_hecke_l)
-
-    sp = sub.add_parser("verify", help="identity verification suites")
-    sp.add_argument("target", choices=["kronecker", "generating-function",
-                                       "functional-equation", "distribution"])
-    curve_opts(sp)
-    sp.add_argument("--points", type=int, default=10)
-    sp.add_argument("--tol", type=float, default=1e-15)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--prec-bits", type=int, default=DEFAULT_PREC)
-    sp.add_argument("--z0")
-    sp.add_argument("--w0")
-    sp.add_argument("--amax", type=int, default=4)
-    sp.add_argument("--bmax", type=int, default=4)
-    sp.add_argument("--ideal-a", default="1")
-    sp.add_argument("--ideal-b", default="1")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("measure", help="p-adic measure series and moments")
-    curve_opts(sp)
-    sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--prec", type=int, default=8)
-    sp.add_argument("--order", type=int, default=12)
-    sp.add_argument("--restrict", action="store_true")
-    sp.add_argument("--moments", help="a_max,b_max")
-    sp.add_argument("--json", action="store_true", help="JSON output (default)")
-    sp.set_defaults(func=cmd_measure)
-
-    sp = sub.add_parser("verify-interpolation",
-                        help="origin interpolation + Kummer congruences")
-    curve_opts(sp)
-    sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--prec", type=int, default=8)
-    sp.add_argument("--amax", type=int, default=4)
-    sp.add_argument("--bmax", type=int, default=4)
-    sp.add_argument("--kummer-max", type=int, default=0)
-    sp.set_defaults(func=cmd_verify_interpolation)
-
+    names = list(COMMANDS)
+    if argv and argv[0] in COMMANDS:
+        names = [argv[0]]
+    # the full parser's usage line names every command, so does this one's
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, func, arguments = COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            sp.add_argument(*flags, **kwargs)
+        sp.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # At exit, freeze every object the run made, so that the interpreter's
+    # final collection skips them.  stdout is flushed before that
+    # collection, and the --csv/--out files are closed by their with
+    # blocks.  Registered here, not at import, so that a library importing
+    # this module keeps the normal shutdown; unregister first, so that
+    # repeated calls register it once.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (IntegralityError, PeriodPrecisionError) as exc:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .curves import (
@@ -50,6 +51,9 @@ from .series import (
     NotDivisibleError,
     UniSeries,
     axpy,
+    bilinear,
+    inverse_row,
+    lcm_into,
 )
 
 __all__ = [
@@ -86,22 +90,21 @@ def kronecker_exact(curve: CurveData, order: int,
     """Exact Theta expansion at the origin, 1/z + 1/w plus the symmetric
     regular part to total degree `order`, in the curve's field."""
     ring = ring or curve.ring()
-    D = order + 1
-    U = _unit_series_list(curve, D, ring)
-    Uinv = UniSeries.from_list(ring, U, D).inverse()
-    regular = kronecker_regular(U, [Uinv.coeff(j) for j in range(D + 1)],
-                                order, ring)
-    return KroneckerExpansion(ring.one, regular)
+    U = ring.to_row(_unit_series_list(curve, order + 1, ring))
+    return KroneckerExpansion(ring.one, kronecker_regular(
+        U, inverse_row(U, order + 1, ring), order, ring))
 
 
-def kronecker_regular(U: list, Uinv: list, order: int, ring) -> BiSeries:
+def kronecker_regular(U: tuple, Uinv: tuple, order: int, ring) -> BiSeries:
     """(z + w)(V - 1)/(z w), V = U(z + w) U(z)^-1 U(w)^-1, to total degree
-    `order`, from the coefficient lists of U and U^-1 (degrees 0..order+1).
+    `order`, from the int rows of U and U^-1 (degrees 0..order+1).
 
-    The loops run on anti-diagonals, one list per total degree d indexed by
+    The loops run on anti-diagonals, one row per total degree d indexed by
     the z-exponent: U(z)^-1 moves (m, n) to (m + j, n) and U(w)^-1 to
     (m, n + j), so each coefficient of U^-1 scales a whole anti-diagonal by
-    one factor.  The same loops run on exact scalars and on a ScaledIntRing
+    one factor, and each anti-diagonal sums its terms over the lcm of their
+    denominators.  The same loops run on the int rows of Q, of Q(sqrt(-d))
+    (series.bilinear takes them apart into parts) and of a ScaledIntRing
     (U and U^-1 of varpi-scaled z, entry k of varpi-degree k, and a product
     carries one factor p where the carry rule says so).  There
     the result at total degree d is stored with p^(floor(d/(p-1)) + 1), one
@@ -112,50 +115,84 @@ def kronecker_regular(U: list, Uinv: list, order: int, ring) -> BiSeries:
     failure is a bug, not a data condition."""
     D = order + 1
     period, carry = ring.period, ring.carry
-    uinv = [(j, c, c * carry if carry != 1 else c, j % period)
-            for j, c in enumerate(Uinv[:D + 1]) if c]
+    du, up = U
 
-    def times_inverse(diagonals, along_z: bool) -> list:
-        out = [[ring.zero] * (d + 1) for d in range(D + 1)]
-        for d, src in enumerate(diagonals):
-            if not any(src):
-                continue
-            rd = d % period
+    def times_inverse(diagonals, inverse, along_z: bool) -> list:
+        (di, (inv,)), = inverse
+        uinv = [(j, c, c * carry, j % period) for j, c in enumerate(inv[:D + 1]) if c]
+        live = [d for d, (_, (src,)) in enumerate(diagonals) if any(src)]
+        dens = [1] * (D + 1)
+        for d in live:
+            lcm_into(dens, (d + j for j, *_ in uinv if d + j <= D),
+                     diagonals[d][0] * di)
+        out = [[0] * (d + 1) for d in range(D + 1)]
+        for d in live:
+            (sd, (src,)), rd = diagonals[d], d % period
+            q = sd * di
             for j, c, cc, r in uinv:
                 if d + j > D:
                     break
+                c = cc if rd + r >= period else c
+                if dens[d + j] != q:
+                    c *= dens[d + j] // q
                 tgt, lo = out[d + j], j if along_z else 0
-                tgt[lo:lo + d + 1] = axpy(tgt[lo:lo + d + 1], src,
-                                          cc if rd + r >= period else c)
-        return [ring.reduce_row(row) for row in out]
+                tgt[lo:lo + d + 1] = axpy(tgt[lo:lo + d + 1], src, c)
+        return [ring.normalize(den, [row]) for den, row in zip(dens, out)]
 
     # A = U(z + w): anti-diagonal d holds U_d C(d, m) at index m
-    A = [ring.reduce_row([U[d] * math.comb(d, m) for m in range(d + 1)])
-         if U[d] else [] for d in range(D + 1)]
-    V = times_inverse(times_inverse(A, True), False)
-    V[0][0] = ring.reduce(V[0][0] - ring.one)
+    A = [ring.normalize(du, [[u[d] * math.comb(d, m) for m in range(d + 1)]
+                             for u in up]) if any(u[d] for u in up)
+         else (1, [[0] * (d + 1) for u in up]) for d in range(D + 1)]
+    V = bilinear(ring, times_inverse, bilinear(ring, times_inverse, A, [Uinv], True),
+                 [Uinv], False)
+    den, parts = V[0]
+    parts[0][0] -= den
+    V[0] = ring.normalize(den, parts)
     # V - 1 must vanish on both axes (forced by the polar structure)
-    for d, row in enumerate(V):
-        for m in (0, d):
-            if row[m]:
-                raise NotDivisibleError(
-                    f"Kronecker divisibility failed at z^{m} w^{d - m}: {row[m]} "
-                    "(implementation bug, not a data condition)")
+    for d, (den, parts) in enumerate(V):
+        if any(part[0] or part[d] for part in parts):
+            m = 0 if any(part[0] for part in parts) else d
+            value = ring.from_row(den, [[part[m]] for part in parts])[0]
+            raise NotDivisibleError(
+                f"Kronecker divisibility failed at z^{m} w^{d - m}: {value} "
+                "(implementation bug, not a data condition)")
     # (z + w) (V - 1)/(z w): (m, n) of degree d - 1 takes V(m, n+1) + V(m+1, n)
-    reg: Dict[Tuple[int, int], object] = {}
+    diagonals = []
     for d in range(1, D + 1):
-        row = V[d]
-        if not any(row):
+        den, parts = V[d]
+        if not any(map(any, parts)):
+            diagonals.append((1, [part[1:] for part in parts]))
             continue
-        row = [(a + b if b else a) if a else b for a, b in zip(row, row[1:])]
+        parts = [[a + b for a, b in zip(part, part[1:])] for part in parts]
         if d % period:
-            row = [v * carry for v in row]
-        reg.update(((m, d - 1 - m), v)
-                   for m, v in enumerate(ring.reduce_row(row)) if v)
-    regular = BiSeries(ring, reg, order)
-    if not regular.is_symmetric():
-        raise AssertionError("Theta expansion lost z<->w symmetry")
-    return regular
+            parts = [[v * carry for v in part] for part in parts]
+        den, parts = ring.normalize(den, parts)
+        if any(part != part[::-1] for part in parts):
+            raise AssertionError("Theta expansion lost z<->w symmetry")
+        diagonals.append((den, parts))
+    reg = {}
+    for d, (den, parts) in enumerate(diagonals):
+        reg.update(((m, d - m), v)
+                   for m, v in enumerate(ring.from_row(den, parts)) if v)
+    return BiSeries(ring, reg, order, normalize=False,
+                    rows=_rows_of_diagonals(diagonals))
+
+
+def _rows_of_diagonals(diagonals: list) -> list:
+    """Row m over n from anti-diagonal rows (entry m of total degree d is
+    (m, d - m)), over the lcm of the denominators of degrees d >= m."""
+    dens = [1]
+    for dd, _ in reversed(diagonals):
+        dens.append(math.lcm(dens[-1], dd))
+    rows = []
+    for m, den in enumerate(dens[:0:-1]):
+        src = diagonals[m:]
+        parts = [[parts[k][m] for _, parts in src] for k in range(len(src[0][1]))]
+        if den != 1:
+            factors = [den // dd for dd, _ in src]
+            parts = [list(map(mul, part, factors)) for part in parts]
+        rows.append((den, parts))
+    return rows
 
 
 def ek_from_expansion(exp: KroneckerExpansion, a: int, b: int):

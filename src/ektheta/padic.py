@@ -72,7 +72,7 @@ from .scalars import ExactScalar, PadicScalar, charpoly, divrem_monic, \
     embed_padic, ideal_generators, inverse, kronecker_mul, mulmod, ok_omega, \
     ok_units, power_sums, trace, _sqrt_minus_d_mod, _vp_fraction
 from .series import BiSeries, ExactRing, IntModRing, KroneckerExpansion, \
-    ScaledIntRing, UniSeries, scaled_mul, unit_inverse
+    ScaledIntRing, UniSeries, inverse_row, scaled_mul, unit_inverse
 
 __all__ = [
     "NoPeriodError",
@@ -568,8 +568,8 @@ def _scaled_regular(curve: CurveData, ring: ScaledIntRing, order: int) -> BiSeri
     """The regular part of Theta in varpi-scaled variables to total degree
     `order`, (m, n) stored as p^(floor((m+n)/(p-1)) + 1) c_mn
     (kronecker_regular on ring)."""
-    U = _scaled_theta_unit(curve, ring, order + 1)
-    return kronecker_regular(U, unit_inverse(U, order + 1, ring), order, ring)
+    U = ring.to_row(_scaled_theta_unit(curve, ring, order + 1))
+    return kronecker_regular(U, inverse_row(U, order + 1, ring), order, ring)
 
 
 def _scaled_log(curve: CurveData, ring: ScaledIntRing, n: int) -> list:

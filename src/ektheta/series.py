@@ -4,9 +4,7 @@ A :class:`UniSeries` is known modulo t^(order+1) and may carry finitely many
 negative-index (polar) coefficients.  A :class:`BiSeries` is truncated by
 total degree.  Coefficient scalars only need ``+ - * /`` among themselves and
 with ints, and their truthiness is the zero test; a small ring adapter
-supplies zero/one, Fraction coercion (for exp denominators) and ``reduce``
-(``reduce_row`` on a list), which series products apply where their sums
-would otherwise grow without bound.
+supplies zero/one, Fraction coercion (for exp denominators) and ``reduce``.
 Plain ``Fraction`` objects serve as the scalars of the rational exact ring
 and ``ExactScalar`` for quadratic fields.  The p-adic engine uses plain
 ints mod p^k, the scalars of :class:`IntModRing`: each series carries one
@@ -14,6 +12,18 @@ absolute precision, its ring's modulus.  Its composed expansion runs in
 varpi-scaled variables on :class:`ScaledIntRing`, ints mod p^W whose
 products follow a carry rule.  The numeric engine's Taylor series of theta
 take mpmath complex numbers, the scalars of :class:`ComplexRing`.
+
+The exact and integer rings run their series kernels (inverse, product,
+the bivariate composition, and the Kronecker regular part) on int rows: a
+row is (den, parts), one positive denominator and one int list per part,
+entry k being parts[0][k]/den on Q, (parts[0][k] + parts[1][k] sqrt(-d))/den
+on Q(sqrt(-d)), and parts[0][k] with den 1 on the integer rings.  A scalar
+multiplies a row as ints, a row that a kernel sums into is put over the
+lcm of its terms' denominators, and a finished row is brought to lowest
+terms (``normalize``: one gcd, or the reduction mod m).  The kernels run on
+rows of one part; ``bilinear`` takes Q(sqrt(-d)) apart.  ``to_row`` and
+``from_row`` convert, so a Fraction or ExactScalar is formed once per
+coefficient a kernel hands back.
 
 Multiplication of truncated series keeps the usual Laurent bookkeeping:
 the product of series known mod t^(Na+1), t^(Nb+1) with valuations va, vb is
@@ -24,6 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, compress
 from operator import mul
 from typing import Dict, NamedTuple, Tuple
 
@@ -40,7 +51,10 @@ __all__ = [
     "SeriesError",
     "NotDivisibleError",
     "axpy",
+    "bilinear",
     "carried",
+    "inverse_row",
+    "lcm_into",
     "scaled_mul",
     "unit_inverse",
 ]
@@ -55,7 +69,8 @@ class NotDivisibleError(SeriesError):
 
 
 class ExactRing:
-    """Rational (d = 0, scalars are Fractions) or Q(sqrt(-d)) coefficients."""
+    """Rational (d = 0, scalars are Fractions) or Q(sqrt(-d)) coefficients;
+    int rows of one part (Q) or two (the a and b of a + b sqrt(-d))."""
 
     period = carry = 1      # no carry rule (see ScaledIntRing)
 
@@ -86,20 +101,50 @@ class ExactRing:
     def reduce(x):
         return x
 
+    def to_row(self, values) -> tuple:
+        """(den, parts) of a list of scalars, den the lcm of their
+        denominators (so already in lowest terms)."""
+        if self.d == 0:
+            fracs = [values]
+        else:
+            fracs = [[], []]
+            for v in values:
+                a, b = (v.a, v.b) if isinstance(v, ExactScalar) else (v, 0)
+                fracs[0].append(a)
+                fracs[1].append(b)
+        den = math.lcm(*(x.denominator for x in chain.from_iterable(fracs)))
+        return den, [[x.numerator * (den // x.denominator) for x in part]
+                     for part in fracs]
+
+    def from_row(self, den: int, parts: list) -> list:
+        zero = self.zero
+        if self.d == 0:
+            return [Fraction(n, den) if n else zero for n in parts[0]]
+        d = self.d
+        return [ExactScalar(Fraction(a, den), Fraction(b, den), d) if a or b
+                else zero for a, b in zip(*parts)]
+
     @staticmethod
-    def reduce_row(row: list) -> list:
-        return row
+    def normalize(den: int, parts: list) -> tuple:
+        """The row in lowest terms: one gcd over the denominator and every
+        entry."""
+        g = math.gcd(den, *chain.from_iterable(parts))
+        if g == 1:
+            return den, parts
+        return den // g, [[x // g for x in part] for part in parts]
 
     def __repr__(self):
         return f"ExactRing(d={self.d})"
 
 
 class IntModRing:
-    """Z/m: plain ints, brought into [0, m) by ``reduce``."""
+    """Z/m: plain ints, brought into [0, m) by ``reduce``; int rows of one
+    part over the denominator 1."""
 
     zero = 0
     one = 1
     period = carry = 1
+    d = 0               # rows of one part, as on Q
 
     def __init__(self, modulus: int):
         self.modulus = modulus
@@ -115,6 +160,19 @@ class IntModRing:
     def reduce_row(self, row: list) -> list:
         m = self.modulus
         return [x % m for x in row]
+
+    @staticmethod
+    def to_row(values) -> tuple:
+        return 1, [list(values)]
+
+    @staticmethod
+    def from_row(den: int, parts: list) -> list:
+        return parts[0]
+
+    def normalize(self, den: int, parts: list) -> tuple:
+        if den != 1:
+            raise SeriesError(f"{self!r} has no denominators")
+        return 1, [self.reduce_row(part) if any(part) else part for part in parts]
 
     def __repr__(self):
         return f"IntModRing({self.modulus})"
@@ -157,10 +215,6 @@ class ComplexRing:
     @staticmethod
     def from_fraction(fr: Fraction):
         return mp.mpf(fr.numerator) / fr.denominator
-
-    @staticmethod
-    def reduce(x):
-        return x
 
     def __repr__(self):
         return "ComplexRing()"
@@ -350,18 +404,33 @@ def _scalar_json(v):
 
 
 class BiSeries:
-    """Bivariate series truncated by total degree; indices m, n >= 0."""
+    """Bivariate series truncated by total degree; indices m, n >= 0.
 
-    __slots__ = ("ring", "coeffs", "order")
+    A kernel that formed the coefficients from int rows passes them on as
+    ``rows`` (row m over n, as (den, parts)), so that ``compose`` reads
+    them without converting the coefficients back."""
+
+    __slots__ = ("ring", "coeffs", "order", "_rows")
 
     def __init__(self, ring, coeffs: Dict[Tuple[int, int], object], order: int,
-                 normalize=True):
+                 normalize=True, rows=None):
         self.ring = ring
         self.order = order
         if normalize:
             coeffs = {k: v for k, v in coeffs.items()
                       if k[0] + k[1] <= order and v}
         self.coeffs = coeffs
+        self._rows = rows
+
+    def _int_rows(self, order: int) -> list:
+        """Rows m = 0..order, row m the int row of the entries n <= order - m."""
+        if self._rows is not None:
+            return [(den, [part[:order - m + 1] for part in parts])
+                    for m, (den, parts) in enumerate(self._rows[:order + 1])]
+        ring, zero = self.ring, self.ring.zero
+        return [ring.to_row([self.coeffs.get((m, n), zero)
+                             for n in range(order - m + 1)])
+                for m in range(order + 1)]
 
     def coeff(self, m: int, n: int):
         return self.coeffs.get((m, n), self.ring.zero)
@@ -405,7 +474,8 @@ class BiSeries:
         if order >= self.order:
             return self
         return BiSeries(self.ring, {k: v for k, v in self.coeffs.items()
-                                    if k[0] + k[1] <= order}, order, normalize=False)
+                                    if k[0] + k[1] <= order}, order, normalize=False,
+                        rows=self._rows)
 
     def is_symmetric(self) -> bool:
         return all(self.coeff(n, m) == v for (m, n), v in self.coeffs.items())
@@ -414,20 +484,16 @@ class BiSeries:
         """self(inner_s(s), inner_t(t)); both inners with zero constant term.
 
         The rows of self (row m over n) contract with the powers of inner_s
-        into rows i over n, and, transposed, with the powers of inner_t.  On a
-        ScaledIntRing self holds c_mn varpi^(m+n) and each inner f(varpi s)/
-        varpi, whose s^k coefficient has varpi-degree k - 1: the result is
-        then the varpi-scaled composition, entry (i, j) of varpi-degree
-        i + j."""
+        into rows i over n, and, transposed over their lcm, with the powers
+        of inner_t.  On a ScaledIntRing self holds c_mn varpi^(m+n) and each inner
+        f(varpi s)/varpi, whose s^k coefficient has varpi-degree k - 1: the
+        result is then the varpi-scaled composition, entry (i, j) of
+        varpi-degree i + j."""
         for inner in (inner_s, inner_t):
             if inner.coeff(0):
                 raise SeriesError("inner constant term must vanish")
         ring = self.ring
         order = min(self.order, inner_s.order, inner_t.order)
-        rows = [[ring.zero] * (order - m + 1) for m in range(order + 1)]
-        for (m, n), c in self.coeffs.items():
-            if m + n <= order:
-                rows[m][n] = c
         max_m = max((m for m, n in self.coeffs if m + n <= order), default=0)
         max_n = max((n for m, n in self.coeffs if m + n <= order), default=0)
         if inner_t is inner_s:      # one table serves both axes
@@ -435,12 +501,17 @@ class BiSeries:
         else:
             pows_s = _power_table(inner_s, max_m, order)
             pows_t = _power_table(inner_t, max_n, order)
-        t1 = _contract(rows, pows_s, order, ring)                   # [i][n]
-        t1 = [[t1[i][n] for i in range(order - n + 1)] for n in range(order + 1)]
-        t2 = _contract(t1, pows_t, order, ring)                     # [j][i]
-        return BiSeries(ring, {(i, j): v for j, row in enumerate(t2)
-                               for i, v in enumerate(row) if v}, order,
-                        normalize=False)
+        t1 = bilinear(ring, _contract, pows_s, self._int_rows(order), order,
+                      ring)                                             # [i][n]
+        den = math.lcm(*(d1 for d1, _ in t1))
+        t1 = [[part if d1 == den else [x * (den // d1) for x in part] for part in parts]
+              for d1, parts in t1]
+        cols = [(den, [[parts[k][n] for parts in t1[:order - n + 1]]
+                       for k in range(len(t1[0]))]) for n in range(order + 1)]
+        t2 = bilinear(ring, _contract, pows_t, cols, order, ring)      # [j][i]
+        return BiSeries(ring, {(i, j): v for j, (d2, parts) in enumerate(t2)
+                               for i, v in enumerate(ring.from_row(d2, parts)) if v},
+                        order, normalize=False)
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
@@ -470,10 +541,52 @@ def _support(row: list):
     """(s, g) with every nonzero entry of row at s, s + g, s + 2g, ...
     (g the gcd of their distances, len(row) for a single one), or None for
     a zero row: a CM expansion fills one residue class of the degree."""
-    nz = [n for n, v in enumerate(row) if v]
+    nz = list(compress(range(len(row)), row))
     if not nz:
         return None
     return nz[0], math.gcd(*(n - nz[0] for n in nz[1:])) or len(row)
+
+
+def bilinear(ring, kernel, xs: list, ys: list, *args) -> list:
+    """kernel(xs, ys, *args), for a kernel that is bilinear in two lists of
+    rows, runs on rows of one part and returns a list of rows.  On
+    Q(sqrt(-d)) it runs part by part, (a + b w)(c + e w) = ac - d be +
+    (ae + bc) w with w^2 = -d, skipping the terms of a zero part, and each
+    output row adds its terms over the lcm of their denominators."""
+    if ring.d == 0:
+        return kernel(xs, ys, *args)
+
+    def part(rows, k):
+        return [(den, [parts[k]]) for den, parts in rows], \
+            any(any(parts[k]) for _, parts in rows)
+
+    (xa, _), (xb, xb_live), (ya, _), (yb, yb_live) = \
+        part(xs, 0), part(xs, 1), part(ys, 0), part(ys, 1)
+    sums = [[(1, kernel(xa, ya, *args))], []]
+    if xb_live and yb_live:
+        sums[0].append((-ring.d, kernel(xb, yb, *args)))
+    if yb_live:
+        sums[1].append((1, kernel(xa, yb, *args)))
+    if xb_live:
+        sums[1].append((1, kernel(xb, ya, *args)))
+    out = []
+    for t, (_, (first,)) in enumerate(sums[0][0][1]):
+        den = math.lcm(*(rows[t][0] for terms in sums for _, rows in terms))
+        parts = []
+        for terms in sums:
+            acc = [0] * len(first)
+            for c, rows in terms:
+                acc = axpy(acc, rows[t][1][0], c * (den // rows[t][0]))
+            parts.append(acc)
+        out.append(ring.normalize(den, parts))
+    return out
+
+
+def _times(x, y, d: int) -> list:
+    """The parts of the product of two scalars given by their parts."""
+    if len(x) == 1:
+        return [x[0] * y[0]]
+    return [x[0] * y[0] - d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]]
 
 
 @lru_cache(maxsize=None)
@@ -493,76 +606,146 @@ def carried(row: list, start: int, r: int, ring) -> list:
     return list(map(mul, row, pattern * (len(row) // period + 1)))
 
 
+def lcm_into(dens: list, targets, q: int) -> None:
+    """dens[t] = lcm(dens[t], q) for each target row t of a term over q, so
+    that every term's denominator divides its row's before the sum."""
+    if q != 1:
+        for t in targets:
+            dens[t] = math.lcm(dens[t], q)
+
+
 def scaled_mul(a: list, b: list, n: int, ring, sa: int = 0, sb: int = 0) -> list:
-    """Coefficients 0..n of the product of the coefficient lists a and b,
-    reduced; entry k of a (of b) has varpi-degree k + sa (k + sb), which
-    only a ScaledIntRing reads (the carry rule)."""
-    out = [ring.zero] * (n + 1)
+    """Coefficients 0..n of the product of the coefficient lists a and b
+    (_product)."""
+    return ring.from_row(*bilinear(ring, _product, [ring.to_row(a)], [ring.to_row(b)],
+                                   n, ring, sa, sb)[0])
+
+
+def _product(xs: list, ys: list, n: int, ring, sa: int, sb: int) -> list:
+    """[Entries 0..n of the product of the one-part rows xs[0] and ys[0]],
+    over the product of their denominators, normalized; entry k of xs[0]
+    (of ys[0]) has varpi-degree k + sa (k + sb), which only a ScaledIntRing
+    reads (the carry rule)."""
+    (da, (a,)), (db, (b,)) = xs[0], ys[0]
+    out = [0] * (n + 1)
     support = _support(a[:n + 1])
-    if support is None:
-        return out
-    lo, g = support
-    src, variants = a[lo:n + 1], {}
-    for k, c in enumerate(b[:n + 1 - lo]):
-        if c:
+    if support is not None:
+        lo, g = support
+        src, variants = a[lo:n + 1], {}
+        b = b[:n + 1 - lo]
+        for k, c in compress(enumerate(b), b):
             r = (k + sb) % ring.period
             if r not in variants:
                 variants[r] = carried(src, lo + sa, r, ring)[::g]
             out[k + lo::g] = axpy(out[k + lo::g], variants[r], c)
-    return ring.reduce_row(out)
+    return [ring.normalize(da * db, [out])]
 
 
 def unit_inverse(a: list, n: int, ring) -> list:
     """b_0 .. b_n of 1/a, a a coefficient list with a_0 invertible:
-    b_m = -a_0^-1 sum_{i=1..m} a_i b_(m-i).  On a ScaledIntRing (entry k of
-    varpi-degree k, the carry rule) a_0 must be 1."""
-    period, carry = ring.period, ring.carry
+    b_m = -a_0^-1 sum_{i=1..m} a_i b_(m-i) (inverse_row).  On ComplexRing
+    the sum runs over scalars, term by term."""
+    if not isinstance(ring, ComplexRing):
+        return ring.from_row(*inverse_row(ring.to_row(a[:n + 1]), n, ring))
     inv_lead = ring.one if a[0] == ring.one else ring.one / a[0]
-    terms = [(i, c, c * carry if carry != 1 else c, i % period)
-             for i, c in enumerate(a[1:n + 1], 1) if c]
+    terms = [(i, c) for i, c in enumerate(a[1:n + 1], 1) if c]
     b = [inv_lead]
     for m in range(1, n + 1):
         s = None
-        for i, c, cc, r in terms:
+        for i, c in terms:
             if i > m:
                 break
-            t = (cc if r + (m - i) % period >= period else c) * b[m - i]
+            t = c * b[m - i]
             s = t if s is None else s + t
-        b.append(ring.zero if s is None else ring.reduce(-(inv_lead * s)))
+        b.append(ring.zero if s is None else -(inv_lead * s))
     return b
 
 
-def _power_table(s: UniSeries, kmax: int, order: int):
-    """s^0 .. s^kmax to degree `order`, each as (degree i, coeff, r) triples
-    in increasing degree, r the residue mod ring.period of the coefficient's
-    varpi-degree i - m (s held as f(varpi s)/varpi: its s^k coefficient has
-    varpi-degree k - 1)."""
+def inverse_row(a: tuple, n: int, ring) -> tuple:
+    """Entries 0..n of 1/a as a row, a = A/den(a) a row with a_0
+    invertible.  With the b found so far over one denominator D, b_m is
+    -J (sum_{i=1..m} A_i B_(m-i))/(j D), with 1/A_0 = J/j, an int dot
+    product brought to lowest terms once; D grows to the lcm when b_m needs
+    it.  Only the multiples of the gcd g of a's degrees are visited.  On a
+    ScaledIntRing (entry k of varpi-degree k) a_0 must be 1, and a_i
+    carries where (i mod (p-1)) + ((m - i) mod (p-1)) >= p - 1."""
+    (da, pa), period, carry, d = a, ring.period, ring.carry, ring.d
+    pa = [part[:n + 1] + [0] * (n + 1 - len(part)) for part in pa]
+    if len(pa) == 1:
+        J, j = [1], pa[0][0]
+        if j < 0:
+            J, j = [-1], -j
+    else:
+        a0, b0 = pa[0][0], pa[1][0]
+        J, j = [a0, -b0], a0 * a0 + d * b0 * b0
+    if not j:
+        raise ZeroDivisionError("inverse of a series with zero constant term")
+    # a and 1/a live on the multiples of g: run on those entries alone
+    g = _support(pa[0] if len(pa) == 1 else [a or b for a, b in zip(*pa)])[1]
+    pa = [part[::g] for part in pa]
+    D, B = ring.normalize(j, [[da * x] for x in J])        # b_0 = den(a) J/j
+    variants = {}
+    for t in range(1, n // g + 1):
+        A = pa
+        if period != 1:
+            rm = g * t % period
+            if rm not in variants:
+                variants[rm] = [[x * carry if g * i % period + (rm - g * i) % period
+                                 >= period else x for i, x in enumerate(pa[0])]]
+            A = variants[rm]
+        dots = [[sum(map(mul, x[1:t + 1], y[t - 1::-1])) for y in B] for x in A]
+        S = [dots[0][0]] if len(A) == 1 else \
+            [dots[0][0] - d * dots[1][1], dots[0][1] + dots[1][0]]
+        den, num = ring.normalize(j * D, [[-x] for x in _times(J, S, d)])
+        if D % den:
+            f = den // math.gcd(D, den)
+            B = [[x * f for x in part] for part in B]
+            D *= f
+        for part, x in zip(B, num):
+            part.append(x[0] * (D // den))
+    out = [[0] * (n + 1) for _ in B]
+    for part, b in zip(out, B):
+        part[::g] = b
+    return D, out
+
+
+def _power_table(s: UniSeries, kmax: int, order: int) -> list:
+    """s^0 .. s^kmax to degree `order` as rows; s is held as f(varpi s)/varpi,
+    so the s^i coefficient of s^m has varpi-degree i - m."""
     ring = s.ring
-    base = [s.coeff(k) for k in range(order + 1)]
-    table, cur = [[(0, ring.one, 0)]], base
+    base = ring.to_row([s.coeff(k) for k in range(order + 1)])
+    table, cur = [ring.to_row([ring.one] + [ring.zero] * order)], base
     for m in range(1, kmax + 1):
         if m > 1:
-            cur = scaled_mul(cur, base, order, ring, 1 - m, -1)
-        table.append([(i, c, (i - m) % ring.period) for i, c in enumerate(cur) if c])
+            cur, = bilinear(ring, _product, [cur], [base], order, ring, 1 - m, -1)
+        table.append(cur)
     return table
 
 
-def _contract(rows: list, pows: list, order: int, ring) -> list:
-    """out[i][n] = sum_m (pows[m])_i rows[m][n] for n <= order - i, reduced;
-    rows[m][n] has varpi-degree m + n."""
-    out = [[ring.zero] * (order - i + 1) for i in range(order + 1)]
-    for m, row in enumerate(rows[:len(pows)]):
-        support = _support(row)
-        if support is None:
-            continue
-        s, g = support
+def _contract(X: list, Y: list, order: int, ring) -> list:
+    """Rows out[i] = sum_k X[k]_i Y[k] over the entries n <= order - i,
+    normalized: each nonzero entry of the row X[k] scales the row Y[k] into
+    the row of its index, whose denominator is the lcm of its terms'.
+    X[k]_i has varpi-degree i - k and Y[k]_n has n + k (the carry rule)."""
+    period, work, dens = ring.period, [], [1] * (order + 1)
+    for k, ((xd, (x,)), (yd, (y,))) in enumerate(zip(X, Y)):
+        support = _support(y)
+        if support is not None:
+            entries = list(compress(enumerate(x), x))
+            lcm_into(dens, (i for i, _ in entries), xd * yd)
+            work.append((k, y, support, xd * yd, entries))
+    out = [[0] * (order - i + 1) for i in range(order + 1)]
+    for k, y, (s, g), q, entries in work:
         variants = {}
-        for i, e, r in pows[m]:
+        for i, e in entries:
+            r = (i - k) % period
             if r not in variants:
-                variants[r] = carried(row, m, r, ring)[s::g]
+                variants[r] = carried(y, k, r, ring)[s::g]
+            if dens[i] != q:
+                e *= dens[i] // q
             tgt = out[i]
             tgt[s::g] = axpy(tgt[s::g], variants[r], e)
-    return [ring.reduce_row(o) for o in out]
+    return [ring.normalize(den, [row]) for den, row in zip(dens, out)]
 
 
 class KroneckerExpansion(NamedTuple):

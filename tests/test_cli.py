@@ -489,3 +489,112 @@ class TestBenchmarkHooks:
             for attr in dotted:
                 owner = getattr(owner, attr)
             assert "order" in inspect.signature(owner).parameters, name
+
+
+# One representative command line per subcommand, in the table's order.
+REPRESENTATIVE_ARGV = {
+    "catalog": ["catalog", "--u", "4"],
+    "expand": ["expand", "kronecker", "--catalog", "Z[sqrt(-1)]", "--u", "4",
+               "--order", "10"],
+    "formal-log": ["formal-log", "--g2", "4", "--g3", "0", "--order", "12"],
+    "compose": ["compose", "--catalog", "Z[sqrt(-2)]", "--no-starred"],
+    "valuations": ["valuations", "--catalog", "Z[sqrt(-1)]", "--prime", "7",
+                   "--csv", "heat.csv", "--fit-diagonal"],
+    "ek": ["ek", "--a", "1", "--b", "3", "--z0", "1/3,0", "--prec-bits", "128"],
+    "hecke-l": ["hecke-l", "--s", "5", "--norm-bound", "200", "--out", "h.json"],
+    "verify": ["verify", "distribution", "--ideal-a", "2", "--ideal-b", "1+i",
+               "--points", "3", "--seed", "7"],
+    "measure": ["measure", "--catalog", "Z[sqrt(-1)]", "--prime", "13",
+                "--restrict", "--moments", "3,3", "--json"],
+    "verify-interpolation": ["verify-interpolation", "--e2star", "1/2",
+                             "--prime", "11", "--kummer-max", "5"],
+}
+
+UNKNOWN_COMMAND_STDERR = """\
+usage: ektheta [-h]
+               {catalog,expand,formal-log,compose,valuations,ek,hecke-l,verify,measure,verify-interpolation}
+               ...
+ektheta: error: argument command: invalid choice: 'frobnicate' (choose from \
+'catalog', 'expand', 'formal-log', 'compose', 'valuations', 'ek', 'hecke-l', \
+'verify', 'measure', 'verify-interpolation')
+"""
+
+
+class TestOneCommandParser:
+    """build_parser(argv) adds only the subcommand argv[0] names; the
+    Namespace, the usage line and every message stay those of the full
+    parser."""
+
+    def test_every_subcommand_has_a_representative(self):
+        from ektheta.cli import COMMANDS
+        assert list(REPRESENTATIVE_ARGV) == list(COMMANDS)
+
+    @pytest.mark.parametrize("name", list(REPRESENTATIVE_ARGV))
+    def test_same_namespace_as_the_full_parser(self, name):
+        from ektheta.cli import build_parser
+        argv = REPRESENTATIVE_ARGV[name]
+        one = build_parser(argv)
+        assert vars(one.parse_args(argv)) == vars(build_parser().parse_args(argv))
+        # and it knows no other subcommand
+        other = next(n for n in REPRESENTATIVE_ARGV if n != name)
+        with pytest.raises(SystemExit):
+            one.parse_args(REPRESENTATIVE_ARGV[other])
+
+    def test_help_lists_all_ten_subcommands(self):
+        from ektheta.cli import COMMANDS
+        cp = run_cli("--help", env={"COLUMNS": "80"})
+        assert len(COMMANDS) == 10
+        for name, (help_text, _, _) in COMMANDS.items():
+            assert f"    {name}" in cp.stdout and help_text in cp.stdout
+
+    def test_unknown_command_exits_two_with_the_usual_message(self):
+        cp = run_cli("frobnicate", check=False, env={"COLUMNS": "80"})
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr == UNKNOWN_COMMAND_STDERR
+
+    def test_bad_argument_keeps_the_full_usage_line(self):
+        # the top-level parser reports it, with every command in its usage
+        cp = run_cli("catalog", "--bogus", check=False, env={"COLUMNS": "80"})
+        assert cp.returncode == 2
+        assert cp.stderr == UNKNOWN_COMMAND_STDERR.split("ektheta: error")[0] \
+            + "ektheta: error: unrecognized arguments: --bogus\n"
+
+
+_FREEZE_PROBE = """
+import atexit, gc, sys
+# registered first, so it runs last: after any handler main() registered
+atexit.register(lambda: print("frozen" if gc.get_freeze_count() else "not frozen"))
+import ektheta.cli
+if sys.argv[1:]:
+    ektheta.cli.main(sys.argv[1:])
+    ektheta.cli.main(sys.argv[1:])
+"""
+
+
+class TestExitHook:
+    """main() freezes the run's objects at exit, so that the interpreter's
+    final collection skips them; files and stdout are complete first."""
+
+    def test_main_freezes_at_exit_but_import_does_not(self, tmp_path):
+        outs = []
+        for argv in ([], ["catalog", "--u", "4", "--out", str(tmp_path / "c.json")]):
+            cp = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, *argv],
+                                capture_output=True, text=True)
+            assert cp.returncode == 0, cp.stderr
+            outs.append(cp.stdout.splitlines()[-1])
+        assert outs == ["not frozen", "frozen"]
+
+    def test_written_files_match_their_pinned_digests(self, tmp_path):
+        # the valuations CSV digest is perfbench's reference; the measure
+        # artifact's was taken before the exit hook and the int rows
+        run_cli("valuations", "--catalog", "Z[sqrt(-1)]", "--u", "4", "--prime", "7",
+                "--order", "80", "--csv", str(tmp_path / "heat.csv"), "--fit-diagonal")
+        run_cli("measure", "--catalog", "Z[sqrt(-1)]", "--u", "4", "--prime", "13",
+                "--prec", "6", "--order", "12", "--restrict", "--moments", "3,3",
+                "--out", str(tmp_path / "m.json"))
+        digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest("heat.csv") == \
+            "64dc027c127b52a14e29a169323aee62238256e33dae09fd11ec302467b34cf3"
+        assert digest("m.json") == \
+            "185ecd17235f3ebcab7bab1df58bd5e4856e864fe6f6209555624a2e7dc63fcf"

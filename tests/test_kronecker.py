@@ -1,4 +1,5 @@
 """Kronecker theta: exact expansion, numeric identities, composition."""
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -7,7 +8,7 @@ import mpmath as mp
 import pytest
 
 from ektheta import kronecker
-from ektheta.curves import catalog_row, compute_periods
+from ektheta.curves import catalog_row, compute_periods, formal_log
 from ektheta.eklerch import eisenstein_kronecker_lerch
 from ektheta.kronecker import (
     ThetaEvaluator,
@@ -57,7 +58,8 @@ class TestExactExpansion:
         U = kronecker._unit_series_list(curve, order + 1, ring)
         wrong_inverse = [ring.one] + [ring.zero] * (order + 1)
         with pytest.raises(NotDivisibleError, match=r"z\^0 w\^4"):
-            kronecker.kronecker_regular(U, wrong_inverse, order, ring)
+            kronecker.kronecker_regular(ring.to_row(U), ring.to_row(wrong_inverse),
+                                        order, ring)
 
     def test_symmetry(self, zi_exact10):
         reg = zi_exact10.regular
@@ -446,3 +448,105 @@ class TestHeatmapRidge:
         assert hm.ridge_nondecreasing_from(10)
         rows = list(hm.csv_rows())
         assert all(len(r) == 3 for r in rows)
+
+
+def _oracle_inverse(a, n, one):
+    """b_0..b_n of 1/a by the scalar recurrence, term by term."""
+    b = [one / a[0]]
+    for m in range(1, n + 1):
+        b.append(-sum((a[i] * b[m - i] for i in range(1, m + 1) if a[i]), 0 * one) / a[0])
+    return b
+
+
+def _fraction_oracle(curve, order):
+    """(regular part of Theta, Theta-hat*) as {(m, n): scalar} dicts, by
+    plain scalar loops over Fractions or ExactScalars: the route the int
+    rows replaced, kept as their oracle."""
+    ring = curve.ring()
+    D = order + 1
+    U = kronecker._unit_series_list(curve, D, ring)
+    Uinv = _oracle_inverse(U, D, ring.one)
+    V = {(m, d - m): U[d] * math.comb(d, m)
+         for d in range(D + 1) if U[d] for m in range(d + 1)}
+    for axis in (0, 1):             # times U(z)^-1, then U(w)^-1
+        out = {}
+        for (m, n), v in V.items():
+            for j, c in enumerate(Uinv):
+                if c and m + n + j <= D:
+                    key = (m + j, n) if axis == 0 else (m, n + j)
+                    out[key] = out.get(key, 0) + v * c
+        V = out
+    V[(0, 0)] -= 1
+    assert not any(v for (m, n), v in V.items() if v and (m == 0 or n == 0))
+    reg = {(m, n): V.get((m, n + 1), 0) + V.get((m + 1, n), 0)
+           for m in range(order + 1) for n in range(order + 1 - m)}
+    reg = {k: v for k, v in reg.items() if v}
+    lam = formal_log(curve, order + 2, ring).series
+    lam_list = [lam.coeff(k) for k in range(order + 3)]
+    pows = [[ring.one] + [ring.zero] * order]
+    for _ in range(order):
+        prev = pows[-1]
+        pows.append([sum((prev[i] * lam_list[k - i] for i in range(k + 1)
+                          if prev[i] and lam_list[k - i]), 0 * ring.one)
+                     for k in range(order + 1)])
+    hat = {}
+    for (m, n), c in reg.items():
+        for i, x in enumerate(pows[m]):
+            for j, y in enumerate(pows[n][:order + 1 - i]):
+                if x and y:
+                    hat[(i, j)] = hat.get((i, j), 0) + c * x * y
+    Q = _oracle_inverse(lam_list[1:], order + 1, ring.one)
+    for k in range(1, order + 2):
+        for key in ((k - 1, 0), (0, k - 1)):
+            hat[key] = hat.get(key, 0) + Q[k]
+    return reg, {k: v for k, v in hat.items() if v}
+
+
+def _pibar_scaled_zi():
+    """The Z[i] curve at u = 4 scaled by pibar, pi over 13: the Q(i) row of
+    padic.four_term_expansions."""
+    from ektheta.padic import cm_prime_generator
+    curve = zi_curve()
+    return curve.scaled(cm_prime_generator(curve, 13).conjugate())
+
+
+class TestIntRowsAgainstFractionOracle:
+    """kronecker_exact and compose_formal run on int rows over one
+    denominator; plain scalar loops are their oracle, on Q and on Q(i)."""
+
+    ROWS = {
+        "d7": lambda: catalog_row("Z[(1+sqrt(-7))/2]").curve(1),
+        "zi-pibar": _pibar_scaled_zi,
+        "d3": lambda: catalog_row("Z[(1+sqrt(-3))/2]").curve(Fraction(2, 3)),
+    }
+
+    @pytest.mark.parametrize("name", list(ROWS))
+    def test_expansion_and_composition_to_order_21(self, name):
+        curve, order = self.ROWS[name](), 21
+        reg, hat = _fraction_oracle(curve, order)
+        exp = kronecker_exact(curve, order)
+        star = compose_formal(exp, curve, order)
+        assert exp.regular.coeffs == reg
+        assert star.regular.coeffs == hat
+        if name == "zi-pibar":      # a true Q(i) row: two parts in the rows
+            assert curve.ring().d == 1
+            assert any(not v.is_rational() for v in reg.values())
+            assert any(not v.is_rational() for v in hat.values())
+
+    @pytest.mark.parametrize("name", list(ROWS))
+    def test_perturbed_unit_coefficient_is_refused(self, name):
+        # one coefficient of U changed, against the inverse of the true U:
+        # V(z, 0) = U(z)/U_true(z) is no longer 1, so V - 1 does not vanish
+        # on the axes
+        curve, order = self.ROWS[name](), 12
+        ring = curve.ring()
+        U = kronecker._unit_series_list(curve, order + 1, ring)
+        Uinv = _oracle_inverse(U, order + 1, ring.one)
+        k = next(k for k in range(1, order + 2) if U[k])
+        for wrong in (U[k] + ring.one, U[k] * 3):
+            bad = U[:k] + [wrong] + U[k + 1:]
+            with pytest.raises((NotDivisibleError, AssertionError)):
+                kronecker.kronecker_regular(ring.to_row(bad), ring.to_row(Uinv),
+                                            order, ring)
+        # and the unperturbed pair passes
+        kronecker.kronecker_regular(ring.to_row(U), ring.to_row(Uinv), order, ring)
