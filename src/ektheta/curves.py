@@ -222,7 +222,7 @@ def wp_series(curve: CurveData, order: int, ring: Optional[ExactRing] = None) ->
         for i in range(2, k - 1):
             t = c[i] * c[k - i]
             s = t if s is None else s + t
-        c[k] = s * ring.from_fraction(Fraction(3, (2 * k + 1) * (k - 3)))
+        c[k] = s * Fraction(3, (2 * k + 1) * (k - 3))
     out = {-2: ring.one}
     for k, v in c.items():
         if 2 * k - 2 <= order:

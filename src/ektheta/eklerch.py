@@ -440,10 +440,10 @@ def _kstar_values(entries, z0, w0, lattice: LatticeData, target_error,
             at_w0.setdefault(a + 1 - s, {})[a] = sub_target
         I1 = _I_a(at_z0, z0, w0, lattice, dz)
         I2 = _I_a(at_w0, w0, z0, lattice, dw)
+        pair = lattice_pair_mpc(w0, z0, A)
         out = []
         for (a, s), f in zip(entries, factors):
-            val = I1[s][a] + A ** (a + 1 - 2 * s) * I2[a + 1 - s][a] \
-                * lattice_pair_mpc(w0, z0, A)
+            val = I1[s][a] + A ** (a + 1 - 2 * s) * I2[a + 1 - s][a] * pair
             if a == 0:
                 val += _omitted_terms(z0, w0, s, A, dz, dw)
             val = f * val / mp.gamma(s)

@@ -45,7 +45,6 @@ from .scalars import ExactScalar, _vp_fraction, in_ok, mp, ok_elements, \
     residue_classes
 from .series import (
     BiSeries,
-    ComplexRing,
     ExactRing,
     KroneckerExpansion,
     NotDivisibleError,
@@ -170,12 +169,7 @@ def kronecker_regular(U: tuple, Uinv: tuple, order: int, ring) -> BiSeries:
         if any(part != part[::-1] for part in parts):
             raise AssertionError("Theta expansion lost z<->w symmetry")
         diagonals.append((den, parts))
-    reg = {}
-    for d, (den, parts) in enumerate(diagonals):
-        reg.update(((m, d - m), v)
-                   for m, v in enumerate(ring.from_row(den, parts)) if v)
-    return BiSeries(ring, reg, order, normalize=False,
-                    rows=_rows_of_diagonals(diagonals))
+    return BiSeries(ring, _rows_of_diagonals(diagonals), order)
 
 
 def _rows_of_diagonals(diagonals: list) -> list:
@@ -308,7 +302,7 @@ class ThetaEvaluator:
 
         is expanded from the derivatives of theta_1 at pi u/w1
         (_theta1_derivatives, one pass over its q-series) times the series of
-        the exponential."""
+        the exponential (_mpc_exp, _mpc_product)."""
         with mp.workprec(self.prec + 24):
             u, g, alpha = self._reduced(mp.mpc(c))
             cg = mp.conj(g)
@@ -316,13 +310,10 @@ class ThetaEvaluator:
             lead = alpha * (self.w1 / mp.pi) / self.th1p0 \
                 * mp.exp((u * cg + abs(g) ** 2 / 2) / self.A + kappa * u ** 2)
             h = mp.pi / self.w1
-            ring = ComplexRing()
             derivs = _theta1_derivatives(h * u, self.q, n)
-            jac = UniSeries(ring, {d: derivs[d] * h ** d / mp.factorial(d)
-                                   for d in range(n + 1)}, n)
-            expo = UniSeries(ring, {1: cg / self.A + 2 * kappa * u, 2: kappa}, n).exp()
-            prod = jac * expo
-            return [lead * prod.coeff(d) for d in range(n + 1)]
+            jac = [derivs[d] * h ** d / mp.factorial(d) for d in range(n + 1)]
+            expo = _mpc_exp([0, cg / self.A + 2 * kappa * u, kappa], n)
+            return [lead * c for c in _mpc_product(jac, expo, n)]
 
     def _pole_guard(self, *zs):
         for z in zs:
@@ -339,13 +330,51 @@ class ThetaEvaluator:
         """U_{(z0,w0)} Theta evaluated at (z, w)."""
         with mp.workprec(self.prec + 24):
             z0, w0, z, w = (mp.mpc(v) for v in (z0, w0, z, w))
-            self._pole_guard(z + z0, w + w0)
             pref = mp.exp(-z0 * mp.conj(w0) / self.A) \
                 * mp.exp(-(z * mp.conj(w0) + w * mp.conj(z0)) / self.A)
             return pref * self.kronecker(z + z0, w + w0)
 
     def pair(self, x, y):
         return lattice_pair_mpc(mp.mpc(x), mp.mpc(y), self.A)
+
+
+# Taylor series of theta values as mpc coefficient lists.  Each coefficient
+# is a sum taken in ascending order of the first factor's index, with the
+# terms that have a zero factor left out: that order fixes how it rounds.
+
+def _mpc_product(a: list, b: list, n: int) -> list:
+    """Coefficients 0..n of the product of the series a and b."""
+    out = [None] * (n + 1)
+    for i, x in enumerate(a[:n + 1]):
+        if x:
+            for k, y in enumerate(b[:n + 1 - i], i):
+                if y:
+                    t = x * y
+                    out[k] = t if out[k] is None else out[k] + t
+    return [mp.mpc(0) if c is None else c for c in out]
+
+
+def _mpc_recurrence(c: list, n: int, first, step) -> list:
+    """x_0 = first and x_m = step(m, sum_{i=1..m} c_i x_(m-i)) for m = 1..n
+    (0 where every c_i is 0): exp(f) from c_i = i f_i, step s/m (E' = f' E),
+    and 1/a from c = a, first 1/a_0 and step -s/a_0."""
+    terms = [(i, v) for i, v in enumerate(c[1:n + 1], 1) if v]
+    x = [first]
+    for m in range(1, n + 1):
+        s = None
+        for i, v in terms:
+            if i > m:
+                break
+            t = v * x[m - i]
+            s = t if s is None else s + t
+        x.append(mp.mpc(0) if s is None else step(m, s))
+    return x
+
+
+def _mpc_exp(f: list, n: int) -> list:
+    """Coefficients 0..n of exp(f), f[0] = 0."""
+    return _mpc_recurrence([v * k for k, v in enumerate(f)], n, mp.mpc(1),
+                           lambda m, s: s * (mp.mpf(1) / m))
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +443,22 @@ def verify_generating_function(z0_coords: Tuple[Fraction, Fraction],
 
         A = ev.A
         cw0, cz0 = mp.conj(w0), mp.conj(z0)
-        ring = ComplexRing()
 
         def reciprocal(c, on_lattice: bool, slope, order: int):
-            """Laurent coefficients -1..order of exp(slope t)/theta(c + t)."""
+            """Laurent coefficients -1..order of exp(slope t)/theta(c + t):
+            1/theta from theta's coefficients from t^v on (v = 1 at a pole,
+            where theta has a simple zero), known to t^(top - v)."""
             th = ev.taylor(c, order + (2 if on_lattice else 1))
             polar = abs(th[0]) < ev.pole_tol * abs(th[1])
             if polar and not on_lattice:
                 raise PoleProximityError("centre within pole tolerance of the divisor")
-            den = UniSeries(ring, {k: th[k] for k in range(int(polar), len(th))},
-                            len(th) - 1)
-            out = den.inverse() * UniSeries(ring, {1: slope}, order + 1).exp()
-            return {k: out.coeff(k) for k in range(-1, order + 1)}
+            v = int(polar)
+            n, lead = len(th) - 1 - v, 1 / th[v]
+            inv = _mpc_recurrence(th[v:], n, lead, lambda m, s: -(lead * s))
+            top = min(n, order + 1)
+            out = _mpc_product(inv, _mpc_exp([0, slope], order + 1), top)  # t^(k - v)
+            return {k: out[k + v] if 0 <= k + v <= top else mp.mpc(0)
+                    for k in range(-1, order + 1)}
 
         # U_{(z0,w0)} Theta = R_z(z) R_w(w) G(z + w), the constant
         # exp(-z0 cw0/A) carried in R_z; theta(z0 + w0 + s) is a numerator
@@ -598,15 +631,12 @@ def compose_regular(regular: BiSeries, lam: UniSeries, Q: UniSeries,
     k, moves to degree k - 1 times p, or times 1 when p - 1 divides k."""
     ring = regular.ring
     composed = regular.compose(lam, lam)
-    add = {}
-    for k, v in Q.coeffs.items():
-        if k >= 1 and k - 1 <= order:
-            if k % ring.period:
-                v = v * ring.carry
-            for key in ((k - 1, 0), (0, k - 1)):
-                add[key] = add[key] + v if key in add else v
-    return composed + BiSeries(ring, {k: ring.reduce(v) for k, v in add.items()},
-                               order)
+    den, parts = ring.to_row([Q.coeff(k) * (ring.carry if k % ring.period else 1)
+                              for k in range(1, order + 2)])
+    tails = [(den, [[2 * part[0]] + part[1:] for part in parts])] + \
+        [(den, [[part[m]] + [0] * (order - m) for part in parts])
+         for m in range(1, order + 1)]
+    return composed + BiSeries(ring, tails, order)
 
 
 def _as_fraction(v) -> Fraction:
@@ -634,11 +664,6 @@ class HeatmapReport(NamedTuple):
     diagonal_slope: Optional[float]
     fit_window: Tuple[int, int]
 
-    def ridge_nondecreasing_from(self, T0: int) -> bool:
-        keys = sorted(T for T in self.ridge if T >= T0)
-        vals = [self.ridge[T] for T in keys]
-        return all(b >= a for a, b in zip(vals, vals[1:]))
-
     def csv_rows(self):
         for (m, n), e in sorted(self.entries.items()):
             yield m, n, e
@@ -647,18 +672,20 @@ class HeatmapReport(NamedTuple):
 def valuation_heatmap(composed: KroneckerExpansion, p: int,
                       fit_window: Tuple[int, int] = (10, 10 ** 9)) -> HeatmapReport:
     """Exponent of p in the denominator of every coefficient, with the
-    antidiagonal ridge statistic and its least-squares slope."""
+    antidiagonal ridge statistic and its least-squares slope; v_p of a
+    coefficient is that of its numerator less that of its row's
+    denominator."""
     entries = {}
     ridge: Dict[int, int] = {}
-    for (m, n), v in composed.regular.coeffs.items():
-        fr = _as_fraction(v)
-        vp = _vp_fraction(fr, p)
-        if vp is None:
-            continue
-        e = max(0, -vp)
-        entries[(m, n)] = e
-        T = m + n
-        ridge[T] = max(ridge.get(T, 0), e)
+    for m, (den, parts) in enumerate(composed.regular.rows):
+        if any(map(any, parts[1:])):
+            raise TypeError(f"cannot reinterpret row {m}, with a sqrt(-d) part, as a rational")
+        v_den = _vp_fraction(den, p)
+        for n, a in enumerate(parts[0]):
+            if a:
+                e = max(0, v_den - _vp_fraction(a, p))
+                entries[(m, n)] = e
+                ridge[m + n] = max(ridge.get(m + n, 0), e)
     lo, hi = fit_window
     hi = min(hi, composed.order)
     pts = [(T, e) for T, e in ridge.items() if lo <= T <= hi]

@@ -62,6 +62,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .curves import CurveData, catalog_row_of, formal_log, log_integers, \
@@ -72,7 +73,7 @@ from .scalars import ExactScalar, PadicScalar, charpoly, divrem_monic, \
     embed_padic, ideal_generators, inverse, kronecker_mul, mulmod, ok_omega, \
     ok_units, power_sums, trace, _sqrt_minus_d_mod, _vp_fraction
 from .series import BiSeries, ExactRing, IntModRing, KroneckerExpansion, \
-    ScaledIntRing, UniSeries, inverse_row, scaled_mul, unit_inverse
+    ScaledIntRing, UniSeries, axpy, inverse_row, scaled_mul, unit_inverse
 
 __all__ = [
     "NoPeriodError",
@@ -590,10 +591,9 @@ def _scaled_log(curve: CurveData, ring: ScaledIntRing, n: int) -> list:
 
 
 @lru_cache(maxsize=4)
-def _exact_composed(curve: CurveData, p: int, order: int,
-                    digits: int) -> Dict[Tuple[int, int], int]:
-    """The starred composed expansion, {(i, j): Theta-hat_ij mod p^digits}
-    for i + j <= order (zeros mod p^digits omitted), computed on ints.
+def _exact_composed(curve: CurveData, p: int, order: int, digits: int) -> BiSeries:
+    """The starred composed expansion to total degree `order` on ints mod
+    p^digits (IntModRing), computed on ints.
 
     Everything runs in varpi-scaled variables, varpi^(p-1) = p, on
     ScaledIntRing(p, W) with W = digits + floor(order/(p-1)) + 1.  There
@@ -626,19 +626,21 @@ def _exact_composed(curve: CurveData, p: int, order: int,
         regular, UniSeries(ring, dict(enumerate(lam[:order + 1])), order),
         UniSeries(ring, dict(enumerate(Q)), order + 1), order)
     pkd = p ** digits
-    hat = {}
-    for (i, j), c in composed.coeffs.items():
-        e = (i + j) // q + 1
-        y, r = divmod(c % pk, p ** e)
-        if r:
-            raise IntegralityError(
-                f"composed coefficient at {(i, j)} has v_p = "
-                f"{_vp_fraction(r, p) - e} < 0")
-        if y % pkd:
-            hat[(i, j)] = y % pkd
-    if any(hat.get((j, i)) != c for (i, j), c in hat.items()):
+    scale = [p ** (d // q + 1) for d in range(order + 1)]
+    hat = []
+    for i, (_, (row,)) in enumerate(composed.rows):
+        out = []
+        for j, c in enumerate(row):
+            y, r = divmod(c % pk, scale[i + j])
+            if r:
+                raise IntegralityError(
+                    f"composed coefficient at {(i, j)} has v_p = "
+                    f"{_vp_fraction(r, p) - (i + j) // q - 1} < 0")
+            out.append(y % pkd)
+        hat.append(out)
+    if any(c != hat[j][i] for i, row in enumerate(hat) for j, c in enumerate(row)):
         raise AssertionError("Theta-hat lost s<->t symmetry")
-    return hat
+    return BiSeries(IntModRing(pkd), [(1, [row]) for row in hat], order)
 
 
 def _trace_coefficient_table(alg: TorsionAlgebra, imax: int, keep: int):
@@ -674,33 +676,35 @@ def restricted_formal_series(curve: CurveData, p: int, N: int,
     DS = out_order
     digits = N + 6
     DBIG = DS + (p - 1) * (N + 5)
-    chat = _exact_composed(curve, p, DBIG, digits)
+    chat = [row for _, (row,) in _exact_composed(curve, p, DBIG, digits).rows]
     pko = p ** digits
-    imax = max((i for i, _ in chat), default=0)
+    imax = max((i for i, row in enumerate(chat) if any(row)), default=0)
     alg = formal_torsion_algebra(curve, p, digits)
     L = [[((p - 1) * (k == i) - x) % pko for k, x in enumerate(row)]
          for i, row in enumerate(_trace_coefficient_table(alg, imax, DS))]
     G: Dict[int, list] = {}
-    for (i, j), cv in chat.items():
-        g = G.setdefault(j, [0] * (DS + 1))
-        for k, x in enumerate(L[i]):
-            if x:
-                g[k] += cv * x
-    R2: Dict[Tuple[int, int], int] = {}
+    for i, row in enumerate(chat):
+        for j, cv in compress(enumerate(row), row):
+            g = G.setdefault(j, [0] * (DS + 1))
+            for k, x in enumerate(L[i]):
+                if x:
+                    g[k] += cv * x
+    R2 = [[0] * (DS + 1 - k) for k in range(DS + 1)]
     for j, g in G.items():
         for k, gk in enumerate(g):
             gk %= pko
             if gk:
-                for l, x in enumerate(L[j][:DS + 1 - k]):
-                    R2[(k, l)] = R2.get((k, l), 0) + gk * x
-    out = {}
-    for key, val in R2.items():
-        q, r = divmod(val % pko, p * p)
-        if r:
-            raise IntegralityError(f"restricted series coefficient at {key} has "
-                                   f"v_p = {_vp_fraction(r, p) - 2}")
-        out[key] = q
-    return BiSeries(IntModRing(p ** (digits - 2)), out, DS)
+                R2[k] = [y + gk * x for y, x in zip(R2[k], L[j])]
+    out = []
+    for k, row in enumerate(R2):
+        out.append([])
+        for l, val in enumerate(row):
+            q, r = divmod(val % pko, p * p)
+            if r:
+                raise IntegralityError(f"restricted series coefficient at {(k, l)} "
+                                       f"has v_p = {_vp_fraction(r, p) - 2}")
+            out[-1].append(q)
+    return BiSeries(IntModRing(p ** (digits - 2)), [(1, [row]) for row in out], DS)
 
 
 def formal_moments(series: BiSeries, curve: CurveData, p: int,
@@ -718,38 +722,37 @@ def formal_moments(series: BiSeries, curve: CurveData, p: int,
     m = ring.modulus
     order = series.order
     lam = formal_log(curve, order + 2, ExactRing(0)).series
-    lamp_inv = [(k, _int_mod(v, p, m)) for k, v in
-                lam.derivative().truncate(order).inverse().coeffs.items()]
+    inv = lam.derivative().truncate(order).inverse()
+    lamp_inv = [_int_mod(inv.coeff(k), p, m) for k in range(order + 1)]
 
-    def dz(f: BiSeries, axis: int) -> BiSeries:
-        dd: Dict[Tuple[int, int], int] = {}
-        for (i, j), v in f.coeffs.items():
-            k = (i, j)[axis]
-            if k == 0:
-                continue
-            key = (i - 1, j) if axis == 0 else (i, j - 1)
-            dd[key] = dd.get(key, 0) + v * k
-        # multiply by lambda'(s or t)^-1 along the axis
-        out: Dict[Tuple[int, int], int] = {}
-        for (i, j), v in dd.items():
-            for k, u in lamp_inv:
-                key = (i + k, j) if axis == 0 else (i, j + k)
-                if key[0] + key[1] < f.order:
-                    out[key] = out.get(key, 0) + v * u
-        return BiSeries(ring, {key: v % m for key, v in out.items()}, f.order - 1)
+    def dt(rows: list) -> list:
+        """d_w on int rows m over n: each row's derivative times
+        lambda'(t)^-1, one degree lower."""
+        out = []
+        for row in rows[:-1]:
+            d = [x * n for n, x in enumerate(row)][1:]
+            acc = [0] * len(d)
+            for k, u in enumerate(lamp_inv[:len(d)]):
+                if u:
+                    acc[k:] = axpy(acc[k:], d, u)
+            out.append(ring.reduce_row(acc))
+        return out
+
+    def transposed(rows: list) -> list:
+        return [[row[n] for row in rows[:len(rows) - n]] for n in range(len(rows))]
 
     prec = _series_prec(series, p)
     out: Dict[Tuple[int, int], PadicScalar] = {}
-    cur_b = series
+    cur_b = [row for _, (row,) in series.rows]
     for b in range(1, b_max + 1):
         if b > 1:
-            cur_b = dz(cur_b, 0)
+            cur_b = transposed(dt(transposed(cur_b)))        # d_z
         cur = cur_b
         for a in range(0, a_max + 1):
             if a > 0:
-                cur = dz(cur, 1)
-            if cur.order >= 0:
-                out[(a, b)] = PadicScalar.from_int(cur.coeff(0, 0), p, prec)
+                cur = dt(cur)
+            if cur:
+                out[(a, b)] = PadicScalar.from_int(cur[0][0], p, prec)
     return out
 
 
@@ -782,8 +785,7 @@ def measure_from_theta(curve: CurveData, p: int, N: int, order: int) -> MeasureS
     """The starred composed expansion on ints mod p^N; _exact_composed
     asserts its integrality."""
     _require_split(curve, p)
-    series = BiSeries(IntModRing(p ** N), _exact_composed(curve, p, order, N), order)
-    return MeasureSeries(series=series, p=p, abs_prec=N,
+    return MeasureSeries(series=_exact_composed(curve, p, order, N), p=p, abs_prec=N,
                          provenance=f"starred composed expansion, order {order}",
                          period_note=period_note(curve, p), curve=curve)
 

@@ -551,22 +551,6 @@ class PadicScalar:
             return 0
         return self.abs_prec - self.val
 
-    def is_zero(self) -> bool:
-        """True when indistinguishable from zero at this precision."""
-        return self.val is None
-
-    def to_int(self, digits: Optional[int] = None) -> int:
-        """The value mod p^min(digits, abs_prec), in [0, p^k).
-
-        Only valid for p-integral elements (val >= 0 or zero).
-        """
-        k = self.abs_prec if digits is None else min(digits, self.abs_prec)
-        if self.val is None or self.val >= k:
-            return 0
-        if self.val < 0:
-            raise ValueError("to_int() needs a p-integral element")
-        return self.unit * self.p ** self.val % self.p ** k
-
     def __mul__(self, other):
         if not isinstance(other, PadicScalar):
             return NotImplemented

@@ -1,29 +1,25 @@
-"""Truncated power/Laurent series, generic over the coefficient scalars.
+"""Truncated power/Laurent series over exact and integer scalars.
 
 A :class:`UniSeries` is known modulo t^(order+1) and may carry finitely many
-negative-index (polar) coefficients.  A :class:`BiSeries` is truncated by
-total degree.  Coefficient scalars only need ``+ - * /`` among themselves and
-with ints, and their truthiness is the zero test; a small ring adapter
-supplies zero/one, Fraction coercion (for exp denominators) and ``reduce``.
-Plain ``Fraction`` objects serve as the scalars of the rational exact ring
-and ``ExactScalar`` for quadratic fields.  The p-adic engine uses plain
-ints mod p^k, the scalars of :class:`IntModRing`: each series carries one
-absolute precision, its ring's modulus.  Its composed expansion runs in
-varpi-scaled variables on :class:`ScaledIntRing`, ints mod p^W whose
-products follow a carry rule.  The numeric engine's Taylor series of theta
-take mpmath complex numbers, the scalars of :class:`ComplexRing`.
+negative-index (polar) coefficients; it keeps a dict of scalars.  A
+:class:`BiSeries` is truncated by total degree and keeps int rows only.
+Scalars are ``Fraction`` on Q and ``ExactScalar`` on Q(sqrt(-d))
+(:class:`ExactRing`), and plain ints mod p^k on :class:`IntModRing`, whose
+series carry one absolute precision, the ring's modulus.  The p-adic
+composed expansion runs in varpi-scaled variables on :class:`ScaledIntRing`,
+ints mod p^W whose products follow a carry rule.
 
-The exact and integer rings run their series kernels (inverse, product,
-the bivariate composition, and the Kronecker regular part) on int rows: a
-row is (den, parts), one positive denominator and one int list per part,
-entry k being parts[0][k]/den on Q, (parts[0][k] + parts[1][k] sqrt(-d))/den
-on Q(sqrt(-d)), and parts[0][k] with den 1 on the integer rings.  A scalar
-multiplies a row as ints, a row that a kernel sums into is put over the
-lcm of its terms' denominators, and a finished row is brought to lowest
-terms (``normalize``: one gcd, or the reduction mod m).  The kernels run on
-rows of one part; ``bilinear`` takes Q(sqrt(-d)) apart.  ``to_row`` and
-``from_row`` convert, so a Fraction or ExactScalar is formed once per
-coefficient a kernel hands back.
+The kernels (inverse, product, the bivariate composition, and the Kronecker
+regular part) run on int rows: a row is (den, parts), one positive
+denominator and one int list per part, entry k being parts[0][k]/den on Q,
+(parts[0][k] + parts[1][k] sqrt(-d))/den on Q(sqrt(-d)), and parts[0][k]
+with den 1 on the integer rings.  A scalar multiplies a row as ints, a row
+that a kernel sums into is put over the lcm of its terms' denominators, and
+a finished row is brought to lowest terms (``normalize``: one gcd, or the
+reduction mod m).  The kernels run on rows of one part; ``bilinear`` takes
+Q(sqrt(-d)) apart.  Row m of a BiSeries holds its entries (m, n),
+n = 0..order - m; a Fraction or ExactScalar is formed only when a
+coefficient is read (``coeff``, ``items``, ``to_json``).
 
 Multiplication of truncated series keeps the usual Laurent bookkeeping:
 the product of series known mod t^(Na+1), t^(Nb+1) with valuations va, vb is
@@ -36,15 +32,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
 from operator import mul
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict, NamedTuple
 
-from .scalars import ExactScalar, mp
+from .scalars import ExactScalar
 
 __all__ = [
     "ExactRing",
     "IntModRing",
     "ScaledIntRing",
-    "ComplexRing",
     "UniSeries",
     "BiSeries",
     "KroneckerExpansion",
@@ -94,13 +89,6 @@ class ExactRing:
             return x
         return ExactScalar(Fraction(x))
 
-    def from_fraction(self, fr: Fraction):
-        return fr if self.d == 0 else ExactScalar(fr)
-
-    @staticmethod
-    def reduce(x):
-        return x
-
     def to_row(self, values) -> tuple:
         """(den, parts) of a list of scalars, den the lcm of their
         denominators (so already in lowest terms)."""
@@ -138,8 +126,8 @@ class ExactRing:
 
 
 class IntModRing:
-    """Z/m: plain ints, brought into [0, m) by ``reduce``; int rows of one
-    part over the denominator 1."""
+    """Z/m: plain ints, brought into [0, m) by ``reduce_row``; int rows of
+    one part over the denominator 1."""
 
     zero = 0
     one = 1
@@ -148,14 +136,6 @@ class IntModRing:
 
     def __init__(self, modulus: int):
         self.modulus = modulus
-
-    def coerce(self, x):
-        if not isinstance(x, int):
-            raise SeriesError(f"cannot coerce {type(x)} into {self!r}")
-        return x % self.modulus
-
-    def reduce(self, x: int) -> int:
-        return x % self.modulus
 
     def reduce_row(self, row: list) -> list:
         m = self.modulus
@@ -199,27 +179,6 @@ class ScaledIntRing(IntModRing):
         return f"ScaledIntRing({self.p}, {self.width})"
 
 
-class ComplexRing:
-    """mpmath complex numbers, rounded at the caller's working precision."""
-
-    period = carry = 1
-
-    def __init__(self):
-        self.zero = mp.mpc(0)
-        self.one = mp.mpc(1)
-
-    @staticmethod
-    def coerce(x):
-        return mp.mpc(x)
-
-    @staticmethod
-    def from_fraction(fr: Fraction):
-        return mp.mpf(fr.numerator) / fr.denominator
-
-    def __repr__(self):
-        return "ComplexRing()"
-
-
 _BIG = 1 << 60
 
 
@@ -228,25 +187,15 @@ class UniSeries:
 
     __slots__ = ("ring", "coeffs", "order")
 
-    def __init__(self, ring, coeffs: Dict[int, object], order: int, normalize=True):
+    def __init__(self, ring, coeffs: Dict[int, object], order: int):
         self.ring = ring
         self.order = order
-        if normalize:
-            coeffs = {k: v for k, v in coeffs.items()
-                      if k <= order and v}
-        self.coeffs = coeffs
-
-    # -- constructors -----------------------------------------------------
-    @staticmethod
-    def from_list(ring, items, order: int, start: int = 0) -> "UniSeries":
-        return UniSeries(ring, {start + k: ring.coerce(c) for k, c in enumerate(items)},
-                         order)
+        self.coeffs = {k: v for k, v in coeffs.items() if k <= order and v}
 
     @staticmethod
     def constant(ring, c, order: int) -> "UniSeries":
         return UniSeries(ring, {0: ring.coerce(c)}, order)
 
-    # -- basics -------------------------------------------------------------
     def coeff(self, k: int):
         return self.coeffs.get(k, self.ring.zero)
 
@@ -256,8 +205,7 @@ class UniSeries:
     def truncate(self, order: int) -> "UniSeries":
         if order >= self.order:
             return self
-        return UniSeries(self.ring, {k: v for k, v in self.coeffs.items() if k <= order},
-                         order, normalize=False)
+        return UniSeries(self.ring, self.coeffs, order)
 
     def __add__(self, other):
         if not isinstance(other, UniSeries):
@@ -267,20 +215,13 @@ class UniSeries:
             out[k] = out[k] + v if k in out else v
         return UniSeries(self.ring, out, min(self.order, other.order))
 
-    def __neg__(self):
-        return UniSeries(self.ring, {k: -v for k, v in self.coeffs.items()},
-                         self.order, normalize=False)
-
-    def __sub__(self, other):
-        if not isinstance(other, UniSeries):
-            other = UniSeries.constant(self.ring, other, self.order)
-        return self + (-other)
-
     def scale(self, c) -> "UniSeries":
         c = self.ring.coerce(c)
         return UniSeries(self.ring, {k: v * c for k, v in self.coeffs.items()}, self.order)
 
     def __mul__(self, other):
+        """The product on the row kernel (scaled_mul), from both lowest
+        coefficients."""
         if not isinstance(other, UniSeries):
             return self.scale(other)
         va, vb = self.valuation(), other.valuation()
@@ -288,22 +229,12 @@ class UniSeries:
             return UniSeries(self.ring, {}, min(self.order + (vb if vb != _BIG else 0),
                                                 other.order + (va if va != _BIG else 0)))
         order = min(self.order + vb, other.order + va)
-        out: Dict[int, object] = {}
-        for i, x in self.coeffs.items():
-            for j, y in other.coeffs.items():
-                k = i + j
-                if k > order:
-                    continue
-                p = x * y
-                out[k] = out[k] + p if k in out else p
-        return UniSeries(self.ring, out, order)
+        n = order - va - vb
+        prod = scaled_mul([self.coeff(va + k) for k in range(n + 1)],
+                          [other.coeff(vb + k) for k in range(n + 1)], n, self.ring)
+        return UniSeries(self.ring, {va + vb + k: c for k, c in enumerate(prod)}, order)
 
     __rmul__ = scale
-
-    def shift(self, k: int) -> "UniSeries":
-        """Multiply by t^k."""
-        return UniSeries(self.ring, {i + k: v for i, v in self.coeffs.items()},
-                         self.order + k, normalize=False)
 
     def inverse(self) -> "UniSeries":
         """Reciprocal of a series whose lowest coefficient is invertible."""
@@ -318,26 +249,6 @@ class UniSeries:
         return UniSeries(self.ring,
                          {k - 1: v * k for k, v in self.coeffs.items() if k != 0},
                          self.order - 1)
-
-    def exp(self) -> "UniSeries":
-        """exp of a series with zero constant term (and no polar part)."""
-        if self.valuation() < 1:
-            raise SeriesError("exp needs positive valuation")
-        n = self.order
-        Lp = self.derivative()
-        e = [self.ring.one]
-        for m in range(1, n + 1):
-            # m e_m = sum_{j=1}^{m} j L_j e_{m-j}  via  E' = L' E
-            s = None
-            for j in range(1, m + 1):
-                c = Lp.coeff(j - 1)
-                if not c:
-                    continue
-                t = c * e[m - j]
-                s = t if s is None else s + t
-            e.append(s * self.ring.from_fraction(Fraction(1, m))
-                     if s is not None else self.ring.zero)
-        return UniSeries(self.ring, dict(enumerate(e)), n)
 
     def compose(self, inner: "UniSeries") -> "UniSeries":
         """self(inner(t)); inner must have zero constant term.
@@ -354,9 +265,10 @@ class UniSeries:
             if inner.valuation() != 1:
                 raise SeriesError("polar composition needs valuation-1 inner")
             inv = inner.inverse()
-            for k in polar:
-                term = _int_pow(inv, -k).scale(self.coeffs[k])
-                out = out + term
+            for k in range(-1, min(polar) - 1, -1):
+                term = inv if k == -1 else term * inv       # inner^k
+                if k in self.coeffs:
+                    out = out + term.scale(self.coeffs[k])
         cur = UniSeries.constant(self.ring, self.ring.one, order)
         reg = UniSeries(self.ring, {0: self.coeff(0)}, order)
         maxdeg = max((k for k in self.coeffs if k > 0), default=0)
@@ -385,18 +297,6 @@ class UniSeries:
                 "terms": [{"k": k, "c": sj(v)} for k, v in sorted(self.coeffs.items())]}
 
 
-def _int_pow(s: UniSeries, k: int) -> UniSeries:
-    out = None
-    base = s
-    while k:
-        if k & 1:
-            out = base if out is None else out * base
-        k >>= 1
-        if k:
-            base = base * base
-    return out if out is not None else UniSeries.constant(s.ring, s.ring.one, s.order)
-
-
 def _scalar_json(v):
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
@@ -406,86 +306,74 @@ def _scalar_json(v):
 class BiSeries:
     """Bivariate series truncated by total degree; indices m, n >= 0.
 
-    A kernel that formed the coefficients from int rows passes them on as
-    ``rows`` (row m over n, as (den, parts)), so that ``compose`` reads
-    them without converting the coefficients back."""
+    ``rows`` holds the int rows m = 0..order, row m (den, parts) the
+    entries n = 0..order - m: the form in which kronecker_regular and
+    ``compose`` compute them."""
 
-    __slots__ = ("ring", "coeffs", "order", "_rows")
+    __slots__ = ("ring", "rows", "order")
 
-    def __init__(self, ring, coeffs: Dict[Tuple[int, int], object], order: int,
-                 normalize=True, rows=None):
+    def __init__(self, ring, rows: list, order: int):
         self.ring = ring
+        self.rows = rows
         self.order = order
-        if normalize:
-            coeffs = {k: v for k, v in coeffs.items()
-                      if k[0] + k[1] <= order and v}
-        self.coeffs = coeffs
-        self._rows = rows
-
-    def _int_rows(self, order: int) -> list:
-        """Rows m = 0..order, row m the int row of the entries n <= order - m."""
-        if self._rows is not None:
-            return [(den, [part[:order - m + 1] for part in parts])
-                    for m, (den, parts) in enumerate(self._rows[:order + 1])]
-        ring, zero = self.ring, self.ring.zero
-        return [ring.to_row([self.coeffs.get((m, n), zero)
-                             for n in range(order - m + 1)])
-                for m in range(order + 1)]
 
     def coeff(self, m: int, n: int):
-        return self.coeffs.get((m, n), self.ring.zero)
+        if m < 0 or n < 0 or m + n > self.order:
+            return self.ring.zero
+        den, parts = self.rows[m]
+        return self.ring.from_row(den, [[part[n]] for part in parts])[0]
+
+    def items(self):
+        """((m, n), c) for every nonzero coefficient c, in (m, n) order."""
+        from_row = self.ring.from_row
+        for m, row in enumerate(self.rows):
+            for n, c in enumerate(from_row(*row)):
+                if c:
+                    yield (m, n), c
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        return BiSeries(self.ring, out, min(self.order, other.order))
-
-    def __neg__(self):
-        return BiSeries(self.ring, {k: -v for k, v in self.coeffs.items()}, self.order,
-                        normalize=False)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "BiSeries":
-        c = self.ring.coerce(c)
-        return BiSeries(self.ring, {k: v * c for k, v in self.coeffs.items()}, self.order)
+        ring, order = self.ring, min(self.order, other.order)
+        return BiSeries(ring, [_sum_rows(ring, pair, order - m + 1) for m, pair
+                               in enumerate(zip(self.rows[:order + 1], other.rows))],
+                        order)
 
     def __mul__(self, other):
+        """The product, row m1 of self times row m2 of other (_product) into
+        row m1 + m2; a scalar multiplies as the constant series."""
+        ring = self.ring
         if not isinstance(other, BiSeries):
-            return self.scale(other)
-        va = min((m + n for m, n in self.coeffs), default=0)
-        vb = min((m + n for m, n in other.coeffs), default=0)
+            other = BiSeries(ring, [ring.to_row([ring.coerce(other)])]
+                             + [ring.to_row([ring.zero])] * self.order, self.order)
+        va, vb = self._valuation(), other._valuation()
         order = min(self.order + vb, other.order + va)
-        out: Dict[Tuple[int, int], object] = {}
-        for (m1, n1), x in self.coeffs.items():
-            for (m2, n2), y in other.coeffs.items():
-                if m1 + m2 + n1 + n2 > order:
-                    continue
-                key = (m1 + m2, n1 + n2)
-                p = x * y
-                out[key] = out[key] + p if key in out else p
-        return BiSeries(self.ring, out, order)
+        terms = [[] for _ in range(order + 1)]
+        for m1, x in enumerate(self.rows[:order + 1]):
+            for m2, y in enumerate(other.rows[:order + 1 - m1]):
+                terms[m1 + m2] += bilinear(ring, _product, [x], [y],
+                                           order - m1 - m2, ring, m1, m2)
+        return BiSeries(ring, [_sum_rows(ring, t, order - m + 1) for m, t in enumerate(terms)],
+                        order)
 
-    __rmul__ = scale
+    __rmul__ = __mul__
+
+    def _valuation(self) -> int:
+        return min((m + n for m, (_, parts) in enumerate(self.rows)
+                    for n, x in enumerate(zip(*parts)) if any(x)), default=0)
 
     def truncate(self, order: int) -> "BiSeries":
         if order >= self.order:
             return self
-        return BiSeries(self.ring, {k: v for k, v in self.coeffs.items()
-                                    if k[0] + k[1] <= order}, order, normalize=False,
-                        rows=self._rows)
-
-    def is_symmetric(self) -> bool:
-        return all(self.coeff(n, m) == v for (m, n), v in self.coeffs.items())
+        return BiSeries(self.ring, [(den, [part[:order - m + 1] for part in parts])
+                                    for m, (den, parts) in enumerate(self.rows[:order + 1])],
+                        order)
 
     def compose(self, inner_s: UniSeries, inner_t: UniSeries) -> "BiSeries":
         """self(inner_s(s), inner_t(t)); both inners with zero constant term.
 
         The rows of self (row m over n) contract with the powers of inner_s
         into rows i over n, and, transposed over their lcm, with the powers
-        of inner_t.  On a ScaledIntRing self holds c_mn varpi^(m+n) and each inner
+        of inner_t; the result is transposed back over its lcm.  On
+        a ScaledIntRing self holds c_mn varpi^(m+n) and each inner
         f(varpi s)/varpi, whose s^k coefficient has varpi-degree k - 1: the
         result is then the varpi-scaled composition, entry (i, j) of
         varpi-degree i + j."""
@@ -494,40 +382,48 @@ class BiSeries:
                 raise SeriesError("inner constant term must vanish")
         ring = self.ring
         order = min(self.order, inner_s.order, inner_t.order)
-        max_m = max((m for m, n in self.coeffs if m + n <= order), default=0)
-        max_n = max((n for m, n in self.coeffs if m + n <= order), default=0)
-        if inner_t is inner_s:      # one table serves both axes
-            pows_s = pows_t = _power_table(inner_s, max(max_m, max_n), order)
-        else:
-            pows_s = _power_table(inner_s, max_m, order)
-            pows_t = _power_table(inner_t, max_n, order)
-        t1 = bilinear(ring, _contract, pows_s, self._int_rows(order), order,
+        pows_s = _power_table(inner_s, order)
+        pows_t = pows_s if inner_t is inner_s else _power_table(inner_t, order)
+        t1 = bilinear(ring, _contract, pows_s, self.truncate(order).rows, order,
                       ring)                                             # [i][n]
-        den = math.lcm(*(d1 for d1, _ in t1))
-        t1 = [[part if d1 == den else [x * (den // d1) for x in part] for part in parts]
-              for d1, parts in t1]
-        cols = [(den, [[parts[k][n] for parts in t1[:order - n + 1]]
-                       for k in range(len(t1[0]))]) for n in range(order + 1)]
-        t2 = bilinear(ring, _contract, pows_t, cols, order, ring)      # [j][i]
-        return BiSeries(ring, {(i, j): v for j, (d2, parts) in enumerate(t2)
-                               for i, v in enumerate(ring.from_row(d2, parts)) if v},
-                        order, normalize=False)
+        t2 = bilinear(ring, _contract, pows_t, _transposed(t1, order), order,
+                      ring)                                             # [j][i]
+        return BiSeries(ring, _transposed(t2, order), order)
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        keys = {k for k in (*self.coeffs, *other.coeffs) if k[0] + k[1] <= n}
-        return all(self.coeff(*k) == other.coeff(*k) for k in keys)
+        return dict(self.truncate(n).items()) == dict(other.truncate(n).items())
 
     def __repr__(self):
-        return f"BiSeries({len(self.coeffs)} terms, order {self.order})"
+        return f"BiSeries({sum(1 for _ in self.items())} terms, order {self.order})"
 
     def to_json(self, scalar_json=None):
         sj = scalar_json or _scalar_json
         return {"order": self.order,
-                "terms": [{"m": m, "n": n, "c": sj(v)}
-                          for (m, n), v in sorted(self.coeffs.items())]}
+                "terms": [{"m": m, "n": n, "c": sj(v)} for (m, n), v in self.items()]}
+
+
+def _sum_rows(ring, rows: list, n: int) -> tuple:
+    """Entries 0..n-1 of the sum of rows (a zero row for none), over the
+    lcm of their denominators, normalized."""
+    den = math.lcm(1, *(d for d, _ in rows))
+    out = [[0] * n for _ in range(2 if ring.d else 1)]
+    for d, parts in rows:
+        for acc, part in zip(out, parts):
+            acc[:len(part)] = axpy(acc, part, den // d)
+    return ring.normalize(den, out)
+
+
+def _transposed(rows: list, order: int) -> list:
+    """Rows n over m of a triangle given as rows m over n (row m of the
+    entries n <= order - m), all over the lcm of the rows' denominators."""
+    den = math.lcm(*(d for d, _ in rows))
+    rows = [parts if d == den else [[x * (den // d) for x in part] for part in parts]
+            for d, parts in rows]
+    return [(den, [[parts[k][n] for parts in rows[:order - n + 1]]
+                   for k in range(len(rows[0]))]) for n in range(order + 1)]
 
 
 def axpy(ys: list, xs: list, c) -> list:
@@ -642,23 +538,9 @@ def _product(xs: list, ys: list, n: int, ring, sa: int, sb: int) -> list:
 
 
 def unit_inverse(a: list, n: int, ring) -> list:
-    """b_0 .. b_n of 1/a, a a coefficient list with a_0 invertible:
-    b_m = -a_0^-1 sum_{i=1..m} a_i b_(m-i) (inverse_row).  On ComplexRing
-    the sum runs over scalars, term by term."""
-    if not isinstance(ring, ComplexRing):
-        return ring.from_row(*inverse_row(ring.to_row(a[:n + 1]), n, ring))
-    inv_lead = ring.one if a[0] == ring.one else ring.one / a[0]
-    terms = [(i, c) for i, c in enumerate(a[1:n + 1], 1) if c]
-    b = [inv_lead]
-    for m in range(1, n + 1):
-        s = None
-        for i, c in terms:
-            if i > m:
-                break
-            t = c * b[m - i]
-            s = t if s is None else s + t
-        b.append(ring.zero if s is None else -(inv_lead * s))
-    return b
+    """b_0 .. b_n of 1/a, a a coefficient list with a_0 invertible
+    (inverse_row)."""
+    return ring.from_row(*inverse_row(ring.to_row(a[:n + 1]), n, ring))
 
 
 def inverse_row(a: tuple, n: int, ring) -> tuple:
@@ -709,13 +591,13 @@ def inverse_row(a: tuple, n: int, ring) -> tuple:
     return D, out
 
 
-def _power_table(s: UniSeries, kmax: int, order: int) -> list:
-    """s^0 .. s^kmax to degree `order` as rows; s is held as f(varpi s)/varpi,
+def _power_table(s: UniSeries, order: int) -> list:
+    """s^0 .. s^order to degree `order` as rows; s is held as f(varpi s)/varpi,
     so the s^i coefficient of s^m has varpi-degree i - m."""
     ring = s.ring
     base = ring.to_row([s.coeff(k) for k in range(order + 1)])
     table, cur = [ring.to_row([ring.one] + [ring.zero] * order)], base
-    for m in range(1, kmax + 1):
+    for m in range(1, order + 1):
         if m > 1:
             cur, = bilinear(ring, _product, [cur], [base], order, ring, 1 - m, -1)
         table.append(cur)

@@ -37,6 +37,7 @@ from ektheta.padic import (
     split_prime_generator,
 )
 from ektheta.scalars import ExactScalar, embed_padic
+from tests.series_oracle import ridge_nondecreasing_from
 from tests.test_eklerch import make_zi_conductor_character
 
 
@@ -196,7 +197,7 @@ def test_07_supersingular_growth(zi4):
     star = compose_formal(exp, zi4, 80)
     hm = valuation_heatmap(star, 7, fit_window=(10, 80))
     target = 7 / 48
-    mono = hm.ridge_nondecreasing_from(10)
+    mono = ridge_nondecreasing_from(hm, 10)
     slope_ok = hm.diagonal_slope is not None and \
         abs(hm.diagonal_slope - target) / target <= 0.15
     report(7, "supersingular growth p=7, order 80", mono and slope_ok,

@@ -165,6 +165,19 @@ class TestVerifyCommands:
                      "--prec-bits", "192")
         assert json.loads(cp.stdout)["passed"] is True
 
+    def test_readme_verify_kronecker_artifact_pinned(self):
+        # sha256 of the payload (meta dropped) of the README command, taken
+        # before theta's Taylor loops moved from the series module to mpc
+        # lists: the residual's rounding stays put
+        cp = run_cli("verify", "kronecker", "--catalog", "Z[sqrt(-1)]", "--u", "4",
+                     "--points", "10", "--tol", "1e-18",
+                     env={"EKTHETA_PREC_BITS": "256", "PYTHONHASHSEED": "0"})
+        doc = json.loads(cp.stdout)
+        del doc["meta"]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == \
+            "25a866ca7b8938bfd5aea46cbb8c458b98fee4183e020b194d56a9a6fe39f2d6"
+
     def test_verify_failure_exit_code(self):
         # tolerance below the working-precision floor: honest residual exceeds
         cp = run_cli("verify", "distribution", "--catalog", "Z[sqrt(-1)]",
@@ -478,6 +491,27 @@ class TestBenchmarkHooks:
         names = [s[0] for s in json.loads(out.read_text())["spans"]]
         assert names.count("kronecker.taylor_coefficients_2d") == 1
         assert names.count("kronecker.ThetaEvaluator.theta") == 0
+
+    @pytest.mark.parametrize("argv,order", [
+        (["compose", "--catalog", "Z[sqrt(-1)]", "--u", "4", "--order", "30",
+          "--starred"], None),
+        (["verify-interpolation", "--catalog", "Z[sqrt(-1)]", "--u", "4",
+          "--prime", "13", "--prec", "4", "--amax", "4", "--bmax", "4",
+          "--kummer-max", "20"], 117),
+    ], ids=["compose", "verify-interpolation"])
+    def test_traced_series_jobs(self, argv, order, tmp_path):
+        # the README compose job and the padic-interp workload's job run
+        # under the hooks on the series storage: one bivariate composition
+        # each, and the composed expansion notes its order
+        tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+        out = tmp_path / "spans.json"
+        cp = subprocess.run([sys.executable, str(tracer), str(out), *argv],
+                            capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+        spans = json.loads(out.read_text())["spans"]
+        assert [s[0] for s in spans].count("series.BiSeries.compose") == 1
+        if order is not None:
+            assert [s[4] for s in spans if s[0] == "padic._exact_composed"] == [order]
 
     def test_every_order_noted_span_takes_an_order_argument(self):
         # the tracer binds each call's arguments and reads "order" from them

@@ -22,6 +22,9 @@ from ektheta.kronecker import (
 )
 from ektheta.scalars import ExactScalar
 from ektheta.series import NotDivisibleError
+from tests import series_oracle
+from tests.series_oracle import is_symmetric, ridge_nondecreasing_from
+
 
 def zi_curve(u=4):
     return catalog_row("Z[sqrt(-1)]").curve(u)
@@ -63,15 +66,15 @@ class TestExactExpansion:
 
     def test_symmetry(self, zi_exact10):
         reg = zi_exact10.regular
-        assert reg.is_symmetric()
+        assert is_symmetric(reg)
 
     def test_unit_group_congruence_square(self, zi_exact10):
-        for (m, n), v in zi_exact10.regular.coeffs.items():
+        for (m, n), v in zi_exact10.regular.items():
             assert (m + n + 1) % 4 == 0, ((m, n), v)
 
     def test_unit_group_congruence_hexagonal(self):
         exp = kronecker_exact(catalog_row("Z[(1+sqrt(-3))/2]").curve(1), 12)
-        for (m, n), v in exp.regular.coeffs.items():
+        for (m, n), v in exp.regular.items():
             assert (m + n + 1) % 6 == 0, ((m, n), v)
 
     def test_ek_from_expansion(self, zi_exact10):
@@ -343,13 +346,22 @@ def _cauchy_coefficients(ev, c, n, M=64):
             for k in range(n + 1)]
 
 
+TAYLOR_CENTRES = [
+    (1, -1), (Fraction(1, 2), 0), (0, Fraction(1, 2)),
+    (Fraction(1, 2), Fraction(1, 2)), (Fraction(-1, 2), Fraction(1, 2)),
+    (Fraction(1, 3), 0), (Fraction(13, 4), Fraction(-7, 3)),
+]
+TAYLOR_IDS = ["lattice", "half-0", "0-half", "half-half", "minus-half-half",
+              "third", "far-cell"]
+
+
+def _bits(z):
+    """The exact mpmath representation of a complex value."""
+    return z.real._mpf_, z.imag._mpf_
+
+
 class TestThetaTaylor:
-    @pytest.mark.parametrize("coords", [
-        (1, -1), (Fraction(1, 2), 0), (0, Fraction(1, 2)),
-        (Fraction(1, 2), Fraction(1, 2)), (Fraction(-1, 2), Fraction(1, 2)),
-        (Fraction(1, 3), 0), (Fraction(13, 4), Fraction(-7, 3)),
-    ], ids=["lattice", "half-0", "0-half", "half-half", "minus-half-half",
-            "third", "far-cell"])
+    @pytest.mark.parametrize("coords", TAYLOR_CENTRES, ids=TAYLOR_IDS)
     def test_series_matches_a_cauchy_dft_of_theta(self, zi_lattice, coords):
         # the series reduces its centre once; the DFT's samples straddle the
         # cell boundary at the 2-torsion points and reduce one by one
@@ -360,6 +372,44 @@ class TestThetaTaylor:
             want = _cauchy_coefficients(ev, c, 9)
             assert len(got) == 10
             assert max(abs(x - y) for x, y in zip(got, want)) < 1e-40
+
+
+class TestMpcLoopsAgainstSeriesRoute:
+    """theta's Taylor series and the reciprocals of verify_generating_function
+    run on mpc lists; the sparse-dict series route of tests/series_oracle.py
+    sums the same terms in the same order, so every coefficient agrees to
+    the last bit."""
+
+    @pytest.mark.parametrize("coords", TAYLOR_CENTRES, ids=TAYLOR_IDS)
+    def test_taylor_bit_for_bit(self, zi_lattice, coords):
+        ev = ThetaEvaluator(zi_lattice)
+        with mp.workprec(ev.prec + 24):
+            c = kronecker.torsion_point(coords, ev.w1, ev.w2)[0]
+        got = ev.taylor(c, 9)
+        want = series_oracle.taylor(ev, c, 9)
+        assert [_bits(x) for x in got] == [_bits(x) for x in want]
+
+    def test_generating_function_report_bit_for_bit(self, zi_lattice):
+        # the README 4x4 job: a 2-torsion z0 off the lattice and w0 likewise
+        z0, w0 = (Fraction(1, 2), 0), (0, Fraction(1, 2))
+        rep = verify_generating_function(z0, w0, 4, 4, zi_lattice, tol=1e-12)
+        want = series_oracle.generating_function_coefficients(z0, w0, 4, 4, zi_lattice)
+        assert len(rep.entries) == 20
+        for (a, b), (got, _) in rep.entries.items():
+            assert _bits(got) == _bits(want[(b - 1, a)]), (a, b)
+        assert _bits(rep.polar_z[0]) == _bits(want[(-1, 0)])
+        assert _bits(rep.polar_w[0]) == _bits(want[(0, -1)])
+        assert _bits(rep.e01_recorded) == _bits(want[(0, 0)])
+
+    def test_lattice_centre_reciprocal_bit_for_bit(self, zi_lattice):
+        # z0 on the lattice: R_z has its simple pole, the inverse starts at t^1
+        z0, w0 = (0, 0), (Fraction(1, 3), 0)
+        rep = verify_generating_function(z0, w0, 2, 3, zi_lattice, tol=1e-12)
+        want = series_oracle.generating_function_coefficients(z0, w0, 2, 3, zi_lattice)
+        for (a, b), (got, _) in rep.entries.items():
+            assert _bits(got) == _bits(want[(b - 1, a)]), (a, b)
+        assert _bits(rep.polar_z[0]) == _bits(want[(-1, 0)])
+        assert _bits(rep.polar_w[0]) == _bits(want[(0, -1)])
 
 
 class TestDistribution:
@@ -398,7 +448,7 @@ class TestCompose:
         curve = zi_curve()
         exp = kronecker_exact(curve, 16)
         star = compose_formal(exp, curve, 16)
-        for (i, j), v in star.regular.coeffs.items():
+        for (i, j), v in star.regular.items():
             assert (i + j) % 4 == 3, ((i, j), v)
 
     def test_ordinary_integrality_p13(self):
@@ -434,7 +484,7 @@ class TestCompose:
             direct = ev.kronecker(z, w) - 1 / s - 1 / t
             series_val = mp.fsum(
                 mp.mpf(v.numerator) / v.denominator * s ** i * t ** j
-                for (i, j), v in star.regular.coeffs.items())
+                for (i, j), v in star.regular.items())
             assert abs(direct - series_val) < 1e-12
 
 
@@ -445,7 +495,7 @@ class TestHeatmapRidge:
         star = compose_formal(exp, curve, 40)
         hm = valuation_heatmap(star, 7, fit_window=(10, 40))
         assert hm.diagonal_slope is not None
-        assert hm.ridge_nondecreasing_from(10)
+        assert ridge_nondecreasing_from(hm, 10)
         rows = list(hm.csv_rows())
         assert all(len(r) == 3 for r in rows)
 
@@ -526,8 +576,8 @@ class TestIntRowsAgainstFractionOracle:
         reg, hat = _fraction_oracle(curve, order)
         exp = kronecker_exact(curve, order)
         star = compose_formal(exp, curve, order)
-        assert exp.regular.coeffs == reg
-        assert star.regular.coeffs == hat
+        assert dict(exp.regular.items()) == reg
+        assert dict(star.regular.items()) == hat
         if name == "zi-pibar":      # a true Q(i) row: two parts in the rows
             assert curve.ring().d == 1
             assert any(not v.is_rational() for v in reg.values())

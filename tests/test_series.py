@@ -6,23 +6,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ektheta.series import (
-    BiSeries,
     ExactRing,
     ScaledIntRing,
     UniSeries,
     scaled_mul,
     unit_inverse,
 )
+from tests.series_oracle import bi, exp, from_list, is_symmetric
 
 QQ = ExactRing(0)
 
 
 def U(items, order, start=0):
-    return UniSeries.from_list(QQ, [Fraction(x) for x in items], order, start=start)
+    return from_list(QQ, [Fraction(x) for x in items], order, start=start)
 
 
 def B(terms, order):
-    return BiSeries(QQ, {k: Fraction(v) for k, v in terms.items()}, order)
+    return bi(QQ, {k: Fraction(v) for k, v in terms.items()}, order)
 
 
 class TestUniArithmetic:
@@ -31,13 +31,13 @@ class TestUniArithmetic:
         assert out == U([1, 0, -1], 4)
 
     def test_exp_order_4(self):
-        e = U([0, 1], 4).exp()
+        e = exp(U([0, 1], 4))
         assert [e.coeff(k) for k in range(5)] == [
             Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 6), Fraction(1, 24)]
 
     def test_exp_requires_zero_constant(self):
         with pytest.raises(Exception):
-            U([1, 1], 3).exp()
+            exp(U([1, 1], 3))
 
     def test_inverse(self):
         f = U([1, 2, 3], 5)
@@ -101,14 +101,14 @@ class TestBiSeries:
         one_zw = B({(0, 0): 1, (1, 1): 1}, 4)
         prod = zpw * one_zw
         assert prod.order == 5
-        assert prod.coeffs == {(1, 0): 1, (0, 1): 1, (2, 1): 1, (1, 2): 1}
+        assert dict(prod.items()) == {(1, 0): 1, (0, 1): 1, (2, 1): 1, (1, 2): 1}
         cube = zpw * zpw * zpw
         assert cube.order == 8
-        assert cube.coeffs == {(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}
+        assert dict(cube.items()) == {(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}
         # a product term past the known degree is dropped
         prod = B({(0, 0): 1, (3, 0): 1}, 3) * B({(0, 0): 1, (0, 3): 1}, 3)
         assert prod.order == 3
-        assert prod.coeffs == {(0, 0): 1, (3, 0): 1, (0, 3): 1}
+        assert dict(prod.items()) == {(0, 0): 1, (3, 0): 1, (0, 3): 1}
         assert zpw * 3 == B({(1, 0): 3, (0, 1): 3}, 6)
 
     def test_compose_bivariate(self):
@@ -121,8 +121,8 @@ class TestBiSeries:
 
     def test_symmetry_helpers(self):
         f = B({(2, 1): 3, (1, 2): 3, (0, 0): 1}, 4)
-        assert f.is_symmetric()
-        assert not B({(2, 1): 3}, 4).is_symmetric()
+        assert is_symmetric(f)
+        assert not is_symmetric(B({(2, 1): 3}, 4))
 
 
 class TestScaledIntRing:
