@@ -64,6 +64,24 @@ def _curve_from(args) -> CurveData:
                      g3=ExactScalar(Fraction(args.g3)), e2_star=e2)
 
 
+def prime(text: str) -> int:
+    """The type of --prime: an int that is prime.  Miller-Rabin to the
+    prime bases up to 37 decides every p below 3.18e23."""
+    p = int(text)
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    d, s = p - 1, 0
+    while d > 0 and d % 2 == 0:
+        d, s = d // 2, s + 1
+
+    def strong_probable_prime(a: int) -> bool:
+        x = pow(a, d, p)
+        return x in (1, p - 1) or any((x := x * x % p) == p - 1 for _ in range(s - 1))
+
+    if p < 2 or not (p in bases or all(p % a and strong_probable_prime(a) for a in bases)):
+        raise argparse.ArgumentTypeError(f"{p} is not a prime")
+    return p
+
+
 def _parse_coords(text: str):
     a, b = text.split(",")
     return (Fraction(a), Fraction(b))
@@ -350,7 +368,7 @@ COMMANDS = {
     ]),
     "valuations": ("denominator-exponent heatmap CSV", cmd_valuations, [
         *CURVE_OPTS,
-        _arg("--prime", type=int, required=True),
+        _arg("--prime", type=prime, required=True),
         _arg("--order", type=int, default=40),
         _arg("--csv", help="CSV output path"),
         _arg("--fit-diagonal", action="store_true"),
@@ -390,7 +408,7 @@ COMMANDS = {
     ]),
     "measure": ("p-adic measure series and moments", cmd_measure, [
         *CURVE_OPTS,
-        _arg("--prime", type=int, required=True),
+        _arg("--prime", type=prime, required=True),
         _arg("--prec", type=int, default=8),
         _arg("--order", type=int, default=12),
         _arg("--restrict", action="store_true"),
@@ -400,7 +418,7 @@ COMMANDS = {
     "verify-interpolation": ("origin interpolation + Kummer congruences",
                              cmd_verify_interpolation, [
         *CURVE_OPTS,
-        _arg("--prime", type=int, required=True),
+        _arg("--prime", type=prime, required=True),
         _arg("--prec", type=int, default=8),
         _arg("--amax", type=int, default=4),
         _arg("--bmax", type=int, default=4),

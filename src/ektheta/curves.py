@@ -256,16 +256,18 @@ def sigma_integers(order: int) -> Tuple[Tuple[int, int, int, int], ...]:
     return tuple(out)
 
 
-def sigma_series(curve: CurveData, order: int, ring: Optional[ExactRing] = None) -> UniSeries:
+def sigma_series(curve: CurveData, order: int, ring=None) -> UniSeries:
     """Weierstrass sigma (DLMF section 23.9):
 
         sigma(z) = sum_{m,n} a_mn (g2/2)^m (2 g3)^n z^(4m+6n+1)/(4m+6n+1)!,
 
-    with Weierstrass's integers a_mn (sigma_integers)."""
-    ring = ring or curve.ring()
-    h2 = ring.coerce(curve.g2) * Fraction(1, 2)
-    h3 = ring.coerce(curve.g3) * 2
-    h2pow, h3pow = [ring.one], [ring.one]
+    with Weierstrass's integers a_mn (sigma_integers), formed in the curve's
+    field and stored on `ring` with ring.coerce (z^k: varpi-degree k - 1)."""
+    field = curve.ring()
+    ring = ring or field
+    h2 = field.coerce(curve.g2) * Fraction(1, 2)
+    h3 = field.coerce(curve.g3) * 2
+    h2pow, h3pow = [field.one], [field.one]
     out = {}
     for k, m, n, a in sigma_integers(order):
         while len(h2pow) <= m:
@@ -273,22 +275,25 @@ def sigma_series(curve: CurveData, order: int, ring: Optional[ExactRing] = None)
         while len(h3pow) <= n:
             h3pow.append(h3pow[-1] * h3)
         if a and h2pow[m] and h3pow[n]:
-            c = h2pow[m] * h3pow[n] * Fraction(a, factorial(k))
+            c = h2pow[m] * h3pow[n] * a
             out[k] = out[k] + c if k in out else c
-    return UniSeries(ring, out, order)
+    return UniSeries(ring, {k: ring.coerce(c * Fraction(1, factorial(k)), k - 1)
+                            for k, c in out.items()}, order)
 
 
-def theta_series(curve: CurveData, order: int, ring: Optional[ExactRing] = None) -> UniSeries:
+def theta_series(curve: CurveData, order: int, ring=None) -> UniSeries:
     """Reduced theta series exp(-(e2*/2) z^2) sigma(z), theta'(0) = 1; the
-    exponential as sum_j (-e2*/2)^j z^(2j)/j!."""
+    exponential as sum_j (-e2*/2)^j z^(2j)/j!, its z^(2j) entry of
+    varpi-degree 2j (sigma_series)."""
     if curve.e2_star is None:
         raise ValueError("curve has no e2* (supply one or use a catalog row)")
-    ring = ring or curve.ring()
+    field = curve.ring()
+    ring = ring or field
     sig = sigma_series(curve, order, ring)
-    h = -(ring.coerce(curve.e2_star) * Fraction(1, 2))
-    quad, c = {}, ring.one
+    h = -(field.coerce(curve.e2_star) * Fraction(1, 2))
+    quad, c = {}, field.one
     for j in range(order // 2 + 1):
-        quad[2 * j] = c
+        quad[2 * j] = ring.coerce(c, 2 * j)
         c = c * h * Fraction(1, j + 1)
     return (UniSeries(ring, quad, order) * sig).truncate(order)
 
@@ -310,27 +315,30 @@ def log_integers(order: int):
                    // (factorial(m + 2 * n) * factorial(m) * factorial(n)))
 
 
-def formal_log(curve: CurveData, order: int, ring: Optional[ExactRing] = None) -> FormalLog:
+def formal_log(curve: CurveData, order: int, ring=None) -> FormalLog:
     """Formal logarithm for the parameter t = -2x/y:
 
         lambda(t) = sum_{m,n >= 0} (2m+3n)!/((m+2n)! m! n!)
-                    (-g2/4)^m (-g3/4)^n t^(4m+6n+1)/(4m+6n+1).
-    """
-    ring = ring or curve.ring()
-    qg2 = ring.coerce(curve.g2) * Fraction(-1, 4)
-    qg3 = ring.coerce(curve.g3) * Fraction(-1, 4)
+                    (-g2/4)^m (-g3/4)^n t^(4m+6n+1)/(4m+6n+1),
+
+    formed in the curve's field and stored as sigma_series stores."""
+    field = curve.ring()
+    ring = ring or field
+    qg2 = field.coerce(curve.g2) * Fraction(-1, 4)
+    qg3 = field.coerce(curve.g3) * Fraction(-1, 4)
     out = {}
-    g2pow = [ring.one]
-    g3pow = [ring.one]
+    g2pow = [field.one]
+    g3pow = [field.one]
     for k, m, n, multinomial in log_integers(order):
         while len(g2pow) <= m:
             g2pow.append(g2pow[-1] * qg2)
         while len(g3pow) <= n:
             g3pow.append(g3pow[-1] * qg3)
-        c = g2pow[m] * g3pow[n] * Fraction(multinomial, k)
-        if c:
+        if g2pow[m] and g3pow[n]:
+            c = g2pow[m] * g3pow[n] * multinomial
             out[k] = out[k] + c if k in out else c
-    return FormalLog(UniSeries(ring, out, order), curve)
+    return FormalLog(UniSeries(ring, {k: ring.coerce(c * Fraction(1, k), k - 1)
+                                      for k, c in out.items()}, order), curve)
 
 
 # ---------------------------------------------------------------------------

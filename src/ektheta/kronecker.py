@@ -45,7 +45,6 @@ from .scalars import ExactScalar, _vp_fraction, in_ok, mp, ok_elements, \
     residue_classes
 from .series import (
     BiSeries,
-    ExactRing,
     KroneckerExpansion,
     NotDivisibleError,
     UniSeries,
@@ -84,10 +83,10 @@ def _unit_series_list(curve: CurveData, order: int, ring) -> list:
     return [th.coeff(k + 1) for k in range(order + 1)]
 
 
-def kronecker_exact(curve: CurveData, order: int,
-                    ring: Optional[ExactRing] = None) -> KroneckerExpansion:
+def kronecker_exact(curve: CurveData, order: int, ring=None) -> KroneckerExpansion:
     """Exact Theta expansion at the origin, 1/z + 1/w plus the symmetric
-    regular part to total degree `order`, in the curve's field."""
+    regular part to total degree `order`, in the curve's field, or
+    varpi-scaled on a ScaledIntRing (kronecker_regular)."""
     ring = ring or curve.ring()
     U = ring.to_row(_unit_series_list(curve, order + 1, ring))
     return KroneckerExpansion(ring.one, kronecker_regular(
@@ -330,9 +329,16 @@ class ThetaEvaluator:
         """U_{(z0,w0)} Theta evaluated at (z, w)."""
         with mp.workprec(self.prec + 24):
             z0, w0, z, w = (mp.mpc(v) for v in (z0, w0, z, w))
-            pref = mp.exp(-z0 * mp.conj(w0) / self.A) \
-                * mp.exp(-(z * mp.conj(w0) + w * mp.conj(z0)) / self.A)
-            return pref * self.kronecker(z + z0, w + w0)
+            self._pole_guard(z + z0, w + w0)
+            return self._translated(z0, w0, z, w, self.theta(z + z0),
+                                    self.theta(w + w0))
+
+    def _translated(self, z0, w0, z, w, theta_z, theta_w):
+        """kronecker_translated from theta_z = theta(z + z0) and
+        theta_w = theta(w + w0), their arguments already guarded."""
+        pref = mp.exp(-z0 * mp.conj(w0) / self.A) \
+            * mp.exp(-(z * mp.conj(w0) + w * mp.conj(z0)) / self.A)
+        return pref * (self.theta(z + z0 + (w + w0)) / (theta_z * theta_w))
 
     def pair(self, x, y):
         return lattice_pair_mpc(mp.mpc(x), mp.mpc(y), self.A)
@@ -540,10 +546,17 @@ def verify_distribution(a_gen: ExactScalar, b_gen: ExactScalar,
     lattice's curve (curves.catalog_row_of).  When the coprimality hypothesis
     (ab, conj b) = 1 fails (ramified b), epsilon = 1 is used and the report
     flags the relaxation; at the origin the epsilon factors are vacuous.
+    alpha and beta run over (1/a) O_K/O_K through the identification
+    Gamma = O_K w1, which holds only when the CM order is maximal: a curve
+    of conductor f > 1 (End(E) = Z + f O_K) raises ValueError.
     """
     import random as _random
 
-    d = catalog_row_of(lattice.curve).d
+    row = catalog_row_of(lattice.curve)
+    if row.conductor != 1:
+        raise ValueError(f"the distribution relation needs Gamma = O_K w1: "
+                         f"{row.label} has conductor {row.conductor}")
+    d = row.d
     ev = ThetaEvaluator(lattice)
     with mp.workprec(ev.prec + 24):
         w1, w2 = ev.w1, ev.w2
@@ -568,7 +581,8 @@ def verify_distribution(a_gen: ExactScalar, b_gen: ExactScalar,
         Na, Nb = int(a_gen.norm()), int(b_gen.norm())
         c = ab.conjugate()
         c_num = embed(c) / w1
-        Ac = abs(c_num) ** 2 * ev.A
+        zas = [eps_num * embed(al) for al in alphas]
+        wbs = [eps_num * embed(be) for be in betas]
         rng = _random.Random(seed)
         residuals = []
         for _ in range(n_points):
@@ -576,12 +590,15 @@ def verify_distribution(a_gen: ExactScalar, b_gen: ExactScalar,
                 * (1 if rng.random() < 0.5 else -1)
             w = (rng.uniform(0.07, 0.43) * w1 - rng.uniform(0.07, 0.43) * w2) \
                 * (1 if rng.random() < 0.5 else -1)
+            # theta(z + z_alpha) once per alpha and theta(w + w_beta) once
+            # per beta, each guarded; the terms add in (alpha, beta) order
+            ev._pole_guard(*(z + za for za in zas), *(w + wb for wb in wbs))
+            theta_z = [ev.theta(z + za) for za in zas]
+            theta_w = [ev.theta(w + wb) for wb in wbs]
             lhs = mp.mpc(0)
-            for al in alphas:
-                for be in betas:
-                    za = eps_num * embed(al)
-                    wb = eps_num * embed(be)
-                    lhs += ev.kronecker_translated(za, wb, z, w)
+            for za, tz in zip(zas, theta_z):
+                for wb, tw in zip(wbs, theta_w):
+                    lhs += ev._translated(za, wb, z, w, tz, tw)
             # RHS on the scaled lattice via homogeneity
             Z, W = Na * z, Nb * w
             rhs = Na * Nb * ev.kronecker(Z / c_num, W / c_num) / c_num
@@ -612,7 +629,7 @@ def compose_formal(exp: KroneckerExpansion, curve: CurveData, order: int,
     return KroneckerExpansion(ring.zero if starred else ring.one, composed)
 
 
-def log_and_tail_inverse(curve: CurveData, order: int, ring: ExactRing):
+def log_and_tail_inverse(curve: CurveData, order: int, ring):
     """lambda to degree `order` and Q = (lambda/s)^(-1) to degree order + 1,
     the univariate inputs of compose_regular."""
     lam = formal_log(curve, order + 2, ring).series

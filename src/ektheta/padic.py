@@ -44,13 +44,14 @@ polynomial, and ``scalars.power_sums`` gives every T_i back from it
 shadows) cancels identically in L_s L_t, so only the regular part enters.
 
 Composed expansion.  Theta-hat(s, t) = Theta(lambda(s), lambda(t)) is
-p-integral at ordinary p, though lambda is not.  ``_exact_composed`` computes
-it in varpi-scaled variables (varpi^(p-1) = p), where every input is
-integral, on ints mod p^W with the carry rule of ``series.ScaledIntRing``,
-and reads Theta-hat mod p^digits off it; the exact Fraction route
-(kronecker_exact + compose_formal) runs the same bivariate loops and is its
-test oracle.  The Kummer block reads its Eisenstein-Kronecker factors off
-the same scaled regular part.
+p-integral at ordinary p, though lambda is not.  ``_exact_composed`` runs
+the exact route (kronecker_exact + compose_formal) in varpi-scaled variables
+(varpi^(p-1) = p), where every input is integral, on ints mod p^W
+(``series.ScaledIntRing``: its ``coerce`` stores each coefficient the
+generators form, its carry rule multiplies them), and reads Theta-hat mod
+p^digits off it; the same route on Fractions is its test oracle.  The
+Kummer block reads its Eisenstein-Kronecker factors off kronecker_exact on
+the same ring.
 
 Interpolation.  The Euler factors use pi, the generator of the prime above
 p in the curve's CM order Z + f O_K (``cm_prime_generator``).  Each
@@ -65,15 +66,13 @@ from functools import cached_property, lru_cache
 from itertools import compress
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .curves import CurveData, catalog_row_of, formal_log, log_integers, \
-    sigma_integers
-from .kronecker import _as_fraction, compose_regular, kronecker_exact, \
-    kronecker_regular
+from .curves import CurveData, catalog_row_of, formal_log
+from .kronecker import compose_formal, kronecker_exact
 from .scalars import ExactScalar, PadicScalar, charpoly, divrem_monic, \
     embed_padic, ideal_generators, inverse, kronecker_mul, mulmod, ok_omega, \
     ok_units, power_sums, trace, _sqrt_minus_d_mod, _vp_fraction
-from .series import BiSeries, ExactRing, IntModRing, KroneckerExpansion, \
-    ScaledIntRing, UniSeries, axpy, inverse_row, scaled_mul, unit_inverse
+from .series import BiSeries, ExactRing, IntegralityError, IntModRing, \
+    KroneckerExpansion, ScaledIntRing, axpy, _int_mod
 
 __all__ = [
     "NoPeriodError",
@@ -97,24 +96,11 @@ class NoPeriodError(ArithmeticError):
     """p is unusable here: not split in K, or no degree-one prime element."""
 
 
-class IntegralityError(ArithmeticError):
-    """A coefficient asserted integral came out with negative valuation."""
-
-
 def precision_buffer(a: int, b: int, p: int) -> int:
     """v_p((b-1)!) + a + 3: the digits that factorials and Euler denominators
     were once taken to consume.  verify_interpolation_origin compares every
     claimed digit instead; acceptance test 9 keeps this window."""
     return _vp_fraction(math.factorial(b - 1), p) + (a + 1) + 2
-
-
-def _int_mod(x: Fraction, p: int, pk: int) -> int:
-    """x mod pk for a p-integral rational x; IntegralityError naming v_p
-    otherwise."""
-    if x.denominator % p == 0:
-        raise IntegralityError(f"{x} has v_p = {_vp_fraction(x, p)} < 0: "
-                               f"not {p}-integral")
-    return x.numerator * pow(x.denominator, -1, pk) % pk
 
 
 def _series_prec(series: BiSeries, p: int) -> int:
@@ -523,71 +509,15 @@ def formal_group_translate(alg: TorsionAlgebra, keep: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# unit restriction on the formal side: (p - 1 - Tr) on each axis
+# the composed expansion Theta-hat on ints
 # ---------------------------------------------------------------------------
 
-def _scaled_over_factorials(ring: ScaledIntRing, n: int, scale: int,
-                            shift: int) -> list:
-    """p^floor((scale k + shift)/(p-1))/k! mod p^width for k = 0..n: ints
-    for scale >= 1 and shift >= -1, since v_p(k!) <= (k - 1)/(p - 1)."""
-    p, pk, q = ring.p, ring.modulus, ring.period
-    out, v, unit = [], 0, 1
-    for k in range(n + 1):
-        j = k
-        while j and j % p == 0:
-            j //= p
-            v += 1
-        unit = unit * (j or 1) % pk
-        out.append(p ** ((scale * k + shift) // q - v) * pow(unit, -1, pk) % pk)
-    return out
-
-
-def _scaled_theta_unit(curve: CurveData, ring: ScaledIntRing, D: int) -> list:
-    """U(varpi z) to degree D on ring, U = theta/z (entry k stores
-    p^floor(k/(p-1)) U_k): sigma/z gives a_mn (g2/2)^m (2 g3)^n
-    p^floor((k-1)/(p-1))/k! at degree k - 1 = 4m + 6n (curves.sigma_integers),
-    and exp(-e2* z^2/2) gives (-e2*/2)^j p^floor(2j/(p-1))/j! at degree 2j.
-    g2, g3 or e2* not p-integral raises IntegralityError naming v_p."""
-    if curve.e2_star is None:
-        raise ValueError("curve has no e2* (supply one or use a catalog row)")
-    p, pk = ring.p, ring.modulus
-    half = pow(2, -1, pk)
-    g2, g3, e2 = (_int_mod(_as_fraction(x), p, pk)
-                  for x in (curve.g2, curve.g3, curve.e2_star))
-    h2, h3, h = g2 * half % pk, 2 * g3 % pk, -e2 * half % pk
-    S, E = [0] * (D + 1), [0] * (D + 1)
-    over = _scaled_over_factorials(ring, D + 1, 1, -1)
-    for k, m, n, a in sigma_integers(D + 1):
-        S[k - 1] += a % pk * pow(h2, m, pk) * pow(h3, n, pk) * over[k]
-    over = _scaled_over_factorials(ring, D // 2, 2, 0)
-    for j in range(D // 2 + 1):
-        E[2 * j] = pow(h, j, pk) * over[j]
-    return scaled_mul(ring.reduce_row(S), ring.reduce_row(E), D, ring)
-
-
-def _scaled_regular(curve: CurveData, ring: ScaledIntRing, order: int) -> BiSeries:
-    """The regular part of Theta in varpi-scaled variables to total degree
-    `order`, (m, n) stored as p^(floor((m+n)/(p-1)) + 1) c_mn
-    (kronecker_regular on ring)."""
-    U = ring.to_row(_scaled_theta_unit(curve, ring, order + 1))
-    return kronecker_regular(U, inverse_row(U, order + 1, ring), order, ring)
-
-
-def _scaled_log(curve: CurveData, ring: ScaledIntRing, n: int) -> list:
-    """lambda(varpi s)/varpi to degree n on ring: its s^k coefficient, of
-    varpi-degree k - 1, stores multinomial (-g2/4)^m (-g3/4)^n
-    p^floor((k-1)/(p-1))/k (curves.log_integers), an int since
-    v_p(k) <= floor((k - 1)/(p - 1))."""
-    p, pk = ring.p, ring.modulus
-    quarter = pow(-4, -1, pk)
-    a4, a6 = (_int_mod(_as_fraction(g), p, pk) * quarter % pk
-              for g in (curve.g2, curve.g3))
-    lam = [0] * (n + 1)
-    for k, m, j, multinomial in log_integers(n):
-        v = _vp_fraction(k, p)
-        lam[k] += multinomial * pow(a4, m, pk) * pow(a6, j, pk) \
-            * p ** ((k - 1) // ring.period - v) * pow(k // p ** v, -1, pk)
-    return ring.reduce_row(lam)
+def _scaled_ring(curve: CurveData, p: int, width: int) -> ScaledIntRing:
+    """ScaledIntRing(p, width), once _int_mod finds g2, g3 and e2*
+    p-integral: a refusal names the curve's own value."""
+    for x in filter(None, (curve.g2, curve.g3, curve.e2_star)):   # None: no e2*
+        _int_mod(x.a, p, p)
+    return ScaledIntRing(p, width)
 
 
 @lru_cache(maxsize=4)
@@ -596,35 +526,30 @@ def _exact_composed(curve: CurveData, p: int, order: int, digits: int) -> BiSeri
     p^digits (IntModRing), computed on ints.
 
     Everything runs in varpi-scaled variables, varpi^(p-1) = p, on
-    ScaledIntRing(p, W) with W = digits + floor(order/(p-1)) + 1.  There
-    every input is integral once g2, g3 and e2* are (p odd):
+    ScaledIntRing(p, W) with W = digits + floor(order/(p-1)) + 1, through
+    compose_formal(kronecker_exact(...)).  There every stored value
+    (ScaledIntRing.coerce) is an int once g2, g3 and e2* are (p odd):
     - U(varpi z), U = theta/z, and its inverse: sigma's z^k coefficient is
       an integer polynomial in g2/2, 2 g3 over k!, and
       v_p(k!) <= (k - 1)/(p - 1), so v_p(U_k) >= -k/(p - 1);
     - lambda(varpi s)/varpi and Q(varpi s), Q = (lambda/s)^-1: lambda's t^k
       coefficient is an integer polynomial in g2/4, g3/4 over k, and
       v_p(k) <= floor((k - 1)/(p - 1)).
-    The same two stages as the exact route (kronecker_regular,
-    compose_regular) run on them with the carry rule and never divide.  The
-    regular part and the polar tails carry one power of p above their
-    varpi-degree, so the output at (i, j) is the int
-    p^(floor((i+j)/(p-1)) + 1) Theta-hat_ij mod p^W, which leaves `digits`
-    digits.
+    The two stages (kronecker_regular, compose_regular) run on them with
+    the carry rule and never divide.  The regular part and the polar tails
+    carry one power of p above their varpi-degree, so the output at (i, j)
+    is the int p^(floor((i+j)/(p-1)) + 1) Theta-hat_ij mod p^W, which
+    leaves `digits` digits.
 
-    Both ends are checked: g2, g3 or e2* not p-integral, or an output not
-    divisible by p^(floor((i+j)/(p-1)) + 1) (Theta-hat not p-integral),
-    raises IntegralityError naming v_p.  Theta-hat is symmetric by
-    construction (a symmetric regular part, the same lambda on both axes),
-    so Theta-hat_ij != Theta-hat_ji is a bug: AssertionError."""
+    Both ends are checked: g2, g3 or e2* not p-integral (_scaled_ring), or
+    an output not divisible by p^(floor((i+j)/(p-1)) + 1) (Theta-hat not
+    p-integral), raises IntegralityError naming v_p.  Theta-hat is
+    symmetric by construction (a symmetric regular part, the same lambda on
+    both axes), so Theta-hat_ij != Theta-hat_ji is a bug: AssertionError."""
     q = p - 1
-    ring = ScaledIntRing(p, digits + order // q + 1)
+    ring = _scaled_ring(curve, p, digits + order // q + 1)
     pk = ring.modulus
-    regular = _scaled_regular(curve, ring, order)
-    lam = _scaled_log(curve, ring, order + 2)
-    Q = unit_inverse(lam[1:], order + 1, ring)
-    composed = compose_regular(
-        regular, UniSeries(ring, dict(enumerate(lam[:order + 1])), order),
-        UniSeries(ring, dict(enumerate(Q)), order + 1), order)
+    composed = compose_formal(kronecker_exact(curve, order, ring), curve, order).regular
     pkd = p ** digits
     scale = [p ** (d // q + 1) for d in range(order + 1)]
     hat = []
@@ -642,6 +567,10 @@ def _exact_composed(curve: CurveData, p: int, order: int, digits: int) -> BiSeri
         raise AssertionError("Theta-hat lost s<->t symmetry")
     return BiSeries(IntModRing(pkd), [(1, [row]) for row in hat], order)
 
+
+# ---------------------------------------------------------------------------
+# unit restriction on the formal side: (p - 1 - Tr) on each axis
+# ---------------------------------------------------------------------------
 
 def _trace_coefficient_table(alg: TorsionAlgebra, imax: int, keep: int):
     """T[i][k] = trace over the nonzero formal p-torsion of F(s, x)^i,
@@ -960,13 +889,13 @@ def _kummer_factors(curve: CurveData, p: int,
     max_exp and a + b divisible by the unit count of the CM order (read
     from g2, g3 rather than d: Z[sqrt(-3)] and Z[2 sqrt(-1)] share d with
     orders that have more units).  Read off the varpi-scaled regular part
-    (_scaled_regular), which stores c~ at total degree d as
-    p^(floor(d/(p-1)) + 1) c~, on ints wide enough to keep KUMMER_DIGITS
+    (kronecker_exact on a ScaledIntRing), which stores c~ at total degree d
+    as p^(floor(d/(p-1)) + 1) c~, on ints wide enough to keep KUMMER_DIGITS
     digits after that power."""
     w = 6 if not curve.g2 else 4 if not curve.g3 else 2
     order = 2 * max_exp
-    ring = ScaledIntRing(p, KUMMER_DIGITS + order // (p - 1) + 1)
-    regular = _scaled_regular(curve, ring, order)
+    ring = _scaled_ring(curve, p, KUMMER_DIGITS + order // (p - 1) + 1)
+    regular = kronecker_exact(curve, order, ring).regular
     return {(a, b): PadicScalar.from_int(
                 regular.coeff(b - 1, a) * math.factorial(b - 1) * math.factorial(a),
                 p, KUMMER_DIGITS, (a + b - 1) // (p - 1) + 1)

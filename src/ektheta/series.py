@@ -7,7 +7,9 @@ Scalars are ``Fraction`` on Q and ``ExactScalar`` on Q(sqrt(-d))
 (:class:`ExactRing`), and plain ints mod p^k on :class:`IntModRing`, whose
 series carry one absolute precision, the ring's modulus.  The p-adic
 composed expansion runs in varpi-scaled variables on :class:`ScaledIntRing`,
-ints mod p^W whose products follow a carry rule.
+ints mod p^W whose products follow a carry rule.  The generators of
+``curves`` store each coefficient with ``ring.coerce(c, degree)``, so one
+pipeline (kronecker_exact, compose_formal) serves every ring.
 
 The kernels (inverse, product, the bivariate composition, and the Kronecker
 regular part) run on int rows: a row is (den, parts), one positive
@@ -34,7 +36,7 @@ from itertools import chain, compress
 from operator import mul
 from typing import Dict, NamedTuple
 
-from .scalars import ExactScalar
+from .scalars import ExactScalar, _vp_fraction
 
 __all__ = [
     "ExactRing",
@@ -45,6 +47,7 @@ __all__ = [
     "KroneckerExpansion",
     "SeriesError",
     "NotDivisibleError",
+    "IntegralityError",
     "axpy",
     "bilinear",
     "carried",
@@ -63,6 +66,19 @@ class NotDivisibleError(SeriesError):
     """A series that must vanish on an axis before a division does not."""
 
 
+class IntegralityError(ArithmeticError):
+    """A coefficient asserted integral came out with negative valuation."""
+
+
+def _int_mod(x: Fraction, p: int, pk: int) -> int:
+    """x mod pk for a p-integral rational x; IntegralityError naming v_p
+    otherwise."""
+    if x.denominator % p == 0:
+        raise IntegralityError(f"{x} has v_p = {_vp_fraction(x, p)} < 0: "
+                               f"not {p}-integral")
+    return x.numerator * pow(x.denominator, -1, pk) % pk
+
+
 class ExactRing:
     """Rational (d = 0, scalars are Fractions) or Q(sqrt(-d)) coefficients;
     int rows of one part (Q) or two (the a and b of a + b sqrt(-d))."""
@@ -78,7 +94,8 @@ class ExactRing:
             self.zero = ExactScalar(0, 0, 0)
             self.one = ExactScalar(1)
 
-    def coerce(self, x):
+    def coerce(self, x, degree: int = 0):
+        """x as a scalar of the ring (the degree: ScaledIntRing.coerce)."""
         if self.d == 0:
             if isinstance(x, ExactScalar):
                 if not x.is_rational():
@@ -175,10 +192,17 @@ class ScaledIntRing(IntModRing):
         self.p, self.width = p, width
         self.period, self.carry = p - 1, p
 
+    def coerce(self, x, degree: int = 0) -> int:
+        """p^floor(degree/(p-1)) x mod p^width, the stored value of a rational
+        x of varpi-degree `degree`; IntegralityError naming v_p if not integral."""
+        x = _RATIONALS.coerce(x) * self.p ** (degree // self.period)
+        return _int_mod(x, self.p, self.modulus)
+
     def __repr__(self):
         return f"ScaledIntRing({self.p}, {self.width})"
 
 
+_RATIONALS = ExactRing(0)
 _BIG = 1 << 60
 
 

@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 
-def run_cli(*argv, check=True, env=None):
+def run_cli(*argv, check=True, env=None, timeout=None):
     cp = subprocess.run([sys.executable, "-m", "ektheta.cli", *argv],
-                        capture_output=True, text=True,
+                        capture_output=True, text=True, timeout=timeout,
                         env=None if env is None else {**os.environ, **env})
     if check and cp.returncode != 0:
         raise AssertionError(f"exit {cp.returncode}: {cp.stderr        }")
@@ -208,10 +208,18 @@ class TestVerifyCommands:
         (["verify", "distribution", "--g2", "2", "--g3", "1", "--e2star", "1/2",
           "--ideal-a", "2", "--ideal-b", "1", "--points", "1"],
          "not the j-invariant of a catalog curve"),
+        (["valuations", "--catalog", "Z[sqrt(-1)]", "--u", "4", "--prime", "1",
+          "--order", "10"], "--prime: 1 is not a prime"),
+        (["measure", "--catalog", "Z[sqrt(-1)]", "--u", "4", "--prime", "4"],
+         "--prime: 4 is not a prime"),
+        (["verify", "distribution", "--catalog", "Z[sqrt(-7)]", "--ideal-a", "2",
+          "--ideal-b", "1", "--points", "1"], "Z[sqrt(-7)] has conductor 2"),
     ], ids=["missing-curve", "unknown-character", "j-outside-catalog",
-            "measure-j-outside-catalog", "distribution-j-outside-catalog"])
+            "measure-j-outside-catalog", "distribution-j-outside-catalog",
+            "prime-one", "prime-four", "distribution-non-maximal-order"])
     def test_usage_error_says_why(self, argv, reason):
-        cp = run_cli(*argv, check=False)
+        # a timeout, since --prime 1 once made v_p loop forever
+        cp = run_cli(*argv, check=False, timeout=120)
         assert cp.returncode == 2
         assert reason in cp.stderr
 

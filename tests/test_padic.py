@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from ektheta.curves import catalog, catalog_row, formal_log, wp_series
+from ektheta.curves import CurveData, catalog, catalog_row, formal_log, \
+    theta_series, wp_series
 from ektheta.kronecker import _as_fraction, compose_formal, kronecker_exact, \
     valuation_heatmap
-from ektheta import padic
+from ektheta import kronecker, padic
 from ektheta.padic import (
     IntegralityError,
     InterpolationReport,
@@ -43,7 +44,8 @@ from ektheta.padic import (
 )
 from ektheta.scalars import ExactScalar, _vp_fraction, charpoly, embed_padic, \
     ok_omega, power_sums
-from ektheta.series import BiSeries, ExactRing, KroneckerExpansion, UniSeries
+from ektheta.series import BiSeries, ExactRing, KroneckerExpansion, \
+    ScaledIntRing, UniSeries
 from tests.series_oracle import bi, shift
 
 QQ = ExactRing(0)
@@ -643,7 +645,7 @@ class TestIntegralComposedRoute:
         # Theta-hat_ij: p added at (1, 2) keeps every integrality check
         # satisfied and moves Theta-hat_12 by 1 mod p^digits, but not
         # Theta-hat_21
-        orig = padic.compose_regular
+        orig = kronecker.compose_regular
 
         def corrupted(*args):
             out = orig(*args)
@@ -651,10 +653,36 @@ class TestIntegralComposedRoute:
             rows[1][1][0][2] += 13
             return BiSeries(out.ring, rows, out.order)
 
-        monkeypatch.setattr(padic, "compose_regular", corrupted)
+        monkeypatch.setattr(kronecker, "compose_regular", corrupted)
         _exact_composed.cache_clear()
         with pytest.raises(AssertionError, match="symmetry"):
             _exact_composed(zi_curve(), 13, 8, 4)
+
+
+class TestScaledStorage:
+    """On a ScaledIntRing the generators store the exact route's
+    coefficients: c of varpi-degree k as p^floor(k/(p-1)) c mod p^W."""
+
+    @pytest.mark.parametrize("label,u,p", _good_split_pairs())
+    def test_generators_store_the_exact_coefficients(self, label, u, p):
+        # order 3p spans three carry periods; the z^k entry of lambda and
+        # theta has varpi-degree k - 1
+        curve = catalog_row(label).curve(u)
+        order, width = 3 * p, 6
+        ring = ScaledIntRing(p, width)
+        for scaled, exact in (
+                (formal_log(curve, order, ring).series, formal_log(curve, order).series),
+                (theta_series(curve, order, ring), theta_series(curve, order))):
+            want = {k: _int_mod(_as_fraction(c) * p ** ((k - 1) // (p - 1)), p, p ** width)
+                    for k, c in exact.coeffs.items()}
+            assert scaled.order == order
+            assert scaled.coeffs == {k: v for k, v in want.items() if v}
+
+    def test_non_integral_e2_star_is_refused_naming_it(self):
+        # g2 = 4 and g3 = 0 are 13-integral, e2* = 1/13 is not
+        curve = CurveData(ExactScalar(4), ExactScalar(0), ExactScalar(Fraction(1, 13)))
+        with pytest.raises(IntegralityError, match=r"1/13 has v_p = -1 < 0"):
+            _exact_composed(curve, 13, 8, 4)
 
 
 class TestMeasure:
