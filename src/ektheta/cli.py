@@ -25,8 +25,8 @@ from .curves import CurveData, PeriodPrecisionError, catalog, catalog_row, \
     compute_periods, formal_log
 from .eklerch import HeckeCharacter, direct_hecke_sum, ek_number, \
     hecke_L_partial, truncation_radius
-from .kronecker import compose_formal, kronecker_exact, torsion_point, \
-    valuation_heatmap, verify_distribution, verify_generating_function
+from .kronecker import compose_formal, kronecker_exact, require_maximal_order, \
+    torsion_point, valuation_heatmap, verify_distribution, verify_generating_function
 from .padic import IntegralityError, kummer_congruences, measure_from_theta, \
     moment_table, restrict_to_units, verify_interpolation_origin
 from .scalars import ExactScalar, PadicScalar, mp
@@ -210,6 +210,8 @@ def cmd_hecke_l(args):
 
 def cmd_verify(args):
     curve = _curve_from(args)
+    if args.target == "distribution":
+        require_maximal_order(curve)        # before the lattice is computed
     lat = compute_periods(curve, args.prec_bits)
     if args.target == "kronecker":
         import random

@@ -50,6 +50,7 @@ from .series import (
     UniSeries,
     axpy,
     bilinear,
+    carried,
     inverse_row,
     lcm_into,
 )
@@ -67,7 +68,6 @@ __all__ = [
     "verify_distribution",
     "DistributionReport",
     "compose_formal",
-    "log_and_tail_inverse",
     "compose_regular",
     "valuation_heatmap",
     "HeatmapReport",
@@ -78,17 +78,12 @@ __all__ = [
 # exact expansion
 # ---------------------------------------------------------------------------
 
-def _unit_series_list(curve: CurveData, order: int, ring) -> list:
-    th = theta_series(curve, order + 1, ring)
-    return [th.coeff(k + 1) for k in range(order + 1)]
-
-
 def kronecker_exact(curve: CurveData, order: int, ring=None) -> KroneckerExpansion:
     """Exact Theta expansion at the origin, 1/z + 1/w plus the symmetric
     regular part to total degree `order`, in the curve's field, or
     varpi-scaled on a ScaledIntRing (kronecker_regular)."""
     ring = ring or curve.ring()
-    U = ring.to_row(_unit_series_list(curve, order + 1, ring))
+    U = theta_series(curve, order + 2, ring)._row_from(1)    # theta(z)/z
     return KroneckerExpansion(ring.one, kronecker_regular(
         U, inverse_row(U, order + 1, ring), order, ring))
 
@@ -534,6 +529,16 @@ def find_epsilon(a_gen: ExactScalar, b_gen: ExactScalar, d: int) -> ExactScalar:
     raise ValueError("no epsilon found: hypothesis (ab, conj(b)) = 1 violated?")
 
 
+def require_maximal_order(curve: CurveData):
+    """curve's catalog row (catalog_row_of); ValueError when its CM order is
+    not maximal, which verify_distribution cannot take."""
+    row = catalog_row_of(curve)
+    if row.conductor != 1:
+        raise ValueError(f"the distribution relation needs Gamma = O_K w1: "
+                         f"{row.label} has conductor {row.conductor}")
+    return row
+
+
 def verify_distribution(a_gen: ExactScalar, b_gen: ExactScalar,
                         lattice: LatticeData, n_points: int = 10,
                         tol: float = 1e-12, seed: int = 0) -> DistributionReport:
@@ -548,15 +553,12 @@ def verify_distribution(a_gen: ExactScalar, b_gen: ExactScalar,
     flags the relaxation; at the origin the epsilon factors are vacuous.
     alpha and beta run over (1/a) O_K/O_K through the identification
     Gamma = O_K w1, which holds only when the CM order is maximal: a curve
-    of conductor f > 1 (End(E) = Z + f O_K) raises ValueError.
+    of conductor f > 1 (End(E) = Z + f O_K) raises ValueError
+    (require_maximal_order).
     """
     import random as _random
 
-    row = catalog_row_of(lattice.curve)
-    if row.conductor != 1:
-        raise ValueError(f"the distribution relation needs Gamma = O_K w1: "
-                         f"{row.label} has conductor {row.conductor}")
-    d = row.d
+    d = require_maximal_order(lattice.curve).d
     ev = ThetaEvaluator(lattice)
     with mp.workprec(ev.prec + 24):
         w1, w2 = ev.w1, ev.w2
@@ -624,18 +626,11 @@ def compose_formal(exp: KroneckerExpansion, curve: CurveData, order: int,
         raise ValueError(f"composition order {order} exceeds expansion order "
                          f"{exp.order}")
     ring = exp.regular.ring
-    lam, Q = log_and_tail_inverse(curve, order, ring)
-    composed = compose_regular(exp.regular.truncate(order), lam, Q, order)
-    return KroneckerExpansion(ring.zero if starred else ring.one, composed)
-
-
-def log_and_tail_inverse(curve: CurveData, order: int, ring):
-    """lambda to degree `order` and Q = (lambda/s)^(-1) to degree order + 1,
-    the univariate inputs of compose_regular."""
     lam = formal_log(curve, order + 2, ring).series
-    lam_over = UniSeries(ring, {k - 1: v for k, v in lam.coeffs.items()},
-                         lam.order - 1)
-    return lam.truncate(order), lam_over.inverse()
+    # Q = (lambda/s)^(-1) to degree order + 1: lambda's row one degree down
+    Q = UniSeries._of_row(ring, lam.start - 1, lam.row, lam.order - 1).inverse()
+    composed = compose_regular(exp.regular.truncate(order), lam.truncate(order), Q, order)
+    return KroneckerExpansion(ring.zero if starred else ring.one, composed)
 
 
 def compose_regular(regular: BiSeries, lam: UniSeries, Q: UniSeries,
@@ -648,20 +643,12 @@ def compose_regular(regular: BiSeries, lam: UniSeries, Q: UniSeries,
     k, moves to degree k - 1 times p, or times 1 when p - 1 divides k."""
     ring = regular.ring
     composed = regular.compose(lam, lam)
-    den, parts = ring.to_row([Q.coeff(k) * (ring.carry if k % ring.period else 1)
-                              for k in range(1, order + 2)])
+    den, parts = Q._row_from(1)
+    parts = [carried(part[:order + 1], 1, ring.period - 1, ring) for part in parts]
     tails = [(den, [[2 * part[0]] + part[1:] for part in parts])] + \
         [(den, [[part[m]] + [0] * (order - m) for part in parts])
          for m in range(1, order + 1)]
     return composed + BiSeries(ring, tails, order)
-
-
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, ExactScalar) and v.is_rational():
-        return v.a
-    raise TypeError(f"cannot reinterpret {v!r} as a rational")
 
 
 class HeatmapReport(NamedTuple):

@@ -389,6 +389,8 @@ class BigComplex(NamedTuple):
 
 def _vp_fraction(x, p: int) -> Optional[int]:
     """v_p of a nonzero int or Fraction; None for zero."""
+    if p < 2:
+        raise ValueError(f"v_p needs p >= 2, not p = {p}")
     if not x:
         return None
     v = 0

@@ -1,8 +1,9 @@
 """Truncated power/Laurent series over exact and integer scalars.
 
 A :class:`UniSeries` is known modulo t^(order+1) and may carry finitely many
-negative-index (polar) coefficients; it keeps a dict of scalars.  A
-:class:`BiSeries` is truncated by total degree and keeps int rows only.
+negative-index (polar) coefficients; it keeps one int row, its entries from
+its lowest stored index.  A :class:`BiSeries` is truncated by total degree
+and keeps one int row per power of its first variable.
 Scalars are ``Fraction`` on Q and ``ExactScalar`` on Q(sqrt(-d))
 (:class:`ExactRing`), and plain ints mod p^k on :class:`IntModRing`, whose
 series carry one absolute precision, the ring's modulus.  The p-adic
@@ -20,8 +21,9 @@ that a kernel sums into is put over the lcm of its terms' denominators, and
 a finished row is brought to lowest terms (``normalize``: one gcd, or the
 reduction mod m).  The kernels run on rows of one part; ``bilinear`` takes
 Q(sqrt(-d)) apart.  Row m of a BiSeries holds its entries (m, n),
-n = 0..order - m; a Fraction or ExactScalar is formed only when a
-coefficient is read (``coeff``, ``items``, ``to_json``).
+n = 0..order - m, and the row of a UniSeries its entries start..order; a
+Fraction or ExactScalar is formed only when a coefficient is read
+(``coeff``, ``items``, ``to_json``).
 
 Multiplication of truncated series keeps the usual Laurent bookkeeping:
 the product of series known mod t^(Na+1), t^(Nb+1) with valuations va, vb is
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import mul
 from typing import Dict, NamedTuple
 
@@ -53,8 +55,6 @@ __all__ = [
     "carried",
     "inverse_row",
     "lcm_into",
-    "scaled_mul",
-    "unit_inverse",
 ]
 
 
@@ -158,9 +158,8 @@ class IntModRing:
         m = self.modulus
         return [x % m for x in row]
 
-    @staticmethod
-    def to_row(values) -> tuple:
-        return 1, [list(values)]
+    def to_row(self, values) -> tuple:
+        return 1, [self.reduce_row(values)]
 
     @staticmethod
     def from_row(den: int, parts: list) -> list:
@@ -207,45 +206,70 @@ _BIG = 1 << 60
 
 
 class UniSeries:
-    """Sparse univariate truncated series with optional polar part."""
+    """Univariate truncated series, polar part allowed: ``row`` holds the
+    entries k = start..order; a kernel's result is built by ``_of_row``."""
 
-    __slots__ = ("ring", "coeffs", "order")
+    __slots__ = ("ring", "start", "row", "order")
 
     def __init__(self, ring, coeffs: Dict[int, object], order: int):
-        self.ring = ring
-        self.order = order
-        self.coeffs = {k: v for k, v in coeffs.items() if k <= order and v}
+        live = {k: v for k, v in coeffs.items() if k <= order and v}
+        self.ring, self.order, self.start = ring, order, min(live, default=0)
+        self.row = ring.to_row([live.get(k, ring.zero) for k in range(self.start, order + 1)])
+
+    @classmethod
+    def _of_row(cls, ring, start: int, row: tuple, order: int) -> "UniSeries":
+        out = cls.__new__(cls)
+        out.ring, out.start, out.row, out.order = ring, start, row, order
+        return out
 
     @staticmethod
     def constant(ring, c, order: int) -> "UniSeries":
         return UniSeries(ring, {0: ring.coerce(c)}, order)
 
     def coeff(self, k: int):
-        return self.coeffs.get(k, self.ring.zero)
+        if not self.start <= k <= self.order:
+            return self.ring.zero
+        den, parts = self.row
+        return self.ring.from_row(den, [[part[k - self.start]] for part in parts])[0]
+
+    def items(self):
+        """(k, c) for every nonzero coefficient c, in ascending k."""
+        for k, c in enumerate(self.ring.from_row(*self.row), self.start):
+            if c:
+                yield k, c
+
+    def _row_from(self, lo: int) -> tuple:
+        """The row of the entries lo..order."""
+        (den, parts), i = self.row, lo - self.start
+        return den, [[0] * -i + part if i < 0 else part[i:] for part in parts]
 
     def valuation(self) -> int:
-        return min(self.coeffs) if self.coeffs else _BIG
+        return next((self.start + i for i, x in enumerate(zip(*self.row[1])) if any(x)), _BIG)
 
     def truncate(self, order: int) -> "UniSeries":
         if order >= self.order:
             return self
-        return UniSeries(self.ring, self.coeffs, order)
+        den, parts, n = *self.row, max(0, order - self.start + 1)
+        return UniSeries._of_row(self.ring, self.start, (den, [part[:n] for part in parts]),
+                                 order)
 
     def __add__(self, other):
         if not isinstance(other, UniSeries):
             other = UniSeries.constant(self.ring, other, self.order)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        return UniSeries(self.ring, out, min(self.order, other.order))
+        start, order = min(self.start, other.start), min(self.order, other.order)
+        return UniSeries._of_row(self.ring, start, _sum_rows(
+            self.ring, [self._row_from(start), other._row_from(start)], order - start + 1),
+            order)
 
     def scale(self, c) -> "UniSeries":
-        c = self.ring.coerce(c)
-        return UniSeries(self.ring, {k: v * c for k, v in self.coeffs.items()}, self.order)
+        ring = self.ring
+        row, = bilinear(ring, _product, [self.row], [ring.to_row([ring.coerce(c)])],
+                        self.order - self.start, ring, 0, 0)
+        return UniSeries._of_row(ring, self.start, row, self.order)
 
     def __mul__(self, other):
-        """The product on the row kernel (scaled_mul), from both lowest
-        coefficients."""
+        """The product on the row kernel (_product), each factor's row
+        counted from its lowest coefficient."""
         if not isinstance(other, UniSeries):
             return self.scale(other)
         va, vb = self.valuation(), other.valuation()
@@ -253,26 +277,26 @@ class UniSeries:
             return UniSeries(self.ring, {}, min(self.order + (vb if vb != _BIG else 0),
                                                 other.order + (va if va != _BIG else 0)))
         order = min(self.order + vb, other.order + va)
-        n = order - va - vb
-        prod = scaled_mul([self.coeff(va + k) for k in range(n + 1)],
-                          [other.coeff(vb + k) for k in range(n + 1)], n, self.ring)
-        return UniSeries(self.ring, {va + vb + k: c for k, c in enumerate(prod)}, order)
+        row, = bilinear(self.ring, _product, [self._row_from(va)], [other._row_from(vb)],
+                        order - va - vb, self.ring, 0, 0)
+        return UniSeries._of_row(self.ring, va + vb, row, order)
 
     __rmul__ = scale
 
     def inverse(self) -> "UniSeries":
-        """Reciprocal of a series whose lowest coefficient is invertible."""
+        """1/self, self's lowest coefficient invertible (inverse_row)."""
         v = self.valuation()
         if v == _BIG:
             raise ZeroDivisionError("inverse of zero series")
         n = self.order - v
-        b = unit_inverse([self.coeff(v + k) for k in range(n + 1)], n, self.ring)
-        return UniSeries(self.ring, {k - v: c for k, c in enumerate(b)}, n - v)
+        return UniSeries._of_row(self.ring, -v,
+                                 inverse_row(self._row_from(v), n, self.ring), n - v)
 
     def derivative(self) -> "UniSeries":
-        return UniSeries(self.ring,
-                         {k - 1: v * k for k, v in self.coeffs.items() if k != 0},
-                         self.order - 1)
+        den, parts = self.row
+        return UniSeries._of_row(self.ring, self.start - 1, self.ring.normalize(
+            den, [[x * k for k, x in enumerate(part, self.start)] for part in parts]),
+            self.order - 1)
 
     def compose(self, inner: "UniSeries") -> "UniSeries":
         """self(inner(t)); inner must have zero constant term.
@@ -282,43 +306,38 @@ class UniSeries:
         """
         if inner.coeff(0):
             raise SeriesError("inner constant term must vanish")
-        order = min(self.order, inner.order)
+        order, v = min(self.order, inner.order), self.valuation()
         out = UniSeries(self.ring, {}, order)
-        polar = [k for k in self.coeffs if k < 0]
-        if polar:
+        if v < 0:
             if inner.valuation() != 1:
                 raise SeriesError("polar composition needs valuation-1 inner")
             inv = inner.inverse()
-            for k in range(-1, min(polar) - 1, -1):
+            for k in range(-1, v - 1, -1):
                 term = inv if k == -1 else term * inv       # inner^k
-                if k in self.coeffs:
-                    out = out + term.scale(self.coeffs[k])
+                if self.coeff(k):
+                    out = out + term.scale(self.coeff(k))
         cur = UniSeries.constant(self.ring, self.ring.one, order)
         reg = UniSeries(self.ring, {0: self.coeff(0)}, order)
-        maxdeg = max((k for k in self.coeffs if k > 0), default=0)
-        for k in range(1, maxdeg + 1):
+        for k in range(1, max((k for k, _ in self.items()), default=0) + 1):
             cur = (cur * inner).truncate(order)
-            c = self.coeffs.get(k)
-            if c is not None:
-                reg = reg + cur.scale(c)
+            if self.coeff(k):
+                reg = reg + cur.scale(self.coeff(k))
         return out + reg
 
     def __eq__(self, other):
         if not isinstance(other, UniSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        keys = {k for k in (*self.coeffs, *other.coeffs) if k <= n}
-        return all(self.coeff(k) == other.coeff(k) for k in keys)
+        return dict(self.truncate(n).items()) == dict(other.truncate(n).items())
 
     def __repr__(self):
-        items = sorted(self.coeffs)[:6]
-        body = " + ".join(f"({self.coeffs[k]})*t^{k}" for k in items)
+        body = " + ".join(f"({c})*t^{k}" for k, c in islice(self.items(), 6))
         return f"UniSeries({body or '0'} + O(t^{self.order + 1}))"
 
     def to_json(self, scalar_json=None):
         sj = scalar_json or _scalar_json
         return {"order": self.order,
-                "terms": [{"k": k, "c": sj(v)} for k, v in sorted(self.coeffs.items())]}
+                "terms": [{"k": k, "c": sj(v)} for k, v in self.items()]}
 
 
 def _scalar_json(v):
@@ -534,13 +553,6 @@ def lcm_into(dens: list, targets, q: int) -> None:
             dens[t] = math.lcm(dens[t], q)
 
 
-def scaled_mul(a: list, b: list, n: int, ring, sa: int = 0, sb: int = 0) -> list:
-    """Coefficients 0..n of the product of the coefficient lists a and b
-    (_product)."""
-    return ring.from_row(*bilinear(ring, _product, [ring.to_row(a)], [ring.to_row(b)],
-                                   n, ring, sa, sb)[0])
-
-
 def _product(xs: list, ys: list, n: int, ring, sa: int, sb: int) -> list:
     """[Entries 0..n of the product of the one-part rows xs[0] and ys[0]],
     over the product of their denominators, normalized; entry k of xs[0]
@@ -559,12 +571,6 @@ def _product(xs: list, ys: list, n: int, ring, sa: int, sb: int) -> list:
                 variants[r] = carried(src, lo + sa, r, ring)[::g]
             out[k + lo::g] = axpy(out[k + lo::g], variants[r], c)
     return [ring.normalize(da * db, [out])]
-
-
-def unit_inverse(a: list, n: int, ring) -> list:
-    """b_0 .. b_n of 1/a, a a coefficient list with a_0 invertible
-    (inverse_row)."""
-    return ring.from_row(*inverse_row(ring.to_row(a[:n + 1]), n, ring))
 
 
 def inverse_row(a: tuple, n: int, ring) -> tuple:
@@ -619,7 +625,8 @@ def _power_table(s: UniSeries, order: int) -> list:
     """s^0 .. s^order to degree `order` as rows; s is held as f(varpi s)/varpi,
     so the s^i coefficient of s^m has varpi-degree i - m."""
     ring = s.ring
-    base = ring.to_row([s.coeff(k) for k in range(order + 1)])
+    den, parts = s._row_from(0)
+    base = den, [part[:order + 1] for part in parts]
     table, cur = [ring.to_row([ring.one] + [ring.zero] * order)], base
     for m in range(1, order + 1):
         if m > 1:

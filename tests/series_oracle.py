@@ -1,6 +1,7 @@
 """Series algebra that only the tests use, kept as oracles beside the
-library: constructors and operations the commands never call, and the
-scalar-by-scalar mpc route that theta's Taylor series once took.
+library: constructors and operations the commands never call, the dict
+storage that ``UniSeries`` kept before its int row (``DictSeries``), and
+the scalar-by-scalar mpc route that theta's Taylor series once took.
 
 The mpc route is the one ``ThetaEvaluator.taylor`` and
 ``verify_generating_function`` ran on ``UniSeries`` over mpmath complex
@@ -16,7 +17,8 @@ import mpmath as mp
 
 from ektheta.kronecker import ThetaEvaluator, _theta1_derivatives, \
     taylor_coefficients_2d, torsion_point
-from ektheta.series import BiSeries, SeriesError, UniSeries
+from ektheta.series import BiSeries, SeriesError, UniSeries, _product, bilinear, \
+    inverse_row
 
 
 # ---------------------------------------------------------------------------
@@ -30,11 +32,11 @@ def from_list(ring, items, order: int, start: int = 0) -> UniSeries:
 
 def shift(f: UniSeries, k: int) -> UniSeries:
     """f times t^k."""
-    return UniSeries(f.ring, {i + k: v for i, v in f.coeffs.items()}, f.order + k)
+    return UniSeries(f.ring, {i + k: v for i, v in f.items()}, f.order + k)
 
 
 def sub(f: UniSeries, g: UniSeries) -> UniSeries:
-    return f + UniSeries(g.ring, {k: -v for k, v in g.coeffs.items()}, g.order)
+    return f + UniSeries(g.ring, {k: -v for k, v in g.items()}, g.order)
 
 
 def exp(f: UniSeries) -> UniSeries:
@@ -42,7 +44,7 @@ def exp(f: UniSeries) -> UniSeries:
     if f.valuation() < 1:
         raise SeriesError("exp needs positive valuation")
     ring, n = f.ring, f.order
-    df = sorted((k, k * v) for k, v in f.coeffs.items())
+    df = sorted((k, k * v) for k, v in f.items())
     e = [ring.one]
     for m in range(1, n + 1):
         s = sum((c * e[m - j] for j, c in df if j <= m), ring.zero)
@@ -59,6 +61,112 @@ def bi(ring, terms: dict, order: int) -> BiSeries:
 
 def is_symmetric(f: BiSeries) -> bool:
     return all(f.coeff(n, m) == v for (m, n), v in f.items())
+
+
+# ---------------------------------------------------------------------------
+# the dict storage that UniSeries kept before its row
+# ---------------------------------------------------------------------------
+
+def scaled_mul(a: list, b: list, n: int, ring) -> list:
+    """Coefficients 0..n of the product of the coefficient lists a and b,
+    entry k of each of varpi-degree k, through the row kernel."""
+    return ring.from_row(*bilinear(ring, _product, [ring.to_row(a)], [ring.to_row(b)],
+                                   n, ring, 0, 0)[0])
+
+
+def unit_inverse(a: list, n: int, ring) -> list:
+    """b_0 .. b_n of 1/a, a a coefficient list with a_0 invertible."""
+    return ring.from_row(*inverse_row(ring.to_row(a[:n + 1]), n, ring))
+
+
+class DictSeries:
+    """A univariate series stored as {k: scalar}, the nonzero coefficients
+    k <= order, with UniSeries's arithmetic as it ran on that dict: the
+    product and the inverse on lists read from each factor's lowest
+    coefficient (scaled_mul, unit_inverse), the rest entry by entry.  On
+    an integer ring each entry is kept mod the ring's modulus."""
+
+    def __init__(self, ring, coeffs: dict, order: int):
+        m = getattr(ring, "modulus", None)
+        self.ring, self.order = ring, order
+        self.coeffs = {k: v % m if m else v for k, v in coeffs.items() if k <= order}
+        self.coeffs = {k: v for k, v in self.coeffs.items() if v}
+
+    @staticmethod
+    def constant(ring, c, order: int) -> "DictSeries":
+        return DictSeries(ring, {0: ring.coerce(c)}, order)
+
+    def coeff(self, k: int):
+        return self.coeffs.get(k, self.ring.zero)
+
+    def valuation(self) -> int:
+        return min(self.coeffs) if self.coeffs else 1 << 60
+
+    def truncate(self, order: int) -> "DictSeries":
+        return self if order >= self.order else DictSeries(self.ring, self.coeffs, order)
+
+    def __add__(self, other):
+        if not isinstance(other, DictSeries):
+            other = DictSeries.constant(self.ring, other, self.order)
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out[k] + v if k in out else v
+        return DictSeries(self.ring, out, min(self.order, other.order))
+
+    def scale(self, c) -> "DictSeries":
+        c = self.ring.coerce(c)
+        return DictSeries(self.ring, {k: v * c for k, v in self.coeffs.items()}, self.order)
+
+    def __mul__(self, other):
+        if not isinstance(other, DictSeries):
+            return self.scale(other)
+        va, vb = self.valuation(), other.valuation()
+        if not self.coeffs or not other.coeffs:
+            return DictSeries(self.ring, {}, min(self.order + (vb if other.coeffs else 0),
+                                                 other.order + (va if self.coeffs else 0)))
+        order = min(self.order + vb, other.order + va)
+        n = order - va - vb
+        prod = scaled_mul([self.coeff(va + k) for k in range(n + 1)],
+                          [other.coeff(vb + k) for k in range(n + 1)], n, self.ring)
+        return DictSeries(self.ring, {va + vb + k: c for k, c in enumerate(prod)}, order)
+
+    def inverse(self) -> "DictSeries":
+        v = self.valuation()
+        if not self.coeffs:
+            raise ZeroDivisionError("inverse of zero series")
+        n = self.order - v
+        b = unit_inverse([self.coeff(v + k) for k in range(n + 1)], n, self.ring)
+        return DictSeries(self.ring, {k - v: c for k, c in enumerate(b)}, n - v)
+
+    def derivative(self) -> "DictSeries":
+        return DictSeries(self.ring, {k - 1: v * k for k, v in self.coeffs.items() if k},
+                          self.order - 1)
+
+    def compose(self, inner: "DictSeries") -> "DictSeries":
+        if inner.coeff(0):
+            raise SeriesError("inner constant term must vanish")
+        order = min(self.order, inner.order)
+        out = DictSeries(self.ring, {}, order)
+        polar = [k for k in self.coeffs if k < 0]
+        if polar:
+            if inner.valuation() != 1:
+                raise SeriesError("polar composition needs valuation-1 inner")
+            inv = inner.inverse()
+            for k in range(-1, min(polar) - 1, -1):
+                term = inv if k == -1 else term * inv       # inner^k
+                if k in self.coeffs:
+                    out = out + term.scale(self.coeffs[k])
+        cur = DictSeries.constant(self.ring, self.ring.one, order)
+        reg = DictSeries(self.ring, {0: self.coeff(0)}, order)
+        for k in range(1, max((k for k in self.coeffs if k > 0), default=0) + 1):
+            cur = (cur * inner).truncate(order)
+            if k in self.coeffs:
+                reg = reg + cur.scale(self.coeffs[k])
+        return out + reg
+
+    def to_json(self, scalar_json):
+        return {"order": self.order, "terms": [{"k": k, "c": scalar_json(v)}
+                                               for k, v in sorted(self.coeffs.items())]}
 
 
 # ---------------------------------------------------------------------------

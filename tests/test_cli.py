@@ -438,6 +438,20 @@ class TestColdStart:
              "--kummer-max", "20"])
         assert ["mpmath.libmp" in s for s in stages] == [False] * 4
 
+    def test_a_refused_distribution_run_never_executes_mpmath(self):
+        # the conductor check runs before the period lattice is computed
+        probe = ("import sys, ektheta.cli\n"
+                 "code = ektheta.cli.main(sys.argv[1:])\n"
+                 "print('mpmath.libmp' in sys.modules)\n"
+                 "sys.exit(code)\n")
+        cp = subprocess.run([sys.executable, "-c", probe, "verify", "distribution",
+                             "--catalog", "Z[sqrt(-7)]", "--ideal-a", "2",
+                             "--ideal-b", "1"], capture_output=True, text=True)
+        assert cp.returncode == 2
+        assert cp.stderr == ("error: the distribution relation needs Gamma = O_K w1: "
+                             "Z[sqrt(-7)] has conductor 2\n")
+        assert cp.stdout == "False\n"
+
     def test_a_numeric_command_executes_mpmath(self):
         stages = _modules_after(["ek", *self.ZI4, "--a", "0", "--b", "2"])
         assert ["mpmath.libmp" in s for s in stages] == [False, True]
@@ -510,16 +524,22 @@ class TestBenchmarkHooks:
     def test_traced_series_jobs(self, argv, order, tmp_path):
         # the README compose job and the padic-interp workload's job run
         # under the hooks on the series storage: one bivariate composition
-        # each, and the composed expansion notes its order
+        # each, and the composed expansion notes its order; the runtime
+        # products and inverses of one-variable series go through the
+        # hooked methods, so the per-layer metrics see them
         tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
         out = tmp_path / "spans.json"
         cp = subprocess.run([sys.executable, str(tracer), str(out), *argv],
                             capture_output=True, text=True)
         assert cp.returncode == 0, cp.stderr
         spans = json.loads(out.read_text())["spans"]
-        assert [s[0] for s in spans].count("series.BiSeries.compose") == 1
+        names = [s[0] for s in spans]
+        assert names.count("series.BiSeries.compose") == 1
         if order is not None:
             assert [s[4] for s in spans if s[0] == "padic._exact_composed"] == [order]
+            assert names.count("series.UniSeries.__mul__") == 5
+            assert names.count("series.UniSeries.inverse") == 2
+            assert names.count("kronecker.kronecker_exact") == 5
 
     def test_every_order_noted_span_takes_an_order_argument(self):
         # the tracer binds each call's arguments and reads "order" from them

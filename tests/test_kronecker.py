@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 
 from ektheta import kronecker
-from ektheta.curves import catalog_row, compute_periods, formal_log
+from ektheta.curves import catalog_row, compute_periods, formal_log, theta_series
 from ektheta.eklerch import eisenstein_kronecker_lerch
 from ektheta.kronecker import (
     ThetaEvaluator,
@@ -28,6 +28,12 @@ from tests.series_oracle import is_symmetric, ridge_nondecreasing_from
 
 def zi_curve(u=4):
     return catalog_row("Z[sqrt(-1)]").curve(u)
+
+
+def theta_over_z(curve, order, ring):
+    """U_0 .. U_order of U(z) = theta(z)/z, from theta's coefficients."""
+    th = theta_series(curve, order + 1, ring)
+    return [th.coeff(k + 1) for k in range(order + 1)]
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +64,7 @@ class TestExactExpansion:
         # true U with a wrong U^-1 (the constant 1) leaves U(w) - 1 there
         curve, order = zi_curve(), 6
         ring = curve.ring()
-        U = kronecker._unit_series_list(curve, order + 1, ring)
+        U = theta_over_z(curve, order + 1, ring)
         wrong_inverse = [ring.one] + [ring.zero] * (order + 1)
         with pytest.raises(NotDivisibleError, match=r"z\^0 w\^4"):
             kronecker.kronecker_regular(ring.to_row(U), ring.to_row(wrong_inverse),
@@ -479,7 +485,7 @@ class TestCompose:
             t = mp.mpf("0.035") * abs(ev.w1)
             lam_f = lambda x: mp.fsum(
                 mp.mpf(c.numerator) / c.denominator * x ** k
-                for k, c in lam.coeffs.items())
+                for k, c in lam.items())
             z, w = lam_f(s), lam_f(t)
             direct = ev.kronecker(z, w) - 1 / s - 1 / t
             series_val = mp.fsum(
@@ -514,7 +520,7 @@ def _fraction_oracle(curve, order):
     rows replaced, kept as their oracle."""
     ring = curve.ring()
     D = order + 1
-    U = kronecker._unit_series_list(curve, D, ring)
+    U = theta_over_z(curve, D, ring)
     Uinv = _oracle_inverse(U, D, ring.one)
     V = {(m, d - m): U[d] * math.comb(d, m)
          for d in range(D + 1) if U[d] for m in range(d + 1)}
@@ -590,7 +596,7 @@ class TestIntRowsAgainstFractionOracle:
         # on the axes
         curve, order = self.ROWS[name](), 12
         ring = curve.ring()
-        U = kronecker._unit_series_list(curve, order + 1, ring)
+        U = theta_over_z(curve, order + 1, ring)
         Uinv = _oracle_inverse(U, order + 1, ring.one)
         k = next(k for k in range(1, order + 2) if U[k])
         for wrong in (U[k] + ring.one, U[k] * 3):

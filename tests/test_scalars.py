@@ -1,6 +1,8 @@
 """Exact / p-adic scalar arithmetic."""
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -335,3 +337,28 @@ class TestEmbedPadic:
         ex, ey = to_int(embed_padic(x, 13, N)), to_int(embed_padic(y, 13, N))
         assert to_int(embed_padic(x * y, 13, N)) == ex * ey % pk
         assert to_int(embed_padic(x + y, 13, N)) == (ex + ey) % pk
+
+
+_HEATMAP_AT_ONE = """
+from ektheta.curves import catalog_row
+from ektheta.kronecker import compose_formal, kronecker_exact, valuation_heatmap
+curve = catalog_row("Z[sqrt(-1)]").curve(4)
+valuation_heatmap(compose_formal(kronecker_exact(curve, 6), curve, 6), 1)
+"""
+
+
+class TestValuationNeedsAPrime:
+    @pytest.mark.parametrize("call,p", [
+        ("from ektheta.scalars import _vp_fraction; _vp_fraction(3, 1)", 1),
+        ("from ektheta.scalars import _vp_fraction; _vp_fraction(3, 0)", 0),
+        ("from ektheta.scalars import _vp_fraction; _vp_fraction(3, -1)", -1),
+        ("from ektheta.padic import precision_buffer; precision_buffer(1, 3, 1)", 1),
+        (_HEATMAP_AT_ONE, 1),
+    ], ids=["vp-one", "vp-zero", "vp-minus-one", "precision-buffer", "heatmap"])
+    def test_p_below_two_is_refused(self, call, p):
+        # each in a fresh interpreter with a timeout, since v_p once looped
+        # forever at p = 1 and p = -1 (and divided by zero at p = 0)
+        cp = subprocess.run([sys.executable, "-c", call], capture_output=True,
+                            text=True, timeout=10)
+        assert cp.returncode == 1
+        assert cp.stderr.rstrip().endswith(f"ValueError: v_p needs p >= 2, not p = {p}")

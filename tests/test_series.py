@@ -9,8 +9,6 @@ from ektheta.series import (
     ExactRing,
     ScaledIntRing,
     UniSeries,
-    scaled_mul,
-    unit_inverse,
 )
 from tests.series_oracle import bi, exp, from_list, is_symmetric
 
@@ -140,13 +138,19 @@ class TestScaledIntRing:
             return [p ** (k // (p - 1)) * int(series.coeff(k)) % ring.modulus
                     for k in range(n + 1)]
 
+        def on(ring, values):
+            return UniSeries(ring, dict(enumerate(values)), n)
+
+        def entries(series):
+            return [series.coeff(k) for k in range(n + 1)]
+
         fa, fb = U(a, n), U(b, n)
-        assert scaled_mul(stored(fa), stored(fb), n, ring) == stored(fa * fb)
-        assert unit_inverse(stored(fa), n, ring) == stored(fa.inverse())
+        assert entries(on(ring, stored(fa)) * on(ring, stored(fb))) == stored(fa * fb)
+        assert entries(on(ring, stored(fa)).inverse()) == stored(fa.inverse())
         # without the carry the product is another series
         plain = ScaledIntRing(p, 6)
         plain.carry = 1
-        assert scaled_mul(stored(fa), stored(fb), n, plain) != stored(fa * fb)
+        assert entries(on(plain, stored(fa)) * on(plain, stored(fb))) != stored(fa * fb)
 
 
 class TestJson:
