@@ -35,9 +35,6 @@ from .scalars import ExactScalar, PadicScalar, mp
 def _meta(args, seed=None):
     cfg = {k: v for k, v in sorted(vars(args).items())
            if k not in ("func", "out", "csv") and v is not None}
-    for k, v in cfg.items():
-        if isinstance(v, Fraction):
-            cfg[k] = str(v)
     return {"version": __version__, "config": cfg,
             **({"seed": seed} if seed is not None else {})}
 
@@ -82,9 +79,32 @@ def prime(text: str) -> int:
     return p
 
 
+def at_least(lower: int):
+    """The type of an int option whose values start at `lower`."""
+    def parse(text: str) -> int:
+        if (n := int(text)) < lower:
+            raise argparse.ArgumentTypeError(f"{n} is below {lower}")
+        return n
+
+    parse.__name__ = "int"          # argparse's "invalid int value" message
+    return parse
+
+
+def pair(part):
+    """The type of an "x,y" option (--moments, --z0, --w0): the text,
+    unchanged, once both of its parts parse with `part`."""
+    def parse(text: str) -> str:
+        try:
+            x, y = map(part, text.split(","))
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"{text!r} is not x,y") from None
+        return text
+
+    return parse
+
+
 def _parse_coords(text: str):
-    a, b = text.split(",")
-    return (Fraction(a), Fraction(b))
+    return tuple(map(Fraction, text.split(",")))
 
 
 def _parse_gaussian(text: str) -> ExactScalar:
@@ -295,14 +315,12 @@ def cmd_measure(args):
                "period_note": mu.period_note,
                "series": series_json(mu)}
     if args.restrict:
-        mom_order = 8
-        if args.moments:
-            mom_order = sum(int(x) for x in args.moments.split(","))
+        mom_order = sum(map(int, args.moments.split(","))) if args.moments else 8
         mu = restrict_to_units(mu, out_order=min(args.order, mom_order + 2))
         payload["restricted_series"] = series_json(mu)
         payload["provenance"] = mu.provenance
     if args.moments:
-        amax, bmax = (int(x) for x in args.moments.split(","))
+        amax, bmax = map(int, args.moments.split(","))
         table = moment_table(mu, amax, bmax)
         payload["moments_period_normalized"] = {
             f"{a},{b}": v.to_json() for (a, b), v in sorted(table.items())}
@@ -356,22 +374,22 @@ COMMANDS = {
     "expand": ("exact origin expansion", cmd_expand, [
         _arg("what", choices=["kronecker"]),
         *CURVE_OPTS,
-        _arg("--order", type=int, default=10),
+        _arg("--order", type=at_least(0), default=10),
         _arg("--format", choices=["json"], default="json"),
     ]),
     "formal-log": ("formal logarithm series", cmd_formal_log, [
         *CURVE_OPTS,
-        _arg("--order", type=int, default=20),
+        _arg("--order", type=at_least(0), default=20),
     ]),
     "compose": ("formal-parameter composition", cmd_compose, [
         *CURVE_OPTS,
-        _arg("--order", type=int, default=20),
+        _arg("--order", type=at_least(0), default=20),
         _arg("--starred", action=argparse.BooleanOptionalAction, default=True),
     ]),
     "valuations": ("denominator-exponent heatmap CSV", cmd_valuations, [
         *CURVE_OPTS,
         _arg("--prime", type=prime, required=True),
-        _arg("--order", type=int, default=40),
+        _arg("--order", type=at_least(0), default=40),
         _arg("--csv", help="CSV output path"),
         _arg("--fit-diagonal", action="store_true"),
     ]),
@@ -379,52 +397,52 @@ COMMANDS = {
         *CURVE_OPTS,
         _arg("--a", type=int, required=True),
         _arg("--b", type=int, required=True),
-        _arg("--z0", help="'a/n,b/n' in the period basis"),
-        _arg("--w0", help="'a/n,b/n' in the period basis"),
+        _arg("--z0", type=pair(Fraction), help="'a/n,b/n' in the period basis"),
+        _arg("--w0", type=pair(Fraction), help="'a/n,b/n' in the period basis"),
         _arg("--err", type=float, default=1e-20),
-        _arg("--prec-bits", type=int, default=DEFAULT_PREC),
+        _arg("--prec-bits", type=at_least(1), default=DEFAULT_PREC),
     ]),
     "hecke-l": ("Hecke L partial sum, two routes", cmd_hecke_l, [
         _arg("--character", default="zi-conductor-2-2i"),
         _arg("--s", type=int, default=6),
-        _arg("--norm-bound", type=int, default=400),
+        _arg("--norm-bound", type=at_least(1), default=400),
         _arg("--err", type=float, default=1e-16),
         _arg("--tol", type=float, default=1e-10),
-        _arg("--prec-bits", type=int, default=DEFAULT_PREC),
+        _arg("--prec-bits", type=at_least(1), default=DEFAULT_PREC),
         _arg("--out"),
     ]),
     "verify": ("identity verification suites", cmd_verify, [
         _arg("target", choices=["kronecker", "generating-function",
                                 "functional-equation", "distribution"]),
         *CURVE_OPTS,
-        _arg("--points", type=int, default=10),
+        _arg("--points", type=at_least(1), default=10),
         _arg("--tol", type=float, default=1e-15),
         _arg("--seed", type=int, default=0),
-        _arg("--prec-bits", type=int, default=DEFAULT_PREC),
-        _arg("--z0"),
-        _arg("--w0"),
-        _arg("--amax", type=int, default=4),
-        _arg("--bmax", type=int, default=4),
+        _arg("--prec-bits", type=at_least(1), default=DEFAULT_PREC),
+        _arg("--z0", type=pair(Fraction)),
+        _arg("--w0", type=pair(Fraction)),
+        _arg("--amax", type=at_least(0), default=4),
+        _arg("--bmax", type=at_least(1), default=4),
         _arg("--ideal-a", default="1"),
         _arg("--ideal-b", default="1"),
     ]),
     "measure": ("p-adic measure series and moments", cmd_measure, [
         *CURVE_OPTS,
         _arg("--prime", type=prime, required=True),
-        _arg("--prec", type=int, default=8),
-        _arg("--order", type=int, default=12),
+        _arg("--prec", type=at_least(1), default=8),
+        _arg("--order", type=at_least(0), default=12),
         _arg("--restrict", action="store_true"),
-        _arg("--moments", help="a_max,b_max"),
+        _arg("--moments", type=pair(at_least(0)), help="a_max,b_max"),
         _arg("--json", action="store_true", help="JSON output (default)"),
     ]),
     "verify-interpolation": ("origin interpolation + Kummer congruences",
                              cmd_verify_interpolation, [
         *CURVE_OPTS,
         _arg("--prime", type=prime, required=True),
-        _arg("--prec", type=int, default=8),
-        _arg("--amax", type=int, default=4),
-        _arg("--bmax", type=int, default=4),
-        _arg("--kummer-max", type=int, default=0),
+        _arg("--prec", type=at_least(1), default=8),
+        _arg("--amax", type=at_least(0), default=4),
+        _arg("--bmax", type=at_least(1), default=4),
+        _arg("--kummer-max", type=at_least(0), default=0),
     ]),
 }
 

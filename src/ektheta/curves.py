@@ -41,6 +41,7 @@ __all__ = [
     "log_integers",
     "formal_log",
     "compute_periods",
+    "lattice_coords",
     "lattice_pair_mpc",
     "eisenstein_backcheck",
     "PeriodPrecisionError",
@@ -256,20 +257,17 @@ def sigma_integers(order: int) -> Tuple[Tuple[int, int, int, int], ...]:
     return tuple(out)
 
 
-def sigma_series(curve: CurveData, order: int, ring=None) -> UniSeries:
-    """Weierstrass sigma (DLMF section 23.9):
-
-        sigma(z) = sum_{m,n} a_mn (g2/2)^m (2 g3)^n z^(4m+6n+1)/(4m+6n+1)!,
-
-    with Weierstrass's integers a_mn (sigma_integers), formed in the curve's
-    field and stored on `ring` with ring.coerce (z^k: varpi-degree k - 1)."""
+def _weighted_series(curve: CurveData, order: int, ring, table, c2, c3, div):
+    """sum a (c2 g2)^m (c3 g3)^n z^k/div(k) over the (k, m, n, a) of table,
+    formed in the curve's field and stored on `ring` with ring.coerce
+    (z^k: varpi-degree k - 1): sigma and the formal logarithm."""
     field = curve.ring()
     ring = ring or field
-    h2 = field.coerce(curve.g2) * Fraction(1, 2)
-    h3 = field.coerce(curve.g3) * 2
+    h2 = field.coerce(curve.g2) * c2
+    h3 = field.coerce(curve.g3) * c3
     h2pow, h3pow = [field.one], [field.one]
     out = {}
-    for k, m, n, a in sigma_integers(order):
+    for k, m, n, a in table:
         while len(h2pow) <= m:
             h2pow.append(h2pow[-1] * h2)
         while len(h3pow) <= n:
@@ -277,8 +275,18 @@ def sigma_series(curve: CurveData, order: int, ring=None) -> UniSeries:
         if a and h2pow[m] and h3pow[n]:
             c = h2pow[m] * h3pow[n] * a
             out[k] = out[k] + c if k in out else c
-    return UniSeries(ring, {k: ring.coerce(c * Fraction(1, factorial(k)), k - 1)
+    return UniSeries(ring, {k: ring.coerce(c * Fraction(1, div(k)), k - 1)
                             for k, c in out.items()}, order)
+
+
+def sigma_series(curve: CurveData, order: int, ring=None) -> UniSeries:
+    """Weierstrass sigma (DLMF section 23.9):
+
+        sigma(z) = sum_{m,n} a_mn (g2/2)^m (2 g3)^n z^(4m+6n+1)/(4m+6n+1)!,
+
+    with Weierstrass's integers a_mn (sigma_integers)."""
+    return _weighted_series(curve, order, ring, sigma_integers(order),
+                            Fraction(1, 2), 2, factorial)
 
 
 def theta_series(curve: CurveData, order: int, ring=None) -> UniSeries:
@@ -319,26 +327,10 @@ def formal_log(curve: CurveData, order: int, ring=None) -> FormalLog:
     """Formal logarithm for the parameter t = -2x/y:
 
         lambda(t) = sum_{m,n >= 0} (2m+3n)!/((m+2n)! m! n!)
-                    (-g2/4)^m (-g3/4)^n t^(4m+6n+1)/(4m+6n+1),
-
-    formed in the curve's field and stored as sigma_series stores."""
-    field = curve.ring()
-    ring = ring or field
-    qg2 = field.coerce(curve.g2) * Fraction(-1, 4)
-    qg3 = field.coerce(curve.g3) * Fraction(-1, 4)
-    out = {}
-    g2pow = [field.one]
-    g3pow = [field.one]
-    for k, m, n, multinomial in log_integers(order):
-        while len(g2pow) <= m:
-            g2pow.append(g2pow[-1] * qg2)
-        while len(g3pow) <= n:
-            g3pow.append(g3pow[-1] * qg3)
-        if g2pow[m] and g3pow[n]:
-            c = g2pow[m] * g3pow[n] * multinomial
-            out[k] = out[k] + c if k in out else c
-    return FormalLog(UniSeries(ring, {k: ring.coerce(c * Fraction(1, k), k - 1)
-                                      for k, c in out.items()}, order), curve)
+                    (-g2/4)^m (-g3/4)^n t^(4m+6n+1)/(4m+6n+1)."""
+    return FormalLog(_weighted_series(curve, order, ring, log_integers(order),
+                                      Fraction(-1, 4), Fraction(-1, 4),
+                                      lambda k: k), curve)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +354,17 @@ class LatticeData(NamedTuple):
 
     def A(self) -> mp.mpf:
         return self.area.re
+
+    @classmethod
+    def of_basis(cls, w1, w2, prec_bits: int, curve=None) -> "LatticeData":
+        """Z w1 + Z w2 for mpc w1, w2 (w2 negated if Im(w2/w1) < 0), A formed
+        at the caller's working precision and each value labelled prec_bits."""
+        if mp.im(w2 / w1) < 0:
+            w2 = -w2
+        area = mp.im(w2 * mp.conj(w1)) / mp.pi
+        return cls(BigComplex(w1.real, w1.imag, prec_bits),
+                   BigComplex(w2.real, w2.imag, prec_bits),
+                   BigComplex(area, mp.mpf(0), prec_bits), curve)
 
     def to_json(self):
         return {"omega1": self.omega1.to_json(), "omega2": self.omega2.to_json(),
@@ -467,18 +470,19 @@ def compute_periods(curve: CurveData, prec_bits: int = 256) -> LatticeData:
             bg2, bg3 = eisenstein_backcheck(w1, w2, work)
             res = abs(bg2 - g2) + abs(bg3 - g3)
             if res <= tol * scale:
-                area = mp.im(w2 * mp.conj(w1)) / mp.pi
-                return LatticeData(
-                    omega1=BigComplex(w1.real, w1.imag, prec_bits),
-                    omega2=BigComplex(w2.real, w2.imag, prec_bits),
-                    area=BigComplex(area, mp.mpf(0), prec_bits),
-                    curve=curve,
-                )
+                return LatticeData.of_basis(w1, w2, prec_bits, curve)
             least = res if least is None else min(least, res)
         if least is None:
             raise PeriodPrecisionError("no admissible period basis found")
         raise PeriodPrecisionError(
             f"back-check residual {mp.nstr(least, 5)} exceeds tolerance")
+
+
+def lattice_coords(z, w1, w2) -> Tuple[mp.mpf, mp.mpf]:
+    """Real (x, y) with z = x w1 + y w2, at the caller's working precision."""
+    z = mp.mpc(z)
+    det = mp.im(mp.conj(w1) * w2)
+    return -mp.im(mp.conj(w2) * z) / det, mp.im(mp.conj(w1) * z) / det
 
 
 def lattice_pair_mpc(z, w, A) -> mp.mpc:

@@ -40,7 +40,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .curves import LatticeData, lattice_pair_mpc
+from .curves import LatticeData, lattice_coords, lattice_pair_mpc
 from .scalars import BigComplex, CLASS_NUMBER_ONE, ExactScalar, ideal_generators, \
     in_ok, mp, ok_omega, ok_units, residue_classes, residue_key
 
@@ -84,12 +84,8 @@ def is_lattice_point(z, lattice: LatticeData, prec: Optional[int] = None) -> boo
     prec = prec or lattice.prec_bits
     with mp.workprec(prec):
         w1, w2 = lattice.pair_mpc()
-        z = mp.mpc(z)
-        det = mp.im(mp.conj(w1) * w2)
-        # z = x w1 + y w2 with real x, y
-        x = -mp.im(mp.conj(w2) * z) / det
-        y = mp.im(mp.conj(w1) * z) / det
-        dist = abs(z - (mp.nint(x) * w1 + mp.nint(y) * w2))
+        x, y = lattice_coords(z, w1, w2)
+        dist = abs(mp.mpc(z) - (mp.nint(x) * w1 + mp.nint(y) * w2))
         return dist < mp.mpf(2) ** (-(prec // 4))
 
 
@@ -681,22 +677,11 @@ def hecke_L_partial(char: HeckeCharacter, s, target_error=1e-14,
         raise NotImplementedError(
             "only conductors with trivial ray class group are assembled here")
     with mp.workprec(prec_bits + 32):
-        w = ok_omega(char.d)
         f = char.conductor
-        w1 = f.to_mpc(prec_bits + 32)
-        w2 = (f * w).to_mpc(prec_bits + 32)
-        if mp.im(w2 / w1) < 0:
-            w2 = -w2
-        delta_conj = m > n
-        if delta_conj:
+        w1, w2 = (x.to_mpc(prec_bits + 32) for x in (f, f * ok_omega(char.d)))
+        if m > n:                                   # delta = conjugation
             w1, w2 = mp.conj(w1), mp.conj(w2)
-            if mp.im(w2 / w1) < 0:
-                w2 = -w2
-        lat = LatticeData(
-            BigComplex(w1.real, w1.imag, prec_bits + 32),
-            BigComplex(w2.real, w2.imag, prec_bits + 32),
-            BigComplex(mp.im(w2 * mp.conj(w1)) / mp.pi, mp.mpf(0), prec_bits + 32),
-        )
+        lat = LatticeData.of_basis(w1, w2, prec_bits + 32)
         val = eisenstein_kronecker_lerch(
             abs(m - n), 1, 0, mp.mpc(s) - min(m, n), lat, target_error,
             w0_in_lattice=True)

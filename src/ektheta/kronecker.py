@@ -37,6 +37,7 @@ from .curves import (
     catalog_row_of,
     eta1_quasi_period,
     formal_log,
+    lattice_coords,
     lattice_pair_mpc,
     theta_series,
 )
@@ -253,25 +254,12 @@ class ThetaEvaluator:
             self.eta1 = eta1_quasi_period(self.w1, self.w2, self.prec + 24)
             self.e2 = (self.eta1 - mp.conj(self.w1) / self.A) / self.w1
             self.th1p0 = mp.jtheta(1, 0, self.q, 1)
-            det = mp.im(mp.conj(self.w1) * self.w2)
-            self._det = det
             # distance to the lattice below which an argument counts as a pole
             self.pole_tol = abs(self.w1) * mp.mpf(2) ** (-(self.prec // 3))
 
-    def coords(self, z) -> Tuple[mp.mpf, mp.mpf]:
-        """Real (x, y) with z = x w1 + y w2."""
-        z = mp.mpc(z)
-        y = mp.im(mp.conj(self.w1) * z) / self._det
-        x = -mp.im(mp.conj(self.w2) * z) / self._det
-        return x, y
-
-    def dist_to_lattice(self, z) -> mp.mpf:
-        x, y = self.coords(z)
-        return abs(mp.mpc(z) - mp.nint(x) * self.w1 - mp.nint(y) * self.w2)
-
     def _reduced(self, z):
         """(z - g, g, alpha(g)) for g the lattice point of z's cell."""
-        x, y = self.coords(z)
+        x, y = lattice_coords(z, self.w1, self.w2)
         m, n = mp.nint(x), mp.nint(y)
         g = m * self.w1 + n * self.w2
         alpha = 1 if (int(m) % 2 == 0 and int(n) % 2 == 0) else -1
@@ -310,8 +298,10 @@ class ThetaEvaluator:
             return [lead * c for c in _mpc_product(jac, expo, n)]
 
     def _pole_guard(self, *zs):
+        w1, w2 = self.w1, self.w2
         for z in zs:
-            if self.dist_to_lattice(z) < self.pole_tol:
+            x, y = lattice_coords(z, w1, w2)
+            if abs(mp.mpc(z) - mp.nint(x) * w1 - mp.nint(y) * w2) < self.pole_tol:
                 raise PoleProximityError("argument within pole tolerance of the divisor")
 
     def kronecker(self, z, w):
@@ -572,12 +562,9 @@ def verify_distribution(a_gen: ExactScalar, b_gen: ExactScalar,
         # (1/g) O_K / O_K for the CM identification Gamma = O_K * w1
         alphas = [x / a_gen for x in residue_classes(a_gen, d)]
         betas = [x / b_gen for x in residue_classes(b_gen, d)]
-        sqd = mp.sqrt(mp.mpf(d)) * 1j
 
         def embed(x: ExactScalar):
-            # a + b sqrt(-d) -> a + b * (numeric sqrt(-d)), scaled onto w1
-            return (mp.mpf(x.a.numerator) / x.a.denominator
-                    + (mp.mpf(x.b.numerator) / x.b.denominator) * sqd) * w1
+            return x.to_mpc(mp.mp.prec) * w1
 
         eps_num = embed(epsilon) / w1
         Na, Nb = int(a_gen.norm()), int(b_gen.norm())

@@ -68,11 +68,11 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .curves import CurveData, catalog_row_of, formal_log
 from .kronecker import compose_formal, kronecker_exact
-from .scalars import ExactScalar, PadicScalar, charpoly, divrem_monic, \
-    embed_padic, ideal_generators, inverse, kronecker_mul, mulmod, ok_omega, \
-    ok_units, power_sums, trace, _sqrt_minus_d_mod, _vp_fraction
-from .series import BiSeries, ExactRing, IntegralityError, IntModRing, \
-    KroneckerExpansion, ScaledIntRing, axpy, _int_mod
+from .scalars import ExactScalar, IntegralityError, PadicScalar, charpoly, \
+    divrem_monic, embed_padic, ideal_generators, inverse, kronecker_mul, mulmod, \
+    ok_omega, ok_units, power_sums, _int_mod, _sqrt_minus_d_mod, _vp_fraction
+from .series import BiSeries, ExactRing, IntModRing, KroneckerExpansion, \
+    ScaledIntRing, _product
 
 __all__ = [
     "NoPeriodError",
@@ -196,6 +196,12 @@ def period_note(curve: CurveData, p: int) -> str:
 # division polynomial and the formal p-torsion algebra
 # ---------------------------------------------------------------------------
 
+def _short_model(curve: CurveData, p: int, pk: int) -> Tuple[int, int]:
+    """(a4, a6) = (-g2/4, -g3/4) mod pk, of the model y'^2 = x^3 + a4 x + a6
+    (y' = y/2); IntegralityError if one is not p-integral."""
+    return tuple(_int_mod(-g.a / 4, p, pk) for g in (curve.g2, curve.g3))
+
+
 def division_polynomial_p(curve: CurveData, p: int, k: int) -> list:
     """The p-division polynomial in x (roots: x-coordinates of E[p] minus O),
     normalized with leading coefficient p, degree (p^2 - 1)/2, on ints mod
@@ -216,7 +222,7 @@ def division_polynomial_p(curve: CurveData, p: int, k: int) -> list:
     if not (curve.g2.is_rational() and curve.g3.is_rational()):
         raise ValueError("division polynomials implemented for rational models")
     pk = p ** k
-    A, B = (_int_mod(-g.a / 4, p, pk) for g in (curve.g2, curve.g3))
+    A, B = _short_model(curve, p, pk)
 
     def mul(*polys) -> list:
         out = polys[0]
@@ -287,19 +293,13 @@ def hensel_factor_distinguished(poly: list, deg_w: int, p: int, M: int):
 # ---------------------------------------------------------------------------
 
 class TorsionAlgebra:
-    """Z/p^M [T]/W1(T) for the nonzero formal p-torsion; plain-int vectors."""
+    """Z/p^M [T]/W1(T) on plain-int vectors, W1 monic and T^deg mod p: the
+    even Eisenstein W1 of the nonzero formal p-torsion, or W_u
+    (formal_torsion_algebra)."""
 
     def __init__(self, p: int, M: int, W1: tuple, curve: CurveData):
-        self.p, self.M, self.curve = p, M, curve
-        self.W1 = W1       # ints, monic, degree p-1, Eisenstein
-
-    @property
-    def deg(self) -> int:
-        return len(self.W1) - 1
-
-    @property
-    def pk(self) -> int:
-        return self.p ** self.M
+        self.p, self.M, self.curve, self.W1 = p, M, curve, W1
+        self.deg, self.pk = len(W1) - 1, p ** M
 
     def mul(self, u: tuple, v: tuple) -> tuple:
         return mulmod(u, v, self.W1, self.pk)
@@ -321,34 +321,28 @@ class TorsionAlgebra:
 
     @cached_property
     def root_power_sums(self) -> list:
-        """Power sums of the roots of W1, shared by every trace."""
-        return _root_power_sums(self.W1, self.pk)
+        """Power sums s_0 .. s_(deg-1) of the roots of W1, for every trace."""
+        return [row[0] for row in power_sums([[c] for c in self.W1[::-1]],
+                                             self.deg, self.pk)]
 
     def trace(self, u: tuple) -> int:
-        return trace(u, self.root_power_sums, self.pk)
+        """Trace of multiplication by u: sum of u_i times s_i."""
+        return sum(ui * si for ui, si in zip(u, self.root_power_sums)) % self.pk
 
     def inverse_unit(self, u: tuple) -> tuple:
         """Inverse of an element that is a unit (constant coordinate a p-unit;
         mod p the algebra is F_p[x]/x^deg)."""
         return inverse(u, self.W1, self.p, self.pk)
 
-    def eval_series_at_x(self, coeffs: Dict[int, Fraction], scale: int) -> tuple:
-        """sum p^scale * coeffs[k] * x^k by Horner's rule, scale >= 0; each
-        scaled coefficient (int or Fraction) must be p-integral.
+    def eval_series_at_x(self, coeffs: list) -> tuple:
+        """sum coeffs[k] x^k over a sequence of ints, by Horner's rule.
         Convergence: x^k gains floor(k/deg) powers of p."""
         acc = self.const(0)
-        for k in range(max(coeffs, default=0), -1, -1):
+        for c in reversed(coeffs):
             acc = self.mul(acc, self.x())
-            c = coeffs.get(k)
             if c:
-                acc = self.add(acc, self.const(
-                    _int_mod(c * self.p ** scale, self.p, self.pk)))
+                acc = self.add(acc, self.const(c))
         return acc
-
-
-def _root_power_sums(W, pk) -> list:
-    """Power sums s_0 .. s_(deg-1) of the roots of monic W, mod pk."""
-    return [row[0] for row in power_sums([[c] for c in W[::-1]], len(W) - 1, pk)]
 
 
 def formal_torsion_algebra(curve: CurveData, p: int, M: int) -> TorsionAlgebra:
@@ -361,8 +355,8 @@ def formal_torsion_algebra(curve: CurveData, p: int, M: int) -> TorsionAlgebra:
       distinguished Hensel factor W_u of degree d = (p-1)/2, whose roots are
       the values of u at the pairs +-P of nonzero formal p-torsion points;
     - in the integral algebra A = Z_p[u]/(W_u) the element
-      tau = t^2 = 4x^2/y^2 = 4u (4 - g2 u^2 - g3 u^3)^-1 is integral, since
-      the inverted factor is a unit;
+      tau = t^2 = 4x^2/y^2 = u (1 + a4 u^2 + a6 u^3)^-1 (_short_model) is
+      integral, since the inverted factor is a unit;
     - W1(T) = charpoly_A(tau)(T^2), by Newton's identities (charpoly) on
       the traces of tau^1..tau^d; the divisions by k <= d < p are by
       p-units.
@@ -372,13 +366,14 @@ def formal_torsion_algebra(curve: CurveData, p: int, M: int) -> TorsionAlgebra:
     psi = division_polynomial_p(curve, p, M + guard)
     d = (p - 1) // 2
     Wu, _E = hensel_factor_distinguished(psi[::-1], d, p, M + guard)
-    g2, g3 = (_int_mod(g.a, p, pk) for g in (curve.g2, curve.g3))
-    den = divrem_monic([4, 0, -g2, -g3], Wu, pk)[1]
-    tau = mulmod(divrem_monic([0, 4], Wu, pk)[1], inverse(den, Wu, p, pk), Wu, pk)
-    sums, traces, tk = _root_power_sums(Wu, pk), [[d]], tau
+    alg = TorsionAlgebra(p, M + guard, tuple(Wu), curve)
+    a4, a6 = _short_model(curve, p, pk)
+    den = divrem_monic([1, 0, a4, a6], Wu, pk)[1]
+    tau = alg.mul(divrem_monic([0, 1], Wu, pk)[1], alg.inverse_unit(den))
+    traces, tk = [[d]], tau
     for _ in range(d):
-        traces.append([trace(tk, sums, pk)])
-        tk = mulmod(tk, tau, Wu, pk)
+        traces.append([alg.trace(tk)])
+        tk = alg.mul(tk, tau)
     # charpoly(X) = X^d + c_1 X^(d-1) + ... + c_d; W1(T) = charpoly(T^2)
     W1 = [0] * p
     for k, (c,) in enumerate(charpoly(traces, pk)):
@@ -482,13 +477,11 @@ def formal_group_translate(alg: TorsionAlgebra, keep: int) -> list:
     needs A_n only for n <= deg M + keep + 1; l_j = A_(j+1) + xbar l_(j+1)
     gives the others.  The constant term is checked to equal xbar.
     """
-    p, pk = alg.p, alg.pk
     n = alg.deg * alg.M + keep + 1
-    w = _xy_parameter_series(alg.curve, n, pk)
+    w = _xy_parameter_series(alg.curve, n, alg.pk)
     A = [alg.const(c) for c in w[:keep + 1]]
-    a4, a6 = (_int_mod(-g.a / 4, p, pk) for g in (alg.curve.g2, alg.curve.g3))
-    ell = [None] * keep + [
-        alg.eval_series_at_x({m: w[m + keep + 1] for m in range(n - keep)}, 0)]
+    a4, a6 = _short_model(alg.curve, alg.p, alg.pk)
+    ell = [None] * keep + [alg.eval_series_at_x(w[keep + 1:])]
     for j in range(keep - 1, -1, -1):
         ell[j] = alg.add(A[j + 1], alg.mul(alg.x(), ell[j + 1]))
     nu = [A[0]] + [alg.add(A[k], alg.scal(ell[k - 1], -1)) for k in range(1, keep + 1)]
@@ -656,15 +649,13 @@ def formal_moments(series: BiSeries, curve: CurveData, p: int,
 
     def dt(rows: list) -> list:
         """d_w on int rows m over n: each row's derivative times
-        lambda'(t)^-1, one degree lower."""
+        lambda'(t)^-1 (series._product), one degree lower."""
         out = []
         for row in rows[:-1]:
             d = [x * n for n, x in enumerate(row)][1:]
-            acc = [0] * len(d)
-            for k, u in enumerate(lamp_inv[:len(d)]):
-                if u:
-                    acc[k:] = axpy(acc[k:], d, u)
-            out.append(ring.reduce_row(acc))
+            (_, (prod,)), = _product([(1, [d])], [(1, [lamp_inv])], len(d) - 1,
+                                     ring, 0, 0)
+            out.append(prod)
         return out
 
     def transposed(rows: list) -> list:

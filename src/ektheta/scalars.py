@@ -404,6 +404,19 @@ def _vp_fraction(x, p: int) -> Optional[int]:
     return v
 
 
+class IntegralityError(ArithmeticError):
+    """A coefficient asserted integral came out with negative valuation."""
+
+
+def _int_mod(x: Fraction, p: int, pk: int) -> int:
+    """x mod pk for a p-integral rational x; IntegralityError naming v_p
+    otherwise."""
+    if x.denominator % p == 0:
+        raise IntegralityError(f"{x} has v_p = {_vp_fraction(x, p)} < 0: "
+                               f"not {p}-integral")
+    return x.numerator * pow(x.denominator, -1, pk) % pk
+
+
 def kronecker_mul(u, v, bound: int, size: Optional[int] = None) -> list:
     """Coefficients 0..size-1 (default: all) of the product of the
     polynomials u and v, whose coefficients are ints in [0, bound).
@@ -494,12 +507,6 @@ def power_sums(c, n: int, pk) -> list:
             acc = [x + k * y for x, y in zip(acc, c[k])]
         T.append([-x % pk for x in acc])
     return T
-
-
-def trace(u, sums, pk) -> int:
-    """Trace of multiplication by u on Z/pk[x]/(W): sum of u_i times the
-    power sums s_i of the roots of W (the K = 1 power_sums of W)."""
-    return sum(ui * si for ui, si in zip(u, sums)) % pk
 
 
 def inverse(u, W, p, pk) -> tuple:
@@ -644,11 +651,7 @@ def embed_padic(x: ExactScalar, p: int, abs_prec: int) -> PadicScalar:
     k = abs_prec + e
     pk = p ** k
 
-    def scaled(c: Fraction) -> int:
-        c *= Fraction(p) ** e
-        return c.numerator * pow(c.denominator, -1, pk)
-
-    n = scaled(x.a)
+    n = _int_mod(x.a * p ** e, p, pk)
     if x.b:
-        n += scaled(x.b) * _sqrt_minus_d_mod(p, x.d, k)
+        n += _int_mod(x.b * p ** e, p, pk) * _sqrt_minus_d_mod(p, x.d, k)
     return PadicScalar.from_int(n, p, abs_prec, e)

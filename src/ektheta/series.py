@@ -38,7 +38,7 @@ from itertools import chain, compress, islice
 from operator import mul
 from typing import Dict, NamedTuple
 
-from .scalars import ExactScalar, _vp_fraction
+from .scalars import ExactScalar, IntegralityError, _int_mod
 
 __all__ = [
     "ExactRing",
@@ -64,19 +64,6 @@ class SeriesError(ValueError):
 
 class NotDivisibleError(SeriesError):
     """A series that must vanish on an axis before a division does not."""
-
-
-class IntegralityError(ArithmeticError):
-    """A coefficient asserted integral came out with negative valuation."""
-
-
-def _int_mod(x: Fraction, p: int, pk: int) -> int:
-    """x mod pk for a p-integral rational x; IntegralityError naming v_p
-    otherwise."""
-    if x.denominator % p == 0:
-        raise IntegralityError(f"{x} has v_p = {_vp_fraction(x, p)} < 0: "
-                               f"not {p}-integral")
-    return x.numerator * pow(x.denominator, -1, pk) % pk
 
 
 class ExactRing:

@@ -474,6 +474,67 @@ class TestColdStart:
         assert outs[0] == outs[1]
 
 
+_REFUSAL_PROBE = ("import sys, ektheta.cli\n"
+                  "try:\n"
+                  "    ektheta.cli.main(sys.argv[1:])\n"
+                  "finally:\n"
+                  "    print('mpmath.libmp' in sys.modules)\n")
+
+_ZI4_P13 = ["--catalog", "Z[sqrt(-1)]", "--u", "4", "--prime", "13"]
+
+
+class TestOptionRanges:
+    """Count options refuse out-of-range values, and "x,y" options a value
+    of another shape, in argparse (exit 2), before any command runs."""
+
+    @pytest.mark.parametrize("argv,option", [
+        (["valuations", "--catalog", "Z[i]", "--prime", "7", "--order", "-2"],
+         "--order"),
+        (["measure", *_ZI4_P13, "--order", "-2"], "--order"),
+        (["verify-interpolation", *_ZI4_P13, "--kummer-max", "-1"], "--kummer-max"),
+        (["verify", "kronecker", "--catalog", "Z[i]", "--points", "0"], "--points"),
+        (["verify", "kronecker", "--catalog", "Z[i]", "--points", "-3"], "--points"),
+        (["verify", "functional-equation", "--catalog", "Z[i]", "--amax", "-1"],
+         "--amax"),
+        (["verify", "distribution", "--catalog", "Z[i]", "--points", "0"],
+         "--points"),
+        (["verify", "generating-function", "--catalog", "Z[i]", "--bmax", "0"],
+         "--bmax"),
+        (["measure", *_ZI4_P13, "--restrict", "--moments", "2"], "--moments"),
+        (["ek", "--catalog", "Z[i]", "--a", "1", "--b", "3", "--z0", "1/2"], "--z0"),
+        (["ek", "--catalog", "Z[i]", "--a", "1", "--b", "3", "--w0", "1/0,1"],
+         "--w0"),
+        (["hecke-l", "--norm-bound", "-1"], "--norm-bound"),
+        (["hecke-l", "--prec-bits", "0"], "--prec-bits"),
+        (["verify-interpolation", *_ZI4_P13, "--prec", "-3"], "--prec"),
+        (["measure", *_ZI4_P13, "--prec", "0"], "--prec"),
+    ], ids=["valuations-order", "measure-order", "kummer-max", "points-0",
+            "points-neg", "amax", "distribution-points", "bmax", "moments",
+            "z0", "w0", "norm-bound", "prec-bits", "interpolation-prec",
+            "measure-prec"])
+    def test_refused_in_argparse(self, argv, option):
+        cp = subprocess.run([sys.executable, "-c", _REFUSAL_PROBE, *argv],
+                            capture_output=True, text=True, timeout=60)
+        assert cp.returncode == 2
+        assert f"error: argument {option}: " in cp.stderr
+        assert "Traceback" not in cp.stderr
+        assert cp.stdout == "False\n"      # no artifact, mpmath never executed
+
+    def test_every_int_option_has_a_bound(self):
+        # --a, --b and --s take any int (the library checks them); --seed too
+        from ektheta.cli import COMMANDS
+        unbounded = {flags[0] for _, _, arguments in COMMANDS.values()
+                     for flags, kwargs in arguments if kwargs.get("type") is int}
+        assert unbounded <= {"--a", "--b", "--s", "--seed"}
+
+    def test_values_in_range_echo_unchanged(self):
+        from ektheta.cli import build_parser
+        argv = ["measure", *_ZI4_P13, "--prec", "1", "--order", "0",
+                "--moments", "0,1"]
+        args = build_parser(argv).parse_args(argv)
+        assert (args.prec, args.order, args.moments) == (1, 0, "0,1")
+
+
 def _tracer():
     """perfbench/tracer.py, loaded from its file."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"

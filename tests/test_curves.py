@@ -18,11 +18,14 @@ from ektheta.curves import (
     eisenstein_backcheck,
     eta1_quasi_period,
     formal_log,
+    lattice_coords,
     lattice_pair_mpc,
     sigma_series,
     theta_series,
     wp_series,
 )
+from ektheta.eklerch import is_lattice_point
+from ektheta.kronecker import PoleProximityError, ThetaEvaluator
 from ektheta.scalars import ExactScalar
 from ektheta.series import ExactRing, UniSeries
 from tests.series_oracle import exp, shift, sub
@@ -414,6 +417,34 @@ class TestBackcheck:
             eta1 = eta1_quasi_period(w1, w2, 256)
             eta2 = eta1_quasi_period(w2, -w1, 256)
             assert abs(eta1 * w2 - eta2 * w1 - 2j * mp.pi) < mp.mpf(2) ** -200
+
+
+class TestLatticeCoords:
+    """lattice_coords inverts z = x w1 + y w2, so that the membership test
+    and theta's pole guard find a lattice point away from the origin."""
+
+    @pytest.mark.parametrize("label", ["Z[sqrt(-1)]", "Z[(1+sqrt(-7))/2]"])
+    def test_coordinates_round_trip(self, label):
+        lat = compute_periods(catalog_row(label).curve(1), 160)
+        rng = random.Random(5)
+        with mp.workprec(160):
+            w1, w2 = lat.pair_mpc()
+            for _ in range(5):
+                x, y = mp.mpf(rng.uniform(-5, 5)), mp.mpf(rng.uniform(-5, 5))
+                gx, gy = lattice_coords(x * w1 + y * w2, w1, w2)
+                assert abs(gx - x) + abs(gy - y) < mp.mpf(10) ** -40
+
+    def test_lattice_points_off_the_origin(self):
+        lat = compute_periods(zi_curve(), 160)
+        ev = ThetaEvaluator(lat)
+        with mp.workprec(184):
+            w1, w2 = lat.pair_mpc()
+            g = 3 * w1 - 2 * w2
+            assert is_lattice_point(g, lat)
+            assert not is_lattice_point(g + w1 / 2, lat)
+            ev._pole_guard(g + w1 / 2)
+            with pytest.raises(PoleProximityError):
+                ev._pole_guard(g + w1 * mp.mpf(10) ** -40)
 
 
 class TestPairing:

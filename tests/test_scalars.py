@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ektheta.padic import _root_power_sums, is_split, split_prime_generator
+from ektheta.padic import TorsionAlgebra, is_split, split_prime_generator
 from ektheta.scalars import (
     CLASS_NUMBER_ONE,
     ExactScalar,
@@ -24,7 +24,6 @@ from ektheta.scalars import (
     ok_elements,
     power_sums,
     residue_classes,
-    trace,
 )
 from tests.series_oracle import to_int
 
@@ -224,7 +223,7 @@ class TestPolyModHelpers:
     def test_trace_is_multiplication_matrix_trace(self, u, w):
         pk = 13 ** 4
         W = tuple(w) + (1,)
-        assert trace(u, _root_power_sums(W, pk), pk) == _matrix_trace(u, W, pk)
+        assert TorsionAlgebra(13, 4, W, None).trace(u) == _matrix_trace(u, W, pk)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_power_sums_are_traces_of_powers(self, seed):
